@@ -2,7 +2,8 @@
 
 The supersolution is the smallest of the radial first-zero solutions
 centered at the defining balls; since each v is decreasing in distance,
-that infimum is v(max_y |x - y|).  The subsolution is the envelope of the
+that infimum is v(max_y |x - y|), evaluated in closed form at that
+distance (``radial._exact_u``).  The subsolution is the envelope of the
 paraboloids (K / 2 beta)(|x - y|^2 - R^2).  Both vanish on the boundary
 and sandwich every solution with vanishing boundary data.
 """
@@ -15,12 +16,17 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicHermiteSpline
 
-from ._quadrature import integrate
 from .errors import ConfigError, DomainViolationError, NumericError, ThresholdError
 from .model import ConvexDomain, Params
-from .radial import ProfileBranch, RadialProfile, c1_bound, radial_profile, rbar
+from .radial import (
+    ProfileBranch,
+    RadialProfile,
+    _exact_u,
+    c1_bound,
+    radial_profile,
+    rbar,
+)
 
 __all__ = [
     "BarrierField",
@@ -31,7 +37,6 @@ __all__ = [
     "barrier_to_csv",
 ]
 
-_INTERP_BUDGET = 1e-8
 _PROFILE_NODES = 4096
 
 
@@ -49,7 +54,6 @@ class BarrierField:
     params: Params
     forcing_norm: float
     profile: RadialProfile | None = None
-    _interp: CubicHermiteSpline | None = None
 
     @property
     def lipschitz_bound(self) -> float:
@@ -87,55 +91,16 @@ def build_supersolution(domain: ConvexDomain, params: Params, M: float) -> Barri
     else:
         branch = ProfileBranch.FIRST_ZERO_SUBLINEAR
 
-    # tight panel budget: ~4k interval errors accumulate into the tabulated
-    # u, and the interpolant must stay within 1e-8 of direct quadrature
-    prof = radial_profile(branch, R, shifted, node_count=_PROFILE_NODES, panel_tol=1e-13)
-    # piecewise cubic with the exact slopes u' = -s; slope estimation would
-    # lose two orders on the union-graded grid whose spacing alternates
-    r_nodes = np.concatenate([[0.0], prof.r_grid])
-    u_nodes = np.concatenate([[prof.u_at_zero], prof.u_values])
-    du_nodes = -np.concatenate([[0.0], prof.s_values])
-    _check_monotone_cubic(r_nodes, u_nodes, du_nodes)
-    interp = CubicHermiteSpline(r_nodes, u_nodes, du_nodes, extrapolate=False)
-    _validate_interpolant(interp, prof, shifted)
+    # the tabulated profile is kept for inspection and export; evaluation
+    # goes through the closed form at each point's own distance
+    prof = radial_profile(branch, R, shifted, node_count=_PROFILE_NODES)
     return BarrierField(
         domain=domain,
         kind="Super",
         params=params,
         forcing_norm=M,
         profile=prof,
-        _interp=interp,
     )
-
-
-def _check_monotone_cubic(r, u, du):
-    # Fritsch-Carlson: a cubic Hermite piece of monotone data stays monotone
-    # when both endpoint slopes are within 3x the secant slope
-    secant = np.diff(u) / np.diff(r)
-    nz = secant != 0.0
-    a = du[:-1][nz] / secant[nz]
-    b = du[1:][nz] / secant[nz]
-    ratios_ok = bool(
-        np.all((a >= -1e-12) & (a <= 3.0)) and np.all((b >= -1e-12) & (b <= 3.0))
-    )
-    flat_ok = bool(np.all(du[:-1][~nz] == 0.0) and np.all(du[1:][~nz] == 0.0))
-    if not (ratios_ok and flat_ok):
-        raise NumericError("barrier interpolant would not preserve monotonicity")
-
-
-def _validate_interpolant(interp, prof: RadialProfile, params: Params):
-    # spot-check the monotone cubic against direct quadrature of the branch
-    from .radial import first_zero  # local to avoid cycle at import time
-
-    rng = np.random.default_rng(0)
-    for r in rng.uniform(0.05 * prof.R, 0.95 * prof.R, size=8):
-        direct = integrate(lambda t: first_zero(t, params), float(r), prof.R, tol=1e-12)
-        err = abs(float(interp(r)) - direct)
-        if err > _INTERP_BUDGET:
-            raise NumericError(
-                "barrier profile interpolation above budget",
-                {"radius": float(r), "error": err},
-            )
 
 
 def build_subsolution(domain: ConvexDomain, params: Params, K: float) -> BarrierField:
@@ -162,7 +127,7 @@ def evaluate_barrier(field: BarrierField, x):
     elif field.forcing_norm == 0.0:
         out = np.zeros_like(dist)
     else:
-        out = field._interp(dist)
+        out = _exact_u(dist, dom.radius, field.profile.params)[1]
     out = np.asarray(out)
     return float(out) if out.ndim == 0 else out
 

@@ -4,9 +4,10 @@ Discretizes F(x, D^2 u) + H(Du) = f with zero Dirichlet data on a 2D
 lattice.  Second derivatives are sampled along a fan of lattice directions
 (one pair per requested angle); eigenvalue operators take minima and maxima
 over the fan.  Nodes next to the boundary use nonuniform three-point
-differences against the exact ray-circle cut points, with the arm lengths
-floored (``_SNAP_SINGLE`` / ``_SNAP_BOTH``) so the explicit pseudo-time
-iteration keeps a usable step size.
+differences against the exact ray-circle cut points.  The cut fractions
+are only clipped to [1e-14, 1] (``_cut_fractions``); there is no larger
+floor, so a node almost on the boundary gets an arm almost of length zero
+and the scale of its stencil row (the slope bound D_i) is unbounded.
 
 The solver takes semismooth Newton steps (policy iteration, after
 Bokanowski, Maroso & Zidani 2009): each step fixes every node's active fan

@@ -3,8 +3,9 @@
 The profile phi(r, s) = -beta s / r + b s^p + M encodes the equation
 satisfied by s(r) = -u'(r) for radial u.  Everything else follows from its
 zeros: the first zero gives the bounded solution, the second zero (p > 1)
-the blow-up family, and u itself is recovered by quadrature u(r) =
-integral of s from r to R.
+the blow-up family.  On either branch the root curve inverts explicitly,
+r(s) = beta s / (b s^p + M), so u(r) = integral of s from r to R has a
+closed form (see ``_exact_u``); no quadrature is involved.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._quadrature import integrate, integrate_intervals
 from .errors import (
     BranchError,
     ConfigError,
@@ -370,14 +370,13 @@ def radial_profile(
     node_count: int = 512,
     r_min: float = 1e-6,
     include_radii=(),
-    panel_tol: float = 1e-10,
 ) -> RadialProfile:
-    """Tabulate a root branch on (0, R] and integrate it into u.
+    """Tabulate a root branch on (0, R] together with its exact u.
 
-    First-zero grids are graded toward both ends and u(0) is completed by
-    quadrature over [0, r_1] with the continuous extension s(0) = 0;
-    second-zero grids are log-graded on [r_min, R] since the branch
-    diverges at the center.
+    First-zero grids are graded toward both ends and u(0) is the limit of
+    the closed form as r -> 0 (s(0) = 0); second-zero grids are log-graded
+    on [r_min, R] since the branch diverges at the center.  u comes from
+    ``_exact_u`` at every node, so it carries only rounding error.
     """
     if isinstance(branch, str):
         branch = ProfileBranch.parse(branch)
@@ -415,27 +414,15 @@ def radial_profile(
         if include_radii is not None and len(include_radii) > 0:
             r_min = min(r_min, float(min(include_radii)))
         grid = _merge_radii(_graded_nodes_log(R, r_min, node_count), include_radii, R)
-        root = second_zero
     else:
         grid = _merge_radii(_graded_nodes(R, node_count), include_radii, R)
-        root = first_zero
-
-    s_vals = root(grid, params)
-    residuals = _phi_raw(grid, s_vals, params)
 
     if params.M == 0.0:
+        s_vals = (second_zero if second else first_zero)(grid, params)
         u_vals, u_zero = _zero_m_integrals(branch, grid, R, params, second)
     else:
-        panel = integrate_intervals(lambda t: root(t, params), grid, panel_tol=panel_tol)
-        u_vals = np.concatenate([np.cumsum(panel[::-1])[::-1], [0.0]])
-        if second:
-            u_zero = _second_zero_u_at_center(grid[0], float(u_vals[0]), params)
-        else:
-            head = integrate(
-                lambda t: _first_zero_extended(t, params), 0.0, float(grid[0]),
-                tol=1e-11,
-            )
-            u_zero = float(u_vals[0]) + head
+        s_vals, u_vals, u_zero = _exact_u(grid, R, params, second)
+    residuals = _phi_raw(grid, s_vals, params)
 
     prof = RadialProfile(
         params=params,
@@ -452,37 +439,119 @@ def radial_profile(
     return prof
 
 
-def _first_zero_extended(t, params):
-    t = np.asarray(t, dtype=float)
-    out = np.zeros_like(t)
-    pos = t > 0.0
-    if np.any(pos):
-        out[pos] = first_zero(t[pos], params)
+# ---------------------------------------------------------------------------
+# exact u on a root branch
+#
+# Integrating u(r) = int_r^R s(t) dt by parts along the inverse root curve
+# r(s) = beta s / (b s^p + M) gives
+#     u(r) = R s(R) - r s(r) + G(s(r)) - G(s(R)),
+#     G(s) = int_0^s r(t) dt = beta / (M p) c^(-a) J(c s^p),
+# with c = b / M, a = 2 / p and J(X) = int_0^X x^(a-1) / (1 + x) dx.
+
+_SERIES_TERMS = 64
+
+
+def _j_series(X, a: float):
+    """int_0^X x^(a-1) / (1 + x) dx for 0 <= X <= 1 and a > 0.
+
+    The power series of 1/(1+x) alternates and converges slowly at X = 1;
+    its Pfaff transform
+        X^a / (a (1 + X)) sum_n n! / ((1+a)(2+a)...(n+a)) w^n,
+    w = X / (1 + X) <= 1/2, has positive terms, each at most half the one
+    before, so it sums to full precision in at most ~55 terms.
+    """
+    X = np.asarray(X, dtype=float)
+    w = X / (1.0 + X)
+    term = np.ones_like(w)
+    total = np.ones_like(w)
+    for n in range(1, _SERIES_TERMS):
+        term = term * (n / (n + a)) * w
+        total = total + term
+        if np.all(term <= 1e-17 * total):
+            break
+    return X**a / (a * (1.0 + X)) * total
+
+
+def _J(X, p: float) -> np.ndarray:
+    """J(X) = int_0^X x^(a-1) / (1 + x) dx with a = 2/p, for X >= 0, p > 0.
+
+    For X > 1 the substitution x = 1/y moves the tail onto [1/X, 1], where
+    1/(1+y) = sum_{k<m} (-y)^k + (-y)^m / (1+y) with m the integer nearest
+    a.  Every piece is elementary or a series at argument <= 1:
+        J(X) = J(1) + sum_{k<m} (-1)^k (X^e_k - 1) / e_k
+               + (-1)^m (J_q(1) - J_q(1/X)),
+    e_k = a - k - 1 and q = m + 1 - a in (1/2, 3/2], J_q the series with
+    exponent q.  The growth sits in the (X^e - 1)/e terms (ln X when
+    e = 0), so nothing large cancels, near p = 2 included, where library
+    hypergeometric routines lose digits at large X.  The exponents are
+    formed from p directly: a - k - 1 in floating point would carry the
+    rounding of 2/p, which X^e magnifies by ln X.
+    """
+    a = 2.0 / p
+    X = np.asarray(X, dtype=float)
+    out = np.array(_j_series(np.minimum(X, 1.0), a))  # J(1) where X > 1
+    big = X > 1.0
+    if np.any(big):
+        Xb = X[big]
+        L = np.log(Xb)
+        m = math.floor(a + 0.5)
+        q = ((m + 1) * p - 2.0) / p
+        jq = _j_series(np.append(1.0 / Xb, 1.0), q)
+        tail = (-1.0) ** m * (jq[-1] - jq[:-1])
+        for k in range(m):
+            e = (2.0 - (k + 1) * p) / p
+            if e == 0.0:
+                grow = L
+            else:
+                # expm1 near e L = 0; the direct power elsewhere, since
+                # exp(e L) would magnify the rounding of L by e L
+                eL = e * L
+                grow = np.where(np.abs(eL) < 1.0, np.expm1(eL), Xb**e - 1.0) / e
+            tail = tail + (-1.0) ** k * grow
+        out[big] += tail
     return out
 
 
-def _second_zero_u_at_center(r1: float, u_r1: float, params: Params) -> float:
-    """u(0+) for the second-zero branch: +inf for p <= 2, else the
-    convergent improper integral, split as a log-substituted adaptive part
-    on [delta, r1] plus the closed-form head of the M = 0 asymptote."""
-    if params.p <= 2.0:
-        return math.inf
-    delta = r1 * 2.0**-40
-    # s2(t) = (beta/(b t))^(1/(p-1)) + O(t); the O(t) part integrates to
-    # O(delta^2), far below tolerance
-    q = 1.0 / (params.p - 1.0)
-    head = (
-        (params.beta / params.b) ** q
-        * ((params.p - 1.0) / (params.p - 2.0))
-        * delta ** ((params.p - 2.0) / (params.p - 1.0))
-    )
-    body = integrate(
-        lambda y: second_zero(np.exp(y), params) * np.exp(y),
-        math.log(delta),
-        math.log(r1),
-        tol=1e-11,
-    )
-    return u_r1 + body + head
+def _exact_u(r, R: float, params: Params, second: bool = False):
+    """(s, u, u(0+)) at radii r in [0, R] on one root branch, for M > 0.
+
+    u = int_r^R s is evaluated in closed form (see above) from the roots at
+    r and R, so it is exact up to the root accuracy.  r = 0 is allowed on
+    the first-zero branches, whose root extends by s(0) = 0.  At the center
+    the first-zero u is R s(R) - G(s(R)); the second-zero u diverges for
+    p <= 2 and is R s(R) + G(inf) - G(s(R)) for p > 2, with
+    G(inf) = beta / (M p) c^(-a) pi / sin(pi a).
+    """
+    r = np.asarray(r, dtype=float)
+    inner = (r > 0.0) & (r < R)
+    roots = (second_zero if second else first_zero)(np.append(r[inner], R), params)
+    # radii at R take the one root computed there, so u(R) is exactly 0
+    s = np.where(r >= R, roots[-1], 0.0)
+    s[inner] = roots[:-1]
+
+    a = 2.0 / params.p
+    c = params.b / params.M
+    scale = params.beta / (params.M * params.p) * c ** -a
+
+    # r s - G(s) at r and, last, at R
+    rs = np.append(r, R)
+    ss = np.append(s, roots[-1])
+    r_s_minus_g = rs * ss - scale * _J(c * ss**params.p, params.p)
+    head = float(r_s_minus_g[-1])
+    u = (head - r_s_minus_g[:-1]).reshape(r.shape)
+    if not np.all(np.isfinite(u)):
+        k = int(np.argmin(np.isfinite(u.ravel())))
+        raise NumericError(
+            "profile value overflows double precision",
+            {"radius": float(r.ravel()[k]), "root": float(s.ravel()[k])},
+        )
+    if not second:
+        center = head
+    elif params.p > 2.0:
+        center = head + scale * math.pi / math.sin(math.pi * a)
+    else:
+        center = math.inf
+    return s, u, center
 
 
 def _zero_m_integrals(branch, grid, R, params, second):

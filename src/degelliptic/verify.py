@@ -40,10 +40,10 @@ from .radial import (
     ExplicitSublinearForm,
     ProfileBranch,
     RadialProfile,
+    _exact_u,
     critical_s1,
     first_zero,
     phi,
-    radial_profile,
     rbar,
     second_zero,
 )
@@ -603,20 +603,12 @@ def _auto_oracle(problem: GridProblem) -> Callable:
         raise ConfigError(
             "no built-in radial oracle for this problem; pass oracle="
         )
-    branch = (
-        "FirstZeroSuperlinear" if params.superlinear else "FirstZeroSublinear"
-    )
-    prof = radial_profile(branch, problem.domain.radius, params, node_count=4096)
+    R = problem.domain.radius
 
     def oracle(r):
-        r = np.asarray(r, dtype=float)
-        vals = np.asarray(
-            prof.interpolate_u(np.clip(r, prof.r_grid[0], prof.r_grid[-1])),
-            dtype=float,
-        )
-        vals[r < prof.r_grid[0]] = prof.u_at_zero
-        return vals
+        return _exact_u(np.minimum(np.asarray(r, dtype=float), R), R, params)[1]
 
+    oracle(R)  # a radius past the threshold raises here, before any solve
     return oracle
 
 

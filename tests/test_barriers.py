@@ -5,7 +5,6 @@ import pytest
 
 from degelliptic.barriers import (
     BarrierField,
-    _check_monotone_cubic,
     barrier_to_csv,
     build_subsolution,
     build_supersolution,
@@ -15,7 +14,6 @@ from degelliptic.barriers import (
 from degelliptic.errors import (
     ConfigError,
     DomainViolationError,
-    NumericError,
     ThresholdError,
 )
 from degelliptic.model import ConvexDomain, Params
@@ -63,6 +61,17 @@ class TestSupersolution:
             assert evaluate_barrier(disc_super, [r, 0.0]) == pytest.approx(
                 prof.u_values[i], abs=1e-12
             )
+
+    def test_matches_closed_form_off_nodes(self):
+        # model-case first-zero solution u(r) = w - log(1 + w), w = sqrt(1 - r^2)
+        disc_super = build_supersolution(DISC, MODEL, M=1.0)
+        r = np.random.default_rng(5).uniform(0.0, 1.0, 2000)
+        w = np.sqrt(1.0 - r**2)
+        got = evaluate_barrier(disc_super, np.stack([r, np.zeros_like(r)], axis=1))
+        assert np.max(np.abs(got - (w - np.log1p(w)))) <= 1e-13
+        assert evaluate_barrier(disc_super, [0.0, 0.0]) == pytest.approx(
+            1.0 - math.log(2.0), abs=1e-15
+        )
 
     def test_zero_forcing_gives_zero_field(self):
         field = build_supersolution(LENS, MODEL, M=0.0)
@@ -193,19 +202,6 @@ class TestBoundarySampling:
         d3 = ConvexDomain(radius=1.0, centers=((0.0, 0.0, 0.0),))
         with pytest.raises(ConfigError):
             sample_boundary(d3, 16)
-
-
-class TestMonotoneCubicGuard:
-    def test_flags_overshooting_slopes(self):
-        r = np.array([0.0, 1.0, 2.0])
-        u = np.array([0.0, -1.0, -2.0])
-        with pytest.raises(NumericError):
-            _check_monotone_cubic(r, u, np.array([-10.0, -1.0, -1.0]))
-
-    def test_accepts_consistent_slopes(self):
-        r = np.array([0.0, 1.0, 2.0])
-        u = np.array([0.0, -1.0, -2.0])
-        _check_monotone_cubic(r, u, np.array([-1.0, -1.0, -1.0]))
 
 
 class TestCsv:

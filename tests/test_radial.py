@@ -1,11 +1,11 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from degelliptic._quadrature import integrate, integrate_intervals
 from degelliptic.errors import (
     BranchError,
     ConfigError,
@@ -28,6 +28,7 @@ from degelliptic.radial import (
     phi,
     profile_to_csv,
     radial_profile,
+    _J,
     rbar,
     second_zero,
 )
@@ -38,35 +39,6 @@ SUB = Params(beta=1.0, b=1.0, p=0.5, M=1.0)
 # closed-form values of the model-case solution, frozen from high precision
 U_HALF = 0.24221468741956724756  # u(1/2) on the unit ball
 U_ZERO = 1.0 - math.log(2.0)
-
-
-class TestQuadrature:
-    def test_smooth(self):
-        assert integrate(np.sin, 0.0, math.pi) == pytest.approx(2.0, abs=1e-12)
-
-    def test_batched_intervals(self):
-        edges = np.linspace(0.0, 2.0, 41)
-        got = integrate_intervals(lambda t: t**4, edges)
-        assert np.max(np.abs(got - np.diff(edges**5) / 5.0)) < 1e-12
-
-    def test_sqrt_endpoint(self):
-        assert integrate(np.sqrt, 0.0, 1.0, tol=1e-12) == pytest.approx(
-            2.0 / 3.0, abs=1e-9
-        )
-
-    def test_panel_cap(self):
-        with pytest.raises(NumericError) as exc:
-            integrate_intervals(
-                lambda t: np.sin(40.0 * t), np.array([0.0, 6.0]),
-                panel_tol=1e-14, max_panels=8,
-            )
-        assert "panels" in exc.value.diagnostics
-
-    def test_bad_edges(self):
-        with pytest.raises(ConfigError):
-            integrate_intervals(np.sin, np.array([1.0, 1.0]))
-        with pytest.raises(ConfigError):
-            integrate(np.sin, 1.0, 0.0)
 
 
 class TestPhi:
@@ -375,6 +347,67 @@ class TestRadialProfileSecondZero:
         bound = classify_blowup(params).bound
         assert prof.u_at_zero < bound
         assert math.isfinite(prof.u_at_zero)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_branch_raises(self):
+        # p -> 1: s2 ~ (beta / (b r))^(1/(p-1)) leaves double range at r_min
+        params = Params(beta=1.0, b=1.0, p=1.005, M=1.0)
+        with pytest.raises(NumericError):
+            radial_profile(
+                ProfileBranch.SECOND_ZERO_SUPERLINEAR, 0.5 * rbar(params), params,
+                node_count=128,
+            )
+
+    def test_model_closed_form_down_to_1e_6(self):
+        # u2 = log(1 + w) - 2 log r - w, w = sqrt(1 - r^2); at r = 1e-6 the
+        # antiderivative argument b s^2 / M reaches 4e12
+        prof = radial_profile(
+            ProfileBranch.SECOND_ZERO_SUPERLINEAR, 1.0, MODEL,
+            node_count=512, r_min=1e-6,
+        )
+        r = prof.r_grid
+        w = np.sqrt(1.0 - r**2)
+        ref = np.log1p(w) - 2.0 * np.log(r) - w
+        assert r[0] == 1e-6
+        assert np.max(np.abs(prof.u_values - ref)) <= 1e-11
+
+
+def _decimal(fn):
+    # elementary closed forms that cancel for small X, summed at 50 digits
+    def ref(X):
+        with localcontext() as ctx:
+            ctx.prec = 50
+            return np.array([float(fn(Decimal(float(x)))) for x in X])
+
+    return ref
+
+
+class TestAntiderivative:
+    """J(X) = int_0^X x^(2/p - 1) / (1 + x) dx against elementary forms."""
+
+    @pytest.mark.parametrize(
+        "p, closed_form",
+        [
+            (4.0, lambda X: 2.0 * np.arctan(np.sqrt(X))),
+            (2.0, np.log1p),
+            (2.0 / 3.0, _decimal(lambda X: X * X / 2 - X + (1 + X).ln())),
+            (0.5, _decimal(lambda X: X**3 / 3 - X * X / 2 + X - (1 + X).ln())),
+        ],
+        ids=["p=4", "p=2", "p=2/3", "p=1/2"],
+    )
+    def test_elementary_closed_forms(self, p, closed_form):
+        X = np.logspace(-6, 15, 85)
+        ref = closed_form(X)
+        assert np.max(np.abs(_J(X, p) - ref) / ref) <= 1e-13
+
+    def test_continuous_across_p_two(self):
+        X = np.logspace(-6, 15, 43)
+        ref = np.log1p(X)
+        lo, hi = _J(X, 2.0 - 1e-9), _J(X, 2.0 + 1e-9)
+        # to first order in p - 2 the two sides move apart by ~1e-9 ln X
+        assert np.max(np.abs(lo - ref) / ref) <= 1e-7
+        assert np.max(np.abs(hi - ref) / ref) <= 1e-7
+        assert np.max(np.abs(0.5 * (lo + hi) - ref) / ref) <= 1e-12
 
 
 class TestZeroM:
