@@ -754,19 +754,25 @@ def run(cfg: RunConfig):
     return lines, deferred
 
 
+def _report_failure(err: DegellipticError) -> int:
+    """Print the error and its diagnostics, one key: value line each."""
+    print(f"error: {err}", file=sys.stderr)
+    for key, value in getattr(err, "diagnostics", {}).items():
+        print(f"  {key}: {value}", file=sys.stderr)
+    return err.exit_code
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = _apply_flags(load_config(args.config), args)
         lines, failure = run(cfg)
     except DegellipticError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return err.exit_code
+        return _report_failure(err)
     for line in lines:
         print(line)
     if failure is not None:
-        print(f"error: {failure}", file=sys.stderr)
-        return failure.exit_code
+        return _report_failure(failure)
     return 0
 
 

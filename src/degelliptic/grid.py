@@ -58,6 +58,7 @@ from .model import (
     PowerNorm,
     ScalarField,
     WeightedEigenvalues,
+    ellipticity_constant,
 )
 from .radial import c1_bound, rbar
 
@@ -802,6 +803,12 @@ def _check_envelope(problem: GridProblem, scheme: _Scheme):
     if ham is None or scheme.ham is None:
         return
     params = problem.params
+    beta = ellipticity_constant(problem.operator)
+    if params.beta > beta * (1.0 + 1e-12):
+        raise ConfigError(
+            f"declared ellipticity {params.beta} exceeds the operator's"
+            f" constant {beta}"
+        )
     if abs(ham.p - params.p) > 1e-12:
         raise ConfigError(
             f"Hamiltonian exponent {ham.p} mismatches the declared envelope"

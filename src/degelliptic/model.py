@@ -1,8 +1,8 @@
 """Problem data and pointwise evaluation.
 
-Scalar parameter set, small symmetric matrices with their own eigenvalue
-kernel, the operator and Hamiltonian catalogs, ball-intersection domains,
-and sampling-based checkers for the structural inequalities the whole
+Scalar parameter set, small symmetric matrices and their eigenvalues, the
+operator and Hamiltonian catalogs, ball-intersection domains, and
+sampling-based checkers for the structural inequalities the whole
 construction rests on.
 
 Everything here is a pure function of immutable inputs.
@@ -97,6 +97,10 @@ class Params:
 # small symmetric matrices and their eigenvalues
 
 
+# strict lower-triangle indices for each admissible dimension
+_STRICT_LOWER = {n: np.tril_indices(n, -1) for n in range(2, 9)}
+
+
 class SymMatrix:
     """Symmetric N x N matrix, 2 <= N <= 8.
 
@@ -115,8 +119,9 @@ class SymMatrix:
             raise ConfigError(f"matrix dimension {n} outside [2, 8]")
         if not np.all(np.isfinite(a)):
             raise ConfigError("matrix entries must be finite")
-        upper = np.triu(a)
-        full = upper + np.triu(a, 1).T
+        full = a + 0.0  # a copy, with -0.0 normalised to +0.0
+        lower = _STRICT_LOWER[n]
+        full[lower] = full[lower[::-1]]
         full.flags.writeable = False
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "a", full)
@@ -155,51 +160,16 @@ def _eig2(a: np.ndarray) -> np.ndarray:
     return np.array([half_tr - rad, half_tr + rad])
 
 
-def _jacobi_eig(a: np.ndarray) -> np.ndarray:
-    # cyclic Jacobi rotations; quadratic convergence makes 60 sweeps ample
-    a = a.copy()
-    n = a.shape[0]
-    scale = max(1.0, float(np.sqrt(np.sum(a * a))))
-    tol = 1e-14 * scale
-    for _ in range(60):
-        off = math.sqrt(2.0 * float(np.sum(np.triu(a, 1) ** 2)))
-        if off <= tol:
-            return np.sort(np.diag(a))
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                diff = a[q, q] - a[p, p]
-                if abs(apq) < abs(diff) * 1e-200:
-                    # the angle underflows: the rotation is the identity
-                    # at working precision, so drop the pair (far below tol)
-                    a[p, q] = a[q, p] = 0.0
-                    continue
-                theta = diff / (2.0 * apq)
-                if abs(theta) > 1e150:  # theta^2 would overflow; t ~ 1/(2 theta)
-                    t = 0.5 / theta
-                else:
-                    t = math.copysign(1.0, theta) / (
-                        abs(theta) + math.sqrt(theta * theta + 1.0)
-                    )
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                rot_p = c * a[:, p] - s * a[:, q]
-                rot_q = s * a[:, p] + c * a[:, q]
-                a[:, p], a[:, q] = rot_p, rot_q
-                rot_p = c * a[p, :] - s * a[q, :]
-                rot_q = s * a[p, :] + c * a[q, :]
-                a[p, :], a[q, :] = rot_p, rot_q
-                a[p, q] = a[q, p] = 0.0  # rotation zeroes this pair exactly
-    raise NumericError("Jacobi eigenvalue iteration did not converge")
-
-
 def eigenvalues_sorted(x: SymMatrix) -> np.ndarray:
     """Eigenvalues in nondecreasing order."""
     if x.n == 2:
         return _eig2(x.a)
-    return _jacobi_eig(x.a)
+    try:
+        return np.linalg.eigvalsh(x.a)
+    except np.linalg.LinAlgError as err:
+        raise NumericError(
+            "symmetric eigenvalue solver did not converge", {"n": x.n}
+        ) from err
 
 
 # ---------------------------------------------------------------------------

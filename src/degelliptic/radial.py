@@ -3,9 +3,11 @@
 The profile phi(r, s) = -beta s / r + b s^p + M encodes the equation
 satisfied by s(r) = -u'(r) for radial u.  Everything else follows from its
 zeros: the first zero gives the bounded solution, the second zero (p > 1)
-the blow-up family.  On either branch the root curve inverts explicitly,
-r(s) = beta s / (b s^p + M), so u(r) = integral of s from r to R has a
-closed form (see ``_exact_u``); no quadrature is involved.
+the blow-up family.  Each zero is reached by Newton steps that approach
+it from one side (see ``_newton_root``).  On either branch the root curve
+inverts explicitly, r(s) = beta s / (b s^p + M), so u(r) = integral of s
+from r to R has a closed form (see ``_exact_u``); no quadrature is
+involved.
 """
 
 from __future__ import annotations
@@ -125,8 +127,9 @@ def rbar(params: Params) -> float:
 # ---------------------------------------------------------------------------
 # root finding
 
-_BISECT_ITER = 110
-_NEWTON_STEPS = 5
+# far above the ~30 steps seen next to the threshold's double root, where
+# Newton converges only linearly
+_NEWTON_CAP = 200
 
 
 def _phi_raw(r, s, params):
@@ -134,49 +137,32 @@ def _phi_raw(r, s, params):
     return -params.beta * s / r + params.b * s**params.p + params.M
 
 
-def _bisect(r, lo, hi, params, sign_lo):
-    """Vectorized bisection for phi(r, .) = 0 on [lo, hi].
+def _newton_root(r, s, params, live, direction):
+    """Newton's method for phi(r, .) = 0 from starts s on the monotone side.
 
-    ``sign_lo`` is the sign of phi at the lower end (+1 for decreasing
-    branches, -1 for the increasing second-zero side).  Freezes when the
-    bracket reaches spacing of adjacent floats.
+    s -> phi(r, s) is convex for p > 1 and concave for p < 1, so from a
+    start where the tangent cannot cross the root (phi decreasing from the
+    left on a convex branch, increasing from the right on a convex one,
+    decreasing from the right on a concave one) every iterate moves by
+    ``direction`` (+1 up, -1 down) toward the root without passing it.  An
+    entry freezes once its step no longer moves that way: its residual has
+    reached the rounding floor.  Only ``live`` entries iterate.  Returns
+    the roots and the residuals there.
     """
-    lo = lo.copy()
-    hi = hi.copy()
-    for it in range(_BISECT_ITER):
-        mid = 0.5 * (lo + hi)
-        fmid = _phi_raw(r, mid, params)
-        same = (np.sign(fmid) == sign_lo) | (fmid == 0.0)
-        lo = np.where(same, mid, lo)
-        hi = np.where(same, hi, mid)
-        if it % 8 == 7 and np.all(hi - lo <= 4.0 * np.spacing(hi)):
+    s = s.copy()
+    idx = np.flatnonzero(live)
+    for _ in range(_NEWTON_CAP):
+        if idx.size == 0:
             break
-    return lo, hi
-
-
-def _polish(r, lo, hi, params):
-    """Newton polish inside the final bracket; keeps the better iterate.
-
-    Steps are skipped wherever dphi/ds is degenerate (the threshold
-    endpoint), where plain bisection output is already the answer.
-    """
-    s = 0.5 * (lo + hi)
-    f = _phi_raw(r, s, params)
-    scale = np.maximum(
-        1.0, np.maximum(params.beta * s / r, params.b * s**params.p)
-    )
-    for _ in range(_NEWTON_STEPS):
-        df = -params.beta / r + params.p * params.b * s ** (params.p - 1.0)
-        ok = np.abs(df) > 1e-8 * scale
-        step = np.where(ok, f / np.where(ok, df, 1.0), 0.0)
-        cand = np.clip(s - step, lo, hi)
-        fcand = _phi_raw(r, cand, params)
-        better = np.abs(fcand) < np.abs(f)
-        s = np.where(better, cand, s)
-        f = np.where(better, fcand, f)
-        if not np.any(better):
-            break
-    return s, f
+        ri, si = r[idx], s[idx]
+        f = _phi_raw(ri, si, params)
+        df = -params.beta / ri + params.p * params.b * si ** (params.p - 1.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = si - f / df
+        moved = np.isfinite(step) & (direction * (step - si) > 0.0)
+        s[idx[moved]] = step[moved]
+        idx = idx[moved]
+    return s, _phi_raw(r, s, params)
 
 
 def _root_tolerance(r, s, params):
@@ -208,10 +194,10 @@ def first_zero(r, params: Params):
                 radius=float(r_arr[k]),
             )
         # |gap| ~ 0 means the double root at the threshold: s1 IS the root
-        # there, and bisection would only chase rounding noise
+        # there, and Newton would only chase rounding noise
         at_end = np.abs(gap) <= tol_gap
-        lo = np.zeros_like(r_arr)
-        hi = s1.copy()
+        # convex and decreasing on [0, s1]: Newton climbs from s = 0
+        start, direction = np.zeros_like(r_arr), 1.0
     else:
         # phi rises to its max at s1 then falls to -inf: the zero lies in
         # (s1, A + B] with A = 2Mr/beta, B = (2br/beta)^(1/(1-p)), because
@@ -226,13 +212,12 @@ def first_zero(r, params: Params):
             raise NumericError(
                 f"sublinear root at r={r_arr[k]:.17g} overflows double precision"
             )
-        lo = s1.copy()
-        hi = upper
+        # concave and decreasing on [s1, upper]: Newton descends from upper
+        start, direction = upper, -1.0
         at_end = np.zeros(r_arr.shape, dtype=bool)
 
-    lo, hi = _bisect(r_arr, lo, hi, params, sign_lo=1.0)
-    s, f = _polish(r_arr, lo, hi, params)
-    s = np.where(at_end, s1, s) if params.superlinear else s
+    s, f = _newton_root(r_arr, start, params, ~at_end, direction)
+    s = np.where(at_end, s1, s)
     _validate_root(r_arr, s, f, at_end, params)
     return float(s[0]) if scalar else s
 
@@ -275,8 +260,8 @@ def second_zero(r, params: Params):
         else:
             raise NumericError("doubling search found no sign change")
 
-    lo, hi = _bisect(r_arr, s1.copy(), hi, params, sign_lo=-1.0)
-    s, f = _polish(r_arr, lo, hi, params)
+    # convex and increasing on [s1, hi]: Newton descends from hi
+    s, f = _newton_root(r_arr, hi, params, ~at_end, -1.0)
     s = np.where(at_end, s1, s)
     _validate_root(r_arr, s, f, at_end, params)
     return float(s[0]) if scalar else s

@@ -196,6 +196,23 @@ class TestRadial:
         assert "threshold" in err
         assert not out_dir.exists()
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_numeric_error_prints_diagnostics(self, tmp_path, capsys):
+        # p barely above 1: the second zero overflows at r_min = 1e-6
+        text = (
+            "[params]\nbeta = 2.0\nb = 1.0\np = 1.005\nM = 1.0\n\n"
+            "[radial]\nbranch = SecondZeroSuperlinear\nR = 1.0\n"
+        )
+        path = write_config(tmp_path, text)
+        out_dir = tmp_path / "results"
+        code, out, err = run_cli(capsys, "radial", "--config", path, "--out", out_dir)
+        assert code == 3
+        assert out == ""
+        lines = err.splitlines()
+        assert lines[0] == "error: profile value overflows double precision"
+        assert lines[1:] == ["  radius: 1e-06", "  root: inf"]
+        assert not out_dir.exists()
+
 
 class TestBlowup:
     def test_model_decades(self, tmp_path, capsys):

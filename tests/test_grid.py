@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+from degelliptic import grid as grid_module
 from degelliptic.errors import (
     ConfigError,
     NumericError,
@@ -21,7 +22,6 @@ from degelliptic.grid import (
     GridFunction,
     GridProblem,
     SolveControls,
-    _NEWTON_STEPS,
     _direction_fan,
     build_grid,
     discrete_gradient,
@@ -502,7 +502,7 @@ class TestSolve:
         prob = GridProblem(
             operator=LambdaK(1),
             hamiltonian=PowerNorm(b=1.0, p=2.0),
-            params=MODEL,
+            params=Params(beta=1.0, b=1.0, p=2.0, M=1.0),
             domain=DISC,
             f=0.0,
         )
@@ -604,6 +604,19 @@ class TestSolve:
         with pytest.raises(ConfigError, match="exceeds the declared envelope"):
             solve(prob, disc_h8)
 
+    def test_envelope_ellipticity_mismatch(self):
+        # lambda_2 has ellipticity 1; declaring beta = 2 would move the
+        # threshold from 0.5 to 1 and let the lens through
+        prob = GridProblem(
+            operator=LambdaK(2),
+            hamiltonian=PowerNorm(b=1.0, p=2.0),
+            params=MODEL,
+            domain=LENS,
+            f=-1.0,
+        )
+        with pytest.raises(ConfigError, match="declared ellipticity 2.0"):
+            solve(prob, build_grid(LENS, 1 / 16, 8))
+
     def test_sublinear_gradient_term_unsupported(self, disc_h8):
         prob = GridProblem(
             operator=LambdaK(1),
@@ -649,19 +662,20 @@ class TestSolve:
         assert report.iterations < 50
         assert report.residual_norm <= report.stop_residual
 
-    def test_newton_stall_falls_back_to_jacobi(self):
-        # the centered gradient is not monotone; on this lens Newton wanders
-        # for its whole budget and the Jacobi update finishes the solve
+    def test_newton_stall_falls_back_to_jacobi(self, monkeypatch):
+        # a Newton budget too small for the stop residual: the Jacobi update
+        # takes over from the best Newton iterate and finishes the solve
+        monkeypatch.setattr(grid_module, "_NEWTON_STEPS", 2)
         g = build_grid(LENS, 1 / 16, 8)
         prob = GridProblem(
-            operator=LambdaK(2),
+            operator=CoefficientLambdaN(ScalarField.constant(2.0)),
             hamiltonian=PowerNorm(b=1.0, p=2.0),
             params=MODEL,
             domain=LENS,
             f=-1.0,
         )
         u, report = solve(prob, g, SolveControls(tol=1e-5))
-        assert report.iterations > _NEWTON_STEPS
+        assert report.iterations > 2
         assert report.residual_norm <= report.stop_residual
         assert residual_norm(prob, u) == report.residual_norm
 

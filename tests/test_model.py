@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from degelliptic.errors import ConfigError, DomainViolationError
+from degelliptic.errors import ConfigError, DomainViolationError, NumericError
 from degelliptic.model import (
     AnisotropicPower,
     CoefficientLambdaN,
@@ -77,6 +77,25 @@ class TestSymMatrix:
         with pytest.raises(ConfigError):
             SymMatrix(np.eye(n))
 
+    def test_matches_triu_mirror_bytes(self):
+        # the mirrored upper triangle, -0.0 normalised to +0.0 as triu's
+        # zero-padded sum does
+        rng = np.random.default_rng(7)
+        for n in range(2, 9):
+            for _ in range(20):
+                a = rng.standard_normal((n, n))
+                a[rng.random((n, n)) < 0.3] = -0.0
+                ref = np.triu(a) + np.triu(a, 1).T
+                assert SymMatrix(a).a.tobytes() == ref.tobytes()
+
+    def test_lower_triangle_ignored(self):
+        rng = np.random.default_rng(8)
+        for n in range(2, 9):
+            a = rng.standard_normal((n, n))
+            kept = a.copy()
+            assert SymMatrix(a).a.tobytes() == SymMatrix(np.triu(a)).a.tobytes()
+            assert np.array_equal(a, kept)  # the input is not written to
+
     def test_arithmetic(self):
         a = SymMatrix.diag([1.0, 2.0])
         b = SymMatrix.identity(2)
@@ -96,6 +115,25 @@ class TestEigenvalues:
                 got = eigenvalues_sorted(m)
                 tol = 1e-12 * max(1.0, float(np.abs(ref).max()))
                 assert np.allclose(got, ref, atol=tol)
+
+    def test_known_spectrum(self):
+        rng = np.random.default_rng(9)
+        for n in range(3, 9):
+            for _ in range(25):
+                q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+                d = rng.standard_normal(n) * 10.0 ** rng.uniform(-2, 2)
+                d[0] = d[-1]  # a repeated eigenvalue
+                got = eigenvalues_sorted(SymMatrix(q @ np.diag(d) @ q.T))
+                scale = max(1.0, float(np.abs(d).max()))
+                assert np.all(np.abs(got - np.sort(d)) <= 1e-12 * scale)
+
+    def test_solver_failure_is_numeric_error(self, monkeypatch):
+        def fail(_a):
+            raise np.linalg.LinAlgError("no convergence")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+        with pytest.raises(NumericError, match="did not converge"):
+            eigenvalues_sorted(SymMatrix.identity(3))
 
     def test_sorted(self):
         lam = eigenvalues_sorted(SymMatrix.diag([3.0, -1.0, 2.0]))

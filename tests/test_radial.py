@@ -3,7 +3,7 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from degelliptic.errors import (
@@ -15,6 +15,7 @@ from degelliptic.errors import (
 )
 from degelliptic.model import Params
 from degelliptic.radial import (
+    ENDPOINT_RTOL,
     BoundedOrBlowup,
     ProfileBranch,
     RadialProfile,
@@ -29,6 +30,7 @@ from degelliptic.radial import (
     profile_to_csv,
     radial_profile,
     _J,
+    _root_tolerance,
     rbar,
     second_zero,
 )
@@ -214,6 +216,82 @@ class TestRootBracketing:
         s = first_zero(r, params)
         scale = max(1.0, s / r, s**p)
         assert abs(phi(r, s, params)) <= 1e-12 * scale
+
+
+_COEFFS = st.floats(0.3, 3.0)
+# radius over the threshold: log-spread down to 1e-8, the last double just
+# below it, and the threshold itself (the double root s1)
+_FRACTIONS = st.one_of(
+    st.floats(-8.0, 0.0).map(lambda e: (1.0 - 1e-13) * 10.0**e),
+    st.sampled_from([1.0 - 1e-13, 1.0]),
+)
+
+
+def _s1(r, params):
+    # as the root finders form it: numpy's array power can differ from the
+    # scalar one in the last bit
+    with np.errstate(over="ignore"):
+        return critical_s1(np.array([r]), params)[0]
+
+
+def _assert_root(r, s, params):
+    residual = abs(phi(r, s, params))
+    if s == _s1(r, params):  # the threshold's double root, exact by fiat
+        assert residual <= ENDPOINT_RTOL * (1.0 + params.M)
+    else:
+        assert residual <= _root_tolerance(r, s, params)
+
+
+def _superlinear_roots(params, frac):
+    """Both roots at frac * rbar, checked for residual and ordering."""
+    r = frac * rbar(params)
+    s1 = _s1(r, params)
+    s_first = first_zero(r, params)
+    assert s_first <= s1
+    _assert_root(r, s_first, params)
+    assume(s1 < 1e250)  # beyond this the second zero overflows
+    s_second = second_zero(r, params)
+    assert s1 <= s_second
+    _assert_root(r, s_second, params)
+    return r, s_first, s_second
+
+
+class TestRootProperties:
+    # s1 overflows for p near 1 at small radii (the first zero stays finite).
+    # Below p - 1 ~ 1e-5 the gap phi(rbar, s1) computed at the formula's
+    # rbar grows like eps / (p - 1) and leaves the endpoint tolerance.
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @given(_COEFFS, _COEFFS, st.floats(1.0 + 1e-5, 1.2), _COEFFS, _FRACTIONS)
+    @settings(max_examples=150, deadline=None)
+    def test_superlinear_near_one(self, beta, b, p, M, frac):
+        _superlinear_roots(Params(beta=beta, b=b, p=p, M=M), frac)
+
+    @given(_COEFFS, _COEFFS, st.floats(1.8, 2.2), _COEFFS, _FRACTIONS)
+    @settings(max_examples=150, deadline=None)
+    def test_superlinear_around_two(self, beta, b, p, M, frac):
+        _superlinear_roots(Params(beta=beta, b=b, p=p, M=M), frac)
+
+    @given(_COEFFS, _COEFFS, _COEFFS, st.floats(-8.0, 0.0))
+    @settings(max_examples=150, deadline=None)
+    def test_quadratic_formula(self, beta, b, M, log_frac):
+        # away from the threshold, where a residual of eps moves the double
+        # root by sqrt(eps): 1 - frac >= 1e-6 keeps the conditioning ~1e-13
+        params = Params(beta=beta, b=b, p=2.0, M=M)
+        frac = (1.0 - 1e-6) * 10.0**log_frac
+        r, s_first, s_second = _superlinear_roots(params, frac)
+        k = beta / r
+        big = k + math.sqrt(k * k - 4.0 * b * M)
+        assert s_second == pytest.approx(big / (2.0 * b), rel=1e-12)
+        assert s_first == pytest.approx(2.0 * M / big, rel=1e-12)
+
+    @given(_COEFFS, _COEFFS, st.floats(0.2, 0.9), _COEFFS, st.floats(-8.0, 1.0))
+    @settings(max_examples=150, deadline=None)
+    def test_sublinear(self, beta, b, p, M, log_r):
+        params = Params(beta=beta, b=b, p=p, M=M)
+        r = 10.0**log_r
+        s = first_zero(r, params)
+        assert s > critical_s1(r, params)
+        _assert_root(r, s, params)
 
 
 @pytest.fixture(scope="module")
