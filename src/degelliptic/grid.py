@@ -9,23 +9,31 @@ are only clipped to [1e-14, 1] (``_cut_fractions``); there is no larger
 floor, so a node almost on the boundary gets an arm almost of length zero
 and the scale of its stencil row (the slope bound D_i) is unbounded.
 
+The first-order term has two forms.  The centered form uses three-point
+centered differences along the axes; it is second-order accurate but not
+monotone.  The upwind form, after Rouy & Tourin (1992), takes per lattice
+slot k the one-sided m_k = max((u+ - u0)/h+, (u- - u0)/h-, 0) on the
+cut-cell arms and H_h = b min(sum_k c_k m_k^2, cap^2)^(p/2): the axes with
+c = 1 for ``PowerNorm``, and for ``AnisotropicPower`` the axes and one
+diagonal of the diagonally dominant split of A (b = 1; a non-dominant A is
+refused).  m_k is nondecreasing in every u_j - u0, so F_h + H_h is
+degenerate elliptic in Oberman's sense (SIAM J. Numer. Anal. 44, 2006) and
+its solutions obey the discrete comparison principle.
+
 The solver takes semismooth Newton steps (policy iteration, after
 Bokanowski, Maroso & Zidani 2009): each step fixes every node's active fan
 direction (argmin for the lambda_1 weight, argmax for the lambda_2 weight,
-the fixed weights for a linear diffusion), adds the exact slope of the capped
-gradient term, and solves the assembled sparse linear system.  The benchmark
-on the unit disc needs 10-17 steps from h = 1/16 to 1/64.  Newton is capped
-at a fixed step budget; if it has not met the stop residual by then, the
-solve continues from its best iterate with the damped Jacobi update
-``u <- u + tau_i * (F_h[u] + H_h[u] - f)``, tau_i = 0.95 / D_i with D_i the
-local slope bound (a single scalar step obeying the worst-node bound would
-stall the interior, since a node half a spacing from the boundary carries a
-slope two orders above the interior one).  Passing an explicit ``tau``
-selects the literal scalar-step Jacobi iteration instead.  Both updates are
-simultaneous, so results do not depend on sweep order.  The gradient for H
-uses centered differences; this is adequate for the smooth concave solutions
-certified here but is not a monotone discretization of the first-order term
-(known caveat), and it is why Newton can stall and needs the fallback.
+the fixed weights for a linear diffusion) and the active arm of each upwind
+slot, adds the exact slope of the capped gradient term, and solves the
+assembled sparse linear system.  Newton first solves the upwind form from
+the initial iterate, then polishes on the centered form from the best
+upwind iterate; the result solves the centered scheme.  On the unit disc
+this takes 10-14 upwind and 3-4 polish steps from h = 1/16 to 1/64.  There
+is no fallback: a polish that misses the stop residual within its step
+budget ends the solve with ``NumericError``.  Passing an explicit ``tau``
+selects the scalar-step Jacobi iteration u <- u + tau (F_h[u] + H_h[u] - f)
+on the centered form instead; its update is simultaneous, so results do not
+depend on sweep order.
 """
 
 from __future__ import annotations
@@ -80,9 +88,9 @@ __all__ = [
 ]
 
 _TAU_SAFETY = 0.95
-# Newton steps before the Jacobi fallback; the unit-disc benchmark needs
-# 10 / 14 / 17 of them at h = 1/16, 1/32, 1/64
-_NEWTON_STEPS = 40
+# Newton steps per stage; the anisotropic lens at h = 1/64 needs 36 upwind
+# steps and 16 polish steps
+_NEWTON_STEPS = 60
 
 
 def _direction_fan(K: int) -> tuple[tuple[int, int], ...]:
@@ -295,6 +303,32 @@ def build_grid(domain: ConvexDomain, h: float, K: int) -> Grid2D:
     )
 
 
+def _split_slots(grid: Grid2D) -> np.ndarray:
+    """The ex, ey, (1, 1) and (-1, 1) slots, in ``_lattice_split`` order."""
+    return np.array([grid.slot_ex, grid.slot_ey, grid.slot_pp, grid.slot_mp])
+
+
+def _lattice_split(a: np.ndarray, what: str) -> np.ndarray:
+    """Nonnegative weights w on the ``_split_slots`` directions with
+    a = sum_k w_k e_k e_k^T over their unit vectors e_k.
+
+    The diagonal takes 2|a01| on (1, sign a01); the axes keep the rest of
+    the diagonal entries, which is nonnegative exactly when ``a`` is
+    diagonally dominant.
+    """
+    off = float(a[0, 1])
+    wx, wy = float(a[0, 0]) - abs(off), float(a[1, 1]) - abs(off)
+    scale = max(1.0, abs(a).max())
+    if wx < -1e-12 * scale or wy < -1e-12 * scale:
+        raise UnsupportedDiscretizationError(
+            f"{what} is not diagonally dominant on the lattice"
+        )
+    wd = 2.0 * abs(off)
+    return np.array(
+        [max(wx, 0.0), max(wy, 0.0), wd if off >= 0 else 0.0, 0.0 if off >= 0 else wd]
+    )
+
+
 @dataclass(frozen=True, eq=False)
 class GridFunction:
     """Values on the packed in-domain nodes; boundary value is 0."""
@@ -364,8 +398,9 @@ class GridProblem:
 
 @dataclass(frozen=True)
 class SolveControls:
-    """Damping step (None = auto from the stability bound), stopping
-    tolerance on the scaled residual, iteration cap, and initial iterate
+    """Explicit Jacobi step (None = Newton: an upwind stage, then a centered
+    polish), stopping tolerance on the scaled residual, cap on the Newton
+    steps of both stages or on the Jacobi sweeps, and initial iterate
     ("zeros" or "barrier")."""
 
     tau: float | None = None
@@ -386,6 +421,9 @@ class SolveControls:
 
 @dataclass(frozen=True)
 class SolveReport:
+    """``tau`` is the explicit Jacobi step, or the largest stable scalar step
+    0.95 / D_max; ``update_norm`` is tau times the final residual."""
+
     iterations: int
     update_norm: float
     residual_norm: float
@@ -480,39 +518,26 @@ class _Scheme:
 
         self._setup_hamiltonian(problem.hamiltonian)
 
-        # exact per-node bound on |d(F_h + H_h)/du_0|, for the step-size cap
+        # exact per-node bound on |d(F_h + H_h)/du_0|; its maximum sets the
+        # stability bound of the explicit Jacobi step
         if self.lindeg_w is not None:
             d_f = np.einsum("ij,ij->i", self.lindeg_w, self.c0[:, self.lin_slots])
         else:
             c0_max = self.c0[:, self.op_cols].max(axis=1)
             d_f = (self.wmin + self.wmax) * c0_max
         d_h = self.h_lip * np.hypot(self.g0x, self.g0y) if self.ham else 0.0
-        self.d_node = d_f + d_h
-        if np.any(self.d_node <= 0.0):
+        d_node = d_f + d_h
+        if np.any(d_node <= 0.0):
             raise ConfigError("operator has no diagonal slope at some node")
-        self.d_max = float(np.max(self.d_node))
+        self.d_max = float(np.max(d_node))
 
     def _lindeg_weights(self, spec: LinearDegenerate) -> np.ndarray:
         grid = self.grid
-        self.lin_slots = np.array(
-            [grid.slot_ex, grid.slot_ey, grid.slot_pp, grid.slot_mp]
-        )
+        self.lin_slots = _split_slots(grid)
         w = np.zeros((self.n, 4))
         for i, x in enumerate(grid.nodes_xy):
             s = np.asarray(spec.sigma(x), dtype=float)
-            a = s.T @ s
-            off = float(a[0, 1])
-            wx = float(a[0, 0]) - abs(off)
-            wy = float(a[1, 1]) - abs(off)
-            scale = max(1.0, abs(a).max())
-            if wx < -1e-12 * scale or wy < -1e-12 * scale:
-                raise UnsupportedDiscretizationError(
-                    "diffusion matrix is not diagonally dominant on the"
-                    f" lattice at x = {tuple(x)}"
-                )
-            w[i, 0] = max(wx, 0.0)
-            w[i, 1] = max(wy, 0.0)
-            w[i, 2 if off >= 0 else 3] = 2.0 * abs(off)
+            w[i] = _lattice_split(s.T @ s, f"diffusion matrix at x = {tuple(x)}")
         return w
 
     def _setup_hamiltonian(self, ham: HamiltonianSpec | None):
@@ -571,6 +596,19 @@ class _Scheme:
             setattr(self, f"ip{axis}", grid.nb_plus[:, slot])
             setattr(self, f"im{axis}", grid.nb_minus[:, slot])
 
+        # upwind form: q = sum_k c_k m_k^2 over the lattice slots of A's
+        # dominant split (ex and ey with c = 1 for the power norm); rows of
+        # up_idx / up_inv_h are the plus arms of those slots, then the minus
+        # arms
+        if isinstance(ham, PowerNorm):
+            weights, self.h_coef = np.array([1.0, 1.0, 0.0, 0.0]), hb
+        else:
+            weights, self.h_coef = _lattice_split(ham.A.a, "anisotropy matrix"), 1.0
+        slots = _split_slots(grid)[weights > 0.0]
+        self.up_c = weights[weights > 0.0]
+        self.up_idx = self.idx_t[np.concatenate([slots, slots + self.d])]
+        self.up_inv_h = 1.0 / np.concatenate([grid.hp[:, slots].T, grid.hm[:, slots].T])
+
     # -- evaluation ---------------------------------------------------------
 
     def second_differences(self, v_ext: np.ndarray) -> np.ndarray:
@@ -598,9 +636,26 @@ class _Scheme:
         gy = self.gpy * v_ext[self.ipy] + self.gmy * v_ext[self.imy] + self.g0y * u0
         return gx, gy
 
-    def hamiltonian_values(self, v_ext: np.ndarray) -> float | np.ndarray:
+    def upwind_differences(self, v_ext: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per upwind slot (rows): m_k = max(d+_k, d-_k, 0) from the one-sided
+        differences (u_arm - u_0) / h_arm on the cut-cell arms, and where the
+        minus arm is the larger one.  m_k is nondecreasing in every
+        u_arm - u_0, which makes the upwind H_h degenerate elliptic."""
+        diffs = np.take(v_ext, self.up_idx)
+        diffs -= v_ext[: self.n]
+        diffs *= self.up_inv_h
+        plus, minus = np.split(diffs, 2)
+        return np.maximum(np.maximum(plus, minus), 0.0), minus > plus
+
+    def hamiltonian_values(
+        self, v_ext: np.ndarray, upwind: bool = False
+    ) -> float | np.ndarray:
         if not self.ham:
             return 0.0
+        if upwind:
+            m, _ = self.upwind_differences(v_ext)
+            q = np.minimum(self.up_c @ (m * m), self.g_cap**2)
+            return self.h_coef * q ** (self.ham.p / 2.0)
         gx, gy = self.gradient(v_ext)
         if isinstance(self.ham, PowerNorm):
             norm = np.minimum(np.hypot(gx, gy), self.g_cap)
@@ -642,18 +697,21 @@ class _Scheme:
         coef[live] = p * qs[live] ** (p / 2.0 - 1.0) * shrink[live]
         return coef * (ax - tilt * gx), coef * (ay - tilt * gy)
 
-    def residual(self, v_ext: np.ndarray) -> np.ndarray:
+    def residual(self, v_ext: np.ndarray, upwind: bool = False) -> np.ndarray:
+        """F_h + H_h - f with the centered or the upwind first-order term."""
         f_h = self.operator_values(self.second_differences(v_ext))
-        return f_h + self.hamiltonian_values(v_ext) - self.fvals
+        return f_h + self.hamiltonian_values(v_ext, upwind) - self.fvals
 
-    def jacobian(self, v_ext: np.ndarray):
+    def jacobian(self, v_ext: np.ndarray, upwind: bool = False):
         """Sparse d(F_h + H_h)/du at ``v_ext`` under the active policy.
 
         Each node keeps only its active fan directions (the argmin for the
         ``wmin`` part, the argmax for the ``wmax`` part; the fixed weights
         for a linear diffusion), which makes this an element of the
-        generalized derivative of the min/max scheme.  Arms that end on the
-        boundary slot carry no unknown and are dropped.
+        generalized derivative of the min/max scheme.  The upwind form adds
+        one active arm per slot, the larger one-sided difference (none where
+        m_k = 0 or q is capped).  Arms that end on the boundary slot carry no
+        unknown and are dropped.
         """
         from scipy.sparse import csr_matrix
 
@@ -675,7 +733,21 @@ class _Scheme:
             cols += [self.idx_t[k, rows], self.idx_t[k + d, rows]]
             vals += [w * cp, w * cm]
             diag -= w * self.c0[rows, k]
-        if self.ham:
+        if self.ham and upwind:
+            m, minus = self.upwind_differences(v_ext)
+            q = self.up_c @ (m * m)
+            live = (q > 0.0) & (q < self.g_cap**2)
+            coef = np.zeros(n)
+            p = self.ham.p
+            coef[live] = self.h_coef * p * q[live] ** (p / 2.0 - 1.0)
+            plus_idx, minus_idx = np.split(self.up_idx, 2)
+            plus_inv, minus_inv = np.split(self.up_inv_h, 2)
+            # dH/dm_k times dm_k/du_arm = 1 / h_arm; dm_k/du_0 = -1 / h_arm
+            slope = coef * self.up_c[:, None] * m * np.where(minus, minus_inv, plus_inv)
+            cols += list(np.where(minus, minus_idx, plus_idx))
+            vals += list(slope)
+            diag -= slope.sum(axis=0)
+        elif self.ham:
             sx, sy = self.hamiltonian_slopes(v_ext)
             cols += [self.ipx, self.imx, self.ipy, self.imy]
             vals += [sx * self.gpx, sx * self.gmx, sy * self.gpy, sy * self.gmy]
@@ -779,20 +851,8 @@ def discrete_operator(spec: OperatorSpec, u: GridFunction, node) -> float:
         return float(spec.a(x)) * float(dop.max())
     if isinstance(spec, LinearDegenerate):
         s = np.asarray(spec.sigma(x), dtype=float)
-        a = s.T @ s
-        off = float(a[0, 1])
-        wx, wy = float(a[0, 0]) - abs(off), float(a[1, 1]) - abs(off)
-        scale = max(1.0, abs(a).max())
-        if wx < -1e-12 * scale or wy < -1e-12 * scale:
-            raise UnsupportedDiscretizationError(
-                "diffusion matrix is not diagonally dominant on the lattice"
-            )
-        diag = d2[grid.slot_pp] if off >= 0 else d2[grid.slot_mp]
-        return float(
-            max(wx, 0.0) * d2[grid.slot_ex]
-            + max(wy, 0.0) * d2[grid.slot_ey]
-            + 2.0 * abs(off) * diag
-        )
+        w = _lattice_split(s.T @ s, "diffusion matrix")
+        return float(sum(w * d2[_split_slots(grid)]))
     raise UnsupportedDiscretizationError(
         f"operator {type(spec).__name__} has no monotone stencil here"
     )
@@ -840,33 +900,62 @@ def _newton(
     stop: float,
     budget: int,
     history: list[float],
-) -> tuple[np.ndarray, int]:
-    """Up to ``budget`` semismooth Newton (policy-iteration) steps.
+    upwind: bool,
+) -> tuple[np.ndarray, float, int]:
+    """Up to ``budget`` semismooth Newton (policy-iteration) steps on one
+    form of the scheme.
 
     Returns the iterate with the smallest residual seen, the start included,
-    and the number of steps taken.  A singular or non-finite step ends the
-    phase early; so does reaching ``stop``.
+    that residual, and the number of steps taken.  ``history`` gets the
+    start residual and the residual after each step.  Reaching ``stop`` ends
+    the stage; so does a non-finite residual, which the caller reports.
     """
     from scipy.sparse.linalg import MatrixRankWarning, spsolve
 
     n = scheme.n
-    resid = scheme.residual(v_ext)
+    resid = scheme.residual(v_ext, upwind)
     rmax = float(np.max(np.abs(resid)))
+    history.append(rmax)
     best, best_r = v_ext, rmax
     steps = 0
     while steps < budget and rmax > stop and math.isfinite(rmax):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", MatrixRankWarning)
-            du = spsolve(scheme.jacobian(v_ext).tocsc(), -resid)
+            du = spsolve(scheme.jacobian(v_ext, upwind).tocsc(), -resid)
         steps += 1
         v_ext = np.append(v_ext[:n] + du, 0.0)
         with np.errstate(all="ignore"):
-            resid = scheme.residual(v_ext)
+            resid = scheme.residual(v_ext, upwind)
         rmax = float(np.max(np.abs(resid)))
         history.append(rmax)
         if rmax < best_r:
             best, best_r = v_ext, rmax
-    return best, steps
+    return best, best_r, steps
+
+
+def _jacobi(
+    scheme: _Scheme,
+    v_ext: np.ndarray,
+    stop: float,
+    tau: float,
+    max_iter: int,
+    history: list[float],
+) -> tuple[np.ndarray, float, int]:
+    """Scalar-step Jacobi ``u <- u + tau * (F_h[u] + H_h[u] - f)`` on the
+    centered form until ``stop`` or ``max_iter`` sweeps; ``history`` gets
+    about 256 residuals spread over the cap, and the last one."""
+    stride = max(1, max_iter // 256)
+    iterations = 0
+    while True:
+        resid = scheme.residual(v_ext)
+        rmax = float(np.max(np.abs(resid)))
+        if not math.isfinite(rmax) or rmax <= stop or iterations >= max_iter:
+            history.append(rmax)
+            return v_ext, rmax, iterations
+        if iterations % stride == 0:
+            history.append(rmax)
+        v_ext[: scheme.n] += tau * resid
+        iterations += 1
 
 
 def solve(
@@ -877,16 +966,21 @@ def solve(
     """Solve to the discrete solution; stop when the residual max-norm falls
     below tol*(1 + sup|f|).
 
-    With no explicit tau the solver takes semismooth Newton (policy
-    iteration) steps on the assembled stencil, at most ``_NEWTON_STEPS`` of
-    them.  Should Newton not reach the stop residual within that budget (the
-    centered gradient term is not monotone, so it can stall), the solve
-    continues from the best Newton iterate with the Jacobi update
-    ``u <- u + (0.95 / D_i) * (F_h[u] + H_h[u] - f)``, D_i the local slope
-    bound.  Passing ``tau`` selects the literal scalar-step Jacobi iteration
-    from the start.  ``iterations`` counts Newton steps plus Jacobi sweeps
-    (``max_iter`` caps that sum); ``tau`` reports the step of the Jacobi
-    update, which without an explicit tau is the worst-node step 0.95 / D_max.
+    With no explicit tau the solve takes semismooth Newton (policy
+    iteration) steps in two stages, each capped at ``_NEWTON_STEPS``.  The
+    first works on the upwind form of the first-order term; that form is
+    degenerate elliptic, and Newton reaches its solution from the initial
+    iterate.  The second (the polish) works on the centered form, from the
+    best upwind iterate.  The result solves the centered scheme; the upwind
+    stage picks which centered solution that is and starts Newton close
+    enough to it.  Passing ``tau`` selects the literal scalar-step Jacobi
+    iteration on the centered form instead.
+    ``iterations`` counts the Newton steps of both stages, or the Jacobi
+    sweeps, and ``max_iter`` caps it.  ``tau`` reports the explicit step, or
+    without one the largest stable scalar step 0.95 / D_max.  An unmet stop
+    raises ``NumericError`` with the iterations, the residual and the
+    residual history (the start residual of each stage or run, then one per
+    Newton step, or about 256 spread over the Jacobi sweeps).
     """
     controls = controls or SolveControls()
     scheme = _Scheme(problem, grid)
@@ -894,15 +988,13 @@ def solve(
 
     tau_bound = 1.0 / scheme.d_max
     if controls.tau is None:
-        step = _TAU_SAFETY / scheme.d_node
         tau = _TAU_SAFETY * tau_bound
+    elif controls.tau > tau_bound * (1.0 + 1e-12):
+        raise ConfigError(
+            f"tau = {controls.tau:g} violates the stability bound"
+            f" {tau_bound:g}"
+        )
     else:
-        if controls.tau > tau_bound * (1.0 + 1e-12):
-            raise ConfigError(
-                f"tau = {controls.tau:g} violates the stability bound"
-                f" {tau_bound:g}"
-            )
-        step = np.full(grid.n_nodes, controls.tau)
         tau = controls.tau
     k_factor = grid.h**2 * scheme.d_max / (4.0 * problem.params.beta)
 
@@ -913,46 +1005,38 @@ def solve(
 
     start = time.perf_counter()
     history: list[float] = []
-    iterations = 0
     if controls.tau is None:
         budget = min(_NEWTON_STEPS, controls.max_iter)
-        v_ext, iterations = _newton(scheme, v_ext, stop, budget, history)
-    buf = np.zeros(n + 1)
-    stride = max(1, controls.max_iter // 256)
-    while True:
-        resid = scheme.residual(v_ext)
-        rmax = float(np.max(np.abs(resid))) if n else 0.0
-        if not math.isfinite(rmax):
-            raise NumericError(
-                "iteration blew up (non-finite residual)",
-                diagnostics={"iterations": iterations},
-            )
-        if iterations % stride == 0:
-            history.append(rmax)
-        if rmax <= stop:
-            break
-        if iterations >= controls.max_iter:
-            history.append(rmax)
-            raise NumericError(
-                f"no convergence within {controls.max_iter} iterations"
-                f" (residual {rmax:.3e}, target {stop:.3e})",
-                diagnostics={
-                    "iterations": iterations,
-                    "residual": rmax,
-                    "residual_history": history,
-                },
-            )
-        np.multiply(resid, step, out=resid)
-        np.add(v_ext[:n], resid, out=buf[:n])
-        v_ext, buf = buf, v_ext
-        iterations += 1
+        v_ext, rmax, iterations = _newton(scheme, v_ext, stop, budget, history, True)
+        if math.isfinite(history[-1]):
+            budget = min(_NEWTON_STEPS, controls.max_iter - iterations)
+            v_ext, rmax, polish = _newton(scheme, v_ext, stop, budget, history, False)
+            iterations += polish
+    else:
+        v_ext, rmax, iterations = _jacobi(
+            scheme, v_ext, stop, tau, controls.max_iter, history
+        )
+    if not math.isfinite(history[-1]):
+        raise NumericError(
+            "iteration blew up (non-finite residual)",
+            diagnostics={"iterations": iterations},
+        )
+    if rmax > stop:
+        raise NumericError(
+            f"no convergence within {iterations} iterations"
+            f" (residual {rmax:.3e}, target {stop:.3e})",
+            diagnostics={
+                "iterations": iterations,
+                "residual": rmax,
+                "residual_history": history,
+            },
+        )
     wall = time.perf_counter() - start
 
-    update_norm = float(np.max(step * np.abs(scheme.residual(v_ext)))) if n else 0.0
     result = GridFunction(grid=grid, values=v_ext[:n])
     report = SolveReport(
         iterations=iterations,
-        update_norm=update_norm,
+        update_norm=tau * rmax,
         residual_norm=rmax,
         tau=tau,
         wall_time=wall,

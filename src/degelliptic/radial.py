@@ -111,7 +111,15 @@ def critical_s1(r, params: Params):
 
 
 def rbar(params: Params) -> float:
-    """Largest ball radius carrying a first-zero profile (superlinear)."""
+    """Largest ball radius carrying a first-zero profile (superlinear).
+
+    Floor on p: the roots at this radius are accepted within
+    ``ENDPOINT_RTOL * (1 + M)`` of the double root s1, and the rounding of
+    phi(rbar, s1) measured against that slack grows like eps / (p - 1).  It
+    is about 0.04x the slack at p - 1 = 1e-4 and 0.23x at 1e-5, but at
+    p - 1 = 2e-6 ``first_zero(rbar(params), params)`` can raise
+    ``NoRootError``.  Keep p - 1 >= 1e-5 where the radius itself is used.
+    """
     if not params.superlinear:
         raise BranchError("no threshold radius in the sublinear regime")
     if params.M == 0.0:
@@ -269,6 +277,13 @@ def second_zero(r, params: Params):
 
 def _validate_root(r, s, f, at_end, params):
     f = np.where(at_end, 0.0, f)  # endpoint roots are exact by fiat
+    finite = np.isfinite(s) & np.isfinite(f)
+    if not np.all(finite):
+        k = int(np.argmin(finite))
+        raise NumericError(
+            "root or its residual is not finite",
+            {"radius": float(r[k]), "root": float(s[k])},
+        )
     tol = _root_tolerance(r, s, params)
     bad = np.abs(f) > tol
     if np.any(bad):

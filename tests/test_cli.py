@@ -198,7 +198,8 @@ class TestRadial:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_numeric_error_prints_diagnostics(self, tmp_path, capsys):
-        # p barely above 1: the second zero overflows at r_min = 1e-6
+        # p barely above 1: the second zero overflows double precision at
+        # r_min = 1e-6, and root validation refuses it
         text = (
             "[params]\nbeta = 2.0\nb = 1.0\np = 1.005\nM = 1.0\n\n"
             "[radial]\nbranch = SecondZeroSuperlinear\nR = 1.0\n"
@@ -209,7 +210,7 @@ class TestRadial:
         assert code == 3
         assert out == ""
         lines = err.splitlines()
-        assert lines[0] == "error: profile value overflows double precision"
+        assert lines[0] == "error: root or its residual is not finite"
         assert lines[1:] == ["  radius: 1e-06", "  root: inf"]
         assert not out_dir.exists()
 

@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from degelliptic import grid as grid_module
 from degelliptic.errors import (
@@ -22,6 +24,7 @@ from degelliptic.grid import (
     GridFunction,
     GridProblem,
     SolveControls,
+    _Scheme,
     _direction_fan,
     build_grid,
     discrete_gradient,
@@ -65,6 +68,7 @@ U_AT_ZERO = 1.0 - math.log(2.0)
 
 DISC = ConvexDomain(radius=1.0, centers=((0.0, 0.0),))
 LENS = ConvexDomain(radius=1.0, centers=((-0.3, 0.0), (0.3, 0.0)))
+ANISO_A = ((0.8, 0.2), (0.2, 0.5))  # diagonally dominant: a lattice split exists
 
 BENCH = GridProblem(
     operator=CoefficientLambdaN(ScalarField.constant(2.0)),
@@ -437,38 +441,137 @@ class TestMonotonicity:
                 assert after - before >= -1e-12
 
 
+JACOBIAN_OPERATORS = pytest.mark.parametrize(
+    "operator",
+    [MinMax(), LambdaK(1), LinearDegenerate(MatrixField.constant(np.eye(2)))],
+)
+JACOBIAN_HAMILTONIANS = pytest.mark.parametrize(
+    "ham",
+    [
+        PowerNorm(b=1.0, p=1.5),
+        AnisotropicPower(A=SymMatrix([[2.0, 0.5], [0.5, 1.0]]), p=3.0),
+        AnisotropicPower(A=SymMatrix([[2.0, 0.5], [0.5, 1.0]]), p=1.5),
+    ],
+)
+
+
 class TestNewtonJacobian:
     # a random field at this scale puts some nodes beyond the gradient cap
     # and leaves others inside it; ties in the fan scans have measure zero
-    @pytest.mark.parametrize(
-        "operator",
-        [MinMax(), LambdaK(1), LinearDegenerate(MatrixField.constant(np.eye(2)))],
-    )
-    @pytest.mark.parametrize(
-        "ham",
-        [
-            PowerNorm(b=1.0, p=1.5),
-            AnisotropicPower(A=SymMatrix([[2.0, 0.5], [0.5, 1.0]]), p=3.0),
-            AnisotropicPower(A=SymMatrix([[2.0, 0.5], [0.5, 1.0]]), p=1.5),
-        ],
-    )
-    def test_matches_central_differences(self, disc_h8, operator, ham):
-        from degelliptic.grid import _Scheme
+    EPS = 1e-7
 
+    def _jacobian_and_differences(self, grid, operator, ham, upwind):
         params = Params(beta=1.0, b=4.0, p=ham.p, M=1.0)
-        scheme = _Scheme(GridProblem(operator, ham, params, DISC, -0.1), disc_h8)
+        scheme = _Scheme(GridProblem(operator, ham, params, DISC, -0.1), grid)
         rng = np.random.default_rng(1)
-        v = np.append(rng.normal(scale=0.03, size=disc_h8.n_nodes), 0.0)
-        w = np.append(rng.normal(size=disc_h8.n_nodes), 0.0)
+        v = np.append(rng.normal(scale=0.03, size=grid.n_nodes), 0.0)
+        w = np.append(rng.normal(size=grid.n_nodes), 0.0)
+        fd = (
+            scheme.residual(v + self.EPS * w, upwind)
+            - scheme.residual(v - self.EPS * w, upwind)
+        ) / (2.0 * self.EPS)
+        return scheme, v, w, fd, scheme.jacobian(v, upwind) @ w[:-1]
+
+    @JACOBIAN_OPERATORS
+    @JACOBIAN_HAMILTONIANS
+    def test_matches_central_differences(self, disc_h8, operator, ham):
+        scheme, v, _, fd, jw = self._jacobian_and_differences(
+            disc_h8, operator, ham, upwind=False
+        )
         gx, gy = scheme.gradient(v)
         capped = np.hypot(gx, gy) > scheme.g_cap
         assert 0 < capped.sum() < disc_h8.n_nodes
-        eps = 1e-7
-        fd = (scheme.residual(v + eps * w) - scheme.residual(v - eps * w)) / (
-            2.0 * eps
-        )
-        jw = scheme.jacobian(v) @ w[:-1]
         assert float(np.max(np.abs(fd - jw))) <= 1e-5
+
+    @JACOBIAN_OPERATORS
+    @JACOBIAN_HAMILTONIANS
+    def test_upwind_matches_central_differences(self, disc_h8, operator, ham):
+        scheme, v, w, fd, jw = self._jacobian_and_differences(
+            disc_h8, operator, ham, upwind=True
+        )
+
+        def policy(x):  # larger arm, m_k > 0, and capped q, per slot and node
+            m, minus = scheme.upwind_differences(x)
+            q = scheme.up_c @ (m * m)
+            return np.vstack([minus, m > 0.0, q > scheme.g_cap**2])
+
+        # compare only away from ties: where the policy is the same at both
+        # ends of the difference stencil
+        nodes = np.all(
+            policy(v + self.EPS * w) == policy(v - self.EPS * w), axis=0
+        )
+        assert nodes.sum() >= 0.95 * disc_h8.n_nodes
+        capped = policy(v)[-1]
+        assert 0 < capped[nodes].sum() < nodes.sum()
+        assert float(np.max(np.abs(fd - jw)[nodes])) <= 1e-5
+
+
+def _lens_problem(offset, ham, f):
+    domain = ConvexDomain(radius=1.0, centers=((-offset, 0.0), (offset, 0.0)))
+    return GridProblem(
+        operator=CoefficientLambdaN(ScalarField.constant(2.0)),
+        hamiltonian=ham,
+        params=MODEL,
+        domain=domain,
+        f=f,
+    )
+
+
+HAMILTONIANS = st.sampled_from(
+    [PowerNorm(b=1.0, p=2.0), AnisotropicPower(SymMatrix(ANISO_A), p=2.0, b=1.0)]
+)
+
+
+class TestUpwindMonotone:
+    """The upwind form is degenerate elliptic, so its discrete solutions obey
+    the comparison principle."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        offset=st.floats(0.0, 0.5),
+        h=st.sampled_from([1 / 8, 1 / 12, 1 / 16]),
+        ham=HAMILTONIANS,
+        scale=st.floats(0.01, 1.0),
+        bump=st.floats(1e-6, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_raising_a_node_never_lowers_another_residual(
+        self, offset, h, ham, scale, bump, seed
+    ):
+        problem = _lens_problem(offset, ham, -1.0)
+        grid = build_grid(problem.domain, h, 8)
+        scheme = _Scheme(problem, grid)
+        rng = np.random.default_rng(seed)
+        v = np.append(rng.normal(scale=scale, size=grid.n_nodes), 0.0)
+        j = int(rng.integers(grid.n_nodes))
+        before = scheme.residual(v, upwind=True)
+        v[j] += bump
+        after = np.delete(scheme.residual(v, upwind=True), j)
+        before = np.delete(before, j)
+        assert np.all(after - before >= -1e-12 * (1.0 + np.abs(before)))
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        offset=st.floats(0.0, 0.5),
+        h=st.sampled_from([1 / 8, 1 / 12, 1 / 16]),
+        ham=HAMILTONIANS,
+        f1=st.floats(-1.0, -0.2),
+        f2=st.floats(-1.0, -0.2),
+    )
+    def test_ordered_forcing_gives_ordered_solutions(self, offset, h, ham, f1, f2):
+        f_lo, f_hi = sorted((f1, f2))
+        solutions = []
+        for f in (f_lo, f_hi):
+            problem = _lens_problem(offset, ham, f)
+            grid = build_grid(problem.domain, h, 8)
+            scheme = _Scheme(problem, grid)
+            u, resid, _ = grid_module._newton(
+                scheme, np.zeros(grid.n_nodes + 1), 1e-11,
+                grid_module._NEWTON_STEPS, [], upwind=True,
+            )
+            assert resid <= 1e-11
+            solutions.append(u[:-1])
+        assert np.all(solutions[0] >= solutions[1] - 1e-9)
 
 
 class TestSolve:
@@ -662,9 +765,10 @@ class TestSolve:
         assert report.iterations < 50
         assert report.residual_norm <= report.stop_residual
 
-    def test_newton_stall_falls_back_to_jacobi(self, monkeypatch):
-        # a Newton budget too small for the stop residual: the Jacobi update
-        # takes over from the best Newton iterate and finishes the solve
+    def test_newton_budget_exhausted_raises(self, monkeypatch):
+        # two Newton steps per stage cannot reach the stop residual on the
+        # lens, and there is no fallback: the solve fails with the history
+        # of both stages
         monkeypatch.setattr(grid_module, "_NEWTON_STEPS", 2)
         g = build_grid(LENS, 1 / 16, 8)
         prob = GridProblem(
@@ -674,10 +778,25 @@ class TestSolve:
             domain=LENS,
             f=-1.0,
         )
-        u, report = solve(prob, g, SolveControls(tol=1e-5))
-        assert report.iterations > 2
-        assert report.residual_norm <= report.stop_residual
-        assert residual_norm(prob, u) == report.residual_norm
+        with pytest.raises(NumericError, match="no convergence within 4") as err:
+            solve(prob, g, SolveControls(tol=1e-5))
+        diag = err.value.diagnostics
+        assert diag["iterations"] == 4
+        # each stage's start residual, then one per Newton step
+        history = diag["residual_history"]
+        assert len(history) == 2 * (1 + 2)
+        assert diag["residual"] == min(history[3:]) > 2e-5
+
+    def test_non_dominant_anisotropy_refused(self, disc_h8):
+        prob = GridProblem(
+            operator=CoefficientLambdaN(ScalarField.constant(2.0)),
+            hamiltonian=AnisotropicPower(SymMatrix([[1.0, 0.6], [0.6, 0.5]]), p=2.0),
+            params=Params(beta=2.0, b=1.3, p=2.0, M=1.0),
+            domain=DISC,
+            f=-0.5,
+        )
+        with pytest.raises(UnsupportedDiscretizationError, match="anisotropy matrix"):
+            solve(prob, disc_h8)
 
 
 class TestSolveExactQuadratics:
@@ -741,8 +860,6 @@ class TestInjectedOracleResidual:
         for h in (1 / 16, 1 / 32, 1 / 64):
             g = build_grid(DISC, h, 8)
             u = oracle_on(g, model_profile)
-            from degelliptic.grid import _Scheme
-
             res = np.abs(_Scheme(BENCH, g).residual(u.extended()))
             vals.append(float(res[g.node_index((0.0, 0.0))]))
         assert vals[0] <= 1e-3
@@ -761,8 +878,6 @@ class TestInjectedOracleResidual:
 class TestComparison:
     def test_scaled_subsolution_stays_below(self, disc_h8):
         v, rep = solve(BENCH, disc_h8, SolveControls(tol=1e-6))
-        from degelliptic.grid import _Scheme
-
         scheme = _Scheme(BENCH, disc_h8)
         shrunk = 0.9 * v.values
         res_v = scheme.residual(v.extended())
@@ -779,8 +894,6 @@ class TestComparison:
     def test_sweep_is_simultaneous(self, disc_h8):
         rng = np.random.default_rng(5)
         vals = rng.normal(scale=0.1, size=disc_h8.n_nodes)
-        from degelliptic.grid import _Scheme
-
         scheme = _Scheme(BENCH, disc_h8)
         tau = 1e-4
         expect = vals + tau * scheme.residual(np.append(vals, 0.0))

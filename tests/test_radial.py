@@ -184,6 +184,14 @@ class TestSecondZero:
         assert s1 <= s <= p.p ** (1.0 / (p.p - 1.0)) * s1
         assert abs(phi(r, s, p)) <= 1e-12 * max(1.0, p.beta * s / r)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowed_root_raises(self):
+        # s1 overflows, so the root is inf and its residual NaN; a NaN
+        # residual must not pass the tolerance check
+        with pytest.raises(NumericError, match="not finite") as err:
+            second_zero(1.938e-3, Params(beta=2.0, b=1.0, p=1.005, M=1.0))
+        assert err.value.diagnostics["root"] == math.inf
+
 
 class TestRootBracketing:
     @given(
