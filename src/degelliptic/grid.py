@@ -28,9 +28,21 @@ slot, adds the exact slope of the capped gradient term, and solves the
 assembled sparse linear system.  Newton first solves the upwind form from
 the initial iterate, then polishes on the centered form from the best
 upwind iterate; the result solves the centered scheme.  On the unit disc
-this takes 10-14 upwind and 3-4 polish steps from h = 1/16 to 1/64.  There
+this takes 10-15 upwind and 3-4 polish steps from h = 1/16 to 1/64.  There
 is no fallback: a polish that misses the stop residual within its step
-budget ends the solve with ``NumericError``.  Passing an explicit ``tau``
+budget, or a Jacobian that factors as singular, ends the solve with
+``NumericError``.
+
+Each Newton system is factored by SuperLU in symmetric mode: a minimum
+degree order of J + J^T, with the diagonal pivot kept wherever it is at
+least 0.1 of the largest entry in its column.  Partial pivoting would swap
+rows and undo the symmetric fill-reducing order.  Keeping the diagonal is
+safe for the upwind form: a degenerate elliptic scheme has an M-matrix
+Jacobian (nonnegative off-diagonal slopes, weakly dominant negative
+diagonal), and LU without row exchanges is stable for M-matrices.  The
+centered first-order term breaks that sign pattern, so the polish
+Jacobians are not M-matrices; the threshold lets SuperLU pivot off the
+diagonal where a polish pivot is too small.  Passing an explicit ``tau``
 selects the scalar-step Jacobi iteration u <- u + tau (F_h[u] + H_h[u] - f)
 on the centered form instead; its update is simultaneous, so results do not
 depend on sweep order.
@@ -40,7 +52,6 @@ from __future__ import annotations
 
 import math
 import time
-import warnings
 from dataclasses import dataclass, replace
 from typing import Callable, Union
 
@@ -898,30 +909,46 @@ def _newton(
     scheme: _Scheme,
     v_ext: np.ndarray,
     stop: float,
-    budget: int,
+    steps: int,
+    cap: int,
     history: list[float],
     upwind: bool,
 ) -> tuple[np.ndarray, float, int]:
-    """Up to ``budget`` semismooth Newton (policy-iteration) steps on one
-    form of the scheme.
+    """Semismooth Newton (policy-iteration) steps on one form of the scheme,
+    counting on from ``steps`` until the count reaches ``cap``.
 
     Returns the iterate with the smallest residual seen, the start included,
-    that residual, and the number of steps taken.  ``history`` gets the
-    start residual and the residual after each step.  Reaching ``stop`` ends
-    the stage; so does a non-finite residual, which the caller reports.
+    that residual, and the step count.  ``history`` gets the start residual
+    and the residual after each step.  Reaching ``stop`` ends the stage; so
+    does a non-finite residual, which the caller reports.
+
+    Each step factors the Jacobian with symmetric-mode SuperLU (see the
+    module docstring): diagonal pivots, which the upwind M-matrix allows,
+    with a 0.1 threshold as the safety net for the centered polish.  A
+    Jacobian that factors as exactly singular raises ``NumericError`` with
+    the step count and the residual history.
     """
-    from scipy.sparse.linalg import MatrixRankWarning, spsolve
+    from scipy.sparse.linalg import splu
 
     n = scheme.n
     resid = scheme.residual(v_ext, upwind)
     rmax = float(np.max(np.abs(resid)))
     history.append(rmax)
     best, best_r = v_ext, rmax
-    steps = 0
-    while steps < budget and rmax > stop and math.isfinite(rmax):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", MatrixRankWarning)
-            du = spsolve(scheme.jacobian(v_ext, upwind).tocsc(), -resid)
+    while steps < cap and rmax > stop and math.isfinite(rmax):
+        try:
+            # one expression, so no factor outlives its step
+            du = splu(
+                scheme.jacobian(v_ext, upwind).tocsc(),
+                permc_spec="MMD_AT_PLUS_A",
+                diag_pivot_thresh=0.1,
+                options=dict(SymmetricMode=True),
+            ).solve(-resid)
+        except RuntimeError as exc:
+            raise NumericError(
+                f"singular Newton Jacobian at step {steps + 1} ({exc})",
+                diagnostics={"iterations": steps, "residual_history": history},
+            ) from exc
         steps += 1
         v_ext = np.append(v_ext[:n] + du, 0.0)
         with np.errstate(all="ignore"):
@@ -1006,12 +1033,13 @@ def solve(
     start = time.perf_counter()
     history: list[float] = []
     if controls.tau is None:
-        budget = min(_NEWTON_STEPS, controls.max_iter)
-        v_ext, rmax, iterations = _newton(scheme, v_ext, stop, budget, history, True)
+        cap = min(_NEWTON_STEPS, controls.max_iter)
+        v_ext, rmax, iterations = _newton(scheme, v_ext, stop, 0, cap, history, True)
         if math.isfinite(history[-1]):
-            budget = min(_NEWTON_STEPS, controls.max_iter - iterations)
-            v_ext, rmax, polish = _newton(scheme, v_ext, stop, budget, history, False)
-            iterations += polish
+            cap = min(iterations + _NEWTON_STEPS, controls.max_iter)
+            v_ext, rmax, iterations = _newton(
+                scheme, v_ext, stop, iterations, cap, history, False
+            )
     else:
         v_ext, rmax, iterations = _jacobi(
             scheme, v_ext, stop, tau, controls.max_iter, history

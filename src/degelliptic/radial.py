@@ -406,10 +406,7 @@ def radial_profile(
             )
         at_threshold = abs(R - threshold) <= ENDPOINT_RTOL * (1.0 + params.M) * threshold
 
-    second = branch is ProfileBranch.SECOND_ZERO_SUPERLINEAR or (
-        branch is ProfileBranch.ZERO_M and params.superlinear
-    )
-
+    second = _second_branch(branch, params)
     if second:
         if include_radii is not None and len(include_radii) > 0:
             r_min = min(r_min, float(min(include_radii)))
@@ -417,11 +414,7 @@ def radial_profile(
     else:
         grid = _merge_radii(_graded_nodes(R, node_count), include_radii, R)
 
-    if params.M == 0.0:
-        s_vals = (second_zero if second else first_zero)(grid, params)
-        u_vals, u_zero = _zero_m_integrals(branch, grid, R, params, second)
-    else:
-        s_vals, u_vals, u_zero = _exact_u(grid, R, params, second)
+    s_vals, u_vals, u_zero = _branch_values(branch, grid, R, params)
     residuals = _phi_raw(grid, s_vals, params)
 
     prof = RadialProfile(
@@ -510,6 +503,23 @@ def _J(X, p: float) -> np.ndarray:
             tail = tail + (-1.0) ** k * grow
         out[big] += tail
     return out
+
+
+def _second_branch(branch: ProfileBranch, params: Params) -> bool:
+    """Whether ``branch`` follows the second zero of phi."""
+    return branch is ProfileBranch.SECOND_ZERO_SUPERLINEAR or (
+        branch is ProfileBranch.ZERO_M and params.superlinear
+    )
+
+
+def _branch_values(branch: ProfileBranch, r, R: float, params: Params):
+    """(s, u, u(0+)) at radii r in (0, R] on one profile branch, in closed
+    form: ``_exact_u`` for M > 0, ``_zero_m_integrals`` for M = 0."""
+    second = _second_branch(branch, params)
+    if params.M == 0.0:
+        s = (second_zero if second else first_zero)(r, params)
+        return (s, *_zero_m_integrals(branch, r, R, params, second))
+    return _exact_u(r, R, params, second)
 
 
 def _exact_u(r, R: float, params: Params, second: bool = False):

@@ -38,9 +38,10 @@ from .model import (
 from .radial import (
     ENDPOINT_RTOL,
     ExplicitSublinearForm,
-    ProfileBranch,
     RadialProfile,
+    _branch_values,
     _exact_u,
+    _second_branch,
     critical_s1,
     first_zero,
     phi,
@@ -96,7 +97,13 @@ def _candidate_radius(candidate: RadialCandidate) -> float:
 
 def _candidate_value(candidate: RadialCandidate, r: np.ndarray) -> np.ndarray:
     if isinstance(candidate, RadialProfile):
-        return np.asarray(candidate.interpolate_u(r), dtype=float)
+        # the closed form on the profile's branch, not the tabulated nodes;
+        # radii outside the table are clamped to it, as interpolation does
+        rr = np.clip(r, candidate.r_grid[0], candidate.R)
+        return np.asarray(
+            _branch_values(candidate.branch, rr, candidate.R, candidate.params)[1],
+            dtype=float,
+        )
     if isinstance(candidate, ExplicitSublinearForm):
         return np.asarray(candidate.value(r), dtype=float)
     return np.asarray(candidate.u(r), dtype=float)
@@ -112,9 +119,7 @@ def _candidate_derivatives(candidate: RadialCandidate, r: np.ndarray):
     """
     if isinstance(candidate, RadialProfile):
         p = candidate.params
-        second = candidate.branch is ProfileBranch.SECOND_ZERO_SUPERLINEAR or (
-            candidate.branch is ProfileBranch.ZERO_M and p.superlinear
-        )
+        second = _second_branch(candidate.branch, p)
         s = (second_zero if second else first_zero)(r, p)
         s = np.atleast_1d(np.asarray(s, dtype=float))
         denom = p.beta / r - p.p * p.b * np.where(s > 0.0, s, 1.0) ** (p.p - 1.0)
@@ -395,22 +400,18 @@ class EpsilonCertificate:
         return "\n".join(lines) + "\n"
 
 
-def _h2_scaling_margin(ham: HamiltonianSpec) -> float:
-    """min over sampled (eps, xi) of H(eps*xi) - eps*H(xi)."""
-    eps_grid = np.linspace(0.05, 1.0, 20)
-    scales = np.logspace(-3.0, 3.0, 13)
+def _h2_scaling_margin(ham: PowerNorm) -> float:
+    """min over sampled (eps, xi) of H(eps*xi) - eps*H(xi), with
+    H(xi) = b |xi|^p evaluated on the whole sample array at once."""
+    eps = np.linspace(0.05, 1.0, 20)[:, None, None]
+    scales = np.logspace(-3.0, 3.0, 13)[:, None]
     angles = np.linspace(0.0, math.pi, 7)
-    worst = math.inf
-    for eps in eps_grid:
-        for s in scales:
-            for a in angles:
-                xi = np.array([s * math.cos(a), s * math.sin(a)])
-                worst = min(
-                    worst,
-                    evaluate_hamiltonian(ham, eps * xi)
-                    - eps * evaluate_hamiltonian(ham, xi),
-                )
-    return float(worst)
+    xi = scales[..., None] * np.stack([np.cos(angles), np.sin(angles)], axis=-1)
+
+    def h(x):
+        return ham.b * np.linalg.norm(x, axis=-1) ** ham.p
+
+    return float(np.min(h(eps[..., None] * xi) - eps * h(xi)))
 
 
 def epsilon_scaling(

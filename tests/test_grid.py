@@ -550,6 +550,36 @@ class TestUpwindMonotone:
         before = np.delete(before, j)
         assert np.all(after - before >= -1e-12 * (1.0 + np.abs(before)))
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        offset=st.floats(0.0, 0.5),
+        h=st.sampled_from([1 / 8, 1 / 12, 1 / 16]),
+        ham=HAMILTONIANS,
+        scale=st.floats(0.01, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_upwind_jacobian_is_an_m_matrix(self, offset, h, ham, scale, seed):
+        """J has nonnegative off-diagonal slopes, a negative diagonal, row
+        sums <= 0 and a strictly dominant row, so -J is a diagonally dominant
+        Z-matrix: with the connected stencil, a nonsingular M-matrix.  The
+        Newton solve factors J with diagonal pivots on the strength of this.
+        The centered first-order term lacks the property: its Jacobians have
+        negative off-diagonal entries, which is why the factorization keeps a
+        pivoting threshold for the polish."""
+        problem = _lens_problem(offset, ham, -1.0)
+        grid = build_grid(problem.domain, h, 8)
+        scheme = _Scheme(problem, grid)
+        rng = np.random.default_rng(seed)
+        v = np.append(rng.normal(scale=scale, size=grid.n_nodes), 0.0)
+        jac = scheme.jacobian(v, upwind=True).tocoo()
+        off = jac.row != jac.col
+        assert np.all(jac.data[off] >= 0.0)
+        assert np.all(jac.diagonal() < 0.0)
+        sums = np.asarray(jac.sum(axis=1)).ravel()
+        row_scale = np.asarray(abs(jac).sum(axis=1)).ravel()
+        assert np.all(sums <= 1e-12 * row_scale)
+        assert np.any(sums < -1e-12 * row_scale)
+
     @settings(max_examples=15, deadline=None)
     @given(
         offset=st.floats(0.0, 0.5),
@@ -567,7 +597,7 @@ class TestUpwindMonotone:
             scheme = _Scheme(problem, grid)
             u, resid, _ = grid_module._newton(
                 scheme, np.zeros(grid.n_nodes + 1), 1e-11,
-                grid_module._NEWTON_STEPS, [], upwind=True,
+                0, grid_module._NEWTON_STEPS, [], upwind=True,
             )
             assert resid <= 1e-11
             solutions.append(u[:-1])
@@ -651,6 +681,35 @@ class TestSolve:
         )
         with pytest.raises(NumericError, match="blew up"):
             solve(prob, disc_h8, SolveControls(tol=1e-12))
+
+    @pytest.mark.parametrize("singular_form", ["upwind", "centered"])
+    def test_singular_jacobian_raises_numeric_error(
+        self, disc_h8, monkeypatch, singular_form
+    ):
+        # an all-zero row makes the factor exactly singular; the solve must
+        # name it instead of reporting a blow-up from NaN updates
+        jacobian = grid_module._Scheme.jacobian
+
+        def singular(self, v_ext, upwind=False):
+            jac = jacobian(self, v_ext, upwind)
+            if upwind == (singular_form == "upwind"):
+                jac = jac.tolil()
+                jac[0, :] = 0.0
+            return jac
+
+        monkeypatch.setattr(grid_module._Scheme, "jacobian", singular)
+        with pytest.raises(NumericError, match="singular Newton Jacobian") as err:
+            solve(BENCH, disc_h8)
+        diag = err.value.diagnostics
+        history = diag["residual_history"]
+        if singular_form == "upwind":
+            assert diag["iterations"] == 0
+            assert len(history) == 1
+        else:
+            # the upwind stage converged; its steps count, and the polish
+            # start residual is the last entry
+            assert diag["iterations"] > 0
+            assert len(history) == diag["iterations"] + 2
 
     def test_deterministic_bit_identical(self):
         runs = []

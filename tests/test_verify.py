@@ -16,8 +16,10 @@ from degelliptic.model import (
     PowerNorm,
     ScalarField,
     WeightedEigenvalues,
+    evaluate_hamiltonian,
 )
 from degelliptic.radial import (
+    _exact_u,
     explicit_sublinear_form,
     first_zero,
     radial_profile,
@@ -26,6 +28,7 @@ from degelliptic.radial import (
 from degelliptic.verify import (
     ClosedFormRadial,
     VerifyProblem,
+    _h2_scaling_margin,
     convergence_study,
     epsilon_scaling,
     residual_check_radial,
@@ -279,8 +282,12 @@ class TestSigmaPerturbation:
         cert = sigma_perturbation(
             sigma_v, sigma_varphi, 0.9, epsilon=0.1, problem=self.PROBLEM, sample_count=50
         )
+        # the closed form on each branch, not the interpolated table
         r = 0.45
-        expected = 0.9 * sigma_v.interpolate_u(r) + 0.1 * sigma_varphi.interpolate_u(r)
+        expected = (
+            0.9 * _exact_u(r, sigma_v.R, sigma_v.params)[1]
+            + 0.1 * _exact_u(r, sigma_varphi.R, sigma_varphi.params)[1]
+        )
         assert cert.u(r) == pytest.approx(expected, abs=1e-15)
 
     def test_sigma_bounds(self, sigma_v, sigma_varphi):
@@ -338,7 +345,26 @@ class TestEpsilonScaling:
 
     def test_scaled_values(self, sub_profile):
         cert = epsilon_scaling(sub_profile, 0.1, -1.0, problem=self.PROBLEM, sample_count=20)
-        assert cert.u(0.5) == pytest.approx(1.1 * sub_profile.interpolate_u(0.5), abs=1e-15)
+        exact = _exact_u(0.5, sub_profile.R, sub_profile.params)[1]
+        assert cert.u(0.5) == pytest.approx(1.1 * exact, abs=1e-15)
+
+    @pytest.mark.parametrize("p", [0.25, 0.5, 0.9, 1.5])
+    @pytest.mark.parametrize("b", [1.0, 2.5])
+    def test_scaling_margin_matches_scalar_loop(self, p, b):
+        # the sampled (eps, xi) set of _h2_scaling_margin, one vector at a
+        # time; p = 1.5 violates the inequality, so the minimum is not 0
+        ham = PowerNorm(b=b, p=p)
+        worst = math.inf
+        for eps in np.linspace(0.05, 1.0, 20):
+            for s in np.logspace(-3.0, 3.0, 13):
+                for a in np.linspace(0.0, math.pi, 7):
+                    xi = np.array([s * math.cos(a), s * math.sin(a)])
+                    worst = min(
+                        worst,
+                        evaluate_hamiltonian(ham, eps * xi)
+                        - eps * evaluate_hamiltonian(ham, xi),
+                    )
+        assert _h2_scaling_margin(ham) == pytest.approx(worst, rel=1e-12, abs=1e-12)
 
     def test_nonnegative_sup_f_rejected(self, sub_profile):
         with pytest.raises(ConfigError, match="sup f < 0"):
