@@ -17,6 +17,7 @@ import dataclasses
 import io
 import math
 import sys
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -63,18 +64,6 @@ from .verify import (
 )
 
 __all__ = ["RunConfig", "main", "parse_config", "serialize_config"]
-
-COMMANDS = (
-    "rbar",
-    "radial",
-    "blowup",
-    "explicit",
-    "barrier",
-    "solve",
-    "verify",
-    "sweep",
-)
-
 
 def _fmt(value: float) -> str:
     """Console float format: 15 significant digits, trailing zeros kept."""
@@ -184,36 +173,54 @@ DEFAULTS: dict[str, dict[str, str]] = {
 }
 
 
-def _parse_float(section: str, key: str, raw: str) -> float:
+def _parse_float(where: str, raw: str) -> float:
     try:
         return float(raw)
     except ValueError:
-        raise ConfigError(f"[{section}] {key}: not a number: {raw!r}") from None
+        raise ConfigError(f"{where}: not a number: {raw!r}") from None
 
 
-def _parse_int(section: str, key: str, raw: str) -> int:
+def _parse_int(where: str, raw: str) -> int:
     try:
         return int(raw)
     except ValueError:
-        raise ConfigError(f"[{section}] {key}: not an integer: {raw!r}") from None
+        raise ConfigError(f"{where}: not an integer: {raw!r}") from None
 
 
-def _parse_floats(section: str, key: str, raw: str) -> tuple[float, ...]:
-    raw = raw.strip()
-    if not raw:
-        return ()
-    return tuple(
-        _parse_float(section, key, part) for part in raw.split(",") if part.strip()
-    )
+def _parse_floats(where: str, raw: str) -> tuple[float, ...]:
+    return tuple(_parse_float(where, part) for part in raw.split(",") if part.strip())
 
 
-def _parse_rows(section: str, key: str, raw: str) -> tuple[tuple[float, ...], ...]:
-    raw = raw.strip()
-    if not raw:
-        return ()
-    return tuple(
-        _parse_floats(section, key, row) for row in raw.split(";") if row.strip()
-    )
+def _parse_rows(where: str, raw: str) -> tuple[tuple[float, ...], ...]:
+    rows = tuple(_parse_floats(where, row) for row in raw.split(";") if row.strip())
+    if len({len(row) for row in rows}) > 1:
+        raise ConfigError(f"{where}: rows differ in length: {raw!r}")
+    return rows
+
+
+def _format_floats(values) -> str:
+    return ", ".join(repr(float(v)) for v in values)
+
+
+# field type -> (parse(where, raw), format(value)); with DEFAULTS this is the
+# whole file schema, so a new key needs a DEFAULTS entry and a field only
+_CODECS = {
+    str: (lambda where, raw: raw, str),
+    int: (_parse_int, str),
+    float: (_parse_float, repr),
+    float | None: (
+        lambda where, raw: _parse_float(where, raw) if raw else None,
+        lambda value: "" if value is None else repr(value),
+    ),
+    tuple[float, ...]: (_parse_floats, _format_floats),
+    tuple[tuple[float, ...], ...]: (
+        _parse_rows,
+        lambda rows: "; ".join(_format_floats(row) for row in rows),
+    ),
+}
+_FIELD_CODECS = {
+    name: _CODECS[kind] for name, kind in typing.get_type_hints(RunConfig).items()
+}
 
 
 def parse_config(text: str) -> RunConfig:
@@ -224,6 +231,9 @@ def parse_config(text: str) -> RunConfig:
     except configparser.Error as err:
         raise ConfigError(f"config syntax: {err}") from None
 
+    # [DEFAULT] keys would leak into every section as fallbacks
+    if cp.defaults():
+        raise ConfigError(f"unknown config section [{cp.default_section}]")
     for section in cp.sections():
         if section not in DEFAULTS:
             raise ConfigError(f"unknown config section [{section}]")
@@ -231,127 +241,24 @@ def parse_config(text: str) -> RunConfig:
             if key not in DEFAULTS[section]:
                 raise ConfigError(f"unknown config key [{section}] {key}")
 
-    def get(section: str, key: str) -> str:
-        if cp.has_option(section, key):
-            return cp.get(section, key).strip()
-        return DEFAULTS[section][key]
-
-    tau_raw = get("solver", "tau")
-    command = get("run", "command")
-    if command and command not in COMMANDS:
-        raise ConfigError(f"unknown command {command!r}")
-    init = get("solver", "init")
-
-    return RunConfig(
-        command=command,
-        out=get("run", "out"),
-        seed=_parse_int("run", "seed", get("run", "seed")),
-        threads=_parse_int("run", "threads", get("run", "threads")),
-        beta=_parse_float("params", "beta", get("params", "beta")),
-        b=_parse_float("params", "b", get("params", "b")),
-        c=_parse_float("params", "c", get("params", "c")),
-        d=_parse_float("params", "d", get("params", "d")),
-        p=_parse_float("params", "p", get("params", "p")),
-        M=_parse_float("params", "M", get("params", "M")),
-        operator=get("problem", "operator"),
-        coefficient=_parse_float(
-            "problem", "coefficient", get("problem", "coefficient")
-        ),
-        index=_parse_int("problem", "index", get("problem", "index")),
-        weights=_parse_floats("problem", "weights", get("problem", "weights")),
-        rows=_parse_rows("problem", "rows", get("problem", "rows")),
-        hamiltonian=get("problem", "hamiltonian"),
-        ham_b=_parse_float("problem", "ham_b", get("problem", "ham_b")),
-        ham_p=_parse_float("problem", "ham_p", get("problem", "ham_p")),
-        hamiltonian_sign=_parse_float(
-            "problem", "hamiltonian_sign", get("problem", "hamiltonian_sign")
-        ),
-        f=_parse_float("problem", "f", get("problem", "f")),
-        dimension=_parse_int("problem", "dimension", get("problem", "dimension")),
-        radius=_parse_float("domain", "radius", get("domain", "radius")),
-        centers=_parse_rows("domain", "centers", get("domain", "centers")),
-        branch=get("radial", "branch"),
-        R=_parse_float("radial", "R", get("radial", "R")),
-        node_count=_parse_int("radial", "node_count", get("radial", "node_count")),
-        r_min=_parse_float("radial", "r_min", get("radial", "r_min")),
-        include_radii=_parse_floats(
-            "radial", "include_radii", get("radial", "include_radii")
-        ),
-        decades=_parse_int("radial", "decades", get("radial", "decades")),
-        kind=get("radial", "kind"),
-        upper_m=_parse_float("barrier", "upper_m", get("barrier", "upper_m")),
-        lower_k=_parse_float("barrier", "lower_k", get("barrier", "lower_k")),
-        h=_parse_float("solver", "h", get("solver", "h")),
-        K=_parse_int("solver", "K", get("solver", "K")),
-        tau=None if tau_raw == "" else _parse_float("solver", "tau", tau_raw),
-        tol=_parse_float("solver", "tol", get("solver", "tol")),
-        max_iter=_parse_int("solver", "max_iter", get("solver", "max_iter")),
-        init=init,
-        radii=_parse_floats("verify", "radii", get("verify", "radii")),
-        tolerance=_parse_float("verify", "tolerance", get("verify", "tolerance")),
-        sigma=_parse_float("verify", "sigma", get("verify", "sigma")),
-        epsilon=_parse_float("verify", "epsilon", get("verify", "epsilon")),
-        R_values=_parse_floats("sweep", "R_values", get("sweep", "R_values")),
-    )
+    values = {
+        key: _FIELD_CODECS[key][0](
+            f"[{section}] {key}", cp.get(section, key, fallback=default).strip()
+        )
+        for section, keys in DEFAULTS.items()
+        for key, default in keys.items()
+    }
+    if values["command"] and values["command"] not in COMMANDS:
+        raise ConfigError(f"unknown command {values['command']!r}")
+    return RunConfig(**values)
 
 
 def serialize_config(cfg: RunConfig) -> str:
-    def floats(values) -> str:
-        return ", ".join(repr(float(v)) for v in values)
-
-    def rows(matrix) -> str:
-        return "; ".join(floats(row) for row in matrix)
-
-    values = {
-        ("run", "command"): cfg.command,
-        ("run", "out"): cfg.out,
-        ("run", "seed"): str(cfg.seed),
-        ("run", "threads"): str(cfg.threads),
-        ("params", "beta"): repr(cfg.beta),
-        ("params", "b"): repr(cfg.b),
-        ("params", "c"): repr(cfg.c),
-        ("params", "d"): repr(cfg.d),
-        ("params", "p"): repr(cfg.p),
-        ("params", "M"): repr(cfg.M),
-        ("problem", "operator"): cfg.operator,
-        ("problem", "coefficient"): repr(cfg.coefficient),
-        ("problem", "index"): str(cfg.index),
-        ("problem", "weights"): floats(cfg.weights),
-        ("problem", "rows"): rows(cfg.rows),
-        ("problem", "hamiltonian"): cfg.hamiltonian,
-        ("problem", "ham_b"): repr(cfg.ham_b),
-        ("problem", "ham_p"): repr(cfg.ham_p),
-        ("problem", "hamiltonian_sign"): repr(cfg.hamiltonian_sign),
-        ("problem", "f"): repr(cfg.f),
-        ("problem", "dimension"): str(cfg.dimension),
-        ("domain", "radius"): repr(cfg.radius),
-        ("domain", "centers"): rows(cfg.centers),
-        ("radial", "branch"): cfg.branch,
-        ("radial", "R"): repr(cfg.R),
-        ("radial", "node_count"): str(cfg.node_count),
-        ("radial", "r_min"): repr(cfg.r_min),
-        ("radial", "include_radii"): floats(cfg.include_radii),
-        ("radial", "decades"): str(cfg.decades),
-        ("radial", "kind"): cfg.kind,
-        ("barrier", "upper_m"): repr(cfg.upper_m),
-        ("barrier", "lower_k"): repr(cfg.lower_k),
-        ("solver", "h"): repr(cfg.h),
-        ("solver", "K"): str(cfg.K),
-        ("solver", "tau"): "" if cfg.tau is None else repr(cfg.tau),
-        ("solver", "tol"): repr(cfg.tol),
-        ("solver", "max_iter"): str(cfg.max_iter),
-        ("solver", "init"): cfg.init,
-        ("verify", "radii"): floats(cfg.radii),
-        ("verify", "tolerance"): repr(cfg.tolerance),
-        ("verify", "sigma"): repr(cfg.sigma),
-        ("verify", "epsilon"): repr(cfg.epsilon),
-        ("sweep", "R_values"): floats(cfg.R_values),
-    }
     out = io.StringIO()
     for section, keys in DEFAULTS.items():
         out.write(f"[{section}]\n")
         for key in keys:
-            out.write(f"{key} = {values[(section, key)]}\n")
+            out.write(f"{key} = {_FIELD_CODECS[key][1](getattr(cfg, key))}\n")
         out.write("\n")
     return out.getvalue()
 
@@ -689,6 +596,7 @@ _DISPATCH = {
     "verify": cmd_verify,
     "sweep": cmd_sweep,
 }
+COMMANDS = tuple(_DISPATCH)
 
 
 # ---------------------------------------------------------------------------
@@ -716,13 +624,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_flags(cfg: RunConfig, args) -> RunConfig:
-    updates = {}
-    if args.out is not None:
-        updates["out"] = args.out
-    if args.seed is not None:
-        updates["seed"] = args.seed
-    if args.threads is not None:
-        updates["threads"] = args.threads
+    updates = {
+        name: getattr(args, name)
+        for name in ("out", "seed", "threads")
+        if getattr(args, name) is not None
+    }
     if cfg.command and cfg.command != args.command:
         raise ConfigError(
             f"config requests command {cfg.command!r} but"

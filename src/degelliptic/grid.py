@@ -327,6 +327,8 @@ def _lattice_split(a: np.ndarray, what: str) -> np.ndarray:
     the diagonal entries, which is nonnegative exactly when ``a`` is
     diagonally dominant.
     """
+    if a.shape != (2, 2):
+        raise ConfigError(f"{what} must be 2x2 on grids")
     off = float(a[0, 1])
     wx, wy = float(a[0, 0]) - abs(off), float(a[1, 1]) - abs(off)
     scale = max(1.0, abs(a).max())
@@ -548,7 +550,8 @@ class _Scheme:
         w = np.zeros((self.n, 4))
         for i, x in enumerate(grid.nodes_xy):
             s = np.asarray(spec.sigma(x), dtype=float)
-            w[i] = _lattice_split(s.T @ s, f"diffusion matrix at x = {tuple(x)}")
+            what = f"diffusion matrix at x = {tuple(x.tolist())}"
+            w[i] = _lattice_split(s.T @ s, what)
         return w
 
     def _setup_hamiltonian(self, ham: HamiltonianSpec | None):

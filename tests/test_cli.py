@@ -1,11 +1,23 @@
 import math
+import string
 import subprocess
 import sys
+import typing
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from degelliptic.cli import main, parse_config, serialize_config
+from degelliptic.cli import (
+    _CODECS,
+    COMMANDS,
+    DEFAULTS,
+    RunConfig,
+    main,
+    parse_config,
+    serialize_config,
+)
 from degelliptic.errors import ConfigError
 from degelliptic.model import (
     CoefficientLambdaN,
@@ -98,6 +110,72 @@ class TestConfigParsing:
     def test_syntax_error(self):
         with pytest.raises(ConfigError, match="syntax"):
             parse_config("params]\nbeta = 2\n")
+
+    @pytest.mark.parametrize("other", ["", "[params]\n", "[solver]\n"])
+    def test_default_section_refused(self, other):
+        # configparser would apply [DEFAULT] keys as fallbacks to every section
+        with pytest.raises(ConfigError, match=r"unknown config section \[DEFAULT\]"):
+            parse_config("[DEFAULT]\nbeta = 5\n" + other)
+
+    @pytest.mark.parametrize(
+        "text, where",
+        [
+            ("[problem]\nrows = 1, 0; 0.4\n", "[problem] rows"),
+            ("[domain]\ncenters = 0, 0; 1\n", "[domain] centers"),
+        ],
+    )
+    def test_ragged_rows_refused(self, text, where):
+        with pytest.raises(ConfigError) as info:
+            parse_config(text)
+        assert str(info.value).startswith(f"{where}: rows differ in length")
+
+
+def _field_strategy(name, kind):
+    floats = st.floats(allow_nan=False, allow_infinity=False)
+    if name == "command":
+        return st.sampled_from(("",) + COMMANDS)
+    rows = st.integers(1, 3).flatmap(
+        lambda n: st.lists(
+            st.lists(floats, min_size=n, max_size=n).map(tuple), max_size=3
+        ).map(tuple)
+    )
+    return {
+        str: st.text(string.ascii_letters + string.digits + "_./-", max_size=12),
+        int: st.integers(),
+        float: floats,
+        float | None: st.none() | floats,
+        tuple[float, ...]: st.lists(floats, max_size=4).map(tuple),
+        tuple[tuple[float, ...], ...]: rows,
+    }[kind]
+
+
+CONFIGS = st.builds(
+    RunConfig,
+    **{
+        name: _field_strategy(name, kind)
+        for name, kind in typing.get_type_hints(RunConfig).items()
+    },
+)
+
+
+class TestConfigSchema:
+    def test_defaults_match_fields(self):
+        hints = typing.get_type_hints(RunConfig)
+        keys = [key for keys in DEFAULTS.values() for key in keys]
+        assert keys == list(hints)
+        assert set(hints.values()) <= set(_CODECS)
+        # every default parses on its own
+        for section, keys in DEFAULTS.items():
+            for key, default in keys.items():
+                cfg = parse_config(f"[{section}]\n{key} = {default}\n")
+                assert cfg == parse_config("")
+
+    @settings(max_examples=200, deadline=None)
+    @given(CONFIGS)
+    def test_round_trip_any_config(self, cfg):
+        text = serialize_config(cfg)
+        assert parse_config(text) == cfg
+        assert serialize_config(parse_config(text)) == text
 
 
 class TestSelections:
@@ -310,6 +388,25 @@ class TestSolve:
         assert run_cli(capsys, "solve", "--config", path, "--out", a)[0] == 0
         assert run_cli(capsys, "solve", "--config", path, "--out", b)[0] == 0
         assert (a / "solution.csv").read_bytes() == (b / "solution.csv").read_bytes()
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ("1, 0; 0.4", "[problem] rows: rows differ in length"),
+            ("1, 0, 5; 0, 1, 0", "must be 2x2 on grids"),
+        ],
+    )
+    def test_bad_diffusion_rows_exit_2(self, tmp_path, capsys, rows, message):
+        text = LENS_INI.replace(
+            "operator = CoefficientLambdaN",
+            f"operator = LinearDegenerate\nrows = {rows}",
+        )
+        path = write_config(tmp_path, text)
+        out_dir = tmp_path / "o"
+        code, _, err = run_cli(capsys, "solve", "--config", path, "--out", out_dir)
+        assert code == 2
+        assert err.startswith("error: ") and message in err
+        assert not out_dir.exists()
 
     def test_envelope_mismatch_is_config_error(self, tmp_path, capsys):
         # gradient growth above the declared envelope b

@@ -393,6 +393,16 @@ class TestDiscreteOperator:
             discrete_operator(spec, u, (0.0, 0.0))
 
     @pytest.mark.parametrize(
+        "sigma", [[[1.0, 0.0, 5.0], [0.0, 1.0, 0.0]], [[1.0], [0.0]]]
+    )
+    def test_linear_degenerate_needs_2x2_diffusion(self, disc_h4, sigma):
+        # sigma^T sigma is 3x3 and 1x1 here; neither fits the plane lattice
+        spec = LinearDegenerate(MatrixField.constant(sigma))
+        u = quadratic_field(disc_h4, np.eye(2))
+        with pytest.raises(ConfigError, match="diffusion matrix must be 2x2"):
+            discrete_operator(spec, u, (0.0, 0.0))
+
+    @pytest.mark.parametrize(
         "spec",
         [
             MongeAmpere(),
@@ -881,6 +891,20 @@ class TestSolveExactQuadratics:
         u, _ = solve(prob, disc_h8, SolveControls(tol=1e-9))
         r2 = disc_h8.nodes_xy[:, 0] ** 2 + disc_h8.nodes_xy[:, 1] ** 2
         assert float(np.max(np.abs(u.values - (1.0 - r2)))) <= 1e-8
+
+    @pytest.mark.parametrize(
+        "sigma", [[[1.0, 0.0, 5.0], [0.0, 1.0, 0.0]], [[1.0], [0.0]]]
+    )
+    def test_linear_degenerate_refuses_non_2x2_diffusion(self, disc_h8, sigma):
+        prob = GridProblem(
+            operator=LinearDegenerate(MatrixField.constant(sigma)),
+            hamiltonian=None,
+            params=MODEL,
+            domain=DISC,
+            f=-4.0,
+        )
+        with pytest.raises(ConfigError, match="must be 2x2 on grids"):
+            solve(prob, disc_h8, SolveControls(tol=1e-9))
 
 
 class TestSublinearClosedForm:
