@@ -166,7 +166,7 @@ DEFAULTS: dict[str, dict[str, str]] = {
     },
     "barrier": {"upper_m": "1.0", "lower_k": "1.0"},
     "solver": {"h": "0.0625", "K": "8", "tau": "", "tol": "1e-05",
-               "max_iter": "500000", "init": "zeros"},
+               "max_iter": "500000", "init": "barrier"},
     "verify": {"radii": "0.2, 0.5, 0.8", "tolerance": "1e-06",
                "sigma": "0.9", "epsilon": "0.1"},
     "sweep": {"R_values": ""},
@@ -207,10 +207,11 @@ def _format_floats(values) -> str:
 _CODECS = {
     str: (lambda where, raw: raw, str),
     int: (_parse_int, str),
-    float: (_parse_float, repr),
+    # float() first, so numpy floats serialize as plain numbers
+    float: (_parse_float, lambda value: repr(float(value))),
     float | None: (
         lambda where, raw: _parse_float(where, raw) if raw else None,
-        lambda value: "" if value is None else repr(value),
+        lambda value: "" if value is None else repr(float(value)),
     ),
     tuple[float, ...]: (_parse_floats, _format_floats),
     tuple[tuple[float, ...], ...]: (

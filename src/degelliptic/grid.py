@@ -27,11 +27,16 @@ the fixed weights for a linear diffusion) and the active arm of each upwind
 slot, adds the exact slope of the capped gradient term, and solves the
 assembled sparse linear system.  Newton first solves the upwind form from
 the initial iterate, then polishes on the centered form from the best
-upwind iterate; the result solves the centered scheme.  On the unit disc
-this takes 10-15 upwind and 3-4 polish steps from h = 1/16 to 1/64.  There
-is no fallback: a polish that misses the stop residual within its step
-budget, or a Jacobian that factors as singular, ends the solve with
-``NumericError``.
+upwind iterate; the result solves the centered scheme.  The initial
+iterate is the paper's barrier: with a gradient term the supersolution,
+the first-zero radial profile at the forcing magnitude, which is the exact
+solution on a disc; without one the paraboloid envelope
+(m / 2 beta)(R^2 - max_y |x - y|^2), which exists on every domain.  On the
+unit disc this takes 2-4 upwind and 3-4 polish steps from h = 1/16 to 1/64.
+From zero it takes 10-15 upwind steps: there every fan direction ties, so
+the first policy is arbitrary.  There is no fallback: a polish that misses
+the stop residual within its step budget, or a Jacobian that factors as
+singular, ends the solve with ``NumericError``.
 
 Each Newton system is factored by SuperLU in symmetric mode: a minimum
 degree order of J + J^T, with the diagonal pivot kept wherever it is at
@@ -57,7 +62,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .barriers import build_supersolution, evaluate_barrier
+from .barriers import build_subsolution, build_supersolution, evaluate_barrier
 from .errors import (
     ConfigError,
     NumericError,
@@ -99,8 +104,8 @@ __all__ = [
 ]
 
 _TAU_SAFETY = 0.95
-# Newton steps per stage; the anisotropic lens at h = 1/64 needs 36 upwind
-# steps and 16 polish steps
+# Newton steps per stage; the anisotropic lens at h = 1/64 needs 25 upwind
+# steps from the barrier (36 from zeros) and 16 polish steps
 _NEWTON_STEPS = 60
 
 
@@ -394,7 +399,7 @@ class GridProblem:
 
     ``params`` is the declared structural envelope (ellipticity beta, gradient
     growth b, p, additive constants); it drives the superlinear domain-size
-    refusal and the optional barrier initialization, and must dominate the
+    refusal and the barrier start of `solve`, and must dominate the
     actual Hamiltonian.
     """
 
@@ -413,13 +418,14 @@ class GridProblem:
 class SolveControls:
     """Explicit Jacobi step (None = Newton: an upwind stage, then a centered
     polish), stopping tolerance on the scaled residual, cap on the Newton
-    steps of both stages or on the Jacobi sweeps, and initial iterate
-    ("zeros" or "barrier")."""
+    steps of both stages or on the Jacobi sweeps, and initial iterate:
+    "barrier" (the supersolution with a gradient term, the paraboloid
+    envelope without one) or "zeros"."""
 
     tau: float | None = None
     tol: float = 1e-5
     max_iter: int = 500_000
-    init: str = "zeros"
+    init: str = "barrier"
 
     def __post_init__(self):
         if self.tau is not None and not (self.tau > 0 and math.isfinite(self.tau)):
@@ -435,9 +441,12 @@ class SolveControls:
 @dataclass(frozen=True)
 class SolveReport:
     """``tau`` is the explicit Jacobi step, or the largest stable scalar step
-    0.95 / D_max; ``update_norm`` is tau times the final residual."""
+    0.95 / D_max; ``update_norm`` is tau times the final residual.
+    ``upwind_steps`` counts the Newton steps of the upwind stage (0 in
+    Jacobi mode); the polish took ``iterations - upwind_steps``."""
 
     iterations: int
+    upwind_steps: int
     update_norm: float
     residual_norm: float
     tau: float
@@ -902,10 +911,17 @@ def _check_envelope(problem: GridProblem, scheme: _Scheme):
 
 
 def _initial_values(problem: GridProblem, grid: Grid2D, scheme, init: str):
+    """Zeros, or the barrier at the forcing magnitude m_eff: with a gradient
+    term the supersolution (``_check_envelope`` has already refused a radius
+    above its threshold), without one the paraboloid envelope, the negated
+    subsolution, which needs no threshold."""
     if init == "zeros":
         return np.zeros(grid.n_nodes)
-    barrier = build_supersolution(problem.domain, problem.params, scheme.m_eff)
-    return np.asarray(evaluate_barrier(barrier, grid.nodes_xy), dtype=float)
+    if scheme.ham:
+        barrier = build_supersolution(problem.domain, problem.params, scheme.m_eff)
+        return np.asarray(evaluate_barrier(barrier, grid.nodes_xy), dtype=float)
+    barrier = build_subsolution(problem.domain, problem.params, scheme.m_eff)
+    return -np.asarray(evaluate_barrier(barrier, grid.nodes_xy), dtype=float)
 
 
 def _newton(
@@ -1004,10 +1020,13 @@ def solve(
     best upwind iterate.  The result solves the centered scheme; the upwind
     stage picks which centered solution that is and starts Newton close
     enough to it.  Passing ``tau`` selects the literal scalar-step Jacobi
-    iteration on the centered form instead.
+    iteration on the centered form instead.  Both start from
+    ``controls.init``; the default barrier start puts the upwind stage
+    within a few steps of its solution on a disc.
     ``iterations`` counts the Newton steps of both stages, or the Jacobi
-    sweeps, and ``max_iter`` caps it.  ``tau`` reports the explicit step, or
-    without one the largest stable scalar step 0.95 / D_max.  An unmet stop
+    sweeps, and ``max_iter`` caps it; ``upwind_steps`` is the upwind
+    stage's share.  ``tau`` reports the explicit step, or without one the
+    largest stable scalar step 0.95 / D_max.  An unmet stop
     raises ``NumericError`` with the iterations, the residual and the
     residual history (the start residual of each stage or run, then one per
     Newton step, or about 256 spread over the Jacobi sweeps).
@@ -1038,12 +1057,14 @@ def solve(
     if controls.tau is None:
         cap = min(_NEWTON_STEPS, controls.max_iter)
         v_ext, rmax, iterations = _newton(scheme, v_ext, stop, 0, cap, history, True)
+        upwind_steps = iterations
         if math.isfinite(history[-1]):
             cap = min(iterations + _NEWTON_STEPS, controls.max_iter)
             v_ext, rmax, iterations = _newton(
                 scheme, v_ext, stop, iterations, cap, history, False
             )
     else:
+        upwind_steps = 0
         v_ext, rmax, iterations = _jacobi(
             scheme, v_ext, stop, tau, controls.max_iter, history
         )
@@ -1067,6 +1088,7 @@ def solve(
     result = GridFunction(grid=grid, values=v_ext[:n])
     report = SolveReport(
         iterations=iterations,
+        upwind_steps=upwind_steps,
         update_norm=tau * rmax,
         residual_norm=rmax,
         tau=tau,
@@ -1121,6 +1143,7 @@ def solution_to_csv(u: GridFunction, path) -> None:
 def report_to_text(report: SolveReport) -> str:
     lines = [
         f"iterations: {report.iterations}",
+        f"upwind_steps: {report.upwind_steps}",
         f"tau: {report.tau:.17g}",
         f"tau_bound: {report.tau_bound:.17g}",
         f"k_factor: {report.k_factor:.17g}",

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import string
 import subprocess
@@ -81,6 +82,14 @@ class TestConfigParsing:
         assert serialize_config(parse_config(serialize_config(cfg))) == (
             serialize_config(cfg)
         )
+
+    def test_numpy_floats_serialize_as_plain_numbers(self):
+        cfg = dataclasses.replace(
+            parse_config(""), beta=np.float64(2.0), tau=np.float64(0.001)
+        )
+        text = serialize_config(cfg)
+        assert "beta = 2.0\n" in text and "tau = 0.001\n" in text
+        assert parse_config(text) == cfg
 
     def test_keys_are_case_sensitive(self):
         cfg = parse_config("[params]\nM = 2.5\n")
@@ -377,7 +386,7 @@ class TestSolve:
         assert code == 0
         assert "solved" in out and "residual" in out
         report = (out_dir / "report.txt").read_text()
-        assert "iterations:" in report
+        assert "iterations:" in report and "upwind_steps:" in report
         data = np.loadtxt(out_dir / "solution.csv", delimiter=",", skiprows=2)
         assert data.shape[1] == 3
         assert np.all(data[:, 2] >= 0.0)

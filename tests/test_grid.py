@@ -662,7 +662,7 @@ class TestSolve:
         assert float(np.max(np.abs(u_auto.values - u_scalar.values))) <= 1e-5
 
     def test_barrier_init_matches_zero_init(self, disc_h8):
-        u_zero, _ = solve(BENCH, disc_h8, SolveControls(tol=1e-6))
+        u_zero, _ = solve(BENCH, disc_h8, SolveControls(tol=1e-6, init="zeros"))
         u_bar, rep = solve(BENCH, disc_h8, SolveControls(tol=1e-6, init="barrier"))
         assert rep.init == "barrier"
         assert float(np.max(np.abs(u_zero.values - u_bar.values))) <= 1e-5
@@ -673,11 +673,22 @@ class TestSolve:
             solve(BENCH, disc_h8, SolveControls(tau=2.0 * rep.tau_bound))
 
     def test_max_iter_raises_with_history(self, disc_h8):
+        # five steps from zeros cannot solve the disc
         with pytest.raises(NumericError) as err:
-            solve(BENCH, disc_h8, SolveControls(max_iter=5))
+            solve(BENCH, disc_h8, SolveControls(max_iter=5, init="zeros"))
         diag = err.value.diagnostics
         assert diag["iterations"] == 5
         assert len(diag["residual_history"]) >= 1
+        assert diag["residual"] > 0.0
+
+    def test_max_iter_caps_the_barrier_start(self, disc_h8):
+        # the barrier start needs two upwind steps and three polish steps;
+        # a cap of two ends the solve at the polish start
+        with pytest.raises(NumericError) as err:
+            solve(BENCH, disc_h8, SolveControls(max_iter=2))
+        diag = err.value.diagnostics
+        assert diag["iterations"] == 2
+        assert len(diag["residual_history"]) == 2 + 2
         assert diag["residual"] > 0.0
 
     @pytest.mark.filterwarnings("ignore:overflow")
@@ -868,6 +879,99 @@ class TestSolve:
             solve(prob, disc_h8)
 
 
+class TestBarrierStart:
+    # the default initial iterate is the paper's barrier: the supersolution
+    # with a gradient term, the paraboloid envelope without one
+
+    BIG = ConvexDomain(radius=1.5, centers=((0.0, 0.0),))
+    WIDE_LENS = ConvexDomain(radius=2.0, centers=((-0.5, 0.0), (0.5, 0.0)))
+
+    @pytest.mark.parametrize(
+        "operator, hamiltonian, params, domain, f",
+        [
+            # radii above rbar(params) = 1: the supersolution does not exist
+            (CoefficientLambdaN(ScalarField.constant(2.0)), None, MODEL, BIG, -1.0),
+            (MinMax(), None, MODEL, WIDE_LENS, -1.0),
+            (
+                LinearDegenerate(MatrixField.constant(np.eye(2))),
+                None, MODEL, WIDE_LENS, -2.0,
+            ),
+            (
+                CoefficientLambdaN(ScalarField.constant(2.0)),
+                PowerNorm(b=0.0, p=2.0), MODEL, BIG, -1.0,
+            ),
+            (LambdaK(2), PowerNorm(b=0.0, p=2.0), MODEL, WIDE_LENS, -0.5),
+            # sublinear envelopes, no Hamiltonian
+            (
+                LambdaK(1), None, SUB, DISC,
+                lambda P: -0.5 * np.hypot(P[:, 0], P[:, 1]),
+            ),
+            (MinMax(), None, SUB, WIDE_LENS, -1.0),
+        ],
+        ids=[
+            "no-ham-lambda-n", "no-ham-minmax", "no-ham-laplacian",
+            "b0-lambda-n", "b0-lambda-2", "sublinear-lambda-1", "sublinear-minmax",
+        ],
+    )
+    def test_defined_wherever_zeros_solves(
+        self, operator, hamiltonian, params, domain, f
+    ):
+        prob = GridProblem(
+            operator=operator, hamiltonian=hamiltonian, params=params,
+            domain=domain, f=f,
+        )
+        g = build_grid(domain, domain.radius / 8, 8)
+        u_zero, _ = solve(prob, g, SolveControls(tol=1e-6, init="zeros"))
+        u, report = solve(prob, g, SolveControls(tol=1e-6))
+        assert report.init == "barrier"
+        assert report.residual_norm <= report.stop_residual
+        assert float(np.max(np.abs(u.values - u_zero.values))) <= 1e-5
+
+    @pytest.mark.parametrize("h", [1 / 16, 1 / 32])
+    @pytest.mark.parametrize(
+        "domain, hamiltonian",
+        [
+            (DISC, PowerNorm(b=1.0, p=2.0)),
+            (LENS, PowerNorm(b=1.0, p=2.0)),
+            (LENS, AnisotropicPower(A=SymMatrix(ANISO_A), p=2.0)),
+        ],
+        ids=["disc", "lens-power", "lens-aniso"],
+    )
+    def test_agrees_with_zero_start(self, h, domain, hamiltonian):
+        prob = GridProblem(
+            operator=CoefficientLambdaN(ScalarField.constant(2.0)),
+            hamiltonian=hamiltonian,
+            params=MODEL,
+            domain=domain,
+            f=-1.0,
+        )
+        g = build_grid(domain, h, 8)
+        u_zero, _ = solve(prob, g, SolveControls(init="zeros"))
+        u, report = solve(prob, g)
+        gap = float(np.max(np.abs(u.values - u_zero.values)))
+        assert gap <= report.stop_residual
+
+    def test_fewer_newton_steps_on_the_disc(self):
+        g = build_grid(DISC, 1 / 32, 8)
+        _, zero = solve(BENCH, g, SolveControls(init="zeros"))
+        _, barrier = solve(BENCH, g)
+        assert barrier.iterations < zero.iterations
+        # the saving is all in the upwind stage; the polish is the same
+        assert barrier.upwind_steps < zero.upwind_steps
+        assert (
+            barrier.iterations - barrier.upwind_steps
+            == zero.iterations - zero.upwind_steps
+        )
+
+    def test_stage_split_is_reported(self, disc_h8):
+        _, report = solve(BENCH, disc_h8)
+        assert 0 < report.upwind_steps < report.iterations
+        _, jacobi = solve(
+            BENCH, disc_h8, SolveControls(tau=0.9 * report.tau_bound, tol=1e-6)
+        )
+        assert jacobi.upwind_steps == 0
+
+
 class TestSolveExactQuadratics:
     # the cut-cell second differences are exact on quadratics that vanish on
     # the circle, so these solves are limited only by the stop tolerance
@@ -1041,6 +1145,7 @@ class TestExports:
         _, report = bench_h16
         text = report_to_text(report)
         assert f"iterations: {report.iterations}\n" in text
+        assert f"upwind_steps: {report.upwind_steps}\n" in text
         assert f"tau: {report.tau:.17g}" in text
         assert f"residual_norm: {report.residual_norm:.17g}" in text
         assert "wall_time_s:" in text
