@@ -47,7 +47,10 @@ Jacobian (nonnegative off-diagonal slopes, weakly dominant negative
 diagonal), and LU without row exchanges is stable for M-matrices.  The
 centered first-order term breaks that sign pattern, so the polish
 Jacobians are not M-matrices; the threshold lets SuperLU pivot off the
-diagonal where a polish pivot is too small.  Passing an explicit ``tau``
+diagonal where a polish pivot is too small.  A step that moves the policy
+at a few nodes only, with the residual elsewhere below the stop, reuses the
+last factor through an exact low-rank row update (see ``_newton``).
+Passing an explicit ``tau``
 selects the scalar-step Jacobi iteration u <- u + tau (F_h[u] + H_h[u] - f)
 on the centered form instead; its update is simultaneous, so results do not
 depend on sweep order.
@@ -105,7 +108,8 @@ __all__ = [
 
 _TAU_SAFETY = 0.95
 # Newton steps per stage; the anisotropic lens at h = 1/64 needs 25 upwind
-# steps from the barrier (36 from zeros) and 16 polish steps
+# steps from the barrier (36 from zeros) and 16 polish steps, of which 20
+# factor their Jacobian and 21 reuse a factor
 _NEWTON_STEPS = 60
 
 
@@ -443,10 +447,14 @@ class SolveReport:
     """``tau`` is the explicit Jacobi step, or the largest stable scalar step
     0.95 / D_max; ``update_norm`` is tau times the final residual.
     ``upwind_steps`` counts the Newton steps of the upwind stage (0 in
-    Jacobi mode); the polish took ``iterations - upwind_steps``."""
+    Jacobi mode); the polish took ``iterations - upwind_steps``.
+    ``factorizations`` counts the LU factorizations of the Newton steps, and
+    ``policy_changes`` per step the nodes whose active policy it changed."""
 
     iterations: int
     upwind_steps: int
+    factorizations: int
+    policy_changes: tuple[int, ...]
     update_norm: float
     residual_norm: float
     tau: float
@@ -725,6 +733,51 @@ class _Scheme:
         f_h = self.operator_values(self.second_differences(v_ext))
         return f_h + self.hamiltonian_values(v_ext, upwind) - self.fvals
 
+    def residual_and_policy(
+        self, v_ext: np.ndarray, upwind: bool = False
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``residual`` and the active policy of ``jacobian`` at ``v_ext``
+        (see ``_policy``), from one pass of second differences."""
+        d2 = self.second_differences(v_ext)
+        f_h = self.operator_values(d2)
+        resid = f_h + self.hamiltonian_values(v_ext, upwind) - self.fvals
+        return resid, self._policy(v_ext, d2, upwind)
+
+    def _fan_policy(self, d2: np.ndarray) -> list:
+        """(slots, weight) pairs of the active fan directions at the second
+        differences ``d2``: the argmin for the ``wmin`` part and the argmax
+        for the ``wmax`` part, or the fixed split slots of a linear
+        diffusion."""
+        if self.lindeg_w is not None:
+            return list(zip(self.lin_slots, self.lindeg_w.T))
+        dop = d2[:, self.op_cols]
+        policy = []
+        if np.any(self.wmin != 0.0):
+            policy.append((self.op_cols[dop.argmin(axis=1)], self.wmin))
+        if np.any(self.wmax != 0.0):
+            policy.append((self.op_cols[dop.argmax(axis=1)], self.wmax))
+        return policy
+
+    def _policy(self, v_ext: np.ndarray, d2: np.ndarray, upwind: bool) -> np.ndarray:
+        """The choices behind ``jacobian``, one row per node: the active fan
+        slots, then with a gradient term the active arm of each upwind slot
+        (0 where m_k = 0, 1 plus, 2 minus) and whether the gradient is below
+        its cap.  Nodes with equal rows at two iterates have Jacobian rows
+        of the same form; only the gradient slopes differ."""
+        cols = []
+        if self.lindeg_w is None:
+            cols += [k for k, _ in self._fan_policy(d2)]
+        if self.ham and upwind:
+            m, minus = self.upwind_differences(v_ext)
+            cols += list(np.where(m > 0.0, 1 + minus, 0))
+            cols.append(self.up_c @ (m * m) < self.g_cap**2)
+        elif self.ham:
+            gx, gy = self.gradient(v_ext)
+            cols.append(gx * gx + gy * gy < self.g_cap**2)
+        if not cols:
+            return np.zeros((self.n, 0), dtype=np.int16)
+        return np.column_stack(cols).astype(np.int16)
+
     def jacobian(self, v_ext: np.ndarray, upwind: bool = False):
         """Sparse d(F_h + H_h)/du at ``v_ext`` under the active policy.
 
@@ -739,19 +792,10 @@ class _Scheme:
         from scipy.sparse import csr_matrix
 
         n, d, rows = self.n, self.d, np.arange(self.n)
-        if self.lindeg_w is not None:
-            policy = list(zip(self.lin_slots, self.lindeg_w.T))
-        else:
-            dop = self.second_differences(v_ext)[:, self.op_cols]
-            policy = []
-            if np.any(self.wmin != 0.0):
-                policy.append((self.op_cols[dop.argmin(axis=1)], self.wmin))
-            if np.any(self.wmax != 0.0):
-                policy.append((self.op_cols[dop.argmax(axis=1)], self.wmax))
         diag = np.zeros(n)
         cols: list[np.ndarray] = []
         vals: list[np.ndarray] = []
-        for k, w in policy:
+        for k, w in self._fan_policy(self.second_differences(v_ext)):
             cp, cm = self.cc_t[k, rows], self.cc_t[k + d, rows]
             cols += [self.idx_t[k, rows], self.idx_t[k + d, rows]]
             vals += [w * cp, w * cm]
@@ -924,6 +968,62 @@ def _initial_values(problem: GridProblem, grid: Grid2D, scheme, init: str):
     return -np.asarray(evaluate_barrier(barrier, grid.nodes_xy), dtype=float)
 
 
+class _StepLog:
+    """Per Newton step, the nodes whose policy it changed; and the
+    factorizations, counted over the stages of one solve."""
+
+    def __init__(self):
+        self.policy_changes: list[int] = []
+        self.factorizations = 0
+
+
+def _reuse_rows(lu, policy0, policy, resid, stop):
+    """The nodes whose policy differs from the factored Jacobian's, when the
+    next step may reuse that factor; otherwise None.
+
+    A step reuses the factor when every node with |residual| > ``stop`` is
+    among them, so the policy alone limits the step and the rest is solved
+    to the stop, and when there are at most ``lu.nnz // (2 n)`` of them:
+    about that many triangular solves cost one factorization.
+    """
+    if lu is None:
+        return None
+    rows = np.flatnonzero((policy != policy0).any(axis=1))
+    if rows.size > lu.nnz // (2 * resid.size):
+        return None
+    outside = np.abs(resid) > stop
+    outside[rows] = False
+    return None if outside.any() else rows
+
+
+def _row_update_solve(lu, jac0, jac, rows, rhs, cols):
+    """Solve J x = rhs, where J is ``jac0`` with its rows ``rows`` replaced by
+    those of ``jac``, from ``lu``, the factor of ``jac0``.
+
+    J = jac0 + E D with E the unit columns of ``rows`` and D = (jac -
+    jac0)[rows], so by the Woodbury identity (Hager, SIAM Review 31, 1989)
+    x = y - Z (I + D Z)^-1 D y with y = jac0^-1 rhs and Z = jac0^-1 E.
+    ``cols`` caches the columns of Z by node, one single right-hand-side
+    solve each, for the steps that share ``lu``.  A singular J gives NaN.
+    """
+    y = lu.solve(rhs)
+    for i in rows.tolist():
+        if i not in cols:
+            unit = np.zeros(rhs.size)
+            unit[i] = 1.0
+            cols[i] = lu.solve(unit)
+    z = [cols[i] for i in rows.tolist()]
+    d = jac[rows] - jac0[rows]
+    capacitance = np.eye(rows.size) + np.column_stack([d @ zi for zi in z])
+    try:
+        weights = np.linalg.solve(capacitance, d @ y)
+    except np.linalg.LinAlgError:  # J is singular
+        return np.full(rhs.size, np.nan)
+    for wi, zi in zip(weights, z):
+        y -= wi * zi
+    return y
+
+
 def _newton(
     scheme: _Scheme,
     v_ext: np.ndarray,
@@ -932,46 +1032,80 @@ def _newton(
     cap: int,
     history: list[float],
     upwind: bool,
+    log: _StepLog | None = None,
 ) -> tuple[np.ndarray, float, int]:
     """Semismooth Newton (policy-iteration) steps on one form of the scheme,
     counting on from ``steps`` until the count reaches ``cap``.
 
     Returns the iterate with the smallest residual seen, the start included,
     that residual, and the step count.  ``history`` gets the start residual
-    and the residual after each step.  Reaching ``stop`` ends the stage; so
-    does a non-finite residual, which the caller reports.
+    and the residual after each step, ``log`` the policy changes of each
+    step and the factorizations.  Reaching ``stop`` ends the stage; so does
+    a non-finite residual, which the caller reports.
 
-    Each step factors the Jacobian with symmetric-mode SuperLU (see the
-    module docstring): diagonal pivots, which the upwind M-matrix allows,
-    with a 0.1 threshold as the safety net for the centered polish.  A
-    Jacobian that factors as exactly singular raises ``NumericError`` with
-    the step count and the residual history.
+    A step factors its Jacobian with symmetric-mode SuperLU (see the module
+    docstring), or, when ``_reuse_rows`` allows, solves exactly with the
+    last factored Jacobian J0 after its rows at the nodes whose policy
+    changed are replaced by the current ones (``_row_update_solve``); J0's
+    other rows differ only in gradient slopes, where the residual is below
+    the stop.  A reused step that does not lower the max residual is
+    dropped and the step factors afresh.  The old factor, J0 and the cached
+    columns go before the next factorization, so one factor is alive at a
+    time.  A Jacobian that factors as exactly singular raises
+    ``NumericError`` with the step count and the residual history.
     """
     from scipy.sparse.linalg import splu
 
+    log = log if log is not None else _StepLog()
     n = scheme.n
-    resid = scheme.residual(v_ext, upwind)
+    resid, policy = scheme.residual_and_policy(v_ext, upwind)
     rmax = float(np.max(np.abs(resid)))
     history.append(rmax)
     best, best_r = v_ext, rmax
-    while steps < cap and rmax > stop and math.isfinite(rmax):
-        try:
-            # one expression, so no factor outlives its step
-            du = splu(
-                scheme.jacobian(v_ext, upwind).tocsc(),
-                permc_spec="MMD_AT_PLUS_A",
-                diag_pivot_thresh=0.1,
-                options=dict(SymmetricMode=True),
-            ).solve(-resid)
-        except RuntimeError as exc:
-            raise NumericError(
-                f"singular Newton Jacobian at step {steps + 1} ({exc})",
-                diagnostics={"iterations": steps, "residual_history": history},
-            ) from exc
-        steps += 1
-        v_ext = np.append(v_ext[:n] + du, 0.0)
+    lu = jac0 = policy0 = None
+    cols: dict[int, np.ndarray] = {}
+
+    def advance(du):
+        trial = np.append(v_ext[:n] + du, 0.0)
         with np.errstate(all="ignore"):
-            resid = scheme.residual(v_ext, upwind)
+            return (trial, *scheme.residual_and_policy(trial, upwind))
+
+    while steps < cap and rmax > stop and math.isfinite(rmax):
+        step = None
+        rows = _reuse_rows(lu, policy0, policy, resid, stop)
+        if rows is not None:
+            jac = scheme.jacobian(v_ext, upwind)
+            du = _row_update_solve(lu, jac0, jac, rows, -resid, cols)
+            del jac
+            step = advance(du)
+            # a reused step must lower the residual (a NaN one does not)
+            if not float(np.max(np.abs(step[1]))) < rmax:
+                step = None
+        if step is None:
+            lu = jac0 = None
+            cols.clear()
+            jac0, policy0 = scheme.jacobian(v_ext, upwind), policy
+            try:
+                lu = splu(
+                    jac0.tocsc(),
+                    permc_spec="MMD_AT_PLUS_A",
+                    diag_pivot_thresh=0.1,
+                    options=dict(SymmetricMode=True),
+                )
+            except RuntimeError as exc:
+                raise NumericError(
+                    f"singular Newton Jacobian at step {steps + 1} ({exc})",
+                    diagnostics={
+                        "iterations": steps,
+                        "residual_history": history,
+                        "policy_changes": log.policy_changes,
+                    },
+                ) from exc
+            log.factorizations += 1
+            step = advance(lu.solve(-resid))
+        steps += 1
+        log.policy_changes.append(int((step[2] != policy).any(axis=1).sum()))
+        v_ext, resid, policy = step
         rmax = float(np.max(np.abs(resid)))
         history.append(rmax)
         if rmax < best_r:
@@ -1054,14 +1188,17 @@ def solve(
 
     start = time.perf_counter()
     history: list[float] = []
+    log = _StepLog()
     if controls.tau is None:
         cap = min(_NEWTON_STEPS, controls.max_iter)
-        v_ext, rmax, iterations = _newton(scheme, v_ext, stop, 0, cap, history, True)
+        v_ext, rmax, iterations = _newton(
+            scheme, v_ext, stop, 0, cap, history, True, log
+        )
         upwind_steps = iterations
         if math.isfinite(history[-1]):
             cap = min(iterations + _NEWTON_STEPS, controls.max_iter)
             v_ext, rmax, iterations = _newton(
-                scheme, v_ext, stop, iterations, cap, history, False
+                scheme, v_ext, stop, iterations, cap, history, False, log
             )
     else:
         upwind_steps = 0
@@ -1071,7 +1208,10 @@ def solve(
     if not math.isfinite(history[-1]):
         raise NumericError(
             "iteration blew up (non-finite residual)",
-            diagnostics={"iterations": iterations},
+            diagnostics={
+                "iterations": iterations,
+                "policy_changes": log.policy_changes,
+            },
         )
     if rmax > stop:
         raise NumericError(
@@ -1081,6 +1221,7 @@ def solve(
                 "iterations": iterations,
                 "residual": rmax,
                 "residual_history": history,
+                "policy_changes": log.policy_changes,
             },
         )
     wall = time.perf_counter() - start
@@ -1089,6 +1230,8 @@ def solve(
     report = SolveReport(
         iterations=iterations,
         upwind_steps=upwind_steps,
+        factorizations=log.factorizations,
+        policy_changes=tuple(log.policy_changes),
         update_norm=tau * rmax,
         residual_norm=rmax,
         tau=tau,
@@ -1144,6 +1287,8 @@ def report_to_text(report: SolveReport) -> str:
     lines = [
         f"iterations: {report.iterations}",
         f"upwind_steps: {report.upwind_steps}",
+        f"factorizations: {report.factorizations}",
+        "policy_changes: " + " ".join(map(str, report.policy_changes)),
         f"tau: {report.tau:.17g}",
         f"tau_bound: {report.tau_bound:.17g}",
         f"k_factor: {report.k_factor:.17g}",

@@ -387,6 +387,7 @@ class TestSolve:
         assert "solved" in out and "residual" in out
         report = (out_dir / "report.txt").read_text()
         assert "iterations:" in report and "upwind_steps:" in report
+        assert "factorizations:" in report and "policy_changes:" in report
         data = np.loadtxt(out_dir / "solution.csv", delimiter=",", skiprows=2)
         assert data.shape[1] == 3
         assert np.all(data[:, 2] >= 0.0)

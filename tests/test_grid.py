@@ -614,6 +614,157 @@ class TestUpwindMonotone:
         assert np.all(solutions[0] >= solutions[1] - 1e-9)
 
 
+def _aniso_lens(h):
+    problem = _lens_problem(0.3, AnisotropicPower(SymMatrix(ANISO_A), p=2.0), -1.0)
+    return problem, build_grid(problem.domain, h, 8)
+
+
+class TestFactorReuse:
+    """Newton steps whose policy moved at a few nodes reuse the last LU
+    factor through a low-rank row update instead of factoring afresh."""
+
+    @pytest.mark.parametrize("upwind", [True, False], ids=["upwind", "centered"])
+    def test_row_update_matches_direct_solve(self, upwind):
+        from scipy.sparse.linalg import splu, spsolve
+
+        problem, grid = _aniso_lens(1 / 16)
+        scheme = _Scheme(problem, grid)
+        v0 = np.append(
+            grid_module._initial_values(problem, grid, scheme, "barrier"), 0.0
+        )
+        r0, policy0 = scheme.residual_and_policy(v0, upwind)
+        jac0 = scheme.jacobian(v0, upwind)
+        v1 = np.append(v0[:-1] + spsolve(jac0.tocsc(), -r0), 0.0)
+        r1, policy1 = scheme.residual_and_policy(v1, upwind)
+        jac1 = scheme.jacobian(v1, upwind)
+        changed = np.flatnonzero((policy0 != policy1).any(axis=1))
+        assert changed.size > 20
+        lu = splu(jac0.tocsc())
+        cols: dict = {}
+        # a smaller set first, so the second solve reuses cached columns
+        for rows in (changed[::3], changed):
+            x = grid_module._row_update_solve(lu, jac0, jac1, rows, -r1, cols)
+            mixed = jac0.tolil()
+            mixed[rows] = jac1[rows]
+            ref = spsolve(mixed.tocsc(), -r1)
+            assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert sorted(cols) == changed.tolist()
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        offset=st.floats(0.0, 0.5),
+        h=st.sampled_from([1 / 8, 1 / 12, 1 / 16]),
+        ham=HAMILTONIANS,
+        scale=st.floats(0.01, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_mixed_upwind_rows_keep_the_m_matrix(self, offset, h, ham, scale, seed):
+        """A reused upwind step solves with rows of Jacobians taken at two
+        iterates.  Each row keeps the sign pattern and weak dominance, so the
+        mixed matrix is still a nonsingular M-matrix: -J^-1 is nonnegative."""
+        from scipy.sparse.linalg import spsolve
+
+        problem = _lens_problem(offset, ham, -1.0)
+        grid = build_grid(problem.domain, h, 8)
+        scheme = _Scheme(problem, grid)
+        rng = np.random.default_rng(seed)
+        n = grid.n_nodes
+        v0, v1 = (np.append(rng.normal(scale=scale, size=n), 0.0) for _ in "01")
+        rows = rng.choice(n, size=rng.integers(1, n), replace=False)
+        mixed = scheme.jacobian(v0, upwind=True).tolil()
+        mixed[rows] = scheme.jacobian(v1, upwind=True)[rows]
+        jac = mixed.tocoo()
+        off = jac.row != jac.col
+        assert np.all(jac.data[off] >= 0.0)
+        assert np.all(jac.diagonal() < 0.0)
+        sums = np.asarray(jac.sum(axis=1)).ravel()
+        row_scale = np.asarray(abs(jac).sum(axis=1)).ravel()
+        assert np.all(sums <= 1e-12 * row_scale)
+        x = spsolve(jac.tocsc(), -np.ones(n))
+        assert np.all(x >= -1e-12 * np.max(np.abs(x)))
+
+    @pytest.mark.parametrize(
+        "ham",
+        [PowerNorm(b=4.0, p=2.0), AnisotropicPower(SymMatrix(ANISO_A), p=2.0)],
+        ids=["power", "aniso"],
+    )
+    def test_rows_with_an_unchanged_policy_are_affine(self, disc_h8, ham):
+        """At p = 2 an upwind Jacobian row is affine in the iterate while the
+        row's policy holds; a reused step keeps such rows from J0.  Scaling
+        the iterate keeps every fan and arm choice and moves nodes across
+        the gradient cap only, so the cap must count as policy."""
+        params = Params(beta=1.0, b=4.0, p=2.0, M=1.0)
+        operator = CoefficientLambdaN(ScalarField.constant(2.0))
+        problem = GridProblem(operator, ham, params, DISC, -0.1)
+        scheme = _Scheme(problem, disc_h8)
+        rng = np.random.default_rng(1)
+        v = np.append(rng.normal(scale=0.03, size=disc_h8.n_nodes), 0.0)
+        jac = {s: scheme.jacobian(s * v, upwind=True).toarray() for s in (1, 1.5, 2)}
+        _, lo = scheme.residual_and_policy(v, upwind=True)
+        _, hi = scheme.residual_and_policy(2 * v, upwind=True)
+        same = (lo == hi).all(axis=1)
+        assert 0 < (~same).sum() < same.sum()
+        mid = (jac[1] + jac[2]) / 2
+        scale = np.abs(mid).max()
+        assert np.max(np.abs(jac[1.5] - mid)[same]) <= 1e-12 * scale
+
+    def test_rejected_reuse_refactors_at_the_same_iterate(self, monkeypatch):
+        # a reused step that does not lower the residual is dropped and not
+        # counted: the solve matches the one that never reuses a factor
+        problem, grid = _aniso_lens(1 / 16)
+        monkeypatch.setattr(grid_module, "_reuse_rows", lambda *args: None)
+        u_fresh, fresh = solve(problem, grid)
+        monkeypatch.undo()
+        attempts = []
+
+        def useless(lu, jac0, jac, rows, rhs, cols):
+            attempts.append(rows.size)
+            return np.zeros(rhs.size)
+
+        monkeypatch.setattr(grid_module, "_row_update_solve", useless)
+        u, report = solve(problem, grid)
+        assert attempts
+        assert report.factorizations == report.iterations == fresh.iterations
+        assert report.policy_changes == fresh.policy_changes
+        assert np.array_equal(u.values, u_fresh.values)
+
+    def test_fewer_factorizations_than_steps(self, monkeypatch):
+        problem, grid = _aniso_lens(1 / 32)
+        u, report = solve(problem, grid)
+        assert report.factorizations < report.iterations
+        assert len(report.policy_changes) == report.iterations
+        monkeypatch.setattr(grid_module, "_reuse_rows", lambda *args: None)
+        u_fresh, fresh = solve(problem, grid)
+        assert fresh.factorizations == fresh.iterations == report.iterations
+        assert fresh.upwind_steps == report.upwind_steps
+        gap = float(np.max(np.abs(u.values - u_fresh.values)))
+        assert gap <= report.stop_residual
+
+    def test_reuse_needs_the_residual_inside_the_changed_rows(self):
+        from scipy.sparse.linalg import splu
+
+        problem, grid = _aniso_lens(1 / 16)
+        scheme = _Scheme(problem, grid)
+        v = np.append(np.zeros(grid.n_nodes), 0.0)
+        resid, policy = scheme.residual_and_policy(v, True)
+        lu = splu(scheme.jacobian(v, True).tocsc())
+        moved = policy.copy()
+        moved[[3, 7]] += 1
+        small = np.zeros(grid.n_nodes)
+        small[[3, 7]] = 1.0
+        assert list(grid_module._reuse_rows(lu, policy, moved, small, 0.5)) == [3, 7]
+        # a residual above the stop outside the changed rows
+        small[11] = 1.0
+        assert grid_module._reuse_rows(lu, policy, moved, small, 0.5) is None
+        # more changed rows than lu.nnz // (2 n) triangular solves are worth
+        budget = lu.nnz // (2 * grid.n_nodes)
+        many = policy.copy()
+        many[: budget + 1] += 1
+        quiet = np.zeros(grid.n_nodes)
+        assert grid_module._reuse_rows(lu, policy, many, quiet, 0.5) is None
+        assert grid_module._reuse_rows(None, policy, moved, small, 0.5) is None
+
+
 class TestSolve:
     def test_benchmark_center_value(self, bench_h16):
         u, report = bench_h16
@@ -723,6 +874,7 @@ class TestSolve:
             solve(BENCH, disc_h8)
         diag = err.value.diagnostics
         history = diag["residual_history"]
+        assert len(diag["policy_changes"]) == diag["iterations"]
         if singular_form == "upwind":
             assert diag["iterations"] == 0
             assert len(history) == 1
@@ -865,6 +1017,7 @@ class TestSolve:
         # each stage's start residual, then one per Newton step
         history = diag["residual_history"]
         assert len(history) == 2 * (1 + 2)
+        assert len(diag["policy_changes"]) == 4
         assert diag["residual"] == min(history[3:]) > 2e-5
 
     def test_non_dominant_anisotropy_refused(self, disc_h8):
@@ -970,6 +1123,7 @@ class TestBarrierStart:
             BENCH, disc_h8, SolveControls(tau=0.9 * report.tau_bound, tol=1e-6)
         )
         assert jacobi.upwind_steps == 0
+        assert jacobi.factorizations == 0 and jacobi.policy_changes == ()
 
 
 class TestSolveExactQuadratics:
@@ -1146,6 +1300,10 @@ class TestExports:
         text = report_to_text(report)
         assert f"iterations: {report.iterations}\n" in text
         assert f"upwind_steps: {report.upwind_steps}\n" in text
+        assert f"factorizations: {report.factorizations}\n" in text
+        changes = " ".join(map(str, report.policy_changes))
+        assert f"policy_changes: {changes}\n" in text
+        assert len(report.policy_changes) == report.iterations > 0
         assert f"tau: {report.tau:.17g}" in text
         assert f"residual_norm: {report.residual_norm:.17g}" in text
         assert "wall_time_s:" in text
