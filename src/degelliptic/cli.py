@@ -119,7 +119,6 @@ class RunConfig:
     # grid solver controls
     h: float
     K: int
-    tau: float | None
     tol: float
     max_iter: int
     init: str
@@ -165,8 +164,8 @@ DEFAULTS: dict[str, dict[str, str]] = {
         "kind": "Lambda1",
     },
     "barrier": {"upper_m": "1.0", "lower_k": "1.0"},
-    "solver": {"h": "0.0625", "K": "8", "tau": "", "tol": "1e-05",
-               "max_iter": "500000", "init": "barrier"},
+    "solver": {"h": "0.0625", "K": "8", "tol": "1e-05", "max_iter": "120",
+               "init": "barrier"},
     "verify": {"radii": "0.2, 0.5, 0.8", "tolerance": "1e-06",
                "sigma": "0.9", "epsilon": "0.1"},
     "sweep": {"R_values": ""},
@@ -209,10 +208,6 @@ _CODECS = {
     int: (_parse_int, str),
     # float() first, so numpy floats serialize as plain numbers
     float: (_parse_float, lambda value: repr(float(value))),
-    float | None: (
-        lambda where, raw: _parse_float(where, raw) if raw else None,
-        lambda value: "" if value is None else repr(float(value)),
-    ),
     tuple[float, ...]: (_parse_floats, _format_floats),
     tuple[tuple[float, ...], ...]: (
         _parse_rows,
@@ -479,9 +474,7 @@ def cmd_barrier(cfg: RunConfig):
 def cmd_solve(cfg: RunConfig):
     problem = _grid_problem(cfg)
     grid = build_grid(problem.domain, cfg.h, cfg.K)
-    controls = SolveControls(
-        tau=cfg.tau, tol=cfg.tol, max_iter=cfg.max_iter, init=cfg.init
-    )
+    controls = SolveControls(tol=cfg.tol, max_iter=cfg.max_iter, init=cfg.init)
     u, report = solve(problem, grid, controls)
     lines = [
         f"solved {grid.n_nodes} nodes in {report.iterations} iterations"

@@ -50,10 +50,6 @@ Jacobians are not M-matrices; the threshold lets SuperLU pivot off the
 diagonal where a polish pivot is too small.  A step that moves the policy
 at a few nodes only, with the residual elsewhere below the stop, reuses the
 last factor through an exact low-rank row update (see ``_newton``).
-Passing an explicit ``tau``
-selects the scalar-step Jacobi iteration u <- u + tau (F_h[u] + H_h[u] - f)
-on the centered form instead; its update is simultaneous, so results do not
-depend on sweep order.
 """
 
 from __future__ import annotations
@@ -106,7 +102,6 @@ __all__ = [
     "report_to_text",
 ]
 
-_TAU_SAFETY = 0.95
 # Newton steps per stage; the anisotropic lens at h = 1/64 needs 25 upwind
 # steps from the barrier (36 from zeros) and 16 polish steps, of which 20
 # factor their Jacobian and 21 reuse a factor
@@ -420,20 +415,16 @@ class GridProblem:
 
 @dataclass(frozen=True)
 class SolveControls:
-    """Explicit Jacobi step (None = Newton: an upwind stage, then a centered
-    polish), stopping tolerance on the scaled residual, cap on the Newton
-    steps of both stages or on the Jacobi sweeps, and initial iterate:
+    """Stopping tolerance on the scaled residual, cap on the Newton steps of
+    both stages (upwind, then centered polish), and initial iterate:
     "barrier" (the supersolution with a gradient term, the paraboloid
     envelope without one) or "zeros"."""
 
-    tau: float | None = None
     tol: float = 1e-5
-    max_iter: int = 500_000
+    max_iter: int = 2 * _NEWTON_STEPS
     init: str = "barrier"
 
     def __post_init__(self):
-        if self.tau is not None and not (self.tau > 0 and math.isfinite(self.tau)):
-            raise ConfigError("tau must be positive and finite")
         if not (self.tol > 0 and math.isfinite(self.tol)):
             raise ConfigError("tolerance must be positive")
         if self.max_iter < 0:
@@ -444,23 +435,18 @@ class SolveControls:
 
 @dataclass(frozen=True)
 class SolveReport:
-    """``tau`` is the explicit Jacobi step, or the largest stable scalar step
-    0.95 / D_max; ``update_norm`` is tau times the final residual.
-    ``upwind_steps`` counts the Newton steps of the upwind stage (0 in
-    Jacobi mode); the polish took ``iterations - upwind_steps``.
-    ``factorizations`` counts the LU factorizations of the Newton steps, and
-    ``policy_changes`` per step the nodes whose active policy it changed."""
+    """``upwind_steps`` counts the Newton steps of the upwind stage; the
+    polish took ``iterations - upwind_steps``.  ``factorizations`` counts
+    the LU factorizations of the Newton steps, and ``policy_changes`` per
+    step the nodes whose active policy it changed.  ``d_max`` is the largest
+    per-node bound on the diagonal slope |d(F_h + H_h)/du_0|."""
 
     iterations: int
     upwind_steps: int
     factorizations: int
     policy_changes: tuple[int, ...]
-    update_norm: float
     residual_norm: float
-    tau: float
     wall_time: float
-    tau_bound: float
-    k_factor: float
     d_max: float
     f_sup: float
     stop_residual: float
@@ -548,8 +534,8 @@ class _Scheme:
 
         self._setup_hamiltonian(problem.hamiltonian)
 
-        # exact per-node bound on |d(F_h + H_h)/du_0|; its maximum sets the
-        # stability bound of the explicit Jacobi step
+        # exact per-node bound on |d(F_h + H_h)/du_0|, for the refusal of a
+        # node with no diagonal slope and for the report's d_max
         if self.lindeg_w is not None:
             d_f = np.einsum("ij,ij->i", self.lindeg_w, self.c0[:, self.lin_slots])
         else:
@@ -1113,31 +1099,6 @@ def _newton(
     return best, best_r, steps
 
 
-def _jacobi(
-    scheme: _Scheme,
-    v_ext: np.ndarray,
-    stop: float,
-    tau: float,
-    max_iter: int,
-    history: list[float],
-) -> tuple[np.ndarray, float, int]:
-    """Scalar-step Jacobi ``u <- u + tau * (F_h[u] + H_h[u] - f)`` on the
-    centered form until ``stop`` or ``max_iter`` sweeps; ``history`` gets
-    about 256 residuals spread over the cap, and the last one."""
-    stride = max(1, max_iter // 256)
-    iterations = 0
-    while True:
-        resid = scheme.residual(v_ext)
-        rmax = float(np.max(np.abs(resid)))
-        if not math.isfinite(rmax) or rmax <= stop or iterations >= max_iter:
-            history.append(rmax)
-            return v_ext, rmax, iterations
-        if iterations % stride == 0:
-            history.append(rmax)
-        v_ext[: scheme.n] += tau * resid
-        iterations += 1
-
-
 def solve(
     problem: GridProblem,
     grid: Grid2D,
@@ -1146,40 +1107,22 @@ def solve(
     """Solve to the discrete solution; stop when the residual max-norm falls
     below tol*(1 + sup|f|).
 
-    With no explicit tau the solve takes semismooth Newton (policy
-    iteration) steps in two stages, each capped at ``_NEWTON_STEPS``.  The
-    first works on the upwind form of the first-order term; that form is
-    degenerate elliptic, and Newton reaches its solution from the initial
-    iterate.  The second (the polish) works on the centered form, from the
-    best upwind iterate.  The result solves the centered scheme; the upwind
-    stage picks which centered solution that is and starts Newton close
-    enough to it.  Passing ``tau`` selects the literal scalar-step Jacobi
-    iteration on the centered form instead.  Both start from
-    ``controls.init``; the default barrier start puts the upwind stage
-    within a few steps of its solution on a disc.
-    ``iterations`` counts the Newton steps of both stages, or the Jacobi
-    sweeps, and ``max_iter`` caps it; ``upwind_steps`` is the upwind
-    stage's share.  ``tau`` reports the explicit step, or without one the
-    largest stable scalar step 0.95 / D_max.  An unmet stop
-    raises ``NumericError`` with the iterations, the residual and the
-    residual history (the start residual of each stage or run, then one per
-    Newton step, or about 256 spread over the Jacobi sweeps).
+    Semismooth Newton (policy iteration) steps in two stages, each capped
+    at ``_NEWTON_STEPS``.  The first works on the upwind form of the
+    first-order term; that form is degenerate elliptic, and Newton reaches
+    its solution from ``controls.init`` (the default barrier start is within
+    a few steps of it on a disc).  The second (the polish) works on the
+    centered form, from the best upwind iterate, so the result solves the
+    centered scheme; the upwind stage picks which centered solution that is
+    and starts Newton close enough to it.  ``iterations`` counts the steps
+    of both stages, and ``max_iter`` caps it; ``upwind_steps`` is the upwind
+    stage's share.  An unmet stop raises ``NumericError`` with the
+    iterations, the residual and the residual history (the start residual
+    of each stage, then one per step).
     """
     controls = controls or SolveControls()
     scheme = _Scheme(problem, grid)
     _check_envelope(problem, scheme)
-
-    tau_bound = 1.0 / scheme.d_max
-    if controls.tau is None:
-        tau = _TAU_SAFETY * tau_bound
-    elif controls.tau > tau_bound * (1.0 + 1e-12):
-        raise ConfigError(
-            f"tau = {controls.tau:g} violates the stability bound"
-            f" {tau_bound:g}"
-        )
-    else:
-        tau = controls.tau
-    k_factor = grid.h**2 * scheme.d_max / (4.0 * problem.params.beta)
 
     stop = controls.tol * (1.0 + scheme.f_sup)
     n = grid.n_nodes
@@ -1189,21 +1132,15 @@ def solve(
     start = time.perf_counter()
     history: list[float] = []
     log = _StepLog()
-    if controls.tau is None:
-        cap = min(_NEWTON_STEPS, controls.max_iter)
+    cap = min(_NEWTON_STEPS, controls.max_iter)
+    v_ext, rmax, iterations = _newton(
+        scheme, v_ext, stop, 0, cap, history, True, log
+    )
+    upwind_steps = iterations
+    if math.isfinite(history[-1]):
+        cap = min(iterations + _NEWTON_STEPS, controls.max_iter)
         v_ext, rmax, iterations = _newton(
-            scheme, v_ext, stop, 0, cap, history, True, log
-        )
-        upwind_steps = iterations
-        if math.isfinite(history[-1]):
-            cap = min(iterations + _NEWTON_STEPS, controls.max_iter)
-            v_ext, rmax, iterations = _newton(
-                scheme, v_ext, stop, iterations, cap, history, False, log
-            )
-    else:
-        upwind_steps = 0
-        v_ext, rmax, iterations = _jacobi(
-            scheme, v_ext, stop, tau, controls.max_iter, history
+            scheme, v_ext, stop, iterations, cap, history, False, log
         )
     if not math.isfinite(history[-1]):
         raise NumericError(
@@ -1232,12 +1169,8 @@ def solve(
         upwind_steps=upwind_steps,
         factorizations=log.factorizations,
         policy_changes=tuple(log.policy_changes),
-        update_norm=tau * rmax,
         residual_norm=rmax,
-        tau=tau,
         wall_time=wall,
-        tau_bound=tau_bound,
-        k_factor=k_factor,
         d_max=scheme.d_max,
         f_sup=scheme.f_sup,
         stop_residual=stop,
@@ -1253,14 +1186,16 @@ def sweep(
     tau: float,
     steps: int = 1,
 ) -> np.ndarray:
-    """Apply ``steps`` damped Jacobi updates to raw node values."""
+    """Apply ``steps`` simultaneous updates u <- u + tau (F_h[u] + H_h[u] - f)
+    on the centered form; the scheme set-up and residual probes of
+    ``perfbench/run.py`` call it with ``tau = 0``."""
+    v_ext = GridFunction(grid=grid, values=values).extended()
+    if not (math.isfinite(tau) and tau >= 0.0 and steps >= 0):
+        raise ConfigError("sweep needs a finite tau >= 0 and steps >= 0")
     scheme = _Scheme(problem, grid)
-    n = grid.n_nodes
-    v_ext = np.zeros(n + 1)
-    v_ext[:n] = np.asarray(values, dtype=float)
     for _ in range(steps):
-        v_ext[:n] += tau * scheme.residual(v_ext)
-    return v_ext[:n].copy()
+        v_ext[: grid.n_nodes] += tau * scheme.residual(v_ext)
+    return v_ext[: grid.n_nodes].copy()
 
 
 def residual_norm(problem: GridProblem, u: GridFunction) -> float:
@@ -1289,10 +1224,6 @@ def report_to_text(report: SolveReport) -> str:
         f"upwind_steps: {report.upwind_steps}",
         f"factorizations: {report.factorizations}",
         "policy_changes: " + " ".join(map(str, report.policy_changes)),
-        f"tau: {report.tau:.17g}",
-        f"tau_bound: {report.tau_bound:.17g}",
-        f"k_factor: {report.k_factor:.17g}",
-        f"update_norm: {report.update_norm:.17g}",
         f"residual_norm: {report.residual_norm:.17g}",
         f"stop_residual: {report.stop_residual:.17g}",
         f"init: {report.init}",

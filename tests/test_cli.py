@@ -65,7 +65,7 @@ class TestConfigParsing:
         assert cfg.out == "out"
         assert cfg.beta == 1.0 and cfg.M == 1.0
         assert cfg.h == 0.0625 and cfg.K == 8
-        assert cfg.tau is None
+        assert cfg.tol == 1e-05 and cfg.max_iter == 120
         assert cfg.centers == ((0.0, 0.0),)
         assert cfg.radii == (0.2, 0.5, 0.8)
         assert cfg.R_values == ()
@@ -73,7 +73,7 @@ class TestConfigParsing:
     def test_round_trip_identity(self):
         text = MODEL_INI + (
             "\n[domain]\nradius = 0.7\ncenters = -0.3, 0.0; 0.3, 0.0\n"
-            "\n[solver]\ntau = 0.001\ntol = 1e-07\n"
+            "\n[solver]\ntol = 1e-07\nmax_iter = 40\n"
             "\n[sweep]\nR_values = 0.9, 1.0, 1.1\n"
         )
         cfg = parse_config(text)
@@ -85,10 +85,10 @@ class TestConfigParsing:
 
     def test_numpy_floats_serialize_as_plain_numbers(self):
         cfg = dataclasses.replace(
-            parse_config(""), beta=np.float64(2.0), tau=np.float64(0.001)
+            parse_config(""), beta=np.float64(2.0), tol=np.float64(0.001)
         )
         text = serialize_config(cfg)
-        assert "beta = 2.0\n" in text and "tau = 0.001\n" in text
+        assert "beta = 2.0\n" in text and "tol = 0.001\n" in text
         assert parse_config(text) == cfg
 
     def test_keys_are_case_sensitive(self):
@@ -111,10 +111,16 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="unknown command"):
             parse_config("[run]\ncommand = dance\n")
 
-    def test_rows_and_tau(self):
-        cfg = parse_config("[problem]\nrows = 1, 0; 0.4, 0.8\n[solver]\ntau = 0.01\n")
+    def test_rows_and_tau(self, tmp_path, capsys):
+        cfg = parse_config("[problem]\nrows = 1, 0; 0.4, 0.8\n")
         assert cfg.rows == ((1.0, 0.0), (0.4, 0.8))
-        assert cfg.tau == 0.01
+        # there is no explicit-step solver, so tau is an unknown key
+        with pytest.raises(ConfigError, match=r"unknown config key \[solver\] tau"):
+            parse_config("[solver]\ntau = 0.01\n")
+        path = write_config(tmp_path, MODEL_INI + "[solver]\ntau = 0.01\n")
+        code, _, err = run_cli(capsys, "solve", "--config", path)
+        assert code == 2
+        assert "unknown config key [solver] tau" in err
 
     def test_syntax_error(self):
         with pytest.raises(ConfigError, match="syntax"):
@@ -152,7 +158,6 @@ def _field_strategy(name, kind):
         str: st.text(string.ascii_letters + string.digits + "_./-", max_size=12),
         int: st.integers(),
         float: floats,
-        float | None: st.none() | floats,
         tuple[float, ...]: st.lists(floats, max_size=4).map(tuple),
         tuple[tuple[float, ...], ...]: rows,
     }[kind]

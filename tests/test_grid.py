@@ -418,6 +418,36 @@ class TestDiscreteOperator:
         with pytest.raises(UnsupportedDiscretizationError):
             discrete_operator(spec, u, (0.0, 0.0))
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            LambdaK(1),
+            LambdaK(2),
+            MinMax(),
+            WeightedEigenvalues((0.5, 1.5)),
+            CoefficientLambdaN(
+                ScalarField(fn=lambda x: 2.0 + x[..., 0], lower=1.0, upper=3.0)
+            ),
+            LinearDegenerate(MatrixField.constant([[1.0, 0.0], [0.4, 0.8]])),
+        ],
+        ids=["lambda1", "lambda2", "minmax", "weighted", "coefficient", "lindeg"],
+    )
+    def test_agrees_with_scheme(self, spec):
+        # the public per-node operator repeats _Scheme's dispatch; on a random
+        # lens field (values up to about 2e4 at the cut cells) they agree to
+        # rounding, measured 3.6e-12 at most
+        g = build_grid(LENS, 1 / 8, 8)
+        u = GridFunction(
+            grid=g, values=np.random.default_rng(11).normal(size=g.n_nodes)
+        )
+        prob = GridProblem(
+            operator=spec, hamiltonian=None, params=MODEL, domain=LENS, f=0.0
+        )
+        scheme = _Scheme(prob, g)
+        want = scheme.operator_values(scheme.second_differences(u.extended()))
+        got = [discrete_operator(spec, u, i) for i in range(g.n_nodes)]
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
 
 class TestMonotonicity:
     @pytest.mark.parametrize(
@@ -775,7 +805,6 @@ class TestSolve:
         u, report = bench_h16
         assert report.residual_norm <= report.stop_residual
         assert report.stop_residual == pytest.approx(1e-5 * 2.0, rel=1e-12)
-        assert report.update_norm <= report.stop_residual
 
     def test_report_residual_matches_recomputation(self, bench_h16):
         u, report = bench_h16
@@ -783,13 +812,7 @@ class TestSolve:
 
     def test_report_stability_quantities(self, bench_h16):
         _, report = bench_h16
-        assert report.tau == pytest.approx(0.95 * report.tau_bound, rel=1e-12)
-        assert report.tau_bound == pytest.approx(1.0 / report.d_max, rel=1e-12)
-        # tau_bound = h^2 / (4 beta k_factor) by construction
-        h = 1 / 16
-        assert report.tau_bound == pytest.approx(
-            h**2 / (4.0 * MODEL.beta * report.k_factor), rel=1e-12
-        )
+        assert report.d_max > 0.0
         assert report.wall_time > 0.0
 
     def test_zero_forcing_zero_fixed_point(self, disc_h8):
@@ -804,24 +827,17 @@ class TestSolve:
         assert report.iterations == 0
         assert np.all(u.values == 0.0)
 
-    def test_scalar_tau_mode_matches_nodewise(self, disc_h8):
-        u_auto, rep = solve(BENCH, disc_h8, SolveControls(tol=1e-6))
-        u_scalar, rep_s = solve(
-            BENCH, disc_h8, SolveControls(tau=0.9 * rep.tau_bound, tol=1e-6)
-        )
-        assert rep_s.tau == pytest.approx(0.9 * rep.tau_bound, rel=1e-12)
-        assert float(np.max(np.abs(u_auto.values - u_scalar.values))) <= 1e-5
-
     def test_barrier_init_matches_zero_init(self, disc_h8):
         u_zero, _ = solve(BENCH, disc_h8, SolveControls(tol=1e-6, init="zeros"))
         u_bar, rep = solve(BENCH, disc_h8, SolveControls(tol=1e-6, init="barrier"))
         assert rep.init == "barrier"
         assert float(np.max(np.abs(u_zero.values - u_bar.values))) <= 1e-5
 
-    def test_tau_beyond_stability_bound_rejected(self, disc_h8):
-        _, rep = solve(BENCH, disc_h8)
-        with pytest.raises(ConfigError, match="stability bound"):
-            solve(BENCH, disc_h8, SolveControls(tau=2.0 * rep.tau_bound))
+    def test_tau_control_refused(self):
+        # Newton is the only solver; there is no explicit step to set
+        with pytest.raises(TypeError, match="tau"):
+            SolveControls(tau=0.01)
+        assert SolveControls().max_iter == 2 * grid_module._NEWTON_STEPS
 
     def test_max_iter_raises_with_history(self, disc_h8):
         # five steps from zeros cannot solve the disc
@@ -1032,6 +1048,37 @@ class TestSolve:
             solve(prob, disc_h8)
 
 
+def _small_disc(eps):
+    return GridProblem(
+        operator=CoefficientLambdaN(ScalarField.constant(2.0)),
+        hamiltonian=PowerNorm(b=1.0, p=2.0),
+        params=MODEL,
+        domain=ConvexDomain(radius=0.5 + eps, centers=((0.0, 0.0),)),
+        f=-1.0,
+    )
+
+
+class TestNearBoundaryNodes:
+    # on a disc of radius 0.5 + eps the lattice nodes at distance 0.5 lie
+    # eps inside the boundary; their cut arms have length eps, so the slope
+    # bound d_max grows like 1/eps (7.6e15 at eps = 1e-14, h = 1/16)
+
+    @pytest.mark.parametrize("h", [1 / 16, 1 / 64])
+    def test_solves_and_center_moves_by_at_most_eps(self, h):
+        prob0 = _small_disc(0.0)
+        u0, _ = solve(prob0, build_grid(prob0.domain, h, 8))
+        for eps in (1e-3, 1e-8, 1e-14):
+            prob = _small_disc(eps)
+            u, rep = solve(prob, build_grid(prob.domain, h, 8))
+            assert rep.d_max * eps >= 10.0
+            # measured: 2-3 upwind and 1-2 polish steps, 3 factorizations
+            assert rep.upwind_steps <= 5
+            assert rep.iterations - rep.upwind_steps <= 5
+            # measured: the center moves by about 0.27 eps
+            gap = abs(u.value_at((0.0, 0.0)) - u0.value_at((0.0, 0.0)))
+            assert gap <= eps
+
+
 class TestBarrierStart:
     # the default initial iterate is the paper's barrier: the supersolution
     # with a gradient term, the paraboloid envelope without one
@@ -1119,11 +1166,6 @@ class TestBarrierStart:
     def test_stage_split_is_reported(self, disc_h8):
         _, report = solve(BENCH, disc_h8)
         assert 0 < report.upwind_steps < report.iterations
-        _, jacobi = solve(
-            BENCH, disc_h8, SolveControls(tau=0.9 * report.tau_bound, tol=1e-6)
-        )
-        assert jacobi.upwind_steps == 0
-        assert jacobi.factorizations == 0 and jacobi.policy_changes == ()
 
 
 class TestSolveExactQuadratics:
@@ -1225,7 +1267,7 @@ class TestComparison:
         res_u = scheme.residual(np.append(shrunk, 0.0))
         # the scaled field is a strict discrete subsolution
         assert float(np.min(res_u - res_v)) >= 5e-3
-        tau = 0.9 * rep.tau_bound
+        tau = 0.9 / rep.d_max
         u_k, v_k = shrunk, v.values.copy()
         for _ in range(20):
             u_k = sweep(BENCH, disc_h8, u_k, tau, steps=10)
@@ -1241,6 +1283,27 @@ class TestComparison:
         assert np.allclose(
             sweep(BENCH, disc_h8, vals, tau), expect, rtol=0, atol=1e-15
         )
+
+    @pytest.mark.parametrize(
+        "values, tau, steps, match",
+        [
+            (lambda n: 0.3, 0.0, 0, "node values"),
+            (lambda n: np.full(n + 1, 0.1), 0.0, 0, "node values"),
+            (lambda n: np.full(n, np.nan), 0.0, 0, "finite"),
+            (np.zeros, math.nan, 1, "tau"),
+            (np.zeros, math.inf, 1, "tau"),
+            (np.zeros, -1e-4, 1, "tau"),
+            (np.zeros, 1e-4, -1, "steps"),
+        ],
+        ids=["scalar", "long", "nan", "tau-nan", "tau-inf", "tau-neg", "steps-neg"],
+    )
+    def test_sweep_refuses_bad_input(self, disc_h8, values, tau, steps, match):
+        with pytest.raises(ConfigError, match=match):
+            sweep(BENCH, disc_h8, values(disc_h8.n_nodes), tau, steps=steps)
+
+    def test_sweep_zero_step_returns_the_values(self, disc_h8):
+        vals = np.linspace(0.0, 1.0, disc_h8.n_nodes)
+        assert np.array_equal(sweep(BENCH, disc_h8, vals, 0.0, steps=20), vals)
 
 
 class TestGridConvergence:
@@ -1304,6 +1367,16 @@ class TestExports:
         changes = " ".join(map(str, report.policy_changes))
         assert f"policy_changes: {changes}\n" in text
         assert len(report.policy_changes) == report.iterations > 0
-        assert f"tau: {report.tau:.17g}" in text
         assert f"residual_norm: {report.residual_norm:.17g}" in text
         assert "wall_time_s:" in text
+        # perfbench's solve check parses residual_norm and stop_residual
+        assert [line.split(": ", 1)[0] for line in text.splitlines()] == [
+            "iterations",
+            "upwind_steps",
+            "factorizations",
+            "policy_changes",
+            "residual_norm",
+            "stop_residual",
+            "init",
+            "wall_time_s",
+        ]
