@@ -2,12 +2,18 @@
 
 Discretizes F(x, D^2 u) + H(Du) = f with zero Dirichlet data on a 2D
 lattice.  Second derivatives are sampled along a fan of lattice directions
-(one pair per requested angle); eigenvalue operators take minima and maxima
-over the fan.  Nodes next to the boundary use nonuniform three-point
-differences against the exact ray-circle cut points.  The cut fractions
-are only clipped to [1e-14, 1] (``_cut_fractions``); there is no larger
-floor, so a node almost on the boundary gets an arm almost of length zero
-and the scale of its stencil row (the slope bound D_i) is unbounded.
+(one pair per requested angle).  F_h is one table of (slots, weights,
+min|max) terms (``_operator_terms``), each a weighted minimum or maximum of
+the second differences along its slots.  ``LambdaK(1|2)``, ``MinMax``,
+two-weight ``WeightedEigenvalues`` and ``CoefficientLambdaN`` scan the fan;
+``LinearDegenerate`` has one single-slot term per lattice direction of the
+diagonally dominant split of Sigma^T Sigma.  Every other operator raises
+``UnsupportedDiscretizationError``.  Nodes next to the boundary use
+nonuniform three-point differences against the exact ray-circle cut
+points.  The cut fractions are only clipped to [1e-14, 1]
+(``_cut_fractions``); there is no larger floor, so a node almost on the
+boundary gets an arm almost of length zero and the scale of its stencil
+row (the slope bound D_i) is unbounded.
 
 The first-order term has two forms.  The centered form uses three-point
 centered differences along the axes; it is second-order accurate but not
@@ -21,22 +27,22 @@ degenerate elliptic in Oberman's sense (SIAM J. Numer. Anal. 44, 2006) and
 its solutions obey the discrete comparison principle.
 
 The solver takes semismooth Newton steps (policy iteration, after
-Bokanowski, Maroso & Zidani 2009): each step fixes every node's active fan
-direction (argmin for the lambda_1 weight, argmax for the lambda_2 weight,
-the fixed weights for a linear diffusion) and the active arm of each upwind
-slot, adds the exact slope of the capped gradient term, and solves the
-assembled sparse linear system.  Newton first solves the upwind form from
-the initial iterate, then polishes on the centered form from the best
-upwind iterate; the result solves the centered scheme.  The initial
-iterate is the paper's barrier: with a gradient term the supersolution,
-the first-zero radial profile at the forcing magnitude, which is the exact
-solution on a disc; without one the paraboloid envelope
-(m / 2 beta)(R^2 - max_y |x - y|^2), which exists on every domain.  On the
-unit disc this takes 2-4 upwind and 3-4 polish steps from h = 1/16 to 1/64.
-From zero it takes 10-15 upwind steps: there every fan direction ties, so
-the first policy is arbitrary.  There is no fallback: a polish that misses
-the stop residual within its step budget, or a Jacobian that factors as
-singular, ends the solve with ``NumericError``.
+Bokanowski, Maroso & Zidani 2009): each step fixes every node's active slot
+in each operator term (the argmin of a min term, the argmax of a max term)
+and the active arm of each upwind slot, adds the exact slope of the capped
+gradient term, and solves the assembled sparse linear system.  Newton
+first solves the upwind form from the initial iterate, then polishes on
+the centered form from the best upwind iterate; the result solves the
+centered scheme.  The initial iterate is the paper's barrier: with a
+gradient term the supersolution, the first-zero radial profile at the
+forcing magnitude, which is the exact solution on a disc; without one the
+paraboloid envelope (m / 2 beta)(R^2 - max_y |x - y|^2), which exists on
+every domain.  On the unit disc this takes 2-4 upwind and 3-4 polish steps
+from h = 1/16 to 1/64.  From zero it takes 10-15 upwind steps: there every
+fan direction ties, so the first policy is arbitrary.  There is no
+fallback: a polish that misses the stop residual within its step budget,
+or a Jacobian that factors as singular, ends the solve with
+``NumericError``.
 
 Each Newton system is factored by SuperLU in symmetric mode: a minimum
 degree order of J + J^T, with the diagonal pivot kept wherever it is at
@@ -323,22 +329,22 @@ def _split_slots(grid: Grid2D) -> np.ndarray:
     return np.array([grid.slot_ex, grid.slot_ey, grid.slot_pp, grid.slot_mp])
 
 
-def _lattice_split(a: np.ndarray, what: str) -> np.ndarray:
+def _lattice_split(a: np.ndarray, what: str, where: str = "") -> np.ndarray:
     """Nonnegative weights w on the ``_split_slots`` directions with
     a = sum_k w_k e_k e_k^T over their unit vectors e_k.
 
     The diagonal takes 2|a01| on (1, sign a01); the axes keep the rest of
     the diagonal entries, which is nonnegative exactly when ``a`` is
-    diagonally dominant.
+    diagonally dominant.  ``what`` and ``where`` name the matrix in errors.
     """
     if a.shape != (2, 2):
-        raise ConfigError(f"{what} must be 2x2 on grids")
+        raise ConfigError(f"{what} must be 2x2 on grids{where}")
     off = float(a[0, 1])
     wx, wy = float(a[0, 0]) - abs(off), float(a[1, 1]) - abs(off)
     scale = max(1.0, abs(a).max())
     if wx < -1e-12 * scale or wy < -1e-12 * scale:
         raise UnsupportedDiscretizationError(
-            f"{what} is not diagonally dominant on the lattice"
+            f"{what} is not diagonally dominant on the lattice{where}"
         )
     wd = 2.0 * abs(off)
     return np.array(
@@ -470,7 +476,56 @@ def _field_on_nodes(f: ForcingLike, pts: np.ndarray) -> np.ndarray:
     return vals
 
 
-_EIGEN_SUPPORTED = (LambdaK, MinMax, WeightedEigenvalues, CoefficientLambdaN)
+# a term's rule: its value and its active slot over the second differences
+# along its slots (axis 1 of the gathered columns)
+_RULES = {"min": (np.min, np.argmin), "max": (np.max, np.argmax)}
+
+
+def _operator_terms(spec: OperatorSpec, grid: Grid2D, xy: np.ndarray) -> list:
+    """F_h = sum over the terms of weights * rule(d2 along slots), with rule
+    "min" or "max" and one nonnegative weight per point of ``xy``.
+
+    Each term is nondecreasing in the neighbour values, so F_h is
+    degenerate elliptic; with each term's active slot fixed it is linear,
+    the Bellman-Isaacs form that the Newton steps solve.  Terms whose
+    weight vanishes at every point are dropped.  This is the only place
+    that dispatches on the operator class.
+    """
+    fan = grid.op_slots
+    ones = np.ones(xy.shape[0])
+    if isinstance(spec, LambdaK):
+        if spec.index not in (1, 2):
+            raise UnsupportedDiscretizationError(
+                "only the extreme eigenvalues are discretized in 2D"
+            )
+        terms = [(fan, ones, "min" if spec.index == 1 else "max")]
+    elif isinstance(spec, MinMax):
+        terms = [(fan, ones, "min"), (fan, ones, "max")]
+    elif isinstance(spec, WeightedEigenvalues):
+        if len(spec.alphas) != 2:
+            raise UnsupportedDiscretizationError(
+                "eigenvalue weights must be two-dimensional here"
+            )
+        a1, a2 = map(float, spec.alphas)
+        terms = [(fan, a1 * ones, "min"), (fan, a2 * ones, "max")]
+    elif isinstance(spec, CoefficientLambdaN):
+        a = _field_on_nodes(spec.a, xy)
+        if np.any(a < spec.a.lower - 1e-12):
+            raise ConfigError("coefficient drops below its declared infimum")
+        terms = [(fan, a, "max")]
+    elif isinstance(spec, LinearDegenerate):
+        w = np.zeros((xy.shape[0], 4))
+        for i, x in enumerate(xy):
+            s = np.asarray(spec.sigma(x), dtype=float)
+            where = f" at x = {tuple(x.tolist())}"
+            w[i] = _lattice_split(s.T @ s, "diffusion matrix", where)
+        slots = _split_slots(grid)
+        terms = [(slots[k : k + 1], w[:, k], "max") for k in range(4)]
+    else:
+        raise UnsupportedDiscretizationError(
+            f"operator {type(spec).__name__} has no monotone stencil here"
+        )
+    return [term for term in terms if np.any(term[1] != 0.0)]
 
 
 class _Scheme:
@@ -494,39 +549,7 @@ class _Scheme:
         )
         self.cc_t = np.ascontiguousarray(np.concatenate([cp, cm], axis=1).T)
         self.c0 = cp + cm
-        self.op_cols = grid.op_slots
-
-        spec = problem.operator
-        self.lindeg_w = None
-        self.wmin = self.wmax = 0.0
-        if isinstance(spec, LambdaK):
-            if spec.index == 1:
-                self.wmin, self.wmax = 1.0, 0.0
-            elif spec.index == 2:
-                self.wmin, self.wmax = 0.0, 1.0
-            else:
-                raise UnsupportedDiscretizationError(
-                    "only the extreme eigenvalues are discretized in 2D"
-                )
-        elif isinstance(spec, MinMax):
-            self.wmin = self.wmax = 1.0
-        elif isinstance(spec, WeightedEigenvalues):
-            if len(spec.alphas) != 2:
-                raise UnsupportedDiscretizationError(
-                    "eigenvalue weights must be two-dimensional here"
-                )
-            self.wmin, self.wmax = float(spec.alphas[0]), float(spec.alphas[1])
-        elif isinstance(spec, CoefficientLambdaN):
-            self.wmin = 0.0
-            self.wmax = _field_on_nodes(spec.a, grid.nodes_xy)
-            if np.any(self.wmax < spec.a.lower - 1e-12):
-                raise ConfigError("coefficient drops below its declared infimum")
-        elif isinstance(spec, LinearDegenerate):
-            self.lindeg_w = self._lindeg_weights(spec)
-        else:
-            raise UnsupportedDiscretizationError(
-                f"operator {type(spec).__name__} has no monotone stencil here"
-            )
+        self.terms = _operator_terms(problem.operator, grid, grid.nodes_xy)
 
         self.fvals = _field_on_nodes(problem.f, grid.nodes_xy)
         self.f_sup = float(np.max(np.abs(self.fvals))) if n else 0.0
@@ -536,26 +559,14 @@ class _Scheme:
 
         # exact per-node bound on |d(F_h + H_h)/du_0|, for the refusal of a
         # node with no diagonal slope and for the report's d_max
-        if self.lindeg_w is not None:
-            d_f = np.einsum("ij,ij->i", self.lindeg_w, self.c0[:, self.lin_slots])
-        else:
-            c0_max = self.c0[:, self.op_cols].max(axis=1)
-            d_f = (self.wmin + self.wmax) * c0_max
-        d_h = self.h_lip * np.hypot(self.g0x, self.g0y) if self.ham else 0.0
-        d_node = d_f + d_h
+        d_node = np.zeros(n)
+        for slots, w, _ in self.terms:
+            d_node += w * self.c0[:, slots].max(axis=1)
+        if self.ham:
+            d_node += self.h_lip * np.hypot(self.g0x, self.g0y)
         if np.any(d_node <= 0.0):
             raise ConfigError("operator has no diagonal slope at some node")
         self.d_max = float(np.max(d_node))
-
-    def _lindeg_weights(self, spec: LinearDegenerate) -> np.ndarray:
-        grid = self.grid
-        self.lin_slots = _split_slots(grid)
-        w = np.zeros((self.n, 4))
-        for i, x in enumerate(grid.nodes_xy):
-            s = np.asarray(spec.sigma(x), dtype=float)
-            what = f"diffusion matrix at x = {tuple(x.tolist())}"
-            w[i] = _lattice_split(s.T @ s, what)
-        return w
 
     def _setup_hamiltonian(self, ham: HamiltonianSpec | None):
         self.ham = None
@@ -637,15 +648,10 @@ class _Scheme:
         return (parts[: self.d] + parts[self.d :]).T
 
     def operator_values(self, d2: np.ndarray) -> np.ndarray:
-        if self.lindeg_w is not None:
-            return np.einsum("ij,ij->i", self.lindeg_w, d2[:, self.lin_slots])
-        dop = d2[:, self.op_cols]
-        out = 0.0
-        if np.any(self.wmin != 0.0):
-            out = self.wmin * dop.min(axis=1)
-        if np.any(self.wmax != 0.0):
-            out = out + self.wmax * dop.max(axis=1)
-        return out if isinstance(out, np.ndarray) else np.zeros(self.n)
+        out = np.zeros(self.n)
+        for slots, w, rule in self.terms:
+            out += w * _RULES[rule][0](d2[:, slots], axis=1)
+        return out
 
     def gradient(self, v_ext: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         u0 = v_ext[: self.n]
@@ -730,29 +736,25 @@ class _Scheme:
         return resid, self._policy(v_ext, d2, upwind)
 
     def _fan_policy(self, d2: np.ndarray) -> list:
-        """(slots, weight) pairs of the active fan directions at the second
-        differences ``d2``: the argmin for the ``wmin`` part and the argmax
-        for the ``wmax`` part, or the fixed split slots of a linear
-        diffusion."""
-        if self.lindeg_w is not None:
-            return list(zip(self.lin_slots, self.lindeg_w.T))
-        dop = d2[:, self.op_cols]
-        policy = []
-        if np.any(self.wmin != 0.0):
-            policy.append((self.op_cols[dop.argmin(axis=1)], self.wmin))
-        if np.any(self.wmax != 0.0):
-            policy.append((self.op_cols[dop.argmax(axis=1)], self.wmax))
-        return policy
+        """(slot, weights) per term at the second differences ``d2``: each
+        node's active slot, the argmin or argmax over the term's slots."""
+        return [
+            (slots[_RULES[rule][1](d2[:, slots], axis=1)], w)
+            for slots, w, rule in self.terms
+        ]
 
     def _policy(self, v_ext: np.ndarray, d2: np.ndarray, upwind: bool) -> np.ndarray:
-        """The choices behind ``jacobian``, one row per node: the active fan
-        slots, then with a gradient term the active arm of each upwind slot
-        (0 where m_k = 0, 1 plus, 2 minus) and whether the gradient is below
-        its cap.  Nodes with equal rows at two iterates have Jacobian rows
-        of the same form; only the gradient slopes differ."""
-        cols = []
-        if self.lindeg_w is None:
-            cols += [k for k, _ in self._fan_policy(d2)]
+        """The choices behind ``jacobian``, one row per node: the active slot
+        of each term with more than one slot, then with a gradient term the
+        active arm of each upwind slot (0 where m_k = 0, 1 plus, 2 minus) and
+        whether the gradient is below its cap.  Nodes with equal rows at two
+        iterates have Jacobian rows of the same form; only the gradient
+        slopes differ."""
+        cols = [
+            k
+            for (k, _), (slots, _, _) in zip(self._fan_policy(d2), self.terms)
+            if slots.size > 1
+        ]
         if self.ham and upwind:
             m, minus = self.upwind_differences(v_ext)
             cols += list(np.where(m > 0.0, 1 + minus, 0))
@@ -767,13 +769,12 @@ class _Scheme:
     def jacobian(self, v_ext: np.ndarray, upwind: bool = False):
         """Sparse d(F_h + H_h)/du at ``v_ext`` under the active policy.
 
-        Each node keeps only its active fan directions (the argmin for the
-        ``wmin`` part, the argmax for the ``wmax`` part; the fixed weights
-        for a linear diffusion), which makes this an element of the
-        generalized derivative of the min/max scheme.  The upwind form adds
-        one active arm per slot, the larger one-sided difference (none where
-        m_k = 0 or q is capped).  Arms that end on the boundary slot carry no
-        unknown and are dropped.
+        Each node keeps only the active slot of each operator term (see
+        ``_fan_policy``), which makes this an element of the generalized
+        derivative of the min/max scheme.  The upwind form adds one active
+        arm per slot, the larger one-sided difference (none where m_k = 0 or
+        q is capped).  Arms that end on the boundary slot carry no unknown
+        and are dropped.
         """
         from scipy.sparse import csr_matrix
 
@@ -875,40 +876,14 @@ def discrete_gradient(u: GridFunction, node) -> np.ndarray:
 
 
 def discrete_operator(spec: OperatorSpec, u: GridFunction, node) -> float:
-    """F_h at one node: eigenvalue scans over the direction fan, or the
-    weighted trace stencil for linear diffusions."""
+    """F_h at one node, from the terms of ``_operator_terms`` there."""
     grid = u.grid
     i = _resolve_node(grid, node)
-    x = grid.nodes_xy[i]
     d2 = np.array(
         [discrete_second_difference(u, i, k) for k in range(len(grid.directions))]
     )
-    dop = d2[grid.op_slots]
-    if isinstance(spec, LambdaK):
-        if spec.index == 1:
-            return float(dop.min())
-        if spec.index == 2:
-            return float(dop.max())
-        raise UnsupportedDiscretizationError(
-            "only the extreme eigenvalues are discretized in 2D"
-        )
-    if isinstance(spec, MinMax):
-        return float(dop.min() + dop.max())
-    if isinstance(spec, WeightedEigenvalues):
-        if len(spec.alphas) != 2:
-            raise UnsupportedDiscretizationError(
-                "eigenvalue weights must be two-dimensional here"
-            )
-        return float(spec.alphas[0] * dop.min() + spec.alphas[1] * dop.max())
-    if isinstance(spec, CoefficientLambdaN):
-        return float(spec.a(x)) * float(dop.max())
-    if isinstance(spec, LinearDegenerate):
-        s = np.asarray(spec.sigma(x), dtype=float)
-        w = _lattice_split(s.T @ s, "diffusion matrix")
-        return float(sum(w * d2[_split_slots(grid)]))
-    raise UnsupportedDiscretizationError(
-        f"operator {type(spec).__name__} has no monotone stencil here"
-    )
+    terms = _operator_terms(spec, grid, grid.nodes_xy[i : i + 1])
+    return float(sum(w[0] * _RULES[rule][0](d2[slots]) for slots, w, rule in terms))
 
 
 def _check_envelope(problem: GridProblem, scheme: _Scheme):

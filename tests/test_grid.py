@@ -87,6 +87,26 @@ def quadratic_field(grid, a_matrix):
     )
 
 
+LINDEG_SIGMA = ((1.0, 0.0), (0.4, 0.8))
+
+
+def _operator_at_origin(spec, grid):
+    return discrete_operator(spec, quadratic_field(grid, np.eye(2)), (0.0, 0.0))
+
+
+def _solve_on(spec, grid):
+    return solve(GridProblem(spec, None, MODEL, grid.domain, -1.0), grid)
+
+
+UNSUPPORTED = (
+    MongeAmpere(),
+    SupInf(rows=((LambdaK(1),),)),
+    TruncatedLower(1),
+    LambdaK(3),
+    WeightedEigenvalues((1.0, 2.0, 3.0)),
+)
+
+
 def rotation(theta):
     c, s = math.cos(theta), math.sin(theta)
     return np.array([[c, -s], [s, c]])
@@ -402,51 +422,91 @@ class TestDiscreteOperator:
         with pytest.raises(ConfigError, match="diffusion matrix must be 2x2"):
             discrete_operator(spec, u, (0.0, 0.0))
 
+    # both public entries to the operator discretization refuse these; the
+    # discrete_operator cases keep the bare operator name as their id
     @pytest.mark.parametrize(
-        "spec",
+        "spec, apply",
         [
-            MongeAmpere(),
-            SupInf(rows=((LambdaK(1),),)),
-            TruncatedLower(1),
-            LambdaK(3),
-            WeightedEigenvalues((1.0, 2.0, 3.0)),
+            pytest.param(s, apply, id=type(s).__name__ + suffix)
+            for apply, suffix in ((_operator_at_origin, ""), (_solve_on, "-solve"))
+            for s in UNSUPPORTED
         ],
-        ids=lambda s: type(s).__name__,
     )
-    def test_unsupported_specs(self, disc_h4, spec):
-        u = quadratic_field(disc_h4, np.eye(2))
+    def test_unsupported_specs(self, disc_h4, spec, apply):
         with pytest.raises(UnsupportedDiscretizationError):
-            discrete_operator(spec, u, (0.0, 0.0))
+            apply(spec, disc_h4)
 
     @pytest.mark.parametrize(
-        "spec",
+        "apply", [_operator_at_origin, _solve_on], ids=["discrete_operator", "solve"]
+    )
+    def test_coefficient_below_infimum_refused(self, disc_h4, apply):
+        # a(x) = x_1 drops below its declared infimum 1 at every node with
+        # x_1 < 1, the origin included
+        a = ScalarField(fn=lambda x: x[..., 0], lower=1.0, upper=3.0)
+        with pytest.raises(ConfigError, match="declared infimum"):
+            apply(CoefficientLambdaN(a), disc_h4)
+
+    @pytest.mark.parametrize(
+        "spec, reference",
         [
-            LambdaK(1),
-            LambdaK(2),
-            MinMax(),
-            WeightedEigenvalues((0.5, 1.5)),
-            CoefficientLambdaN(
-                ScalarField(fn=lambda x: 2.0 + x[..., 0], lower=1.0, upper=3.0)
+            (LambdaK(1), lambda d2, x: d2.min()),
+            (LambdaK(2), lambda d2, x: d2.max()),
+            (MinMax(), lambda d2, x: d2.min() + d2.max()),
+            (
+                WeightedEigenvalues((0.5, 1.5)),
+                lambda d2, x: 0.5 * d2.min() + 1.5 * d2.max(),
             ),
-            LinearDegenerate(MatrixField.constant([[1.0, 0.0], [0.4, 0.8]])),
+            (
+                CoefficientLambdaN(
+                    ScalarField(fn=lambda x: 2.0 + x[..., 0], lower=1.0, upper=3.0)
+                ),
+                lambda d2, x: (2.0 + x[0]) * d2.max(),
+            ),
+            (LinearDegenerate(MatrixField.constant(LINDEG_SIGMA)), None),
         ],
         ids=["lambda1", "lambda2", "minmax", "weighted", "coefficient", "lindeg"],
     )
-    def test_agrees_with_scheme(self, spec):
-        # the public per-node operator repeats _Scheme's dispatch; on a random
-        # lens field (values up to about 2e4 at the cut cells) they agree to
-        # rounding, measured 3.6e-12 at most
+    def test_agrees_with_scheme(self, spec, reference):
+        # the scheme and the per-node operator against min / max / sums of
+        # discrete_second_difference over the fan, and against the trace
+        # split of A = sigma^T sigma, A = sum_k w_k e_k e_k^T with the axes
+        # and the (1, sign a01) diagonal; on a random lens field (second
+        # differences up to about 2e4 at the cut cells) all agree to rounding,
+        # measured 3e-15 relative at most
         g = build_grid(LENS, 1 / 8, 8)
         u = GridFunction(
             grid=g, values=np.random.default_rng(11).normal(size=g.n_nodes)
         )
+        a = np.asarray(LINDEG_SIGMA).T @ np.asarray(LINDEG_SIGMA)
+        off = a[0, 1]
+        split = {
+            (1, 0): a[0, 0] - abs(off),
+            (0, 1): a[1, 1] - abs(off),
+            (1, 1): max(2.0 * off, 0.0),
+            (-1, 1): max(-2.0 * off, 0.0),
+        }
+        want = []
+        for i, x in enumerate(g.nodes_xy):
+            if reference is None:
+                want.append(
+                    sum(
+                        w * discrete_second_difference(u, i, v)
+                        for v, w in split.items()
+                    )
+                )
+            else:
+                d2 = np.array(
+                    [discrete_second_difference(u, i, k) for k in g.op_slots]
+                )
+                want.append(reference(d2, x))
         prob = GridProblem(
             operator=spec, hamiltonian=None, params=MODEL, domain=LENS, f=0.0
         )
         scheme = _Scheme(prob, g)
-        want = scheme.operator_values(scheme.second_differences(u.extended()))
-        got = [discrete_operator(spec, u, i) for i in range(g.n_nodes)]
+        got = scheme.operator_values(scheme.second_differences(u.extended()))
+        per_node = [discrete_operator(spec, u, i) for i in range(g.n_nodes)]
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(per_node, want, rtol=1e-12, atol=0.0)
 
 
 class TestMonotonicity:
@@ -483,7 +543,15 @@ class TestMonotonicity:
 
 JACOBIAN_OPERATORS = pytest.mark.parametrize(
     "operator",
-    [MinMax(), LambdaK(1), LinearDegenerate(MatrixField.constant(np.eye(2)))],
+    [
+        MinMax(),
+        LambdaK(1),
+        LinearDegenerate(MatrixField.constant(np.eye(2))),
+        WeightedEigenvalues((0.5, 1.5)),
+        CoefficientLambdaN(
+            ScalarField(fn=lambda x: 2.0 + x[..., 0], lower=1.0, upper=3.0)
+        ),
+    ],
 )
 JACOBIAN_HAMILTONIANS = pytest.mark.parametrize(
     "ham",
