@@ -19,14 +19,7 @@ import numpy as np
 
 from .errors import ConfigError, DomainViolationError, NumericError, ThresholdError
 from .model import ConvexDomain, Params
-from .radial import (
-    ProfileBranch,
-    RadialProfile,
-    _exact_u,
-    c1_bound,
-    radial_profile,
-    rbar,
-)
+from .radial import _exact_u, c1_bound, rbar
 
 __all__ = [
     "BarrierField",
@@ -36,9 +29,6 @@ __all__ = [
     "sample_boundary",
     "barrier_to_csv",
 ]
-
-_PROFILE_NODES = 4096
-
 
 @dataclass(frozen=True)
 class BarrierField:
@@ -53,7 +43,6 @@ class BarrierField:
     kind: str  # "Super" | "Sub"
     params: Params
     forcing_norm: float
-    profile: RadialProfile | None = None
 
     @property
     def lipschitz_bound(self) -> float:
@@ -75,32 +64,16 @@ def build_supersolution(domain: ConvexDomain, params: Params, M: float) -> Barri
     radial solution at forcing magnitude M (zero field when M = 0)."""
     if M < 0.0 or not math.isfinite(M):
         raise ConfigError("forcing magnitude M must be finite and >= 0")
-    if M == 0.0:
-        return BarrierField(domain=domain, kind="Super", params=params, forcing_norm=0.0)
-
     shifted = dataclasses.replace(params, M=M)
     R = domain.radius
-    if shifted.superlinear:
+    if M > 0.0 and shifted.superlinear:
         threshold = rbar(shifted)
         if R > threshold * (1.0 + 1e-12):
             raise ThresholdError(
                 f"domain radius {R} exceeds the existence threshold "
                 f"{threshold} at forcing magnitude {M}"
             )
-        branch = ProfileBranch.FIRST_ZERO_SUPERLINEAR
-    else:
-        branch = ProfileBranch.FIRST_ZERO_SUBLINEAR
-
-    # the tabulated profile is kept for inspection and export; evaluation
-    # goes through the closed form at each point's own distance
-    prof = radial_profile(branch, R, shifted, node_count=_PROFILE_NODES)
-    return BarrierField(
-        domain=domain,
-        kind="Super",
-        params=params,
-        forcing_norm=M,
-        profile=prof,
-    )
+    return BarrierField(domain=domain, kind="Super", params=params, forcing_norm=M)
 
 
 def build_subsolution(domain: ConvexDomain, params: Params, K: float) -> BarrierField:
@@ -127,7 +100,8 @@ def evaluate_barrier(field: BarrierField, x):
     elif field.forcing_norm == 0.0:
         out = np.zeros_like(dist)
     else:
-        out = _exact_u(dist, dom.radius, field.profile.params)[1]
+        shifted = dataclasses.replace(field.params, M=field.forcing_norm)
+        out = _exact_u(dist, dom.radius, shifted)[1]
     out = np.asarray(out)
     return float(out) if out.ndim == 0 else out
 

@@ -120,7 +120,6 @@ class RunConfig:
     h: float
     K: int
     tol: float
-    max_iter: int
     init: str
     # verification controls
     radii: tuple[float, ...]
@@ -164,8 +163,7 @@ DEFAULTS: dict[str, dict[str, str]] = {
         "kind": "Lambda1",
     },
     "barrier": {"upper_m": "1.0", "lower_k": "1.0"},
-    "solver": {"h": "0.0625", "K": "8", "tol": "1e-05", "max_iter": "120",
-               "init": "barrier"},
+    "solver": {"h": "0.0625", "K": "8", "tol": "1e-05", "init": "barrier"},
     "verify": {"radii": "0.2, 0.5, 0.8", "tolerance": "1e-06",
                "sigma": "0.9", "epsilon": "0.1"},
     "sweep": {"R_values": ""},
@@ -474,7 +472,7 @@ def cmd_barrier(cfg: RunConfig):
 def cmd_solve(cfg: RunConfig):
     problem = _grid_problem(cfg)
     grid = build_grid(problem.domain, cfg.h, cfg.K)
-    controls = SolveControls(tol=cfg.tol, max_iter=cfg.max_iter, init=cfg.init)
+    controls = SolveControls(tol=cfg.tol, init=cfg.init)
     u, report = solve(problem, grid, controls)
     lines = [
         f"solved {grid.n_nodes} nodes in {report.iterations} iterations"

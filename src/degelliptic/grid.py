@@ -15,16 +15,17 @@ points.  The cut fractions are only clipped to [1e-14, 1]
 boundary gets an arm almost of length zero and the scale of its stencil
 row (the slope bound D_i) is unbounded.
 
-The first-order term has two forms.  The centered form uses three-point
-centered differences along the axes; it is second-order accurate but not
+The first-order term is coef <A g, g>^(p/2): ``PowerNorm`` b |g|^p is
+A = I, coef = b, and ``AnisotropicPower`` its own A with coef = 1.  The
+centered form uses three-point centered differences along the axes and
+rescales g onto the cap circle; it is second-order accurate but not
 monotone.  The upwind form, after Rouy & Tourin (1992), takes per lattice
 slot k the one-sided m_k = max((u+ - u0)/h+, (u- - u0)/h-, 0) on the
-cut-cell arms and H_h = b min(sum_k c_k m_k^2, cap^2)^(p/2): the axes with
-c = 1 for ``PowerNorm``, and for ``AnisotropicPower`` the axes and one
-diagonal of the diagonally dominant split of A (b = 1; a non-dominant A is
-refused).  m_k is nondecreasing in every u_j - u0, so F_h + H_h is
-degenerate elliptic in Oberman's sense (SIAM J. Numer. Anal. 44, 2006) and
-its solutions obey the discrete comparison principle.
+cut-cell arms and H_h = coef min(sum_k c_k m_k^2, cap^2)^(p/2), with c the
+diagonally dominant split of A on the axes and one diagonal (a
+non-dominant A is refused).  m_k is nondecreasing in every u_j - u0, so
+F_h + H_h is degenerate elliptic in Oberman's sense (SIAM J. Numer. Anal.
+44, 2006) and its solutions obey the discrete comparison principle.
 
 The solver takes semismooth Newton steps (policy iteration, after
 Bokanowski, Maroso & Zidani 2009): each step fixes every node's active slot
@@ -40,9 +41,9 @@ paraboloid envelope (m / 2 beta)(R^2 - max_y |x - y|^2), which exists on
 every domain.  On the unit disc this takes 2-4 upwind and 3-4 polish steps
 from h = 1/16 to 1/64.  From zero it takes 10-15 upwind steps: there every
 fan direction ties, so the first policy is arbitrary.  There is no
-fallback: a polish that misses the stop residual within its step budget,
-or a Jacobian that factors as singular, ends the solve with
-``NumericError``.
+fallback: a polish that misses the stop residual within its step budget
+(``_step_budget``, the longer side of the lattice box, per stage), or a
+Jacobian that factors as singular, ends the solve with ``NumericError``.
 
 Each Newton system is factored by SuperLU in symmetric mode: a minimum
 degree order of J + J^T, with the diagonal pivot kept wherever it is at
@@ -107,12 +108,6 @@ __all__ = [
     "solution_to_csv",
     "report_to_text",
 ]
-
-# Newton steps per stage; the anisotropic lens at h = 1/64 needs 25 upwind
-# steps from the barrier (36 from zeros) and 16 polish steps, of which 20
-# factor their Jacobian and 21 reuse a factor
-_NEWTON_STEPS = 60
-
 
 def _direction_fan(K: int) -> tuple[tuple[int, int], ...]:
     """Primitive lattice vectors nearest the angles k*pi/K, k = 0..K-1."""
@@ -324,6 +319,13 @@ def build_grid(domain: ConvexDomain, h: float, K: int) -> Grid2D:
     )
 
 
+def _step_budget(grid: Grid2D) -> int:
+    """Newton steps per stage: the longer side of the lattice box.  A policy
+    front moves about one lattice row per step; the anisotropic lens takes
+    25 upwind steps of 171 at h = 1/64 and 54 of 337 at h = 1/128."""
+    return max(grid.mask.shape)
+
+
 def _split_slots(grid: Grid2D) -> np.ndarray:
     """The ex, ey, (1, 1) and (-1, 1) slots, in ``_lattice_split`` order."""
     return np.array([grid.slot_ex, grid.slot_ey, grid.slot_pp, grid.slot_mp])
@@ -421,20 +423,16 @@ class GridProblem:
 
 @dataclass(frozen=True)
 class SolveControls:
-    """Stopping tolerance on the scaled residual, cap on the Newton steps of
-    both stages (upwind, then centered polish), and initial iterate:
+    """Stopping tolerance on the scaled residual and initial iterate:
     "barrier" (the supersolution with a gradient term, the paraboloid
     envelope without one) or "zeros"."""
 
     tol: float = 1e-5
-    max_iter: int = 2 * _NEWTON_STEPS
     init: str = "barrier"
 
     def __post_init__(self):
         if not (self.tol > 0 and math.isfinite(self.tol)):
             raise ConfigError("tolerance must be positive")
-        if self.max_iter < 0:
-            raise ConfigError("max_iter must be >= 0")
         if self.init not in ("zeros", "barrier"):
             raise ConfigError('init must be "zeros" or "barrier"')
 
@@ -459,7 +457,7 @@ class SolveReport:
     init: str
 
 
-def _field_on_nodes(f: ForcingLike, pts: np.ndarray) -> np.ndarray:
+def _field_on_nodes(f: ForcingLike, pts: np.ndarray, what: str) -> np.ndarray:
     if isinstance(f, (int, float)):
         vals = np.full(pts.shape[0], float(f))
     else:
@@ -472,7 +470,7 @@ def _field_on_nodes(f: ForcingLike, pts: np.ndarray) -> np.ndarray:
         except (TypeError, ValueError):
             vals = np.array([float(f(p)) for p in pts])
     if not np.all(np.isfinite(vals)):
-        raise ConfigError("forcing must be finite on the grid")
+        raise ConfigError(f"{what} must be finite on the grid")
     return vals
 
 
@@ -509,7 +507,7 @@ def _operator_terms(spec: OperatorSpec, grid: Grid2D, xy: np.ndarray) -> list:
         a1, a2 = map(float, spec.alphas)
         terms = [(fan, a1 * ones, "min"), (fan, a2 * ones, "max")]
     elif isinstance(spec, CoefficientLambdaN):
-        a = _field_on_nodes(spec.a, xy)
+        a = _field_on_nodes(spec.a, xy, "coefficient")
         if np.any(a < spec.a.lower - 1e-12):
             raise ConfigError("coefficient drops below its declared infimum")
         terms = [(fan, a, "max")]
@@ -529,7 +527,8 @@ def _operator_terms(spec: OperatorSpec, grid: Grid2D, xy: np.ndarray) -> list:
 
 
 class _Scheme:
-    """Precomputed discretization of F_h + H_h - f on one grid."""
+    """Precomputed discretization of F_h + H_h - f on one grid: F_h from
+    the ``terms`` table, H_h from (A, h_coef, h_p, g_cap) alone."""
 
     def __init__(self, problem: GridProblem, grid: Grid2D):
         if problem.domain != grid.domain:
@@ -551,7 +550,7 @@ class _Scheme:
         self.c0 = cp + cm
         self.terms = _operator_terms(problem.operator, grid, grid.nodes_xy)
 
-        self.fvals = _field_on_nodes(problem.f, grid.nodes_xy)
+        self.fvals = _field_on_nodes(problem.f, grid.nodes_xy, "forcing")
         self.f_sup = float(np.max(np.abs(self.fvals))) if n else 0.0
         self.m_eff = float(np.max(np.maximum(problem.params.c - self.fvals, 0.0)))
 
@@ -563,35 +562,39 @@ class _Scheme:
         for slots, w, _ in self.terms:
             d_node += w * self.c0[:, slots].max(axis=1)
         if self.ham:
-            d_node += self.h_lip * np.hypot(self.g0x, self.g0y)
+            d_node += self.h_lip * np.hypot(*self.g_zero)
         if np.any(d_node <= 0.0):
             raise ConfigError("operator has no diagonal slope at some node")
         self.d_max = float(np.max(d_node))
 
     def _setup_hamiltonian(self, ham: HamiltonianSpec | None):
-        self.ham = None
+        """H(g) = h_coef <A g, g>^(h_p / 2): ``PowerNorm`` b |g|^p has A = I
+        and h_coef = b, ``AnisotropicPower`` its own A and h_coef = 1.  This
+        is the only place that dispatches on the Hamiltonian class."""
+        self.ham = False
         self.h_lip = 0.0
         if ham is None:
             return
         if isinstance(ham, PowerNorm):
-            hb, hp_ = ham.b, ham.p
+            self.A, self.h_coef = np.eye(2), ham.b
         elif isinstance(ham, AnisotropicPower):
             if ham.A.n != 2:
                 raise ConfigError("anisotropy matrix must be 2x2 on grids")
-            hb, hp_ = ham.b, ham.p
+            self.A, self.h_coef = ham.A.a, 1.0
         else:
             raise UnsupportedDiscretizationError(
                 "compactly perturbed Hamiltonians are certified on radial"
                 " forms only, not on grids"
             )
-        if hb == 0.0:
+        if ham.b == 0.0:
             return
-        if hp_ < 1.0:
+        if ham.p < 1.0:
             raise UnsupportedDiscretizationError(
                 "sublinear gradient terms have no bounded-slope discretization;"
                 " move them into the forcing or set b = 0"
             )
-        self.ham = ham
+        self.ham = True
+        self.h_p = ham.p
         params = self.problem.params
         radius = self.problem.domain.radius
         if params.superlinear:
@@ -611,27 +614,23 @@ class _Scheme:
         )
         if not math.isfinite(self.g_cap):
             raise ConfigError("gradient cap is unbounded for this envelope")
-        self.h_lip = hp_ * hb * self.g_cap ** (hp_ - 1.0)
+        # b bounds h_coef <A g, g>^(p/2) by b |g|^p for both classes
+        self.h_lip = ham.p * ham.b * self.g_cap ** (ham.p - 1.0)
 
+        # centered gradient, rows x and y: g = g_plus u+ + g_minus u- +
+        # g_zero u0 over the arms g_ip, g_im of the axis slots
         grid = self.grid
-        for axis in ("x", "y"):
-            slot = grid.slot_ex if axis == "x" else grid.slot_ey
-            hp2, hm2 = grid.hp[:, slot], grid.hm[:, slot]
-            den = hp2 * hm2 * (hp2 + hm2)
-            setattr(self, f"gp{axis}", hm2 * hm2 / den)
-            setattr(self, f"gm{axis}", -hp2 * hp2 / den)
-            setattr(self, f"g0{axis}", (hp2 - hm2) / (hp2 * hm2))
-            setattr(self, f"ip{axis}", grid.nb_plus[:, slot])
-            setattr(self, f"im{axis}", grid.nb_minus[:, slot])
+        axes = np.array([grid.slot_ex, grid.slot_ey])
+        hp2, hm2 = grid.hp[:, axes].T, grid.hm[:, axes].T
+        den = hp2 * hm2 * (hp2 + hm2)
+        self.g_plus, self.g_minus = hm2 * hm2 / den, -hp2 * hp2 / den
+        self.g_zero = (hp2 - hm2) / (hp2 * hm2)
+        self.g_ip, self.g_im = self.idx_t[axes], self.idx_t[axes + self.d]
 
         # upwind form: q = sum_k c_k m_k^2 over the lattice slots of A's
-        # dominant split (ex and ey with c = 1 for the power norm); rows of
-        # up_idx / up_inv_h are the plus arms of those slots, then the minus
-        # arms
-        if isinstance(ham, PowerNorm):
-            weights, self.h_coef = np.array([1.0, 1.0, 0.0, 0.0]), hb
-        else:
-            weights, self.h_coef = _lattice_split(ham.A.a, "anisotropy matrix"), 1.0
+        # dominant split (ex and ey with c = 1 for A = I); rows of up_idx /
+        # up_inv_h are the plus arms of those slots, then the minus arms
+        weights = _lattice_split(self.A, "anisotropy matrix")
         slots = _split_slots(grid)[weights > 0.0]
         self.up_c = weights[weights > 0.0]
         self.up_idx = self.idx_t[np.concatenate([slots, slots + self.d])]
@@ -653,11 +652,20 @@ class _Scheme:
             out += w * _RULES[rule][0](d2[:, slots], axis=1)
         return out
 
-    def gradient(self, v_ext: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        u0 = v_ext[: self.n]
-        gx = self.gpx * v_ext[self.ipx] + self.gmx * v_ext[self.imx] + self.g0x * u0
-        gy = self.gpy * v_ext[self.ipy] + self.gmy * v_ext[self.imy] + self.g0y * u0
-        return gx, gy
+    def gradient(self, v_ext: np.ndarray) -> np.ndarray:
+        """Centered gradient, rows x and y."""
+        g = self.g_plus * v_ext[self.g_ip] + self.g_minus * v_ext[self.g_im]
+        return g + self.g_zero * v_ext[: self.n]
+
+    def _centered_form(self, v_ext: np.ndarray):
+        """The centered gradient g, A g, |g|^2, and the factor that rescales
+        g onto the cap circle where |g| > g_cap (1 elsewhere)."""
+        g = self.gradient(v_ext)
+        n2 = (g * g).sum(axis=0)
+        shrink = np.divide(
+            self.g_cap**2, n2, out=np.ones(self.n), where=n2 > self.g_cap**2
+        )
+        return g, self.A @ g, n2, shrink
 
     def upwind_differences(self, v_ext: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per upwind slot (rows): m_k = max(d+_k, d-_k, 0) from the one-sided
@@ -678,47 +686,27 @@ class _Scheme:
         if upwind:
             m, _ = self.upwind_differences(v_ext)
             q = np.minimum(self.up_c @ (m * m), self.g_cap**2)
-            return self.h_coef * q ** (self.ham.p / 2.0)
-        gx, gy = self.gradient(v_ext)
-        if isinstance(self.ham, PowerNorm):
-            norm = np.minimum(np.hypot(gx, gy), self.g_cap)
-            return self.ham.b * norm**self.ham.p
-        a = self.ham.A.a
-        q = a[0, 0] * gx * gx + 2.0 * a[0, 1] * gx * gy + a[1, 1] * gy * gy
-        n2 = gx * gx + gy * gy
-        with np.errstate(invalid="ignore", divide="ignore"):
-            shrink = np.where(n2 > self.g_cap**2, self.g_cap**2 / n2, 1.0)
-        return np.maximum(q * shrink, 0.0) ** (self.ham.p / 2.0)
+        else:
+            g, ag, _, shrink = self._centered_form(v_ext)
+            q = np.maximum((g * ag).sum(axis=0) * shrink, 0.0)
+        return self.h_coef * q ** (self.h_p / 2.0)
 
-    def hamiltonian_slopes(self, v_ext: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Exact derivative of the capped H_h with respect to (gx, gy).
+    def hamiltonian_slopes(self, v_ext: np.ndarray) -> np.ndarray:
+        """Exact derivative of the centered, capped H_h with respect to g,
+        rows x and y.
 
-        PowerNorm is constant where |g| >= g_cap, so its slope vanishes
-        there.  AnisotropicPower is rescaled onto the cap circle instead,
-        which leaves a tangential slope unless A is a multiple of I.
+        Beyond the cap g is rescaled onto the cap circle, which leaves a
+        tangential slope unless A is a multiple of I; for A = I the tilt is
+        exactly 1 there and the slope exactly 0.
         """
-        gx, gy = self.gradient(v_ext)
-        p = self.ham.p
-        n2 = gx * gx + gy * gy
-        if isinstance(self.ham, PowerNorm):
-            live = (n2 > 0.0) & (np.hypot(gx, gy) < self.g_cap)
-            coef = np.zeros(self.n)
-            coef[live] = self.ham.b * p * n2[live] ** (p / 2.0 - 1.0)
-            return coef * gx, coef * gy
-        a = self.ham.A.a
-        ax = a[0, 0] * gx + a[0, 1] * gy
-        ay = a[0, 1] * gx + a[1, 1] * gy
-        q = gx * ax + gy * ay
-        capped = n2 > self.g_cap**2
-        shrink = np.ones(self.n)
-        tilt = np.zeros(self.n)
-        shrink[capped] = self.g_cap**2 / n2[capped]
-        tilt[capped] = q[capped] / n2[capped]
-        qs = q * shrink
+        g, ag, n2, shrink = self._centered_form(v_ext)
+        q = (g * ag).sum(axis=0)
+        tilt = np.divide(q, n2, out=np.zeros(self.n), where=n2 > self.g_cap**2)
+        qs, p = q * shrink, self.h_p
         live = qs > 0.0
         coef = np.zeros(self.n)
-        coef[live] = p * qs[live] ** (p / 2.0 - 1.0) * shrink[live]
-        return coef * (ax - tilt * gx), coef * (ay - tilt * gy)
+        coef[live] = self.h_coef * p * qs[live] ** (p / 2.0 - 1.0) * shrink[live]
+        return coef * (ag - tilt * g)
 
     def residual(self, v_ext: np.ndarray, upwind: bool = False) -> np.ndarray:
         """F_h + H_h - f with the centered or the upwind first-order term."""
@@ -760,8 +748,8 @@ class _Scheme:
             cols += list(np.where(m > 0.0, 1 + minus, 0))
             cols.append(self.up_c @ (m * m) < self.g_cap**2)
         elif self.ham:
-            gx, gy = self.gradient(v_ext)
-            cols.append(gx * gx + gy * gy < self.g_cap**2)
+            g = self.gradient(v_ext)
+            cols.append((g * g).sum(axis=0) < self.g_cap**2)
         if not cols:
             return np.zeros((self.n, 0), dtype=np.int16)
         return np.column_stack(cols).astype(np.int16)
@@ -792,7 +780,7 @@ class _Scheme:
             q = self.up_c @ (m * m)
             live = (q > 0.0) & (q < self.g_cap**2)
             coef = np.zeros(n)
-            p = self.ham.p
+            p = self.h_p
             coef[live] = self.h_coef * p * q[live] ** (p / 2.0 - 1.0)
             plus_idx, minus_idx = np.split(self.up_idx, 2)
             plus_inv, minus_inv = np.split(self.up_inv_h, 2)
@@ -802,10 +790,10 @@ class _Scheme:
             vals += list(slope)
             diag -= slope.sum(axis=0)
         elif self.ham:
-            sx, sy = self.hamiltonian_slopes(v_ext)
-            cols += [self.ipx, self.imx, self.ipy, self.imy]
-            vals += [sx * self.gpx, sx * self.gmx, sy * self.gpy, sy * self.gmy]
-            diag += sx * self.g0x + sy * self.g0y
+            s = self.hamiltonian_slopes(v_ext)
+            cols += [*self.g_ip, *self.g_im]
+            vals += [*(s * self.g_plus), *(s * self.g_minus)]
+            diag += (s * self.g_zero).sum(axis=0)
         cols.append(rows)
         vals.append(diag)
         r = np.tile(rows, len(cols))
@@ -888,7 +876,7 @@ def discrete_operator(spec: OperatorSpec, u: GridFunction, node) -> float:
 
 def _check_envelope(problem: GridProblem, scheme: _Scheme):
     ham = problem.hamiltonian
-    if ham is None or scheme.ham is None:
+    if not scheme.ham:
         return
     params = problem.params
     beta = ellipticity_constant(problem.operator)
@@ -1083,17 +1071,16 @@ def solve(
     below tol*(1 + sup|f|).
 
     Semismooth Newton (policy iteration) steps in two stages, each capped
-    at ``_NEWTON_STEPS``.  The first works on the upwind form of the
+    at ``_step_budget`` steps.  The first works on the upwind form of the
     first-order term; that form is degenerate elliptic, and Newton reaches
     its solution from ``controls.init`` (the default barrier start is within
     a few steps of it on a disc).  The second (the polish) works on the
     centered form, from the best upwind iterate, so the result solves the
     centered scheme; the upwind stage picks which centered solution that is
     and starts Newton close enough to it.  ``iterations`` counts the steps
-    of both stages, and ``max_iter`` caps it; ``upwind_steps`` is the upwind
-    stage's share.  An unmet stop raises ``NumericError`` with the
-    iterations, the residual and the residual history (the start residual
-    of each stage, then one per step).
+    of both stages; ``upwind_steps`` is the upwind stage's share.  An unmet
+    stop raises ``NumericError`` with the iterations, the residual and the
+    residual history (the start residual of each stage, then one per step).
     """
     controls = controls or SolveControls()
     scheme = _Scheme(problem, grid)
@@ -1107,15 +1094,14 @@ def solve(
     start = time.perf_counter()
     history: list[float] = []
     log = _StepLog()
-    cap = min(_NEWTON_STEPS, controls.max_iter)
+    budget = _step_budget(grid)
     v_ext, rmax, iterations = _newton(
-        scheme, v_ext, stop, 0, cap, history, True, log
+        scheme, v_ext, stop, 0, budget, history, True, log
     )
     upwind_steps = iterations
     if math.isfinite(history[-1]):
-        cap = min(iterations + _NEWTON_STEPS, controls.max_iter)
         v_ext, rmax, iterations = _newton(
-            scheme, v_ext, stop, iterations, cap, history, False, log
+            scheme, v_ext, stop, iterations, iterations + budget, history, False, log
         )
     if not math.isfinite(history[-1]):
         raise NumericError(

@@ -17,6 +17,7 @@ from degelliptic.errors import (
     ThresholdError,
 )
 from degelliptic.model import ConvexDomain, Params
+from degelliptic.radial import radial_profile
 
 MODEL = Params(beta=2.0, b=1.0, p=2.0, M=1.0)
 SUB = Params(beta=1.0, b=1.0, p=0.5, M=1.0)
@@ -55,7 +56,7 @@ class TestSupersolution:
 
     def test_single_center_equals_profile(self, lens_super):
         disc_super = build_supersolution(DISC, MODEL, M=1.0)
-        prof = disc_super.profile
+        prof = radial_profile("FirstZeroSuperlinear", 1.0, MODEL, node_count=4096)
         for i in (5, 100, 1000):
             r = prof.r_grid[i]
             assert evaluate_barrier(disc_super, [r, 0.0]) == pytest.approx(

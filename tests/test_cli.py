@@ -65,7 +65,7 @@ class TestConfigParsing:
         assert cfg.out == "out"
         assert cfg.beta == 1.0 and cfg.M == 1.0
         assert cfg.h == 0.0625 and cfg.K == 8
-        assert cfg.tol == 1e-05 and cfg.max_iter == 120
+        assert cfg.tol == 1e-05 and cfg.init == "barrier"
         assert cfg.centers == ((0.0, 0.0),)
         assert cfg.radii == (0.2, 0.5, 0.8)
         assert cfg.R_values == ()
@@ -73,7 +73,7 @@ class TestConfigParsing:
     def test_round_trip_identity(self):
         text = MODEL_INI + (
             "\n[domain]\nradius = 0.7\ncenters = -0.3, 0.0; 0.3, 0.0\n"
-            "\n[solver]\ntol = 1e-07\nmax_iter = 40\n"
+            "\n[solver]\ntol = 1e-07\ninit = zeros\n"
             "\n[sweep]\nR_values = 0.9, 1.0, 1.1\n"
         )
         cfg = parse_config(text)
@@ -104,8 +104,8 @@ class TestConfigParsing:
     def test_bad_number_names_the_key(self):
         with pytest.raises(ConfigError, match=r"\[params\] beta"):
             parse_config("[params]\nbeta = fast\n")
-        with pytest.raises(ConfigError, match=r"\[solver\] max_iter"):
-            parse_config("[solver]\nmax_iter = many\n")
+        with pytest.raises(ConfigError, match=r"\[solver\] K"):
+            parse_config("[solver]\nK = many\n")
 
     def test_unknown_command_rejected(self):
         with pytest.raises(ConfigError, match="unknown command"):
@@ -121,6 +121,15 @@ class TestConfigParsing:
         code, _, err = run_cli(capsys, "solve", "--config", path)
         assert code == 2
         assert "unknown config key [solver] tau" in err
+
+    def test_max_iter_key_refused(self, tmp_path, capsys):
+        # the Newton step budget comes from the grid, so max_iter is unknown
+        with pytest.raises(ConfigError, match=r"unknown config key \[solver\] max_iter"):
+            parse_config("[solver]\nmax_iter = 120\n")
+        path = write_config(tmp_path, MODEL_INI + "[solver]\nmax_iter = 120\n")
+        code, _, err = run_cli(capsys, "solve", "--config", path)
+        assert code == 2
+        assert "unknown config key [solver] max_iter" in err
 
     def test_syntax_error(self):
         with pytest.raises(ConfigError, match="syntax"):

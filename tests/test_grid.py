@@ -446,6 +446,17 @@ class TestDiscreteOperator:
         with pytest.raises(ConfigError, match="declared infimum"):
             apply(CoefficientLambdaN(a), disc_h4)
 
+    def test_non_finite_coefficient_is_named(self, disc_h4):
+        # a(x) is NaN for x_1 > 0.3; the refusal names the coefficient, not
+        # the forcing
+        a = ScalarField(
+            fn=lambda x: np.where(x[..., 0] > 0.3, np.nan, 2.0), lower=1.0, upper=3.0
+        )
+        with pytest.raises(ConfigError, match="coefficient must be finite on the grid"):
+            _solve_on(CoefficientLambdaN(a), disc_h4)
+        with pytest.raises(ConfigError, match="forcing must be finite on the grid"):
+            solve(GridProblem(LambdaK(1), None, MODEL, DISC, math.nan), disc_h4)
+
     @pytest.mark.parametrize(
         "spec, reference",
         [
@@ -705,7 +716,7 @@ class TestUpwindMonotone:
             scheme = _Scheme(problem, grid)
             u, resid, _ = grid_module._newton(
                 scheme, np.zeros(grid.n_nodes + 1), 1e-11,
-                0, grid_module._NEWTON_STEPS, [], upwind=True,
+                0, grid_module._step_budget(grid), [], upwind=True,
             )
             assert resid <= 1e-11
             solutions.append(u[:-1])
@@ -905,26 +916,39 @@ class TestSolve:
         # Newton is the only solver; there is no explicit step to set
         with pytest.raises(TypeError, match="tau"):
             SolveControls(tau=0.01)
-        assert SolveControls().max_iter == 2 * grid_module._NEWTON_STEPS
 
-    def test_max_iter_raises_with_history(self, disc_h8):
-        # five steps from zeros cannot solve the disc
+    def test_max_iter_control_refused(self, disc_h8):
+        # the step budget per stage comes from the grid: the longer side of
+        # the lattice box, 19 nodes at h = 1/8
+        with pytest.raises(TypeError, match="max_iter"):
+            SolveControls(max_iter=120)
+        assert grid_module._step_budget(disc_h8) == max(disc_h8.mask.shape) == 19
+        assert grid_module._step_budget(build_grid(LENS, 1 / 16, 8)) == 45
+
+    def test_step_budget_raises_with_history(self, disc_h8, monkeypatch):
+        # three steps per stage from zeros cannot solve the disc (the upwind
+        # stage alone needs eight)
+        monkeypatch.setattr(grid_module, "_step_budget", lambda grid: 3)
         with pytest.raises(NumericError) as err:
-            solve(BENCH, disc_h8, SolveControls(max_iter=5, init="zeros"))
+            solve(BENCH, disc_h8, SolveControls(init="zeros"))
         diag = err.value.diagnostics
-        assert diag["iterations"] == 5
-        assert len(diag["residual_history"]) >= 1
+        assert diag["iterations"] == 6
+        assert len(diag["residual_history"]) == 2 * (1 + 3)
         assert diag["residual"] > 0.0
 
-    def test_max_iter_caps_the_barrier_start(self, disc_h8):
+    def test_step_budget_caps_the_barrier_start(self, disc_h8, monkeypatch):
         # the barrier start needs two upwind steps and three polish steps;
-        # a cap of two ends the solve at the polish start
+        # a budget of two per stage ends the polish one step short
+        monkeypatch.setattr(grid_module, "_step_budget", lambda grid: 2)
         with pytest.raises(NumericError) as err:
-            solve(BENCH, disc_h8, SolveControls(max_iter=2))
+            solve(BENCH, disc_h8)
         diag = err.value.diagnostics
-        assert diag["iterations"] == 2
-        assert len(diag["residual_history"]) == 2 + 2
+        assert diag["iterations"] == 4
+        assert len(diag["residual_history"]) == 2 * (1 + 2)
         assert diag["residual"] > 0.0
+        monkeypatch.setattr(grid_module, "_step_budget", lambda grid: 3)
+        _, report = solve(BENCH, disc_h8)
+        assert (report.upwind_steps, report.iterations) == (2, 5)
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_blowup_detected(self, disc_h8):
@@ -1063,16 +1087,21 @@ class TestSolve:
             solve(prob, disc_h8)
 
     def test_anisotropic_identity_matches_power_norm(self, disc_h8):
-        aniso = GridProblem(
-            operator=CoefficientLambdaN(ScalarField.constant(2.0)),
-            hamiltonian=AnisotropicPower(A=SymMatrix(np.eye(2)), p=2.0),
-            params=MODEL,
-            domain=DISC,
-            f=-1.0,
-        )
-        u_a, _ = solve(aniso, disc_h8, SolveControls(tol=1e-6))
-        u_p, _ = solve(BENCH, disc_h8, SolveControls(tol=1e-6))
-        assert float(np.max(np.abs(u_a.values - u_p.values))) <= 1e-12
+        # b |g|^p is <A g, g>^(p/2) with A = b^(2/p) I; at b = 2, p = 3 the
+        # forcing -1/4 keeps the unit disc below the threshold rbar = 2.12
+        for b, p, f in ((1.0, 2.0, -1.0), (2.0, 3.0, -0.25)):
+            params = Params(beta=2.0, b=b, p=p, M=1.0)
+            solutions = []
+            for ham in (
+                PowerNorm(b=b, p=p),
+                AnisotropicPower(A=SymMatrix(b ** (2.0 / p) * np.eye(2)), p=p, b=b),
+            ):
+                problem = GridProblem(
+                    CoefficientLambdaN(ScalarField.constant(2.0)), ham, params, DISC, f
+                )
+                u, _ = solve(problem, disc_h8, SolveControls(tol=1e-6))
+                solutions.append(u.values)
+            assert float(np.max(np.abs(solutions[0] - solutions[1]))) <= 1e-12
 
     def test_benchmark_takes_newton_steps(self):
         # a quiet fallback to the Jacobi update would need thousands of sweeps
@@ -1085,7 +1114,7 @@ class TestSolve:
         # two Newton steps per stage cannot reach the stop residual on the
         # lens, and there is no fallback: the solve fails with the history
         # of both stages
-        monkeypatch.setattr(grid_module, "_NEWTON_STEPS", 2)
+        monkeypatch.setattr(grid_module, "_step_budget", lambda grid: 2)
         g = build_grid(LENS, 1 / 16, 8)
         prob = GridProblem(
             operator=CoefficientLambdaN(ScalarField.constant(2.0)),
