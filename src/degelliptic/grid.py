@@ -918,11 +918,13 @@ def _initial_values(problem: GridProblem, grid: Grid2D, scheme, init: str):
 
 
 class _StepLog:
-    """Per Newton step, the nodes whose policy it changed; and the
-    factorizations, counted over the stages of one solve."""
+    """Over the stages of one solve: the nodes whose policy each Newton step
+    changed (so the step count is ``len(policy_changes)``), the residual
+    history, and the factorizations."""
 
     def __init__(self):
         self.policy_changes: list[int] = []
+        self.history: list[float] = []
         self.factorizations = 0
 
 
@@ -977,20 +979,17 @@ def _newton(
     scheme: _Scheme,
     v_ext: np.ndarray,
     stop: float,
-    steps: int,
-    cap: int,
-    history: list[float],
     upwind: bool,
-    log: _StepLog | None = None,
-) -> tuple[np.ndarray, float, int]:
+    log: _StepLog,
+) -> tuple[np.ndarray, float]:
     """Semismooth Newton (policy-iteration) steps on one form of the scheme,
-    counting on from ``steps`` until the count reaches ``cap``.
+    at most ``_step_budget`` of them past the steps already in ``log``.
 
     Returns the iterate with the smallest residual seen, the start included,
-    that residual, and the step count.  ``history`` gets the start residual
-    and the residual after each step, ``log`` the policy changes of each
-    step and the factorizations.  Reaching ``stop`` ends the stage; so does
-    a non-finite residual, which the caller reports.
+    and that residual.  ``log`` gets the start residual, and per step the
+    residual after it and its policy changes, and the factorizations.
+    Reaching ``stop`` ends the stage; so does a non-finite residual, which
+    the caller reports.
 
     A step factors its Jacobian with symmetric-mode SuperLU (see the module
     docstring), or, when ``_reuse_rows`` allows, solves exactly with the
@@ -1005,11 +1004,11 @@ def _newton(
     """
     from scipy.sparse.linalg import splu
 
-    log = log if log is not None else _StepLog()
     n = scheme.n
+    cap = len(log.policy_changes) + _step_budget(scheme.grid)
     resid, policy = scheme.residual_and_policy(v_ext, upwind)
     rmax = float(np.max(np.abs(resid)))
-    history.append(rmax)
+    log.history.append(rmax)
     best, best_r = v_ext, rmax
     lu = jac0 = policy0 = None
     cols: dict[int, np.ndarray] = {}
@@ -1019,7 +1018,7 @@ def _newton(
         with np.errstate(all="ignore"):
             return (trial, *scheme.residual_and_policy(trial, upwind))
 
-    while steps < cap and rmax > stop and math.isfinite(rmax):
+    while len(log.policy_changes) < cap and rmax > stop and math.isfinite(rmax):
         step = None
         rows = _reuse_rows(lu, policy0, policy, resid, stop)
         if rows is not None:
@@ -1043,23 +1042,23 @@ def _newton(
                 )
             except RuntimeError as exc:
                 raise NumericError(
-                    f"singular Newton Jacobian at step {steps + 1} ({exc})",
+                    f"singular Newton Jacobian at step"
+                    f" {len(log.policy_changes) + 1} ({exc})",
                     diagnostics={
-                        "iterations": steps,
-                        "residual_history": history,
+                        "iterations": len(log.policy_changes),
+                        "residual_history": log.history,
                         "policy_changes": log.policy_changes,
                     },
                 ) from exc
             log.factorizations += 1
             step = advance(lu.solve(-resid))
-        steps += 1
         log.policy_changes.append(int((step[2] != policy).any(axis=1).sum()))
         v_ext, resid, policy = step
         rmax = float(np.max(np.abs(resid)))
-        history.append(rmax)
+        log.history.append(rmax)
         if rmax < best_r:
             best, best_r = v_ext, rmax
-    return best, best_r, steps
+    return best, best_r
 
 
 def solve(
@@ -1092,18 +1091,13 @@ def solve(
     v_ext[:n] = _initial_values(problem, grid, scheme, controls.init)
 
     start = time.perf_counter()
-    history: list[float] = []
     log = _StepLog()
-    budget = _step_budget(grid)
-    v_ext, rmax, iterations = _newton(
-        scheme, v_ext, stop, 0, budget, history, True, log
-    )
-    upwind_steps = iterations
-    if math.isfinite(history[-1]):
-        v_ext, rmax, iterations = _newton(
-            scheme, v_ext, stop, iterations, iterations + budget, history, False, log
-        )
-    if not math.isfinite(history[-1]):
+    v_ext, rmax = _newton(scheme, v_ext, stop, True, log)
+    upwind_steps = len(log.policy_changes)
+    if math.isfinite(log.history[-1]):
+        v_ext, rmax = _newton(scheme, v_ext, stop, False, log)
+    iterations = len(log.policy_changes)
+    if not math.isfinite(log.history[-1]):
         raise NumericError(
             "iteration blew up (non-finite residual)",
             diagnostics={
@@ -1118,7 +1112,7 @@ def solve(
             diagnostics={
                 "iterations": iterations,
                 "residual": rmax,
-                "residual_history": history,
+                "residual_history": log.history,
                 "policy_changes": log.policy_changes,
             },
         )

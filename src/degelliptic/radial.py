@@ -3,11 +3,12 @@
 The profile phi(r, s) = -beta s / r + b s^p + M encodes the equation
 satisfied by s(r) = -u'(r) for radial u.  Everything else follows from its
 zeros: the first zero gives the bounded solution, the second zero (p > 1)
-the blow-up family.  Each zero is reached by Newton steps that approach
-it from one side (see ``_newton_root``).  On either branch the root curve
-inverts explicitly, r(s) = beta s / (b s^p + M), so u(r) = integral of s
-from r to R has a closed form (see ``_exact_u``); no quadrature is
-involved.
+the blow-up family.  One routine (``_zero``) reaches either zero by Newton
+steps that approach it from one side (see ``_newton_root``).  On either
+branch the root curve inverts explicitly, r(s) = beta s / (b s^p + M), so
+u(r) = integral of s from r to R has a closed form (see ``_exact_u``); no
+quadrature is involved.  A ``RadialProfile`` gives the exact u, u' and u''
+at any radius from these, not by interpolating its table.
 """
 
 from __future__ import annotations
@@ -180,14 +181,17 @@ def _root_tolerance(r, s, params):
     return 1e-12 * scale
 
 
-def first_zero(r, params: Params):
-    """Smallest zero of phi(r, .): in (0, s1] superlinearly, in (s1, inf)
-    sublinearly.  Scalar in, scalar out; arrays pass through elementwise."""
+def _zero(r, params: Params, second: bool):
+    """The first zero of phi(r, .), or with ``second`` the second one, at
+    radii r; every root in this module comes from here."""
     r_arr = _check_radius(np.atleast_1d(r))
     scalar = np.asarray(r, dtype=float).ndim == 0
 
     if params.M == 0.0 and params.superlinear:
+        # phi = s (b s^(p-1) - beta/r): the zeros are 0 and a closed form
         out = np.zeros_like(r_arr)
+        if second:
+            out = (params.beta / (params.b * r_arr)) ** (1.0 / (params.p - 1.0))
         return float(out[0]) if scalar else out
 
     s1 = critical_s1(r_arr, params)
@@ -204,8 +208,13 @@ def first_zero(r, params: Params):
         # |gap| ~ 0 means the double root at the threshold: s1 IS the root
         # there, and Newton would only chase rounding noise
         at_end = np.abs(gap) <= tol_gap
-        # convex and decreasing on [0, s1]: Newton climbs from s = 0
-        start, direction = np.zeros_like(r_arr), 1.0
+        if second:
+            # t = p^(1/(p-1)) has t^p / p = t, so phi(r, t s1) = M >= 0:
+            # convex and increasing on [s1, t s1], Newton descends from t s1
+            start, direction = params.p ** (1.0 / (params.p - 1.0)) * s1, -1.0
+        else:
+            # convex and decreasing on [0, s1]: Newton climbs from s = 0
+            start, direction = np.zeros_like(r_arr), 1.0
     else:
         # phi rises to its max at s1 then falls to -inf: the zero lies in
         # (s1, A + B] with A = 2Mr/beta, B = (2br/beta)^(1/(1-p)), because
@@ -230,49 +239,17 @@ def first_zero(r, params: Params):
     return float(s[0]) if scalar else s
 
 
+def first_zero(r, params: Params):
+    """Smallest zero of phi(r, .): in (0, s1] superlinearly, in (s1, inf)
+    sublinearly.  Scalar in, scalar out; arrays pass through elementwise."""
+    return _zero(r, params, second=False)
+
+
 def second_zero(r, params: Params):
     """Largest zero of phi(r, .), superlinear only; >= s1(r)."""
     if not params.superlinear:
         raise BranchError("second zero exists only for p > 1")
-    r_arr = _check_radius(np.atleast_1d(r))
-    scalar = np.asarray(r, dtype=float).ndim == 0
-
-    if params.M == 0.0:
-        out = (params.beta / (params.b * r_arr)) ** (1.0 / (params.p - 1.0))
-        return float(out[0]) if scalar else out
-
-    s1 = critical_s1(r_arr, params)
-    gap = _phi_raw(r_arr, s1, params)
-    tol_gap = ENDPOINT_RTOL * (1.0 + params.M)
-    if np.any(gap > tol_gap):
-        k = int(np.argmax(gap))
-        raise NoRootError(
-            f"no profile root at r={r_arr[k]:.17g}: phi stays above zero",
-            gap=float(gap[k]),
-            radius=float(r_arr[k]),
-        )
-    at_end = np.abs(gap) <= tol_gap
-
-    if params.p > 2.0:
-        # phi(r, p^(1/(p-1)) s1) = M > 0 brackets the root from above
-        hi = params.p ** (1.0 / (params.p - 1.0)) * s1
-    else:
-        hi = 2.0 * s1
-        f_hi = _phi_raw(r_arr, hi, params)
-        for _ in range(200):
-            still = f_hi < 0.0
-            if not np.any(still):
-                break
-            hi = np.where(still, 2.0 * hi, hi)
-            f_hi = np.where(still, _phi_raw(r_arr, hi, params), f_hi)
-        else:
-            raise NumericError("doubling search found no sign change")
-
-    # convex and increasing on [s1, hi]: Newton descends from hi
-    s, f = _newton_root(r_arr, hi, params, ~at_end, -1.0)
-    s = np.where(at_end, s1, s)
-    _validate_root(r_arr, s, f, at_end, params)
-    return float(s[0]) if scalar else s
+    return _zero(r, params, second=True)
 
 
 def _validate_root(r, s, f, at_end, params):
@@ -305,7 +282,8 @@ class RadialProfile:
     ``u_at_zero`` is the limit value at the center, +inf for the divergent
     second-zero branches with p <= 2.  ``at_threshold`` records that R sits
     at the superlinear existence threshold (up to tolerance), where u''
-    blows up at the boundary.
+    blows up at the boundary.  ``value``, ``du`` and ``ddu`` evaluate the
+    branch exactly at any radius, not the table.
     """
 
     params: Params
@@ -322,11 +300,34 @@ class RadialProfile:
         for arr in (self.r_grid, self.s_values, self.u_values, self.residuals):
             arr.flags.writeable = False
 
-    def interpolate_s(self, r) -> np.ndarray:
-        return np.interp(r, self.r_grid, self.s_values)
+    def value(self, r) -> np.ndarray:
+        """Exact u at radii r: the closed form on the profile's branch, not
+        the table.  Radii outside the table are clamped to [r_grid[0], R]."""
+        rr = np.clip(r, self.r_grid[0], self.R)
+        return np.asarray(
+            _branch_values(self.branch, rr, self.R, self.params)[1], dtype=float
+        )
 
-    def interpolate_u(self, r) -> np.ndarray:
-        return np.interp(r, self.r_grid, self.u_values)
+    def du(self, r):
+        """Exact u' = -s at radii r, the branch's root recomputed there."""
+        return -_zero(r, self.params, _second_branch(self.branch, self.params))
+
+    def ddu(self, r) -> np.ndarray:
+        """Exact u'' = -s' at radii r, differentiating phi(r, s(r)) = 0:
+            s' = phi_r / (-phi_s) = (beta s / r^2) / (beta/r - p b s^(p-1)),
+        exact up to the root accuracy wherever phi_s != 0; M / beta at s = 0."""
+        p = self.params
+        r = np.asarray(r, dtype=float)
+        s = -np.asarray(self.du(r))
+        denom = p.beta / r - p.p * p.b * np.where(s > 0.0, s, 1.0) ** (p.p - 1.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            sprime = np.where(s > 0.0, (p.beta * s / r**2) / denom, p.M / p.beta)
+        if not np.all(np.isfinite(sprime)):
+            raise DomainViolationError(
+                "sample radius sits at the threshold endpoint where the"
+                " profile derivative is unbounded"
+            )
+        return -sprime
 
 
 def _graded_nodes(R: float, node_count: int) -> np.ndarray:
@@ -363,6 +364,23 @@ def _merge_radii(nodes: np.ndarray, include_radii, R: float) -> np.ndarray:
     return np.union1d(nodes, np.minimum(extra, R))
 
 
+def _check_threshold(params: Params, R: float) -> bool:
+    """Refuse a ball radius R above the superlinear threshold rbar (M > 0)
+    with ``NoRootError`` and the gap at R; return whether R sits at rbar,
+    both within ``ENDPOINT_RTOL * (1 + M)``."""
+    if not params.superlinear or params.M == 0.0:
+        return False
+    threshold = rbar(params)
+    tol = ENDPOINT_RTOL * (1.0 + params.M)
+    if R > threshold * (1.0 + tol):
+        raise NoRootError(
+            f"ball radius {R} exceeds the existence threshold {threshold}",
+            gap=float(phi(R, critical_s1(R, params), params)),
+            radius=R,
+        )
+    return abs(R - threshold) <= tol * threshold
+
+
 def radial_profile(
     branch: ProfileBranch,
     R: float,
@@ -395,17 +413,7 @@ def radial_profile(
         if not params.superlinear:
             raise BranchError(f"{branch.value} requires p > 1")
 
-    at_threshold = False
-    if params.superlinear and params.M > 0.0:
-        threshold = rbar(params)
-        if R > threshold * (1.0 + ENDPOINT_RTOL * (1.0 + params.M)):
-            raise NoRootError(
-                f"ball radius {R} exceeds the existence threshold {threshold}",
-                gap=float(phi(R, critical_s1(R, params), params)),
-                radius=R,
-            )
-        at_threshold = abs(R - threshold) <= ENDPOINT_RTOL * (1.0 + params.M) * threshold
-
+    at_threshold = _check_threshold(params, R)
     second = _second_branch(branch, params)
     if second:
         if include_radii is not None and len(include_radii) > 0:
@@ -517,7 +525,7 @@ def _branch_values(branch: ProfileBranch, r, R: float, params: Params):
     form: ``_exact_u`` for M > 0, ``_zero_m_integrals`` for M = 0."""
     second = _second_branch(branch, params)
     if params.M == 0.0:
-        s = (second_zero if second else first_zero)(r, params)
+        s = _zero(r, params, second)
         return (s, *_zero_m_integrals(branch, r, R, params, second))
     return _exact_u(r, R, params, second)
 
@@ -534,7 +542,7 @@ def _exact_u(r, R: float, params: Params, second: bool = False):
     """
     r = np.asarray(r, dtype=float)
     inner = (r > 0.0) & (r < R)
-    roots = (second_zero if second else first_zero)(np.append(r[inner], R), params)
+    roots = _zero(np.append(r[inner], R), params, second)
     # radii at R take the one root computed there, so u(R) is exactly 0
     s = np.where(r >= R, roots[-1], 0.0)
     s[inner] = roots[:-1]
@@ -659,13 +667,8 @@ def c1_bound(params: Params, R: float) -> float:
     if params.superlinear:
         if params.M == 0.0:
             return math.inf  # threshold is infinite and the bound degenerates
+        _check_threshold(params, R)
         threshold = rbar(params)
-        if R > threshold * (1.0 + ENDPOINT_RTOL * (1.0 + params.M)):
-            raise NoRootError(
-                f"radius {R} exceeds the existence threshold {threshold}",
-                gap=float(phi(R, critical_s1(R, params), params)),
-                radius=R,
-            )
         return (
             params.beta / (threshold * params.p * params.b)
         ) ** (1.0 / (params.p - 1.0)) * (threshold + 1.0)

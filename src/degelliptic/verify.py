@@ -6,12 +6,12 @@ strict supersolution; scaling of a sublinear solution), existence-threshold
 probes, and grid refinement studies against radial oracles.
 
 Radial candidates are evaluated through the Hessian eigenvalue pair
-{u''(r), u'(r)/r with multiplicity N-1}, so a candidate only has to expose
-first and second radial derivatives.  Tabulated profiles get them exactly
-at arbitrary radii: the root is recomputed there (u' = -s) and u'' comes
-from the implicit derivative of the profile equation on the root curve,
-which keeps certificate margins at rounding level.  Closed forms carry
-analytic derivatives.
+{u''(r), u'(r)/r with multiplicity N-1}.  Every candidate (a
+``RadialProfile``, an ``ExplicitSublinearForm`` or a ``ClosedFormRadial``)
+is read through one interface: its ball radius ``R`` and ``value``, ``du``
+and ``ddu`` at arbitrary radii.  Profiles differentiate themselves exactly
+(see ``RadialProfile``), so certificate margins stay at rounding level and
+nothing here re-roots the profile function.
 """
 
 from __future__ import annotations
@@ -39,14 +39,11 @@ from .radial import (
     ENDPOINT_RTOL,
     ExplicitSublinearForm,
     RadialProfile,
-    _branch_values,
     _exact_u,
-    _second_branch,
     critical_s1,
     first_zero,
     phi,
     rbar,
-    second_zero,
 )
 
 __all__ = [
@@ -78,7 +75,7 @@ SLACK_TOL = 1e-10  # recomputed margins may undershoot a slack by this much
 class ClosedFormRadial:
     """Analytic radial candidate: value and derivatives as callables."""
 
-    u: Callable
+    value: Callable
     du: Callable
     ddu: Callable
     R: float
@@ -89,54 +86,6 @@ class ClosedFormRadial:
 
 
 RadialCandidate = Union[RadialProfile, ExplicitSublinearForm, ClosedFormRadial]
-
-
-def _candidate_radius(candidate: RadialCandidate) -> float:
-    return float(candidate.R)
-
-
-def _candidate_value(candidate: RadialCandidate, r: np.ndarray) -> np.ndarray:
-    if isinstance(candidate, RadialProfile):
-        # the closed form on the profile's branch, not the tabulated nodes;
-        # radii outside the table are clamped to it, as interpolation does
-        rr = np.clip(r, candidate.r_grid[0], candidate.R)
-        return np.asarray(
-            _branch_values(candidate.branch, rr, candidate.R, candidate.params)[1],
-            dtype=float,
-        )
-    if isinstance(candidate, ExplicitSublinearForm):
-        return np.asarray(candidate.value(r), dtype=float)
-    return np.asarray(candidate.u(r), dtype=float)
-
-
-def _candidate_derivatives(candidate: RadialCandidate, r: np.ndarray):
-    """(u', u'') at the sample radii.
-
-    Profiles are re-rooted at the requested radii (no interpolation), then
-    differentiated implicitly on the root curve phi(r, s(r)) = 0:
-        s' = phi_r / (-phi_s) = (beta s / r^2) / (beta/r - p b s^(p-1)),
-    which is exact up to the root accuracy wherever phi_s != 0.
-    """
-    if isinstance(candidate, RadialProfile):
-        p = candidate.params
-        second = _second_branch(candidate.branch, p)
-        s = (second_zero if second else first_zero)(r, p)
-        s = np.atleast_1d(np.asarray(s, dtype=float))
-        denom = p.beta / r - p.p * p.b * np.where(s > 0.0, s, 1.0) ** (p.p - 1.0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            sprime = np.where(
-                s > 0.0, (p.beta * s / r**2) / denom, p.M / p.beta
-            )
-        if not np.all(np.isfinite(sprime)):
-            raise DomainViolationError(
-                "sample radius sits at the threshold endpoint where the"
-                " profile derivative is unbounded"
-            )
-        return -s, -sprime
-    return (
-        np.asarray(candidate.du(r), dtype=float),
-        np.asarray(candidate.ddu(r), dtype=float),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +188,7 @@ def residual_check_radial(
     r = np.atleast_1d(np.asarray(radii, dtype=float))
     if r.size == 0:
         raise ConfigError("need at least one sample radius")
-    radius = _candidate_radius(candidate)
+    radius = candidate.R
     if np.any(r < ENDPOINT_MARGIN) or np.any(r > radius - ENDPOINT_MARGIN):
         raise DomainViolationError(
             f"sample radii must lie in [{ENDPOINT_MARGIN},"
@@ -247,8 +196,7 @@ def residual_check_radial(
         )
     if not (tolerance > 0.0):
         raise ConfigError("tolerance must be positive")
-    du, ddu = _candidate_derivatives(candidate, r)
-    res = _radial_residuals(problem, r, du, ddu)
+    res = _radial_residuals(problem, r, candidate.du(r), candidate.ddu(r))
     max_abs = float(np.max(np.abs(res)))
     return ResidualReport(
         radii=r.copy(),
@@ -275,8 +223,7 @@ def residual_report_to_csv(report: ResidualReport, path) -> None:
 
 
 def _sample_radii(v: RadialCandidate, count: int) -> np.ndarray:
-    radius = _candidate_radius(v)
-    return np.linspace(ENDPOINT_MARGIN, radius - ENDPOINT_MARGIN, count)
+    return np.linspace(ENDPOINT_MARGIN, v.R - ENDPOINT_MARGIN, count)
 
 
 @dataclass(frozen=True)
@@ -336,19 +283,15 @@ def sigma_perturbation(
         raise ConfigError("need at least one sample point")
 
     r = _sample_radii(v, sample_count)
-    du_v, ddu_v = _candidate_derivatives(v, r)
-    du_p, ddu_p = _candidate_derivatives(varphi, r)
-    du = sigma * du_v + (1.0 - sigma) * du_p
-    ddu = sigma * ddu_v + (1.0 - sigma) * ddu_p
+    du = sigma * v.du(r) + (1.0 - sigma) * varphi.du(r)
+    ddu = sigma * v.ddu(r) + (1.0 - sigma) * varphi.ddu(r)
     margins = -_radial_residuals(problem, r, du, ddu)
     slack = (1.0 - sigma) * epsilon
     min_margin = float(np.min(margins))
 
     def combined(rr):
         rr = np.asarray(rr, dtype=float)
-        out = sigma * _candidate_value(v, rr) + (1.0 - sigma) * _candidate_value(
-            varphi, rr
-        )
+        out = np.asarray(sigma * v.value(rr) + (1.0 - sigma) * varphi.value(rr))
         return float(out) if out.ndim == 0 else out
 
     return SigmaCertificate(
@@ -439,16 +382,15 @@ def epsilon_scaling(
         raise ConfigError("need at least one sample point")
 
     r = _sample_radii(v, sample_count)
-    du_v, ddu_v = _candidate_derivatives(v, r)
     scale = 1.0 + epsilon
-    margins = -_radial_residuals(problem, r, scale * du_v, scale * ddu_v)
+    margins = -_radial_residuals(problem, r, scale * v.du(r), scale * v.ddu(r))
     slack = -epsilon * sup_f
     min_margin = float(np.min(margins))
     h2 = _h2_scaling_margin(ham)
 
     def scaled(rr):
         rr = np.asarray(rr, dtype=float)
-        out = scale * _candidate_value(v, rr)
+        out = np.asarray(scale * v.value(rr))
         return float(out) if out.ndim == 0 else out
 
     return EpsilonCertificate(

@@ -119,7 +119,7 @@ def test_criterion_02_model_case_profile():
     # u0(r) = w - log(1+w) with w = sqrt(1-r^2): u0(0.5) = 0.242215 to six
     # decimals, u0(0+) = 1 - log 2
     w_half = math.sqrt(0.75)
-    u_half = float(prof.interpolate_u(0.5))
+    u_half = float(prof.value(0.5))
     assert abs(u_half - (w_half - math.log1p(w_half))) <= 1e-6
     assert abs(u_half - 0.242215) <= 1e-6
     assert abs(prof.u_at_zero - U_AT_ZERO) <= 1e-6
@@ -181,7 +181,7 @@ def test_criterion_05_blowup_dichotomy():
     )
     assert classify_blowup(MODEL).kind == "Blowup"
     assert prof.u_at_zero == math.inf
-    values = prof.interpolate_u(np.array([10.0 ** -k for k in range(1, 7)]))
+    values = prof.value(np.array([10.0 ** -k for k in range(1, 7)]))
     assert values[0] >= 0.5  # first decade, measured from u(1) = 0
     assert float(np.min(np.diff(values))) >= 0.5
 

@@ -139,7 +139,7 @@ def model_profile():
 
 def oracle_on(grid, profile):
     r = np.hypot(grid.nodes_xy[:, 0], grid.nodes_xy[:, 1])
-    vals = profile.interpolate_u(np.clip(r, profile.r_grid[0], 1.0))
+    vals = profile.value(np.clip(r, profile.r_grid[0], 1.0))
     vals[r < profile.r_grid[0]] = profile.u_at_zero
     return GridFunction(grid=grid, values=vals)
 
@@ -714,9 +714,9 @@ class TestUpwindMonotone:
             problem = _lens_problem(offset, ham, f)
             grid = build_grid(problem.domain, h, 8)
             scheme = _Scheme(problem, grid)
-            u, resid, _ = grid_module._newton(
-                scheme, np.zeros(grid.n_nodes + 1), 1e-11,
-                0, grid_module._step_budget(grid), [], upwind=True,
+            u, resid = grid_module._newton(
+                scheme, np.zeros(grid.n_nodes + 1), 1e-11, True,
+                grid_module._StepLog(),
             )
             assert resid <= 1e-11
             solutions.append(u[:-1])

@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -23,3 +24,26 @@ def test_import_loads_no_scipy():
         check=True, timeout=120,
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_private_names_stay_in_their_module():
+    # each module keeps its underscore names to itself; the one sanctioned
+    # crossing is the closed-form radial u that the barriers and the grid
+    # oracle evaluate at arbitrary distances
+    package = Path(degelliptic.__file__).resolve().parent
+    crossings = set()
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            module = node.module or ""
+            if node.level == 0 and not module.startswith("degelliptic"):
+                continue
+            source = module.rpartition(".")[2]
+            for alias in node.names:
+                if alias.name.startswith("_"):
+                    crossings.add((path.stem, source, alias.name))
+    assert crossings == {
+        ("barriers", "radial", "_exact_u"),
+        ("verify", "radial", "_exact_u"),
+    }

@@ -318,13 +318,66 @@ def second_profile():
     )
 
 
+# one profile per branch, each off its threshold so u'' is finite on (0, R]
+_BRANCH_PROFILES = {
+    "FirstZeroSuperlinear": (MODEL, 0.9),
+    "SecondZeroSuperlinear": (MODEL, 0.9),
+    "FirstZeroSublinear": (SUB, 1.0),
+    "ZeroM": (Params(beta=2.0, b=1.0, p=2.0, M=0.0), 1.0),
+}
+
+
+class TestProfileEvaluation:
+    # value, du and ddu evaluate the branch itself; on the table's own nodes
+    # they must reproduce the table
+    @pytest.fixture(scope="class", params=list(_BRANCH_PROFILES))
+    def prof(self, request):
+        params, R = _BRANCH_PROFILES[request.param]
+        return radial_profile(request.param, R, params, node_count=256)
+
+    def test_value_matches_table(self, prof):
+        u = prof.value(prof.r_grid)
+        scale = np.max(np.abs(prof.u_values))
+        assert np.max(np.abs(u - prof.u_values)) <= 1e-15 * scale
+
+    def test_du_is_minus_s(self, prof):
+        assert np.array_equal(prof.du(prof.r_grid), -prof.s_values)
+
+    def test_ddu_matches_centered_difference(self, prof):
+        r = prof.r_grid[(prof.r_grid > 0.05 * prof.R) & (prof.r_grid < 0.95 * prof.R)]
+        h = 1e-5 * r
+        fd = (prof.du(r + h) - prof.du(r - h)) / (2.0 * h)
+        ddu = prof.ddu(r)
+        assert np.max(np.abs(ddu - fd)) <= 1e-7 * np.max(np.abs(ddu))
+
+    def test_value_clamps_to_the_table(self, prof):
+        lo, R = prof.r_grid[0], prof.R
+        assert np.array_equal(
+            prof.value([0.5 * lo, 2.0 * R]), prof.value([lo, R])
+        )
+
+
+@given(
+    _COEFFS, _COEFFS, st.floats(1.0 + 1e-3, 4.0), _COEFFS, st.floats(-3.0, 3.0)
+)
+@settings(max_examples=200, deadline=None)
+def test_second_zero_start_is_m(beta, b, p, M, log_s1):
+    # the second zero starts at t s1 with t = p^(1/(p-1)); there t^p / p = t,
+    # so phi = M and Newton descends onto the root from above
+    params = Params(beta=beta, b=b, p=p, M=M)
+    r = beta / (p * b * (10.0**log_s1) ** (p - 1.0))
+    s = p ** (1.0 / (p - 1.0)) * critical_s1(r, params)
+    scale = max(beta * s / r, b * s**p, M)
+    assert abs(phi(r, s, params) - M) <= 32.0 * np.finfo(float).eps * scale
+
+
 class TestRadialProfileFirstZero:
     @pytest.fixture
     def prof(self, first_profile):
         return first_profile
 
     def test_u_values(self, prof):
-        assert float(prof.interpolate_u(0.5)) == pytest.approx(U_HALF, abs=1e-9)
+        assert float(prof.value(0.5)) == pytest.approx(U_HALF, abs=1e-9)
         assert prof.u_at_zero == pytest.approx(U_ZERO, abs=1e-9)
         assert prof.u_values[-1] == 0.0
         assert prof.at_threshold
@@ -417,7 +470,7 @@ class TestRadialProfileSecondZero:
             ProfileBranch.SECOND_ZERO_SUPERLINEAR, 1.0, MODEL,
             node_count=512, include_radii=[10.0**-k for k in range(1, 8)],
         )
-        u = [float(prof.interpolate_u(10.0**-k)) for k in range(1, 8)]
+        u = [float(prof.value(10.0**-k)) for k in range(1, 8)]
         # u2 = -2 log r - sqrt(1-r^2) + log(1+sqrt(1-r^2)): one decade adds
         # about 2 log 10
         for a, b in zip(u, u[1:]):
