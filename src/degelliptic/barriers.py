@@ -10,16 +10,15 @@ and sandwich every solution with vanishing boundary data.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DomainViolationError, NumericError, ThresholdError
+from .errors import ConfigError, DomainViolationError, NumericError
 from .model import ConvexDomain, Params
-from .radial import _exact_u, c1_bound, rbar
+from .radial import _exact_u, c1_bound, check_threshold
 
 __all__ = [
     "BarrierField",
@@ -64,15 +63,7 @@ def build_supersolution(domain: ConvexDomain, params: Params, M: float) -> Barri
     radial solution at forcing magnitude M (zero field when M = 0)."""
     if M < 0.0 or not math.isfinite(M):
         raise ConfigError("forcing magnitude M must be finite and >= 0")
-    shifted = dataclasses.replace(params, M=M)
-    R = domain.radius
-    if M > 0.0 and shifted.superlinear:
-        threshold = rbar(shifted)
-        if R > threshold * (1.0 + 1e-12):
-            raise ThresholdError(
-                f"domain radius {R} exceeds the existence threshold "
-                f"{threshold} at forcing magnitude {M}"
-            )
+    check_threshold(dataclasses.replace(params, M=M), domain.radius)
     return BarrierField(domain=domain, kind="Super", params=params, forcing_norm=M)
 
 
@@ -144,13 +135,12 @@ def barrier_to_csv(field: BarrierField, path, resolution: int = 64) -> None:
     hi = centers.max(axis=0) + R
     xs = np.linspace(lo[0], hi[0], resolution)
     ys = np.linspace(lo[1], hi[1], resolution)
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write(
             f"# kind={field.kind} forcing_norm={field.forcing_norm!r} "
             f"R={R!r} centers={field.domain.centers!r}\n"
         )
-        w.writerow(["x", "y", "value"])
+        fh.write("x,y,value\n")
         for yv in ys:
             row_pts = np.stack([xs, np.full_like(xs, yv)], axis=1)
             dist = field.domain.max_center_distance(row_pts)
@@ -160,4 +150,4 @@ def barrier_to_csv(field: BarrierField, path, resolution: int = 64) -> None:
             vals = evaluate_barrier(field, row_pts[ok])
             vals = np.atleast_1d(vals)
             for xv, v in zip(xs[ok], vals):
-                w.writerow([f"{xv:.17g}", f"{yv:.17g}", f"{v:.17g}"])
+                fh.write(f"{xv:.17g},{yv:.17g},{v:.17g}\n")

@@ -655,7 +655,7 @@ def run(cfg: RunConfig):
 def _report_failure(err: DegellipticError) -> int:
     """Print the error and its diagnostics, one key: value line each."""
     print(f"error: {err}", file=sys.stderr)
-    for key, value in getattr(err, "diagnostics", {}).items():
+    for key, value in err.diagnostics.items():
         print(f"  {key}: {value}", file=sys.stderr)
     return err.exit_code
 

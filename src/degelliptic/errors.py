@@ -1,7 +1,8 @@
 """Exception hierarchy.
 
 Exit-code contract for the CLI: config/input problems exit 2, numeric
-failures exit 3, verification failures exit 4.
+failures exit 3, verification failures exit 4.  Every error may carry
+``diagnostics``, the failure context the CLI prints after its message.
 """
 
 from __future__ import annotations
@@ -9,6 +10,10 @@ from __future__ import annotations
 
 class DegellipticError(Exception):
     exit_code = 1
+
+    def __init__(self, message: str, diagnostics: dict | None = None):
+        super().__init__(message)
+        self.diagnostics = diagnostics or {}
 
 
 class ConfigError(DegellipticError):
@@ -22,7 +27,16 @@ class BranchError(ConfigError):
 
 
 class ThresholdError(ConfigError):
-    """Requested ball radius exceeds the existence threshold radius."""
+    """Ball radius above the existence threshold radius.
+
+    ``gap`` is the (positive) minimum over s of the profile at ``radius``,
+    i.e. how far the profile stays above zero there.
+    """
+
+    def __init__(self, message: str, gap: float, radius: float):
+        super().__init__(message, {"gap": gap, "radius": radius})
+        self.gap = gap
+        self.radius = radius
 
 
 class DomainViolationError(ConfigError):
@@ -39,23 +53,6 @@ class NumericError(DegellipticError):
     """Computation started but did not reach its tolerance (exit 3)."""
 
     exit_code = 3
-
-    def __init__(self, message: str, diagnostics: dict | None = None):
-        super().__init__(message)
-        self.diagnostics = diagnostics or {}
-
-
-class NoRootError(NumericError):
-    """The profile equation has no root at some radius.
-
-    ``gap`` is the (positive) minimum of the profile over s, i.e. how far
-    the profile stays above zero; ``radius`` is where it happened.
-    """
-
-    def __init__(self, message: str, gap: float, radius: float):
-        super().__init__(message, {"gap": gap, "radius": radius})
-        self.gap = gap
-        self.radius = radius
 
 
 class VerificationError(DegellipticError):

@@ -72,7 +72,6 @@ from .barriers import build_subsolution, build_supersolution, evaluate_barrier
 from .errors import (
     ConfigError,
     NumericError,
-    ThresholdError,
     UnsupportedDiscretizationError,
 )
 from .model import (
@@ -90,7 +89,7 @@ from .model import (
     WeightedEigenvalues,
     ellipticity_constant,
 )
-from .radial import c1_bound, rbar
+from .radial import c1_bound, check_threshold, rbar
 
 __all__ = [
     "Grid2D",
@@ -894,13 +893,7 @@ def _check_envelope(problem: GridProblem, scheme: _Scheme):
         raise ConfigError(
             f"Hamiltonian growth {ham.b} exceeds the declared envelope {params.b}"
         )
-    if params.superlinear and scheme.m_eff > 0.0:
-        threshold = rbar(replace(params, M=scheme.m_eff))
-        if problem.domain.radius > threshold * (1.0 + 1e-12):
-            raise ThresholdError(
-                f"domain radius {problem.domain.radius} exceeds the existence"
-                f" threshold {threshold} at forcing magnitude {scheme.m_eff}"
-            )
+    check_threshold(replace(params, M=scheme.m_eff), problem.domain.radius)
 
 
 def _initial_values(problem: GridProblem, grid: Grid2D, scheme, init: str):

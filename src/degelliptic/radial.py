@@ -13,7 +13,6 @@ at any radius from these, not by interpolating its table.
 
 from __future__ import annotations
 
-import csv
 import enum
 import math
 from dataclasses import dataclass
@@ -24,8 +23,8 @@ from .errors import (
     BranchError,
     ConfigError,
     DomainViolationError,
-    NoRootError,
     NumericError,
+    ThresholdError,
 )
 from .model import Params
 
@@ -37,6 +36,7 @@ __all__ = [
     "dphi_ds",
     "critical_s1",
     "rbar",
+    "check_threshold",
     "first_zero",
     "second_zero",
     "radial_profile",
@@ -64,13 +64,6 @@ class ProfileBranch(enum.Enum):
                 return member
         raise ConfigError(f"unknown profile branch {tag!r}")
 
-    @property
-    def is_first_zero(self) -> bool:
-        return self in (
-            ProfileBranch.FIRST_ZERO_SUPERLINEAR,
-            ProfileBranch.FIRST_ZERO_SUBLINEAR,
-        )
-
 
 # ---------------------------------------------------------------------------
 # the profile function and its threshold
@@ -78,7 +71,7 @@ class ProfileBranch(enum.Enum):
 
 def _check_radius(r) -> np.ndarray:
     r = np.asarray(r, dtype=float)
-    if np.any(r <= 0.0) or not np.all(np.isfinite(r)):
+    if not ((r > 0.0) & (r < np.inf)).all():
         raise DomainViolationError("radius must be positive and finite")
     return r
 
@@ -91,6 +84,11 @@ def phi(r, s, params: Params):
         raise DomainViolationError("profile argument s must be nonnegative")
     out = -params.beta * s / r + params.b * s**params.p + params.M
     return float(out) if out.ndim == 0 else out
+
+
+def _phi_raw(r, s, params):
+    # no argument validation; r, s are arrays prepared by the caller
+    return -params.beta * s / r + params.b * s**params.p + params.M
 
 
 def dphi_ds(r, s, params: Params):
@@ -119,7 +117,7 @@ def rbar(params: Params) -> float:
     phi(rbar, s1) measured against that slack grows like eps / (p - 1).  It
     is about 0.04x the slack at p - 1 = 1e-4 and 0.23x at 1e-5, but at
     p - 1 = 2e-6 ``first_zero(rbar(params), params)`` can raise
-    ``NoRootError``.  Keep p - 1 >= 1e-5 where the radius itself is used.
+    ``ThresholdError``.  Keep p - 1 >= 1e-5 where the radius itself is used.
     """
     if not params.superlinear:
         raise BranchError("no threshold radius in the sublinear regime")
@@ -133,17 +131,44 @@ def rbar(params: Params) -> float:
     )
 
 
+def check_threshold(params: Params, R):
+    """The one existence test for ball radii R (scalar or array).
+
+    The sign gap phi(R, s1(R)), the minimum of the profile over s, may
+    exceed zero by at most ``ENDPOINT_RTOL * (1 + M)``.  Past that raises
+    ``ThresholdError`` with the largest gap and its radius; otherwise
+    returns whether R sits at the threshold (|gap| within the same slack),
+    where the double root s1 is the root.  False for p < 1 and for M = 0,
+    which have no threshold.
+    """
+    r = _check_radius(R)
+    if not params.superlinear or params.M == 0.0:
+        return np.zeros(r.shape, dtype=bool) if r.ndim else False
+    with np.errstate(over="ignore", invalid="ignore"):
+        # s1 as an array, so s1^p takes numpy's array power as in ``phi``;
+        # where s1 overflows (p near 1) the gap is NaN, and the root
+        # finder's finiteness check reports it
+        gap = np.asarray(_phi_raw(r, np.asarray(critical_s1(r, params)), params))
+    tol = ENDPOINT_RTOL * (1.0 + params.M)
+    if (gap > tol).any():
+        k = int(np.nanargmax(gap))  # not a NaN gap where s1 overflows
+        radius = float(r.ravel()[k])
+        raise ThresholdError(
+            f"ball radius {radius} exceeds the existence threshold"
+            f" {rbar(params)} at forcing magnitude {params.M}",
+            gap=float(gap.ravel()[k]),
+            radius=radius,
+        )
+    at_end = np.abs(gap) <= tol
+    return bool(at_end) if at_end.ndim == 0 else at_end
+
+
 # ---------------------------------------------------------------------------
 # root finding
 
 # far above the ~30 steps seen next to the threshold's double root, where
 # Newton converges only linearly
 _NEWTON_CAP = 200
-
-
-def _phi_raw(r, s, params):
-    # no argument validation; r, s are arrays prepared by the caller
-    return -params.beta * s / r + params.b * s**params.p + params.M
 
 
 def _newton_root(r, s, params, live, direction):
@@ -194,46 +219,37 @@ def _zero(r, params: Params, second: bool):
             out = (params.beta / (params.b * r_arr)) ** (1.0 / (params.p - 1.0))
         return float(out[0]) if scalar else out
 
-    s1 = critical_s1(r_arr, params)
-    if params.superlinear:
-        gap = _phi_raw(r_arr, s1, params)
-        tol_gap = ENDPOINT_RTOL * (1.0 + params.M)
-        if np.any(gap > tol_gap):
-            k = int(np.argmax(gap))
-            raise NoRootError(
-                f"no profile root at r={r_arr[k]:.17g}: phi stays above zero",
-                gap=float(gap[k]),
-                radius=float(r_arr[k]),
-            )
-        # |gap| ~ 0 means the double root at the threshold: s1 IS the root
-        # there, and Newton would only chase rounding noise
-        at_end = np.abs(gap) <= tol_gap
-        if second:
+    # at the threshold's double root s1 IS the root, and Newton would only
+    # chase rounding noise there
+    at_end = check_threshold(params, r_arr)
+    # s1 overflows for p near 1, and with it the start and the residuals:
+    # _validate_root's finiteness check is then the one report
+    with np.errstate(over="ignore", invalid="ignore"):
+        s1 = critical_s1(r_arr, params)
+        if not params.superlinear:
+            # phi rises to its max at s1 then falls to -inf: the zero lies in
+            # (s1, A + B] with A = 2Mr/beta, B = (2br/beta)^(1/(1-p)), because
+            # beta(A+B)/r = 2M + 2bB^p, b(A+B)^p <= bA^p + bB^p, and
+            # bA^p <= max(M, bB^p) depending on which of A, B is larger
+            upper = 2.0 * params.M * r_arr / params.beta + (
+                2.0 * params.b * r_arr / params.beta
+            ) ** (1.0 / (1.0 - params.p))
+            if not np.all(np.isfinite(upper)):
+                k = int(np.argmin(np.isfinite(upper)))
+                raise NumericError(
+                    f"sublinear root at r={r_arr[k]:.17g} overflows double"
+                    " precision"
+                )
+            # concave and decreasing on [s1, upper]: Newton descends from upper
+            start, direction = upper, -1.0
+        elif second:
             # t = p^(1/(p-1)) has t^p / p = t, so phi(r, t s1) = M >= 0:
             # convex and increasing on [s1, t s1], Newton descends from t s1
             start, direction = params.p ** (1.0 / (params.p - 1.0)) * s1, -1.0
         else:
             # convex and decreasing on [0, s1]: Newton climbs from s = 0
             start, direction = np.zeros_like(r_arr), 1.0
-    else:
-        # phi rises to its max at s1 then falls to -inf: the zero lies in
-        # (s1, A + B] with A = 2Mr/beta, B = (2br/beta)^(1/(1-p)), because
-        # beta(A+B)/r = 2M + 2bB^p, b(A+B)^p <= bA^p + bB^p, and
-        # bA^p <= max(M, bB^p) depending on which of A, B is larger
-        with np.errstate(over="ignore"):
-            upper = 2.0 * params.M * r_arr / params.beta + (
-                2.0 * params.b * r_arr / params.beta
-            ) ** (1.0 / (1.0 - params.p))
-        if not np.all(np.isfinite(upper)):
-            k = int(np.argmin(np.isfinite(upper)))
-            raise NumericError(
-                f"sublinear root at r={r_arr[k]:.17g} overflows double precision"
-            )
-        # concave and decreasing on [s1, upper]: Newton descends from upper
-        start, direction = upper, -1.0
-        at_end = np.zeros(r_arr.shape, dtype=bool)
-
-    s, f = _newton_root(r_arr, start, params, ~at_end, direction)
+        s, f = _newton_root(r_arr, start, params, ~at_end, direction)
     s = np.where(at_end, s1, s)
     _validate_root(r_arr, s, f, at_end, params)
     return float(s[0]) if scalar else s
@@ -364,23 +380,6 @@ def _merge_radii(nodes: np.ndarray, include_radii, R: float) -> np.ndarray:
     return np.union1d(nodes, np.minimum(extra, R))
 
 
-def _check_threshold(params: Params, R: float) -> bool:
-    """Refuse a ball radius R above the superlinear threshold rbar (M > 0)
-    with ``NoRootError`` and the gap at R; return whether R sits at rbar,
-    both within ``ENDPOINT_RTOL * (1 + M)``."""
-    if not params.superlinear or params.M == 0.0:
-        return False
-    threshold = rbar(params)
-    tol = ENDPOINT_RTOL * (1.0 + params.M)
-    if R > threshold * (1.0 + tol):
-        raise NoRootError(
-            f"ball radius {R} exceeds the existence threshold {threshold}",
-            gap=float(phi(R, critical_s1(R, params), params)),
-            radius=R,
-        )
-    return abs(R - threshold) <= tol * threshold
-
-
 def radial_profile(
     branch: ProfileBranch,
     R: float,
@@ -413,7 +412,7 @@ def radial_profile(
         if not params.superlinear:
             raise BranchError(f"{branch.value} requires p > 1")
 
-    at_threshold = _check_threshold(params, R)
+    at_threshold = check_threshold(params, R)
     second = _second_branch(branch, params)
     if second:
         if include_radii is not None and len(include_radii) > 0:
@@ -667,7 +666,7 @@ def c1_bound(params: Params, R: float) -> float:
     if params.superlinear:
         if params.M == 0.0:
             return math.inf  # threshold is infinite and the bound degenerates
-        _check_threshold(params, R)
+        check_threshold(params, R)
         threshold = rbar(params)
         return (
             params.beta / (threshold * params.p * params.b)
@@ -756,15 +755,12 @@ def explicit_sublinear_solution(
 
 def profile_to_csv(prof: RadialProfile, path) -> None:
     """CSV with columns r, s, u, residual (17 significant digits)."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write(
             f"# branch={prof.branch.value} beta={prof.params.beta!r} "
             f"b={prof.params.b!r} c={prof.params.c!r} d={prof.params.d!r} "
             f"p={prof.params.p!r} M={prof.params.M!r} R={prof.R!r}\n"
         )
-        w.writerow(["r", "s", "u", "residual"])
-        for r, s, u, res in zip(
-            prof.r_grid, prof.s_values, prof.u_values, prof.residuals
-        ):
-            w.writerow([f"{v:.17g}" for v in (r, s, u, res)])
+        fh.write("r,s,u,residual\n")
+        for row in zip(prof.r_grid, prof.s_values, prof.u_values, prof.residuals):
+            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")

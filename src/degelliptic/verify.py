@@ -22,7 +22,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .errors import ConfigError, DomainViolationError, NoRootError
+from .errors import ConfigError, DomainViolationError, ThresholdError
 from .grid import GridProblem, SolveControls, build_grid, solve
 from .model import (
     CoefficientLambdaN,
@@ -36,14 +36,11 @@ from .model import (
     evaluate_operator,
 )
 from .radial import (
-    ENDPOINT_RTOL,
     ExplicitSublinearForm,
     RadialProfile,
     _exact_u,
-    critical_s1,
+    check_threshold,
     first_zero,
-    phi,
-    rbar,
 )
 
 __all__ = [
@@ -449,40 +446,23 @@ def threshold_probe(
     if radii.size == 0 or np.any(~np.isfinite(radii)) or np.any(radii <= 0.0):
         raise ConfigError("radii must be positive and finite")
 
-    threshold = rbar(params)
-    tol = ENDPOINT_RTOL * (1.0 + params.M)
     verdicts = []
     for R in radii:
-        endpoint = math.isfinite(threshold) and abs(R - threshold) <= tol * threshold
-        if R <= threshold * (1.0 + tol):
-            probe = np.linspace(R / probe_count, R, probe_count)
-            try:
-                first_zero(probe, params)
-                verdicts.append(
-                    ThresholdVerdict(R=float(R), exists=True, endpoint=endpoint)
+        try:
+            endpoint = check_threshold(params, R)
+        except ThresholdError as err:
+            verdicts.append(
+                ThresholdVerdict(
+                    R=float(R),
+                    exists=False,
+                    endpoint=False,
+                    fails_at=err.radius,
+                    gap=err.gap,
                 )
-                continue
-            except NoRootError as err:
-                verdicts.append(
-                    ThresholdVerdict(
-                        R=float(R),
-                        exists=False,
-                        endpoint=endpoint,
-                        fails_at=err.radius,
-                        gap=err.gap,
-                    )
-                )
-                continue
-        gap = float(phi(R, critical_s1(R, params), params))
-        verdicts.append(
-            ThresholdVerdict(
-                R=float(R),
-                exists=False,
-                endpoint=False,
-                fails_at=float(R),
-                gap=gap,
             )
-        )
+            continue
+        first_zero(np.linspace(R / probe_count, R, probe_count), params)
+        verdicts.append(ThresholdVerdict(R=float(R), exists=True, endpoint=endpoint))
     return tuple(verdicts)
 
 

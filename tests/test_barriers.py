@@ -209,6 +209,7 @@ class TestCsv:
     def test_lattice_export(self, lens_super, tmp_path):
         path = tmp_path / "barrier.csv"
         barrier_to_csv(lens_super, path, resolution=24)
+        assert b"\r" not in path.read_bytes()
         lines = path.read_text().splitlines()
         assert lines[0].startswith("# kind=Super")
         assert lines[1] == "x,y,value"

@@ -4,6 +4,7 @@ import string
 import subprocess
 import sys
 import typing
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -55,6 +56,11 @@ def write_config(tmp_path, text, name="run.ini"):
 def run_cli(capsys, *args) -> tuple[int, str, str]:
     code = main([str(a) for a in args])
     captured = capsys.readouterr()
+    if "--out" in args:
+        # every file a command writes has LF line ends, as the console does
+        out_dir = Path(args[args.index("--out") + 1])
+        for path in out_dir.glob("*"):
+            assert b"\r" not in path.read_bytes(), path.name
     return code, captured.out, captured.err
 
 
@@ -290,14 +296,25 @@ class TestRadial:
         assert u_half == pytest.approx(0.24221468741956725, abs=1e-6)
 
     def test_threshold_refusal_no_partial_output(self, tmp_path, capsys):
-        path = write_config(tmp_path, MODEL_INI + "\n[radial]\nR = 1.3\n")
+        # one refusal, with the sign gap 1 - 1/R^2, for the radial profile
+        # and the supersolution alike
+        text = MODEL_INI + "\n[radial]\nR = 1.3\n\n[domain]\nradius = 1.3\n"
+        path = write_config(tmp_path, text)
         out_dir = tmp_path / "results"
-        code, _, err = run_cli(capsys, "radial", "--config", path, "--out", out_dir)
-        assert code == 3
-        assert "threshold" in err
-        assert not out_dir.exists()
+        for command in ("radial", "barrier"):
+            code, out, err = run_cli(
+                capsys, command, "--config", path, "--out", out_dir
+            )
+            assert code == 2
+            assert out == ""
+            assert err.splitlines() == [
+                "error: ball radius 1.3 exceeds the existence threshold 1.0"
+                " at forcing magnitude 1.0",
+                "  gap: 0.40828402366863914",
+                "  radius: 1.3",
+            ]
+            assert not out_dir.exists()
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_numeric_error_prints_diagnostics(self, tmp_path, capsys):
         # p barely above 1: the second zero overflows double precision at
         # r_min = 1e-6, and root validation refuses it

@@ -10,8 +10,8 @@ from degelliptic.errors import (
     BranchError,
     ConfigError,
     DomainViolationError,
-    NoRootError,
     NumericError,
+    ThresholdError,
 )
 from degelliptic.model import Params
 from degelliptic.radial import (
@@ -128,14 +128,21 @@ class TestFirstZero:
         assert first_zero(1.0, MODEL) == critical_s1(1.0, MODEL)
 
     def test_beyond_threshold(self):
-        with pytest.raises(NoRootError) as exc:
+        with pytest.raises(ThresholdError) as exc:
             first_zero(1.01, MODEL)
         assert exc.value.gap > 0.0
         assert exc.value.radius == pytest.approx(1.01)
 
     def test_array_with_bad_radius_raises(self):
-        with pytest.raises(NoRootError):
+        with pytest.raises(ThresholdError):
             first_zero(np.array([0.5, 1.2]), MODEL)
+        # the refusal names the radius past the threshold, not one where
+        # s1 overflows and the gap is NaN
+        params = Params(beta=2.0, b=1.0, p=1.005, M=1.0)
+        with pytest.raises(ThresholdError) as exc:
+            first_zero(np.array([1e-6, 1.5 * rbar(params)]), params)
+        assert exc.value.radius == 1.5 * rbar(params)
+        assert exc.value.gap > 0.0
 
     def test_below_critical_point_superlinear(self):
         for r in (0.1, 0.5, 0.9):
@@ -169,7 +176,7 @@ class TestSecondZero:
         assert second_zero(1.0, MODEL) == critical_s1(1.0, MODEL)
 
     def test_beyond_threshold(self):
-        with pytest.raises(NoRootError):
+        with pytest.raises(ThresholdError):
             second_zero(1.5, MODEL)
 
     def test_sublinear_rejected(self):
@@ -184,7 +191,6 @@ class TestSecondZero:
         assert s1 <= s <= p.p ** (1.0 / (p.p - 1.0)) * s1
         assert abs(phi(r, s, p)) <= 1e-12 * max(1.0, p.beta * s / r)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowed_root_raises(self):
         # s1 overflows, so the root is inf and its residual NaN; a NaN
         # residual must not pass the tolerance check
@@ -268,7 +274,6 @@ class TestRootProperties:
     # s1 overflows for p near 1 at small radii (the first zero stays finite).
     # Below p - 1 ~ 1e-5 the gap phi(rbar, s1) computed at the formula's
     # rbar grows like eps / (p - 1) and leaves the endpoint tolerance.
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @given(_COEFFS, _COEFFS, st.floats(1.0 + 1e-5, 1.2), _COEFFS, _FRACTIONS)
     @settings(max_examples=150, deadline=None)
     def test_superlinear_near_one(self, beta, b, p, M, frac):
@@ -416,7 +421,7 @@ class TestRadialProfileFirstZero:
     def test_validation_errors(self):
         with pytest.raises(ConfigError):
             radial_profile(ProfileBranch.FIRST_ZERO_SUPERLINEAR, 1.0, MODEL, node_count=32)
-        with pytest.raises(NoRootError):
+        with pytest.raises(ThresholdError):
             radial_profile(ProfileBranch.FIRST_ZERO_SUPERLINEAR, 1.1, MODEL)
         with pytest.raises(BranchError):
             radial_profile(ProfileBranch.FIRST_ZERO_SUPERLINEAR, 1.0, SUB)
@@ -487,7 +492,6 @@ class TestRadialProfileSecondZero:
         assert prof.u_at_zero < bound
         assert math.isfinite(prof.u_at_zero)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_branch_raises(self):
         # p -> 1: s2 ~ (beta / (b r))^(1/(p-1)) leaves double range at r_min
         params = Params(beta=1.0, b=1.0, p=1.005, M=1.0)
@@ -642,7 +646,7 @@ class TestC1Bound:
         assert c1_bound(Params(beta=1.0, b=1.0, p=2.0, M=0.0), 3.0) == math.inf
 
     def test_beyond_threshold_rejected(self):
-        with pytest.raises(NoRootError):
+        with pytest.raises(ThresholdError):
             c1_bound(MODEL, 1.2)
 
     @pytest.mark.parametrize("frac", [0.3, 0.7, 1.0])
@@ -702,6 +706,7 @@ class TestCsvExport:
         )
         path = tmp_path / "prof.csv"
         profile_to_csv(prof, path)
+        assert b"\r" not in path.read_bytes()
         lines = path.read_text().splitlines()
         assert lines[0].startswith("# branch=FirstZeroSuperlinear")
         assert lines[1] == "r,s,u,residual"

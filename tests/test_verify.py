@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from degelliptic.errors import ConfigError, DomainViolationError
-from degelliptic.grid import GridProblem
+from degelliptic.barriers import build_supersolution, evaluate_barrier
+from degelliptic.errors import ConfigError, DomainViolationError, ThresholdError
+from degelliptic.grid import GridProblem, build_grid, solve
 from degelliptic.model import (
     CoefficientLambdaN,
     ConvexDomain,
@@ -20,6 +21,7 @@ from degelliptic.model import (
 )
 from degelliptic.radial import (
     _exact_u,
+    c1_bound,
     explicit_sublinear_form,
     first_zero,
     radial_profile,
@@ -391,7 +393,65 @@ class TestEpsilonScaling:
         assert "h2_min_margin:" in text
 
 
+def _agreement_sets():
+    # the model plus random superlinear envelopes down to the p - 1 >= 1e-5
+    # floor of rbar, log-spread in p - 1
+    rng = np.random.default_rng(20201)
+    sets = [MODEL]
+    for _ in range(3):
+        beta, b, M = rng.uniform(0.5, 2.0, 3)
+        p = 1.0 + 10.0 ** rng.uniform(-5.0, 0.5)
+        sets.append(Params(beta=beta, b=b, p=p, M=M))
+    return sets
+
+
+def _admits(call):
+    """(True, result) when the call admits the radius, (False, gap) when it
+    refuses it with a ThresholdError."""
+    try:
+        return True, call()
+    except ThresholdError as err:
+        return False, err.gap
+
+
 class TestThresholdProbe:
+    @pytest.mark.parametrize("params", _agreement_sets())
+    @pytest.mark.parametrize("eps", [-1e-9, 0.0, 5e-11, 1.5e-10, 5e-10, 1e-9])
+    def test_one_verdict_everywhere(self, params, eps):
+        # every module asks the same question of a radius near the threshold
+        R = rbar(params) * (1.0 + eps)
+        disc = ConvexDomain(radius=R, centers=((0.0, 0.0),))
+        problem = GridProblem(
+            operator=CoefficientLambdaN(ScalarField.constant(params.beta)),
+            hamiltonian=PowerNorm(params.b, params.p),
+            params=params,
+            domain=disc,
+            f=-params.M,
+        )
+        (probe,) = threshold_probe(params, [R])
+        outcomes = [
+            _admits(
+                lambda: radial_profile(
+                    "FirstZeroSuperlinear", R, params, node_count=64
+                ).at_threshold
+            ),
+            _admits(lambda: c1_bound(params, R)),
+            _admits(
+                lambda: evaluate_barrier(
+                    build_supersolution(disc, params, params.M), [[0.0, 0.0], [R, 0.0]]
+                )
+            ),
+            _admits(lambda: solve(problem, build_grid(disc, R / 8.0, 8))),
+            (True, probe.endpoint) if probe.exists else (False, probe.gap),
+        ]
+        admitted = {ok for ok, _ in outcomes}
+        assert len(admitted) == 1, outcomes
+        if admitted == {True}:
+            assert outcomes[0][1] == probe.endpoint
+        else:
+            assert len({gap for _, gap in outcomes}) == 1, outcomes
+            assert probe.gap > 0.0 and probe.fails_at == R
+
     def test_model_verdicts(self):
         threshold = rbar(MODEL)  # exactly 1
         verdicts = threshold_probe(
