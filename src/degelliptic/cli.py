@@ -82,7 +82,6 @@ class RunConfig:
     command: str
     out: str
     seed: int
-    threads: int
     # structural envelope
     beta: float
     b: float
@@ -136,7 +135,7 @@ class RunConfig:
 
 # (section, key) -> default, in file order; every key is optional
 DEFAULTS: dict[str, dict[str, str]] = {
-    "run": {"command": "", "out": "out", "seed": "0", "threads": "1"},
+    "run": {"command": "", "out": "out", "seed": "0"},
     "params": {"beta": "1.0", "b": "1.0", "c": "0.0", "d": "0.0",
                "p": "2.0", "M": "1.0"},
     "problem": {
@@ -607,8 +606,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=None,
                         help="accepted for interface stability; every"
                         " command is deterministic")
-    common.add_argument("--threads", type=int, default=None,
-                        help="worker hint; outputs do not depend on it")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
         sub.add_parser(name, parents=[common])
@@ -618,7 +615,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _apply_flags(cfg: RunConfig, args) -> RunConfig:
     updates = {
         name: getattr(args, name)
-        for name in ("out", "seed", "threads")
+        for name in ("out", "seed")
         if getattr(args, name) is not None
     }
     if cfg.command and cfg.command != args.command:
@@ -639,8 +636,6 @@ def run(cfg: RunConfig):
     """
     if cfg.command not in _DISPATCH:
         raise ConfigError(f"unknown command {cfg.command!r}")
-    if cfg.threads < 1:
-        raise ConfigError("threads must be >= 1")
     result = _DISPATCH[cfg.command](cfg)
     lines, files = result[0], result[1]
     deferred = result[2] if len(result) > 2 else None

@@ -87,6 +87,7 @@ from .model import (
     PowerNorm,
     ScalarField,
     WeightedEigenvalues,
+    _field_values,
     ellipticity_constant,
 )
 from .radial import c1_bound, check_threshold, rbar
@@ -457,17 +458,7 @@ class SolveReport:
 
 
 def _field_on_nodes(f: ForcingLike, pts: np.ndarray, what: str) -> np.ndarray:
-    if isinstance(f, (int, float)):
-        vals = np.full(pts.shape[0], float(f))
-    else:
-        try:
-            vals = np.asarray(f(pts), dtype=float)
-            if vals.ndim == 0:
-                vals = np.full(pts.shape[0], float(vals))
-            if vals.shape != (pts.shape[0],):
-                raise TypeError
-        except (TypeError, ValueError):
-            vals = np.array([float(f(p)) for p in pts])
+    vals = _field_values(f, pts)
     if not np.all(np.isfinite(vals)):
         raise ConfigError(f"{what} must be finite on the grid")
     return vals
@@ -600,9 +591,14 @@ class _Scheme:
             # largest forcing magnitude this domain supports under the
             # envelope; the solution gradient is capped by the worse of the
             # actual forcing and that capacity value
-            m_cap = (rbar(replace(params, M=1.0)) / radius) ** (
-                params.p / (params.p - 1.0)
-            )
+            try:
+                m_cap = (rbar(replace(params, M=1.0)) / radius) ** (
+                    params.p / (params.p - 1.0)
+                )
+            except OverflowError:
+                raise ConfigError(
+                    "gradient cap is unbounded for this envelope"
+                ) from None
             levels = [m_cap]
             if 0.0 < self.m_eff < m_cap:
                 levels.append(self.m_eff)

@@ -31,9 +31,9 @@ from .model import (
     Params,
     PowerNorm,
     ScalarField,
-    SymMatrix,
-    evaluate_hamiltonian,
-    evaluate_operator,
+    _field_values,
+    _hamiltonian_values,
+    _operator_values,
 )
 from .radial import (
     ExplicitSublinearForm,
@@ -115,14 +115,7 @@ class VerifyProblem:
 
 
 def _forcing_values(f, r: np.ndarray) -> np.ndarray:
-    if isinstance(f, (int, float)):
-        return np.full(r.shape, float(f))
-    try:
-        vals = np.asarray(f(r), dtype=float)
-        if vals.shape != r.shape:
-            raise TypeError
-    except Exception:
-        vals = np.array([float(f(ri)) for ri in r])
+    vals = _field_values(f, r)
     if not np.all(np.isfinite(vals)):
         raise ConfigError("forcing returned non-finite values")
     return vals
@@ -131,22 +124,25 @@ def _forcing_values(f, r: np.ndarray) -> np.ndarray:
 def _radial_residuals(
     problem: VerifyProblem, r: np.ndarray, du: np.ndarray, ddu: np.ndarray
 ) -> np.ndarray:
+    """F + sign * H - f at each radius, in one kernel call per term: the
+    Hessian is diag(u'', u'/r, ..., u'/r) at x = (r, 0, ..., 0), and the
+    gradient is (u', 0, ..., 0)."""
     n = problem.N
     fvals = _forcing_values(problem.f, r)
-    out = np.empty(r.shape)
-    x = np.zeros(n)
-    xi = np.zeros(n)
-    for i, ri in enumerate(r):
-        x[0] = ri
-        eigs = [float(ddu[i])] + [float(du[i] / ri)] * (n - 1)
-        value = evaluate_operator(problem.operator, x, SymMatrix.diag(eigs))
-        if problem.hamiltonian is not None:
-            xi[0] = du[i]
-            value += problem.hamiltonian_sign * evaluate_hamiltonian(
-                problem.hamiltonian, xi
-            )
-        out[i] = value - fvals[i]
-    return out
+    hess = np.zeros((r.size, n, n))
+    hess[:, 0, 0] = ddu
+    hess[:, range(1, n), range(1, n)] = (du / r)[:, None]
+    x = np.zeros((r.size, n))
+    x[:, 0] = r
+    # + 0.0 turns -0.0 into +0.0, as SymMatrix does
+    value = _operator_values(problem.operator, x, hess + 0.0)
+    if problem.hamiltonian is not None:
+        xi = np.zeros((r.size, n))
+        xi[:, 0] = du
+        value = value + problem.hamiltonian_sign * _hamiltonian_values(
+            problem.hamiltonian, xi
+        )
+    return value - fvals
 
 
 @dataclass(frozen=True)

@@ -27,8 +27,10 @@ from degelliptic.model import (
     LinearDegenerate,
     MinMax,
     MongeAmpere,
+    Params,
     WeightedEigenvalues,
 )
+from degelliptic.radial import rbar
 
 MODEL_INI = """\
 [params]
@@ -457,6 +459,23 @@ class TestSolve:
         assert code == 2
         assert not (tmp_path / "o").exists()
 
+    def test_unbounded_gradient_cap_exits_2(self, tmp_path, capsys):
+        # p = 1.00001 on a disc of radius 0.99 rbar: the gradient cap
+        # overflows a float, which is a refusal, not a crash
+        radius = 0.99 * rbar(Params(beta=2.0, b=1.0, p=1.00001))
+        text = (
+            MODEL_INI.replace("p = 2.0", "p = 1.00001")
+            .replace("ham_p = 2.0", "ham_p = 1.00001")
+            + f"\n[domain]\nradius = {radius!r}\ncenters = 0.0, 0.0\n"
+            + f"\n[solver]\nh = {radius / 4!r}\n"
+        )
+        path = write_config(tmp_path, text)
+        out_dir = tmp_path / "o"
+        code, _, err = run_cli(capsys, "solve", "--config", path, "--out", out_dir)
+        assert code == 2
+        assert "gradient cap is unbounded for this envelope" in err
+        assert not out_dir.exists()
+
 
 VERIFY_INI = MODEL_INI + """
 [radial]
@@ -556,17 +575,20 @@ class TestFlagsAndDispatch:
         assert code == 2
         assert "cannot read config" in err
 
-    def test_bad_thread_count(self, tmp_path, capsys):
-        path = write_config(tmp_path, MODEL_INI)
-        code, _, err = run_cli(capsys, "rbar", "--config", path, "--threads", 0)
+    def test_threads_key_is_unknown(self, tmp_path, capsys):
+        # the thread count had no reader and is gone, from the file and the
+        # command line alike
+        path = write_config(tmp_path, MODEL_INI + "\n[run]\nthreads = 2\n")
+        code, _, err = run_cli(capsys, "rbar", "--config", path)
         assert code == 2
         assert "threads" in err
+        with pytest.raises(SystemExit) as exc:
+            main(["rbar", "--config", str(path), "--threads", "2"])
+        assert exc.value.code == 2
 
-    def test_seed_and_threads_accepted(self, tmp_path, capsys):
+    def test_seed_accepted(self, tmp_path, capsys):
         path = write_config(tmp_path, MODEL_INI)
-        code, out, _ = run_cli(
-            capsys, "rbar", "--config", path, "--seed", 7, "--threads", 2
-        )
+        code, out, _ = run_cli(capsys, "rbar", "--config", path, "--seed", 7)
         assert code == 0
         assert "rbar = 1.00000000000000" in out
 

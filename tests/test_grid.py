@@ -60,7 +60,7 @@ from degelliptic.model import (
     TruncatedLower,
     WeightedEigenvalues,
 )
-from degelliptic.radial import radial_profile
+from degelliptic.radial import radial_profile, rbar
 
 MODEL = Params(beta=2.0, b=1.0, p=2.0, M=1.0)
 SUB = Params(beta=1.0, b=1.0, p=0.5, M=1.0)
@@ -911,6 +911,22 @@ class TestSolve:
         u_bar, rep = solve(BENCH, disc_h8, SolveControls(tol=1e-6, init="barrier"))
         assert rep.init == "barrier"
         assert float(np.max(np.abs(u_zero.values - u_bar.values))) <= 1e-5
+
+    def test_gradient_cap_overflow_is_config_error(self):
+        # at p = 1.00001 the capacity (rbar / R)^(p / (p - 1)) of a disc just
+        # inside the threshold overflows a float
+        params = Params(beta=2.0, b=1.0, p=1.00001, M=1.0)
+        radius = 0.99 * rbar(params)
+        domain = ConvexDomain(radius=radius, centers=((0.0, 0.0),))
+        problem = GridProblem(
+            CoefficientLambdaN(ScalarField.constant(2.0)),
+            PowerNorm(b=1.0, p=params.p),
+            params,
+            domain,
+            -1.0,
+        )
+        with pytest.raises(ConfigError, match="gradient cap is unbounded"):
+            solve(problem, build_grid(domain, radius / 4, 8))
 
     def test_tau_control_refused(self):
         # Newton is the only solver; there is no explicit step to set

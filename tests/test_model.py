@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from degelliptic.errors import ConfigError, DomainViolationError, NumericError
 from degelliptic.model import (
+    MA_CONE_TOL,
+    PASS_MARGIN,
     AnisotropicPower,
     CoefficientLambdaN,
     CompactPerturbation,
@@ -25,6 +28,9 @@ from degelliptic.model import (
     TruncatedLower,
     TruncatedUpper,
     WeightedEigenvalues,
+    _field_values,
+    _hamiltonian_values,
+    _operator_values,
     check_structural_conditions,
     compact_perturbation_constant,
     eigenvalues_sorted,
@@ -442,3 +448,353 @@ class TestStructuralConditions:
             MinMax(), PowerNorm(1.0, 2.0), params, sample_count=10, seed=0
         )
         assert rep.comparison_principle == "assumed"
+
+
+# ---------------------------------------------------------------------------
+# the stacked kernels against the per-sample evaluation they replaced, kept
+# here as the reference: one SymMatrix, one eigen-solve and one float per
+# sample
+
+
+def _ref_eigenvalues(a):
+    if a.shape[0] == 2:
+        half_tr = 0.5 * (a[0, 0] + a[1, 1])
+        half_gap = 0.5 * (a[0, 0] - a[1, 1])
+        rad = math.hypot(half_gap, a[0, 1])
+        return np.array([half_tr - rad, half_tr + rad])
+    return np.linalg.eigvalsh(a)
+
+
+def _ref_operator(spec, x, a):
+    lam = _ref_eigenvalues(a)
+    n = a.shape[0]
+    if isinstance(spec, WeightedEigenvalues):
+        return float(np.dot(spec.alphas, lam))
+    if isinstance(spec, LambdaK):
+        return float(lam[spec.index - 1])
+    if isinstance(spec, TruncatedLower):
+        return float(np.sum(lam[: spec.k]))
+    if isinstance(spec, TruncatedUpper):
+        return float(np.sum(lam[n - spec.k :]))
+    if isinstance(spec, MinMax):
+        return float(lam[0] + lam[-1])
+    if isinstance(spec, NonconvexPair):
+        return float(lam[spec.i - 1] - max(-lam[spec.j - 1], 0.0))
+    if isinstance(spec, LinearDegenerate):
+        s = spec.sigma(x)
+        return float(np.trace(s.T @ s @ a))
+    if isinstance(spec, CoefficientLambdaN):
+        return float(spec.a(x)) * float(lam[-1])
+    if isinstance(spec, MongeAmpere):
+        if lam[0] < -MA_CONE_TOL:
+            raise DomainViolationError(
+                f"matrix outside the nonnegative cone (lambda_1 = {lam[0]:.3e})"
+            )
+        return float(np.prod(np.maximum(lam, 0.0)) ** (1.0 / n))
+    if isinstance(spec, SupInf):
+        return max(min(_ref_operator(m, x, a) for m in row) for row in spec.rows)
+    raise AssertionError(spec)
+
+
+def _ref_hamiltonian(spec, xi):
+    if isinstance(spec, PowerNorm):
+        return float(spec.b * np.linalg.norm(xi) ** spec.p)
+    if isinstance(spec, AnisotropicPower):
+        return float(max(float(xi @ spec.A.a @ xi), 0.0) ** (spec.p / 2.0))
+    r = float(np.linalg.norm(xi))
+    bump = float(spec.bump(xi)) if r < spec.support_radius else 0.0
+    return r**spec.p + bump
+
+
+def _fields(n):
+    """Coefficient fields of each calling convention: constant, point-wise
+    only (an x[0] or a whole-array reduction would misread a stack), and
+    vectorised."""
+    scalars = [
+        ScalarField.constant(1.3),
+        ScalarField(fn=lambda x: 1.5 + x[0] ** 2, lower=1.5, upper=math.inf),
+        ScalarField(fn=lambda x: 1.5 + np.linalg.norm(x), lower=1.5, upper=math.inf),
+        ScalarField(fn=lambda x: 1.5 + np.sin(x[..., -1]), lower=0.5, upper=2.5),
+    ]
+    matrices = [
+        MatrixField.constant(np.eye(n) + 0.1),
+        MatrixField(
+            fn=lambda x: np.eye(n) + np.outer(x, x),
+            lambda_min_sts=0.0,
+            lambda_max_sts=1.0,
+        ),
+        MatrixField(
+            fn=lambda x: np.eye(n) + x[..., :, None] * x[..., None, :],
+            lambda_min_sts=0.0,
+            lambda_max_sts=1.0,
+        ),
+    ]
+    return scalars, matrices
+
+
+def _catalog(n):
+    scalars, matrices = _fields(n)
+    return (
+        [
+            WeightedEigenvalues(tuple(0.25 * (i + 1) for i in range(n))),
+            LambdaK(1),
+            LambdaK(n),
+            LambdaK((n + 1) // 2),
+            TruncatedLower(1),
+            TruncatedLower(n - 1),
+            TruncatedUpper(2),
+            MinMax(),
+            NonconvexPair(1, n),
+            NonconvexPair(n, 1),
+            SupInf(((LambdaK(1), MinMax()), (LambdaK(n), TruncatedUpper(1)))),
+        ]
+        + [CoefficientLambdaN(a) for a in scalars]
+        + [LinearDegenerate(s) for s in matrices]
+    )
+
+
+@st.composite
+def _samples(draw):
+    """(x, X): k points and k symmetric matrices (as SymMatrix stores them),
+    with k = n among the sizes drawn."""
+    n = draw(st.integers(2, 8))
+    k = draw(st.sampled_from([1, 2, 3, n, n + 1]))
+    entries = st.floats(-100.0, 100.0, allow_nan=False, allow_infinity=False)
+    x = draw(arrays(np.float64, (k, n), elements=entries))
+    raw = draw(arrays(np.float64, (k, n, n), elements=entries))
+    return x, np.array([SymMatrix(a).a for a in raw])
+
+
+class TestKernels:
+    @given(_samples())
+    @settings(max_examples=60, deadline=None)
+    def test_operator_stack_matches_per_sample_reference(self, sample):
+        x, X = sample
+        for spec in _catalog(X.shape[-1]):
+            got = _operator_values(spec, x, X)
+            ref = [_ref_operator(spec, xi, a) for xi, a in zip(x, X)]
+            assert np.array_equal(got, ref), spec
+            one = [evaluate_operator(spec, xi, SymMatrix(a)) for xi, a in zip(x, X)]
+            assert np.array_equal(got, one), spec
+
+    def test_operator_stack_matches_reference_on_many_samples(self):
+        # the rounding of every step (closed-form 2x2 eigenvalues, dot
+        # products, traces, powers) shows only over many generic samples
+        rng = np.random.default_rng(11)
+        for n in range(2, 9):
+            scale = 10.0 ** rng.uniform(-1.0, 1.0, (150, 1, 1))
+            g = rng.standard_normal((150, n, n)) * scale
+            x = rng.uniform(-1.0, 1.0, (150, n))
+            for X in (g + np.swapaxes(g, 1, 2), g @ np.swapaxes(g, 1, 2)):
+                X = np.array([SymMatrix(a).a for a in X])
+                psd = np.all(_ref_eigenvalues(X[0]) >= 0.0)
+                for spec in _catalog(n) + ([MongeAmpere()] if psd else []):
+                    ref = [_ref_operator(spec, xi, a) for xi, a in zip(x, X)]
+                    assert np.array_equal(_operator_values(spec, x, X), ref), spec
+
+    @given(_samples())
+    @settings(max_examples=60, deadline=None)
+    def test_monge_ampere_matches_reference_and_names_first_violation(self, sample):
+        x, X = sample
+        psd = X @ X  # symmetric with nonnegative spectrum
+        for stack in (psd, X, np.concatenate([psd, X])):
+            for spec in (MongeAmpere(), SupInf(((MongeAmpere(),), (LambdaK(1),)))):
+                try:
+                    ref = [_ref_operator(spec, None, a) for a in stack]
+                except DomainViolationError as err:
+                    with pytest.raises(DomainViolationError) as got:
+                        _operator_values(spec, None, stack)
+                    assert str(got.value) == str(err)
+                    continue
+                assert np.array_equal(_operator_values(spec, None, stack), ref)
+
+    def test_monge_ampere_refusal_message(self):
+        X = np.array([np.diag(d) for d in ([1.0, 2.0], [-0.5, 1.0], [-3.0, 1.0])])
+        with pytest.raises(
+            DomainViolationError,
+            match=r"^matrix outside the nonnegative cone \(lambda_1 = -5\.000e-01\)$",
+        ):
+            _operator_values(MongeAmpere(), None, X)
+
+    @given(
+        st.integers(2, 8),
+        st.integers(1, 9),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_hamiltonian_stack_matches_per_sample_reference(self, n, k, seed):
+        rng = np.random.default_rng(seed)
+        xi = rng.standard_normal((k, n)) * 10.0 ** rng.uniform(-2, 2, (k, 1))
+        xi[rng.random(k) < 0.3] *= 1e-3  # some inside the bump's support
+        g = rng.standard_normal((n, n))
+        bump = dict(norm_inf=1.0, dnorm_inf=1.6, support_radius=1.0)
+        specs = [
+            PowerNorm(1.0, 2.0),
+            PowerNorm(0.7, 0.5),
+            PowerNorm(2.0, 1.7),
+            AnisotropicPower(SymMatrix(g @ g.T), p=1.5),
+            AnisotropicPower(SymMatrix(g @ g.T), p=0.5),
+            CompactPerturbation(
+                p=2.0,
+                bump=ScalarField(
+                    fn=lambda v: (1.0 - float(np.dot(v, v))) ** 2, lower=0.0, upper=1.0
+                ),
+                **bump,
+            ),
+            CompactPerturbation(
+                p=3.0,
+                bump=ScalarField(
+                    fn=lambda v: (1.0 - np.sum(v * v, axis=-1)) ** 2,
+                    lower=0.0,
+                    upper=1.0,
+                ),
+                **bump,
+            ),
+        ]
+        for spec in specs:
+            got = _hamiltonian_values(spec, xi)
+            assert np.array_equal(got, [_ref_hamiltonian(spec, v) for v in xi]), spec
+            assert np.array_equal(got, [evaluate_hamiltonian(spec, v) for v in xi])
+
+    def test_square_stack_is_not_read_as_one_point(self):
+        # on a 2 x 2 stack a point-wise x[0] returns two numbers, the first
+        # row; the field must still be read point by point
+        pts = np.array([[1.0, 2.0], [3.0, 4.0]])
+        field = ScalarField(fn=lambda x: 10.0 + x[0], lower=0.0, upper=20.0)
+        assert list(_field_values(field, pts)) == [11.0, 13.0]
+        vectorised = ScalarField(fn=lambda x: 10.0 + x[..., 0], lower=0.0, upper=20.0)
+        assert list(_field_values(vectorised, pts)) == [11.0, 13.0]
+
+
+# ---------------------------------------------------------------------------
+# the sampler against the sample-by-sample loop it replaced, with the same
+# draws from the same generator
+
+
+def _ref_random_sym(rng, n, scale):
+    a = rng.uniform(-1.0, 1.0, size=(n, n)) * scale
+    return SymMatrix(0.5 * (a + a.T))
+
+
+def _ref_random_psd(rng, n, scale):
+    g = rng.standard_normal((n, n))
+    q, _ = np.linalg.qr(g)
+    d = rng.uniform(0.0, 1.0, size=n) * scale
+    return SymMatrix(q @ np.diag(d) @ q.T)
+
+
+def _ref_structural(op, ham, params, sample_count, seed, n, extended):
+    rng = np.random.default_rng(seed)
+    on_cone = isinstance(op, MongeAmpere)
+    beta = params.beta
+
+    def feval(x, X):
+        return _ref_operator(op, np.zeros(n) if x is None else x, X.a)
+
+    worst = {"F1": -math.inf, "deg2": -math.inf, "F2": -math.inf}
+    if extended:
+        worst["extended_ellipticity"] = -math.inf
+    for _ in range(sample_count):
+        x = rng.uniform(-1.0, 1.0, size=n)
+        scale = 10.0 ** rng.uniform(-1.0, 1.0)
+        ypos = _ref_random_psd(rng, n, scale)
+        if on_cone:
+            xmat = _ref_random_psd(rng, n, scale) + ypos
+        else:
+            xmat = _ref_random_sym(rng, n, scale)
+        yneg = SymMatrix(-ypos.a)
+        diff = feval(x, xmat) - feval(x, xmat - ypos)
+        lam_neg = _ref_eigenvalues(yneg.a)
+        worst["F1"] = max(worst["F1"], (-diff) - beta * lam_neg[-1])
+        draw = _ref_random_psd if on_cone else _ref_random_sym
+        base2 = draw(rng, n, scale)
+        inc = feval(x, base2 + ypos) - feval(x, base2)
+        lam_pos = _ref_eigenvalues(ypos.a)
+        worst["deg2"] = max(worst["deg2"], beta * lam_pos[0] - inc)
+        if extended:
+            z = base2 + ypos if on_cone else base2
+            dec = feval(x, z - ypos) - feval(x, z)
+            worst["extended_ellipticity"] = max(
+                worst["extended_ellipticity"], beta * lam_neg[0] - dec
+            )
+        fx = feval(x, xmat)
+        for s in (0.5, 2.0, 10.0 ** rng.uniform(-1.0, 1.0)):
+            err = abs(feval(x, SymMatrix(s * xmat.a)) - s * fx)
+            worst["F2"] = max(worst["F2"], err / max(1.0, abs(s * fx)))
+    if extended:
+        if on_cone:
+            dec = feval(None, SymMatrix(np.zeros((n, n)))) - feval(
+                None, SymMatrix.identity(n)
+            )
+        else:
+            dec = feval(None, SymMatrix(-np.eye(n))) - feval(
+                None, SymMatrix(np.zeros((n, n)))
+            )
+        worst["extended_ellipticity"] = max(
+            worst["extended_ellipticity"], -beta - dec
+        )
+
+    nd = ham.A.n if isinstance(ham, AnisotropicPower) else 2
+    b, c, p = params.b, params.c, params.p
+    h_worst = -math.inf
+    if p > 1.0:
+        worst_name = "H1"
+        for _ in range(sample_count):
+            scale = 10.0 ** rng.uniform(-1.5, 1.5)
+            xi = rng.standard_normal(nd) * scale
+            eta = rng.standard_normal(nd) * 10.0 ** rng.uniform(-1.5, 1.5)
+            sig = rng.uniform(1e-3, 1.0 - 1e-3)
+            lhs = _ref_hamiltonian(ham, sig * eta + (1.0 - sig) * xi)
+            growth = b * float(np.linalg.norm(xi)) ** p + c
+            margin = lhs - sig * _ref_hamiltonian(ham, eta) - (1.0 - sig) * growth
+            h_worst = max(h_worst, margin, -_ref_hamiltonian(ham, xi) - params.d)
+    else:
+        worst_name = "H2"
+        for _ in range(sample_count):
+            scale = 10.0 ** rng.uniform(-1.5, 1.5)
+            xi = rng.standard_normal(nd) * scale
+            eps = rng.uniform(1e-3, 1.0)
+            h = _ref_hamiltonian(ham, xi)
+            h_worst = max(
+                h_worst,
+                -h,
+                h - (b * float(np.linalg.norm(xi)) ** p + c),
+                eps * h - _ref_hamiltonian(ham, eps * xi),
+            )
+    worst[worst_name] = h_worst
+    return worst
+
+
+class TestSamplerAgainstLoop:
+    @pytest.mark.parametrize(
+        "op,n,ham",
+        [
+            (WeightedEigenvalues((0.5, 1.5, 1.0)), 3, PowerNorm(1.0, 2.0)),
+            (LambdaK(2), 2, PowerNorm(1.0, 0.5)),
+            (TruncatedUpper(2), 4, PowerNorm(1.0, 2.0)),
+            (MinMax(), 2, AnisotropicPower(SymMatrix([[0.8, 0.2], [0.2, 0.5]]), 2.0)),
+            (NonconvexPair(1, 2), 2, PowerNorm(1.0, 2.0)),
+            (CoefficientLambdaN(_fields(2)[0][1]), 2, PowerNorm(1.0, 2.0)),
+            (LinearDegenerate(_fields(3)[1][1]), 3, PowerNorm(1.0, 0.5)),
+            (MongeAmpere(), 3, PowerNorm(1.0, 2.0)),
+            (MongeAmpere(), 2, PowerNorm(1.0, 0.5)),
+        ],
+    )
+    def test_same_verdicts_and_margins(self, op, n, ham):
+        for seed in (0, 1, 7, 123):
+            params = Params(
+                beta=ellipticity_constant(op) * (1.0 if seed % 2 else 1.3),
+                b=1.0,
+                p=ham.p,
+            )
+            extended = seed % 3 == 1
+            rep = check_structural_conditions(
+                op, ham, params, sample_count=40, seed=seed, n=n,
+                extended_ellipticity=extended,
+            )
+            ref = _ref_structural(op, ham, params, 40, seed, n, extended)
+            assert [r.name for r in rep.results] == list(ref)
+            for r in rep.results:
+                m = ref[r.name]
+                assert r.passed == (m <= PASS_MARGIN), r.name
+                assert abs(r.worst_margin - m) <= 1e-15 * max(1.0, abs(m)), r.name

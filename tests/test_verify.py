@@ -9,15 +9,21 @@ from degelliptic.barriers import build_supersolution, evaluate_barrier
 from degelliptic.errors import ConfigError, DomainViolationError, ThresholdError
 from degelliptic.grid import GridProblem, build_grid, solve
 from degelliptic.model import (
+    AnisotropicPower,
     CoefficientLambdaN,
     ConvexDomain,
     LambdaK,
+    LinearDegenerate,
+    MatrixField,
+    MinMax,
     MongeAmpere,
     Params,
     PowerNorm,
     ScalarField,
+    SymMatrix,
     WeightedEigenvalues,
     evaluate_hamiltonian,
+    evaluate_operator,
 )
 from degelliptic.radial import (
     _exact_u,
@@ -31,6 +37,7 @@ from degelliptic.verify import (
     ClosedFormRadial,
     VerifyProblem,
     _h2_scaling_margin,
+    _radial_residuals,
     convergence_study,
     epsilon_scaling,
     residual_check_radial,
@@ -152,6 +159,67 @@ class TestResidualModelCase:
         r = rng.uniform(1e-3, 1.0 - 1e-9, size=10_000)
         s0 = (1.0 - np.sqrt(1.0 - r * r)) / r
         assert np.max(np.abs(2.0 * (-s0) / r + s0**2 + 1.0)) <= 1e-10
+
+
+def _per_radius_residuals(problem, r, du, ddu):
+    # one SymMatrix and one operator call per radius, as residuals were
+    # evaluated before the stacked kernel
+    fvals = [
+        float(problem.f) if isinstance(problem.f, float) else float(problem.f(ri))
+        for ri in r
+    ]
+    out = np.empty(r.shape)
+    for i, ri in enumerate(r):
+        x = np.zeros(problem.N)
+        x[0] = ri
+        eigs = [float(ddu[i])] + [float(du[i] / ri)] * (problem.N - 1)
+        value = evaluate_operator(problem.operator, x, SymMatrix.diag(eigs))
+        if problem.hamiltonian is not None:
+            xi = np.zeros(problem.N)
+            xi[0] = du[i]
+            value += problem.hamiltonian_sign * evaluate_hamiltonian(
+                problem.hamiltonian, xi
+            )
+        out[i] = value - fvals[i]
+    return out
+
+
+class TestRadialResidualsBatched:
+    @pytest.mark.parametrize(
+        "problem",
+        [
+            MODEL_PROBLEM,
+            VerifyProblem(LambdaK(2), PowerNorm(1.0, 0.5), -1.0, N=2,
+                          hamiltonian_sign=-1.0),
+            VerifyProblem(WeightedEigenvalues((0.5, 0.7, 0.8)), PowerNorm(1.0, 2.0),
+                          lambda r: -1.0 - r**2, N=3),
+            VerifyProblem(MinMax(), None, lambda r: -1.0 - math.sin(r), N=5),
+            VerifyProblem(
+                CoefficientLambdaN(
+                    ScalarField(fn=lambda x: 1.5 + x[0] ** 2, lower=1.5, upper=3.0)
+                ),
+                AnisotropicPower(SymMatrix([[0.8, 0.2], [0.2, 0.5]]), 2.0),
+                -1.0,
+                N=2,
+            ),
+            VerifyProblem(
+                LinearDegenerate(MatrixField.constant([[1.0, 0.2], [0.3, 1.1]])),
+                PowerNorm(1.0, 2.0),
+                -1.0,
+                N=2,
+            ),
+        ],
+    )
+    def test_bit_identical_to_per_radius_loop(self, problem, model_profile):
+        rng = np.random.default_rng(3)
+        r = np.sort(rng.uniform(1e-3, 0.999, 257))
+        for du, ddu in (
+            (model_profile.du(r), model_profile.ddu(r)),
+            (rng.standard_normal(r.size) * 10.0, rng.standard_normal(r.size) * 10.0),
+        ):
+            got = _radial_residuals(problem, r, du, ddu)
+            ref = _per_radius_residuals(problem, r, du, ddu)
+            assert got.tobytes() == ref.tobytes()
 
 
 class TestResidualValidation:
