@@ -119,7 +119,6 @@ class RunConfig:
     h: float
     K: int
     tol: float
-    init: str
     # verification controls
     radii: tuple[float, ...]
     tolerance: float
@@ -162,7 +161,7 @@ DEFAULTS: dict[str, dict[str, str]] = {
         "kind": "Lambda1",
     },
     "barrier": {"upper_m": "1.0", "lower_k": "1.0"},
-    "solver": {"h": "0.0625", "K": "8", "tol": "1e-05", "init": "barrier"},
+    "solver": {"h": "0.0625", "K": "8", "tol": "1e-05"},
     "verify": {"radii": "0.2, 0.5, 0.8", "tolerance": "1e-06",
                "sigma": "0.9", "epsilon": "0.1"},
     "sweep": {"R_values": ""},
@@ -471,7 +470,7 @@ def cmd_barrier(cfg: RunConfig):
 def cmd_solve(cfg: RunConfig):
     problem = _grid_problem(cfg)
     grid = build_grid(problem.domain, cfg.h, cfg.K)
-    controls = SolveControls(tol=cfg.tol, init=cfg.init)
+    controls = SolveControls(tol=cfg.tol)
     u, report = solve(problem, grid, controls)
     lines = [
         f"solved {grid.n_nodes} nodes in {report.iterations} iterations"

@@ -32,15 +32,15 @@ Bokanowski, Maroso & Zidani 2009): each step fixes every node's active slot
 in each operator term (the argmin of a min term, the argmax of a max term)
 and the active arm of each upwind slot, adds the exact slope of the capped
 gradient term, and solves the assembled sparse linear system.  Newton
-first solves the upwind form from the initial iterate, then polishes on
-the centered form from the best upwind iterate; the result solves the
-centered scheme.  The initial iterate is the paper's barrier: with a
-gradient term the supersolution, the first-zero radial profile at the
-forcing magnitude, which is the exact solution on a disc; without one the
-paraboloid envelope (m / 2 beta)(R^2 - max_y |x - y|^2), which exists on
-every domain.  On the unit disc this takes 2-4 upwind and 3-4 polish steps
-from h = 1/16 to 1/64.  From zero it takes 10-15 upwind steps: there every
-fan direction ties, so the first policy is arbitrary.  There is no
+first steps on the upwind form from the initial iterate, down to the gap
+between the two gradient forms, then polishes on the centered form from
+the best upwind iterate; the result solves the centered scheme.  The
+initial iterate is the paper's barrier: with a gradient term the
+supersolution, the first-zero radial profile at the forcing magnitude,
+which is the exact solution on a disc; without one the paraboloid envelope
+(m / 2 beta)(R^2 - max_y |x - y|^2), which exists on every domain.  On the
+unit disc this takes 1-2 upwind and 3-4 polish steps from h = 1/16 to 1/64
+(7-12 upwind steps from zero, where every fan direction ties).  There is no
 fallback: a polish that misses the stop residual within its step budget
 (``_step_budget``, the longer side of the lattice box, per stage), or a
 Jacobian that factors as singular, ends the solve with ``NumericError``.
@@ -322,7 +322,7 @@ def build_grid(domain: ConvexDomain, h: float, K: int) -> Grid2D:
 def _step_budget(grid: Grid2D) -> int:
     """Newton steps per stage: the longer side of the lattice box.  A policy
     front moves about one lattice row per step; the anisotropic lens takes
-    25 upwind steps of 171 at h = 1/64 and 54 of 337 at h = 1/128."""
+    10 + 16 steps of 171 at h = 1/64 and 16 + 42 of 337 at h = 1/128."""
     return max(grid.mask.shape)
 
 
@@ -423,18 +423,13 @@ class GridProblem:
 
 @dataclass(frozen=True)
 class SolveControls:
-    """Stopping tolerance on the scaled residual and initial iterate:
-    "barrier" (the supersolution with a gradient term, the paraboloid
-    envelope without one) or "zeros"."""
+    """Stopping tolerance on the scaled residual."""
 
     tol: float = 1e-5
-    init: str = "barrier"
 
     def __post_init__(self):
         if not (self.tol > 0 and math.isfinite(self.tol)):
             raise ConfigError("tolerance must be positive")
-        if self.init not in ("zeros", "barrier"):
-            raise ConfigError('init must be "zeros" or "barrier"')
 
 
 @dataclass(frozen=True)
@@ -442,8 +437,9 @@ class SolveReport:
     """``upwind_steps`` counts the Newton steps of the upwind stage; the
     polish took ``iterations - upwind_steps``.  ``factorizations`` counts
     the LU factorizations of the Newton steps, and ``policy_changes`` per
-    step the nodes whose active policy it changed.  ``d_max`` is the largest
-    per-node bound on the diagonal slope |d(F_h + H_h)/du_0|."""
+    step the nodes whose active policy it changed.  ``form_gap`` is the gap
+    at which the upwind stage handed over (see `solve`).  ``d_max`` is the
+    largest per-node bound on the diagonal slope |d(F_h + H_h)/du_0|."""
 
     iterations: int
     upwind_steps: int
@@ -454,7 +450,7 @@ class SolveReport:
     d_max: float
     f_sup: float
     stop_residual: float
-    init: str
+    form_gap: float
 
 
 def _field_on_nodes(f: ForcingLike, pts: np.ndarray, what: str) -> np.ndarray:
@@ -892,13 +888,11 @@ def _check_envelope(problem: GridProblem, scheme: _Scheme):
     check_threshold(replace(params, M=scheme.m_eff), problem.domain.radius)
 
 
-def _initial_values(problem: GridProblem, grid: Grid2D, scheme, init: str):
-    """Zeros, or the barrier at the forcing magnitude m_eff: with a gradient
-    term the supersolution (``_check_envelope`` has already refused a radius
-    above its threshold), without one the paraboloid envelope, the negated
+def _initial_values(problem: GridProblem, grid: Grid2D, scheme):
+    """The barrier at the forcing magnitude m_eff: with a gradient term the
+    supersolution (``_check_envelope`` has already refused a radius above
+    its threshold), without one the paraboloid envelope, the negated
     subsolution, which needs no threshold."""
-    if init == "zeros":
-        return np.zeros(grid.n_nodes)
     if scheme.ham:
         barrier = build_supersolution(problem.domain, problem.params, scheme.m_eff)
         return np.asarray(evaluate_barrier(barrier, grid.nodes_xy), dtype=float)
@@ -909,12 +903,13 @@ def _initial_values(problem: GridProblem, grid: Grid2D, scheme, init: str):
 class _StepLog:
     """Over the stages of one solve: the nodes whose policy each Newton step
     changed (so the step count is ``len(policy_changes)``), the residual
-    history, and the factorizations."""
+    history, the factorizations and the last form gap (see ``_newton``)."""
 
     def __init__(self):
         self.policy_changes: list[int] = []
         self.history: list[float] = []
         self.factorizations = 0
+        self.form_gap = 0.0
 
 
 def _reuse_rows(lu, policy0, policy, resid, stop):
@@ -970,6 +965,7 @@ def _newton(
     stop: float,
     upwind: bool,
     log: _StepLog,
+    hand_over: bool = False,
 ) -> tuple[np.ndarray, float]:
     """Semismooth Newton (policy-iteration) steps on one form of the scheme,
     at most ``_step_budget`` of them past the steps already in ``log``.
@@ -978,7 +974,8 @@ def _newton(
     and that residual.  ``log`` gets the start residual, and per step the
     residual after it and its policy changes, and the factorizations.
     Reaching ``stop`` ends the stage; so does a non-finite residual, which
-    the caller reports.
+    the caller reports.  With ``hand_over`` so does a residual at or below
+    the form gap at the iterate (see `solve`), kept in ``log.form_gap``.
 
     A step factors its Jacobian with symmetric-mode SuperLU (see the module
     docstring), or, when ``_reuse_rows`` allows, solves exactly with the
@@ -1007,7 +1004,15 @@ def _newton(
         with np.errstate(all="ignore"):
             return (trial, *scheme.residual_and_policy(trial, upwind))
 
-    while len(log.policy_changes) < cap and rmax > stop and math.isfinite(rmax):
+    def target():
+        if not hand_over:
+            return stop
+        with np.errstate(all="ignore"):
+            gap = scheme.hamiltonian_values(v_ext, True) - scheme.hamiltonian_values(v_ext)
+        log.form_gap = float(np.max(np.abs(gap)))
+        return max(stop, log.form_gap)
+
+    while math.isfinite(rmax) and rmax > target() and len(log.policy_changes) < cap:
         step = None
         rows = _reuse_rows(lu, policy0, policy, resid, stop)
         if rows is not None:
@@ -1060,15 +1065,17 @@ def solve(
 
     Semismooth Newton (policy iteration) steps in two stages, each capped
     at ``_step_budget`` steps.  The first works on the upwind form of the
-    first-order term; that form is degenerate elliptic, and Newton reaches
-    its solution from ``controls.init`` (the default barrier start is within
-    a few steps of it on a disc).  The second (the polish) works on the
-    centered form, from the best upwind iterate, so the result solves the
-    centered scheme; the upwind stage picks which centered solution that is
-    and starts Newton close enough to it.  ``iterations`` counts the steps
-    of both stages; ``upwind_steps`` is the upwind stage's share.  An unmet
-    stop raises ``NumericError`` with the iterations, the residual and the
-    residual history (the start residual of each stage, then one per step).
+    first-order term, which is degenerate elliptic, from the barrier start.
+    It only picks the centered solution and starts the polish close to it,
+    so it hands over at the larger of the stop and the form gap max
+    |H_h^upwind - H_h^centered| at its iterate (0 without a gradient term),
+    by which the centered residual differs from its own.  The second (the
+    polish) works on the centered form from the best upwind iterate, so the
+    result solves the centered scheme.  ``iterations`` counts the steps of
+    both stages; ``upwind_steps`` is the upwind stage's share.  An unmet
+    stop raises ``NumericError`` with the iterations, the residual, the
+    residual history (each stage's start residual, then one per step) and
+    the form gap.
     """
     controls = controls or SolveControls()
     scheme = _Scheme(problem, grid)
@@ -1077,11 +1084,11 @@ def solve(
     stop = controls.tol * (1.0 + scheme.f_sup)
     n = grid.n_nodes
     v_ext = np.zeros(n + 1)
-    v_ext[:n] = _initial_values(problem, grid, scheme, controls.init)
+    v_ext[:n] = _initial_values(problem, grid, scheme)
 
     start = time.perf_counter()
     log = _StepLog()
-    v_ext, rmax = _newton(scheme, v_ext, stop, True, log)
+    v_ext, rmax = _newton(scheme, v_ext, stop, True, log, hand_over=True)
     upwind_steps = len(log.policy_changes)
     if math.isfinite(log.history[-1]):
         v_ext, rmax = _newton(scheme, v_ext, stop, False, log)
@@ -1103,6 +1110,7 @@ def solve(
                 "residual": rmax,
                 "residual_history": log.history,
                 "policy_changes": log.policy_changes,
+                "form_gap": log.form_gap,
             },
         )
     wall = time.perf_counter() - start
@@ -1118,7 +1126,7 @@ def solve(
         d_max=scheme.d_max,
         f_sup=scheme.f_sup,
         stop_residual=stop,
-        init=controls.init,
+        form_gap=log.form_gap,
     )
     return result, report
 
@@ -1170,7 +1178,7 @@ def report_to_text(report: SolveReport) -> str:
         "policy_changes: " + " ".join(map(str, report.policy_changes)),
         f"residual_norm: {report.residual_norm:.17g}",
         f"stop_residual: {report.stop_residual:.17g}",
-        f"init: {report.init}",
+        f"form_gap: {report.form_gap:.17g}",
         f"wall_time_s: {report.wall_time:.3f}",
     ]
     return "\n".join(lines) + "\n"

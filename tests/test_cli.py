@@ -73,7 +73,7 @@ class TestConfigParsing:
         assert cfg.out == "out"
         assert cfg.beta == 1.0 and cfg.M == 1.0
         assert cfg.h == 0.0625 and cfg.K == 8
-        assert cfg.tol == 1e-05 and cfg.init == "barrier"
+        assert cfg.tol == 1e-05
         assert cfg.centers == ((0.0, 0.0),)
         assert cfg.radii == (0.2, 0.5, 0.8)
         assert cfg.R_values == ()
@@ -81,7 +81,7 @@ class TestConfigParsing:
     def test_round_trip_identity(self):
         text = MODEL_INI + (
             "\n[domain]\nradius = 0.7\ncenters = -0.3, 0.0; 0.3, 0.0\n"
-            "\n[solver]\ntol = 1e-07\ninit = zeros\n"
+            "\n[solver]\ntol = 1e-07\n"
             "\n[sweep]\nR_values = 0.9, 1.0, 1.1\n"
         )
         cfg = parse_config(text)
@@ -138,6 +138,15 @@ class TestConfigParsing:
         code, _, err = run_cli(capsys, "solve", "--config", path)
         assert code == 2
         assert "unknown config key [solver] max_iter" in err
+
+    def test_init_key_refused(self, tmp_path, capsys):
+        # every solve starts from the paper's barrier, so init is unknown
+        with pytest.raises(ConfigError, match=r"unknown config key \[solver\] init"):
+            parse_config("[solver]\ninit = zeros\n")
+        path = write_config(tmp_path, MODEL_INI + "[solver]\ninit = barrier\n")
+        code, _, err = run_cli(capsys, "solve", "--config", path)
+        assert code == 2
+        assert "unknown config key [solver] init" in err
 
     def test_syntax_error(self):
         with pytest.raises(ConfigError, match="syntax"):
@@ -421,6 +430,7 @@ class TestSolve:
         report = (out_dir / "report.txt").read_text()
         assert "iterations:" in report and "upwind_steps:" in report
         assert "factorizations:" in report and "policy_changes:" in report
+        assert "form_gap:" in report and "init:" not in report
         data = np.loadtxt(out_dir / "solution.csv", delimiter=",", skiprows=2)
         assert data.shape[1] == 3
         assert np.all(data[:, 2] >= 0.0)

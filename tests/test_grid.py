@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from degelliptic import grid as grid_module
@@ -59,6 +59,7 @@ from degelliptic.model import (
     SymMatrix,
     TruncatedLower,
     WeightedEigenvalues,
+    ellipticity_constant,
 )
 from degelliptic.radial import radial_profile, rbar
 
@@ -641,6 +642,21 @@ HAMILTONIANS = st.sampled_from(
 )
 
 
+def _two_stages(problem, grid, v0, tol=1e-5, hand_over=True):
+    """The two Newton stages of `solve` from the start ``v0`` (zeros for the
+    uniqueness checks): upwind, handing over at the form gap unless
+    ``hand_over`` is false, then the centered polish.  Returns the values,
+    the final residual, the upwind step count, the step log and the stop."""
+    scheme = _Scheme(problem, grid)
+    stop = tol * (1.0 + scheme.f_sup)
+    log = grid_module._StepLog()
+    v = np.append(v0, 0.0)
+    v, _ = grid_module._newton(scheme, v, stop, True, log, hand_over)
+    upwind = len(log.policy_changes)
+    v, resid = grid_module._newton(scheme, v, stop, False, log)
+    return v[:-1], resid, upwind, log, stop
+
+
 class TestUpwindMonotone:
     """The upwind form is degenerate elliptic, so its discrete solutions obey
     the comparison principle."""
@@ -739,7 +755,7 @@ class TestFactorReuse:
         problem, grid = _aniso_lens(1 / 16)
         scheme = _Scheme(problem, grid)
         v0 = np.append(
-            grid_module._initial_values(problem, grid, scheme, "barrier"), 0.0
+            grid_module._initial_values(problem, grid, scheme), 0.0
         )
         r0, policy0 = scheme.residual_and_policy(v0, upwind)
         jac0 = scheme.jacobian(v0, upwind)
@@ -819,8 +835,9 @@ class TestFactorReuse:
 
     def test_rejected_reuse_refactors_at_the_same_iterate(self, monkeypatch):
         # a reused step that does not lower the residual is dropped and not
-        # counted: the solve matches the one that never reuses a factor
-        problem, grid = _aniso_lens(1 / 16)
+        # counted: the solve matches the one that never reuses a factor (at
+        # h = 1/16 the upwind stage hands over before any step may reuse)
+        problem, grid = _aniso_lens(1 / 32)
         monkeypatch.setattr(grid_module, "_reuse_rows", lambda *args: None)
         u_fresh, fresh = solve(problem, grid)
         monkeypatch.undo()
@@ -907,10 +924,11 @@ class TestSolve:
         assert np.all(u.values == 0.0)
 
     def test_barrier_init_matches_zero_init(self, disc_h8):
-        u_zero, _ = solve(BENCH, disc_h8, SolveControls(tol=1e-6, init="zeros"))
-        u_bar, rep = solve(BENCH, disc_h8, SolveControls(tol=1e-6, init="barrier"))
-        assert rep.init == "barrier"
-        assert float(np.max(np.abs(u_zero.values - u_bar.values))) <= 1e-5
+        zeros = np.zeros(disc_h8.n_nodes)
+        u_zero, resid, _, _, stop = _two_stages(BENCH, disc_h8, zeros, tol=1e-6)
+        u_bar, rep = solve(BENCH, disc_h8, SolveControls(tol=1e-6))
+        assert resid <= stop == rep.stop_residual
+        assert float(np.max(np.abs(u_zero - u_bar.values))) <= 1e-5
 
     def test_gradient_cap_overflow_is_config_error(self):
         # at p = 1.00001 the capacity (rbar / R)^(p / (p - 1)) of a disc just
@@ -933,6 +951,11 @@ class TestSolve:
         with pytest.raises(TypeError, match="tau"):
             SolveControls(tau=0.01)
 
+    def test_init_control_refused(self):
+        # every solve starts from the barrier; there is no start to choose
+        with pytest.raises(TypeError, match="init"):
+            SolveControls(init="zeros")
+
     def test_max_iter_control_refused(self, disc_h8):
         # the step budget per stage comes from the grid: the longer side of
         # the lattice box, 19 nodes at h = 1/8
@@ -943,28 +966,30 @@ class TestSolve:
 
     def test_step_budget_raises_with_history(self, disc_h8, monkeypatch):
         # three steps per stage from zeros cannot solve the disc (the upwind
-        # stage alone needs eight)
+        # stage alone needs five before it reaches the form gap)
         monkeypatch.setattr(grid_module, "_step_budget", lambda grid: 3)
-        with pytest.raises(NumericError) as err:
-            solve(BENCH, disc_h8, SolveControls(init="zeros"))
-        diag = err.value.diagnostics
-        assert diag["iterations"] == 6
-        assert len(diag["residual_history"]) == 2 * (1 + 3)
-        assert diag["residual"] > 0.0
+        zeros = np.zeros(disc_h8.n_nodes)
+        _, resid, upwind, log, stop = _two_stages(BENCH, disc_h8, zeros)
+        assert upwind == 3
+        assert len(log.policy_changes) == 6
+        assert len(log.history) == 2 * (1 + 3)
+        assert resid > stop
 
     def test_step_budget_caps_the_barrier_start(self, disc_h8, monkeypatch):
-        # the barrier start needs two upwind steps and three polish steps;
+        # the barrier start needs one upwind step and three polish steps;
         # a budget of two per stage ends the polish one step short
         monkeypatch.setattr(grid_module, "_step_budget", lambda grid: 2)
         with pytest.raises(NumericError) as err:
             solve(BENCH, disc_h8)
         diag = err.value.diagnostics
-        assert diag["iterations"] == 4
-        assert len(diag["residual_history"]) == 2 * (1 + 2)
+        assert diag["iterations"] == 3
+        assert len(diag["residual_history"]) == (1 + 1) + (1 + 2)
         assert diag["residual"] > 0.0
+        # the short upwind stage explains itself: it handed over at the gap
+        assert diag["residual_history"][1] <= diag["form_gap"]
         monkeypatch.setattr(grid_module, "_step_budget", lambda grid: 3)
         _, report = solve(BENCH, disc_h8)
-        assert (report.upwind_steps, report.iterations) == (2, 5)
+        assert (report.upwind_steps, report.iterations) == (1, 4)
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_blowup_detected(self, disc_h8):
@@ -1193,8 +1218,8 @@ class TestNearBoundaryNodes:
 
 
 class TestBarrierStart:
-    # the default initial iterate is the paper's barrier: the supersolution
-    # with a gradient term, the paraboloid envelope without one
+    # the initial iterate is the paper's barrier: the supersolution with a
+    # gradient term, the paraboloid envelope without one
 
     BIG = ConvexDomain(radius=1.5, centers=((0.0, 0.0),))
     WIDE_LENS = ConvexDomain(radius=2.0, centers=((-0.5, 0.0), (0.5, 0.0)))
@@ -1234,11 +1259,13 @@ class TestBarrierStart:
             domain=domain, f=f,
         )
         g = build_grid(domain, domain.radius / 8, 8)
-        u_zero, _ = solve(prob, g, SolveControls(tol=1e-6, init="zeros"))
+        u_zero, resid, _, _, stop = _two_stages(prob, g, np.zeros(g.n_nodes), tol=1e-6)
         u, report = solve(prob, g, SolveControls(tol=1e-6))
-        assert report.init == "barrier"
+        assert resid <= stop
+        # without a gradient term there is no form gap to hand over at
+        assert report.form_gap == 0.0
         assert report.residual_norm <= report.stop_residual
-        assert float(np.max(np.abs(u.values - u_zero.values))) <= 1e-5
+        assert float(np.max(np.abs(u.values - u_zero))) <= 1e-5
 
     @pytest.mark.parametrize("h", [1 / 16, 1 / 32])
     @pytest.mark.parametrize(
@@ -1259,26 +1286,125 @@ class TestBarrierStart:
             f=-1.0,
         )
         g = build_grid(domain, h, 8)
-        u_zero, _ = solve(prob, g, SolveControls(init="zeros"))
+        u_zero, resid, _, _, stop = _two_stages(prob, g, np.zeros(g.n_nodes))
         u, report = solve(prob, g)
-        gap = float(np.max(np.abs(u.values - u_zero.values)))
+        assert resid <= stop
+        gap = float(np.max(np.abs(u.values - u_zero)))
         assert gap <= report.stop_residual
 
     def test_fewer_newton_steps_on_the_disc(self):
         g = build_grid(DISC, 1 / 32, 8)
-        _, zero = solve(BENCH, g, SolveControls(init="zeros"))
+        _, _, zero_upwind, log, _ = _two_stages(BENCH, g, np.zeros(g.n_nodes))
         _, barrier = solve(BENCH, g)
-        assert barrier.iterations < zero.iterations
+        assert barrier.iterations < len(log.policy_changes)
         # the saving is all in the upwind stage; the polish is the same
-        assert barrier.upwind_steps < zero.upwind_steps
+        assert barrier.upwind_steps < zero_upwind
         assert (
             barrier.iterations - barrier.upwind_steps
-            == zero.iterations - zero.upwind_steps
+            == len(log.policy_changes) - zero_upwind
         )
 
     def test_stage_split_is_reported(self, disc_h8):
         _, report = solve(BENCH, disc_h8)
         assert 0 < report.upwind_steps < report.iterations
+
+
+SWEEP_OPERATORS = [
+    CoefficientLambdaN(ScalarField.constant(2.0)),
+    LambdaK(1),
+    LambdaK(2),
+    MinMax(),
+    LinearDegenerate(MatrixField.constant(np.array(LINDEG_SIGMA))),
+    WeightedEigenvalues((1.0, 2.0)),
+]
+
+
+class TestUpwindHandOver:
+    """The upwind stage of `solve` ends once its residual is at or below the
+    form gap max |H_h^upwind - H_h^centered| at the current iterate, or the
+    stop where that is larger; it only steers the centered polish."""
+
+    @pytest.mark.parametrize(
+        "problem, h",
+        [
+            (BENCH, 1 / 16),
+            (_lens_problem(0.3, PowerNorm(b=1.0, p=2.0), -1.0), 1 / 16),
+            (_lens_problem(0.3, AnisotropicPower(SymMatrix(ANISO_A), p=2.0), -1.0), 1 / 32),
+        ],
+        ids=["disc", "lens-power", "lens-aniso"],
+    )
+    def test_upwind_stage_ends_at_the_gap(self, problem, h, monkeypatch):
+        newton = grid_module._newton
+        stages = []
+
+        def spy(scheme, v_ext, stop, upwind, log, hand_over=False):
+            v_ext, resid = newton(scheme, v_ext, stop, upwind, log, hand_over)
+            stages.append((upwind, hand_over, resid, stop, log.form_gap))
+            return v_ext, resid
+
+        monkeypatch.setattr(grid_module, "_newton", spy)
+        u, report = solve(problem, build_grid(problem.domain, h, 8))
+        (upwind, hand_over, resid, stop, gap), polish = stages
+        assert upwind and hand_over and not polish[0]
+        assert report.form_gap == gap > stop
+        assert resid <= max(stop, gap)
+        assert report.upwind_steps > 0
+
+    @pytest.mark.parametrize(
+        "op",
+        SWEEP_OPERATORS,
+        ids=["lambda-n", "lambda-1", "lambda-2", "minmax", "lindeg", "weighted"],
+    )
+    @pytest.mark.parametrize(
+        "hamiltonian", [None, PowerNorm(b=0.0, p=2.0)], ids=["none", "b0"]
+    )
+    def test_no_gradient_term_runs_the_upwind_stage_to_the_stop(
+        self, op, hamiltonian
+    ):
+        problem = GridProblem(op, hamiltonian, MODEL, LENS, -0.3)
+        grid = build_grid(problem.domain, 1 / 12, 8)
+        u, report = solve(problem, grid)
+        start = grid_module._initial_values(problem, grid, _Scheme(problem, grid))
+        ref, _, upwind, log, _ = _two_stages(problem, grid, start, hand_over=False)
+        assert report.form_gap == 0.0
+        assert report.upwind_steps == upwind
+        assert report.policy_changes == tuple(log.policy_changes)
+        assert report.factorizations == log.factorizations
+        assert np.array_equal(u.values, ref)
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        op=st.sampled_from(SWEEP_OPERATORS),
+        ham=st.sampled_from(
+            [
+                None,
+                PowerNorm(b=1.0, p=1.5),
+                PowerNorm(b=1.0, p=2.0),
+                PowerNorm(b=1.0, p=3.0),
+                AnisotropicPower(SymMatrix(ANISO_A), p=2.0, b=1.0),
+            ]
+        ),
+        offset=st.sampled_from([0.0, 0.3, 0.5]),
+        h=st.sampled_from([1 / 8, 1 / 12, 1 / 16]),
+        f=st.sampled_from([-1.0, -0.3]),
+    )
+    def test_agrees_with_the_upwind_stage_run_to_the_stop(self, op, ham, offset, h, f):
+        params = Params(
+            beta=ellipticity_constant(op), b=1.0, p=ham.p if ham else 2.0, M=1.0
+        )
+        domain = ConvexDomain(radius=1.0, centers=((-offset, 0.0), (offset, 0.0)))
+        problem = GridProblem(op, ham, params, domain, f)
+        grid = build_grid(problem.domain, h, 8)
+        try:
+            u, report = solve(problem, grid)
+        except ThresholdError:
+            assume(False)
+        start = grid_module._initial_values(problem, grid, _Scheme(problem, grid))
+        ref, resid, _, log, stop = _two_stages(problem, grid, start, hand_over=False)
+        assert resid <= stop
+        assert float(np.max(np.abs(u.values - ref))) <= stop
+        assert report.factorizations <= log.factorizations
+        assert report.iterations <= len(log.policy_changes)
 
 
 class TestSolveExactQuadratics:
@@ -1490,6 +1616,6 @@ class TestExports:
             "policy_changes",
             "residual_norm",
             "stop_residual",
-            "init",
+            "form_gap",
             "wall_time_s",
         ]
