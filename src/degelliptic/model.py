@@ -702,9 +702,11 @@ class ConvexDomain:
     def max_center_distance(self, x) -> float | np.ndarray:
         """max over centers of |x - y|; vectorized over leading axes of x."""
         x = np.asarray(x, dtype=float)
-        cs = self.center_array()
-        d = np.linalg.norm(x[..., None, :] - cs, axis=-1)
-        return d.max(axis=-1)
+        # one distance pass per center, with no (..., k, N) difference array
+        return functools.reduce(
+            np.maximum,
+            (np.sqrt(np.sum((x - c) ** 2, axis=-1)) for c in self.center_array()),
+        )
 
     def contains(self, x) -> bool | np.ndarray:
         return self.max_center_distance(x) < self.radius

@@ -92,10 +92,18 @@ def _phi_raw(r, s, params):
 
 
 def dphi_ds(r, s, params: Params):
-    r = np.asarray(r, dtype=float)
+    """d phi / ds = -beta / r + p b s^(p-1)."""
+    r = _check_radius(r)
     s = np.asarray(s, dtype=float)
-    out = -params.beta / r + params.p * params.b * s ** (params.p - 1.0)
+    if np.any(s < 0.0):
+        raise DomainViolationError("profile argument s must be nonnegative")
+    out = _dphi_raw(r, s, params)
     return float(out) if out.ndim == 0 else out
+
+
+def _dphi_raw(r, s, params):
+    # no argument validation, as in ``_phi_raw``
+    return -params.beta / r + params.p * params.b * s ** (params.p - 1.0)
 
 
 def critical_s1(r, params: Params):
@@ -166,8 +174,9 @@ def check_threshold(params: Params, R):
 # ---------------------------------------------------------------------------
 # root finding
 
-# far above the ~30 steps seen next to the threshold's double root, where
-# Newton converges only linearly
+# far above the passes seen next to the threshold's double root, where
+# Newton converges only linearly: up to 25 from the far end of the branch
+# interval, up to 11 from ``_model_start`` (5 at p = 2)
 _NEWTON_CAP = 200
 
 
@@ -190,13 +199,33 @@ def _newton_root(r, s, params, live, direction):
             break
         ri, si = r[idx], s[idx]
         f = _phi_raw(ri, si, params)
-        df = -params.beta / ri + params.p * params.b * si ** (params.p - 1.0)
+        df = _dphi_raw(ri, si, params)
         with np.errstate(divide="ignore", invalid="ignore"):
             step = si - f / df
         moved = np.isfinite(step) & (direction * (step - si) > 0.0)
         s[idx[moved]] = step[moved]
         idx = idx[moved]
     return s, _phi_raw(r, s, params)
+
+
+def _model_start(r, s1, far, params):
+    """Newton start for the superlinear zero between s1 and ``far``, the
+    branch's far end (0 for the first zero, t s1 for the second): one
+    Newton step from the root of the quadratic model
+    phi(s1) + phi''(s1) (s - s1)^2 / 2 = 0 on the side of ``far``.
+
+    The model is exact for p = 2, and near the threshold's double root,
+    where Newton from ``far`` converges only linearly, it starts next to
+    the root.  phi is convex, so the step lands where phi >= 0, on the
+    monotone side that ``_newton_root`` needs.  ``far`` stays the start
+    wherever the step is not finite or leaves the branch interval.
+    """
+    side = np.sign(far - s1)
+    d2 = params.p * (params.p - 1.0) * params.b * s1 ** (params.p - 2.0)
+    s0 = s1 + side * np.sqrt(-2.0 * _phi_raw(r, s1, params) / d2)
+    step = s0 - _phi_raw(r, s0, params) / _dphi_raw(r, s0, params)
+    inside = (side * (step - s1) > 0.0) & (side * (far - step) >= 0.0)
+    return np.where(np.isfinite(step) & inside, step, far)
 
 
 def _root_tolerance(r, s, params):
@@ -208,7 +237,9 @@ def _root_tolerance(r, s, params):
 
 def _zero(r, params: Params, second: bool):
     """The first zero of phi(r, .), or with ``second`` the second one, at
-    radii r; every root in this module comes from here."""
+    radii r; every root in this module comes from here.  Superlinear
+    Newton starts at ``_model_start``, sublinear at a bracket's upper end.
+    """
     r_arr = _check_radius(np.atleast_1d(r))
     scalar = np.asarray(r, dtype=float).ndim == 0
 
@@ -224,7 +255,7 @@ def _zero(r, params: Params, second: bool):
     at_end = check_threshold(params, r_arr)
     # s1 overflows for p near 1, and with it the start and the residuals:
     # _validate_root's finiteness check is then the one report
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         s1 = critical_s1(r_arr, params)
         if not params.superlinear:
             # phi rises to its max at s1 then falls to -inf: the zero lies in
@@ -245,10 +276,12 @@ def _zero(r, params: Params, second: bool):
         elif second:
             # t = p^(1/(p-1)) has t^p / p = t, so phi(r, t s1) = M >= 0:
             # convex and increasing on [s1, t s1], Newton descends from t s1
-            start, direction = params.p ** (1.0 / (params.p - 1.0)) * s1, -1.0
+            far = params.p ** (1.0 / (params.p - 1.0)) * s1
+            start, direction = _model_start(r_arr, s1, far, params), -1.0
         else:
             # convex and decreasing on [0, s1]: Newton climbs from s = 0
-            start, direction = np.zeros_like(r_arr), 1.0
+            far = np.zeros_like(r_arr)
+            start, direction = _model_start(r_arr, s1, far, params), 1.0
         s, f = _newton_root(r_arr, start, params, ~at_end, direction)
     s = np.where(at_end, s1, s)
     _validate_root(r_arr, s, f, at_end, params)
@@ -318,8 +351,11 @@ class RadialProfile:
 
     def value(self, r) -> np.ndarray:
         """Exact u at radii r: the closed form on the profile's branch, not
-        the table.  Radii outside the table are clamped to [r_grid[0], R]."""
-        rr = np.clip(r, self.r_grid[0], self.R)
+        the table.  Radii are clamped to [0, R] on the first-zero branches,
+        which extend to the center, and to [r_grid[0], R] on the second-zero
+        ones, which diverge there."""
+        second = _second_branch(self.branch, self.params)
+        rr = np.clip(r, self.r_grid[0] if second else 0.0, self.R)
         return np.asarray(
             _branch_values(self.branch, rr, self.R, self.params)[1], dtype=float
         )
@@ -458,18 +494,34 @@ def _j_series(X, a: float):
     its Pfaff transform
         X^a / (a (1 + X)) sum_n n! / ((1+a)(2+a)...(n+a)) w^n,
     w = X / (1 + X) <= 1/2, has positive terms, each at most half the one
-    before, so it sums to full precision in at most ~55 terms.
+    before, so it sums to full precision in at most ~55 terms.  X is an
+    array, summed in place until the term of the largest w is below 1e-17
+    of its total: term / total grows with w, and a term that small is under
+    half an ulp of the total, so summing on would change no entry.
     """
-    X = np.asarray(X, dtype=float)
     w = X / (1.0 + X)
     term = np.ones_like(w)
     total = np.ones_like(w)
+    last = np.argmax(w) if w.size else None
     for n in range(1, _SERIES_TERMS):
-        term = term * (n / (n + a)) * w
-        total = total + term
-        if np.all(term <= 1e-17 * total):
+        term *= n / (n + a)
+        term *= w
+        total += term
+        if last is None or term[last] <= 1e-17 * total[last]:
             break
     return X**a / (a * (1.0 + X)) * total
+
+
+def _j_series_at_one(a: float) -> float:
+    """``_j_series`` at X = 1 (w = 1/2) in Python floats, operation for
+    operation, so the constant costs ~55 float products, not array passes."""
+    term = total = 1.0
+    for n in range(1, _SERIES_TERMS):
+        term = term * (n / (n + a)) * 0.5
+        total += term
+        if term <= 1e-17 * total:
+            break
+    return 1.0 / (a * 2.0) * total
 
 
 def _J(X, p: float) -> np.ndarray:
@@ -489,15 +541,18 @@ def _J(X, p: float) -> np.ndarray:
     """
     a = 2.0 / p
     X = np.asarray(X, dtype=float)
-    out = np.array(_j_series(np.minimum(X, 1.0), a))  # J(1) where X > 1
+    out = np.full(X.shape, _j_series_at_one(a))
     big = X > 1.0
+    # the series where X < 1 (and NaN, which it keeps); at X = 1 it is the
+    # constant J(1)
+    below = ~big & (X != 1.0)
+    out[below] = _j_series(X[below], a)
     if np.any(big):
         Xb = X[big]
         L = np.log(Xb)
         m = math.floor(a + 0.5)
         q = ((m + 1) * p - 2.0) / p
-        jq = _j_series(np.append(1.0 / Xb, 1.0), q)
-        tail = (-1.0) ** m * (jq[-1] - jq[:-1])
+        tail = (-1.0) ** m * (_j_series_at_one(q) - _j_series(1.0 / Xb, q))
         for k in range(m):
             e = (2.0 - (k + 1) * p) / p
             if e == 0.0:
@@ -521,10 +576,14 @@ def _second_branch(branch: ProfileBranch, params: Params) -> bool:
 
 def _branch_values(branch: ProfileBranch, r, R: float, params: Params):
     """(s, u, u(0+)) at radii r in (0, R] on one profile branch, in closed
-    form: ``_exact_u`` for M > 0, ``_zero_m_integrals`` for M = 0."""
+    form: ``_exact_u`` for M > 0, ``_zero_m_integrals`` for M = 0.  r = 0
+    is allowed on the first-zero branches."""
     second = _second_branch(branch, params)
     if params.M == 0.0:
-        s = _zero(r, params, second)
+        # as in _exact_u, s(0) = 0 extends the first-zero branches to r = 0
+        r = np.asarray(r, dtype=float)
+        s = np.zeros(r.shape)
+        s[r > 0.0] = _zero(r[r > 0.0], params, second)
         return (s, *_zero_m_integrals(branch, r, R, params, second))
     return _exact_u(r, R, params, second)
 

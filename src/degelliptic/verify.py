@@ -457,8 +457,13 @@ def threshold_probe(
                 )
             )
             continue
-        first_zero(np.linspace(R / probe_count, R, probe_count), params)
         verdicts.append(ThresholdVerdict(R=float(R), exists=True, endpoint=endpoint))
+    admissible = np.array([v.R for v in verdicts if v.exists])
+    if admissible.size:
+        # the probe grids (0, R] of every admissible radius in one root call,
+        # which raises NumericError where a root fails
+        grids = np.linspace(admissible / probe_count, admissible, probe_count, axis=-1)
+        first_zero(grids.ravel(), params)
     return tuple(verdicts)
 
 

@@ -140,9 +140,7 @@ def model_profile():
 
 def oracle_on(grid, profile):
     r = np.hypot(grid.nodes_xy[:, 0], grid.nodes_xy[:, 1])
-    vals = profile.value(np.clip(r, profile.r_grid[0], 1.0))
-    vals[r < profile.r_grid[0]] = profile.u_at_zero
-    return GridFunction(grid=grid, values=vals)
+    return GridFunction(grid=grid, values=profile.value(r))
 
 
 class TestDirectionFan:

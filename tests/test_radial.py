@@ -3,12 +3,13 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from degelliptic.errors import (
     BranchError,
     ConfigError,
+    DegellipticError,
     DomainViolationError,
     NumericError,
     ThresholdError,
@@ -29,8 +30,15 @@ from degelliptic.radial import (
     phi,
     profile_to_csv,
     radial_profile,
+    _dphi_raw,
     _J,
+    _model_start,
+    _newton_root,
+    _phi_raw,
     _root_tolerance,
+    _second_branch,
+    _validate_root,
+    check_threshold,
     rbar,
     second_zero,
 )
@@ -53,12 +61,10 @@ class TestPhi:
         assert phi(0.5, 2.0 + math.sqrt(3.0), MODEL) == pytest.approx(0.0, abs=1e-14)
 
     def test_domain_errors(self):
-        with pytest.raises(DomainViolationError):
-            phi(0.0, 1.0, MODEL)
-        with pytest.raises(DomainViolationError):
-            phi(-1.0, 1.0, MODEL)
-        with pytest.raises(DomainViolationError):
-            phi(1.0, -0.5, MODEL)
+        for fn in (phi, dphi_ds):
+            for r, s in ((0.0, 1.0), (-1.0, 1.0), (1.0, -0.5)):
+                with pytest.raises(DomainViolationError):
+                    fn(r, s, MODEL)
 
     def test_vectorized(self):
         r = np.array([0.25, 0.5, 1.0])
@@ -356,10 +362,15 @@ class TestProfileEvaluation:
         assert np.max(np.abs(ddu - fd)) <= 1e-7 * np.max(np.abs(ddu))
 
     def test_value_clamps_to_the_table(self, prof):
+        # first-zero branches extend to the center, where value is u(0+)
+        # exactly; second-zero ones diverge there and stop at the table
         lo, R = prof.r_grid[0], prof.R
-        assert np.array_equal(
-            prof.value([0.5 * lo, 2.0 * R]), prof.value([lo, R])
-        )
+        if _second_branch(prof.branch, prof.params):
+            assert np.array_equal(prof.value([0.5 * lo, 2.0 * R]), prof.value([lo, R]))
+        else:
+            assert np.array_equal(prof.value([-1.0, 2.0 * R]), prof.value([0.0, R]))
+            assert float(prof.value(0.0)) == prof.u_at_zero
+            assert float(prof.value(0.5 * lo)) != float(prof.value(lo))
 
 
 @given(
@@ -553,6 +564,161 @@ class TestAntiderivative:
         assert np.max(np.abs(0.5 * (lo + hi) - ref) / ref) <= 1e-12
 
 
+# ---------------------------------------------------------------------------
+# the one-pass radial kernels against the code they replaced, kept here as
+# the reference: the J series over X clipped to 1 (and 1.0 appended for
+# J_q(1)), and Newton started from the far end of each branch interval
+
+
+def _ref_j_series(X, a):
+    X = np.asarray(X, dtype=float)
+    w = X / (1.0 + X)
+    term = np.ones_like(w)
+    total = np.ones_like(w)
+    for n in range(1, 64):
+        term = term * (n / (n + a)) * w
+        total = total + term
+        if np.all(term <= 1e-17 * total):
+            break
+    return X**a / (a * (1.0 + X)) * total
+
+
+def _ref_J(X, p):
+    a = 2.0 / p
+    X = np.asarray(X, dtype=float)
+    out = np.array(_ref_j_series(np.minimum(X, 1.0), a))
+    big = X > 1.0
+    if np.any(big):
+        Xb = X[big]
+        L = np.log(Xb)
+        m = math.floor(a + 0.5)
+        q = ((m + 1) * p - 2.0) / p
+        jq = _ref_j_series(np.append(1.0 / Xb, 1.0), q)
+        tail = (-1.0) ** m * (jq[-1] - jq[:-1])
+        for k in range(m):
+            e = (2.0 - (k + 1) * p) / p
+            if e == 0.0:
+                grow = L
+            else:
+                eL = e * L
+                grow = np.where(np.abs(eL) < 1.0, np.expm1(eL), Xb**e - 1.0) / e
+            tail = tail + (-1.0) ** k * grow
+        out[big] += tail
+    return out
+
+
+def _far_start(r, params, second):
+    """The branch interval's far end, (start, Newton direction)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        s1 = critical_s1(r, params)
+        if second:
+            return params.p ** (1.0 / (params.p - 1.0)) * s1, -1.0
+    return np.zeros_like(r), 1.0
+
+
+def _ref_zero(r, params, second):
+    """The superlinear roots (M > 0) as found from the far-end start."""
+    at_end = check_threshold(params, r)
+    with np.errstate(over="ignore", invalid="ignore"):
+        s1 = critical_s1(r, params)
+        start, direction = _far_start(r, params, second)
+        s, f = _newton_root(r, start, params, ~at_end, direction)
+    s = np.where(at_end, s1, s)
+    _validate_root(r, s, f, at_end, params)
+    return s
+
+
+def _newton_passes(r, s, params, live, direction):
+    """``_newton_root`` with a count of the passes each entry takes."""
+    s, passes = s.copy(), np.zeros(s.shape, dtype=int)
+    idx = np.flatnonzero(live)
+    for _ in range(200):
+        if idx.size == 0:
+            break
+        passes[idx] += 1
+        ri, si = r[idx], s[idx]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = si - _phi_raw(ri, si, params) / _dphi_raw(ri, si, params)
+        moved = np.isfinite(step) & (direction * (step - si) > 0.0)
+        s[idx[moved]] = step[moved]
+        idx = idx[moved]
+    return s, passes
+
+
+class TestOnePassKernels:
+    @given(
+        st.lists(
+            st.one_of(
+                st.floats(0.0, 1.0),
+                st.floats(1.0, 1e12),
+                st.sampled_from([0.0, 1.0, 1e-300, 1e15]),
+            ),
+            max_size=40,
+        ),
+        st.floats(0.2, 6.0),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_j_is_bit_identical_to_the_clipped_sums(self, X, p):
+        X = np.array(X, dtype=float)
+        assert np.array_equal(_J(X, p), _ref_J(X, p))
+        for x in X[:3]:  # a single point
+            assert _J(x, p) == _ref_J(x, p)
+
+    @given(_COEFFS, _COEFFS, st.floats(1.0 + 2e-6, 6.0), _COEFFS)
+    @settings(max_examples=150, deadline=None)
+    @example(beta=2.0, b=1.0, p=2.0, M=1.0)
+    @example(beta=2.0, b=1.0, p=1.005, M=1.0)  # s1 overflows at small radii
+    def test_model_start_against_far_start(self, beta, b, p, M):
+        # radii across (0, rbar], down to 1e-12 below rbar and rbar itself
+        params = Params(beta=beta, b=b, p=p, M=M)
+        R = rbar(params)
+        r = R * np.concatenate(
+            [np.linspace(0.02, 1.0, 50), 1.0 - 10.0 ** -np.arange(1.0, 13.0)]
+        )
+        for second in (False, True):
+            zero = second_zero if second else first_zero
+            try:
+                ref = _ref_zero(r, params, second)
+            except DegellipticError as err:
+                # same class and message, p near 1 where s1 overflows included
+                with pytest.raises(type(err)) as got:
+                    zero(r, params)
+                assert str(got.value) == str(err)
+                assert got.value.diagnostics == err.diagnostics
+                continue
+            s = zero(r, params)
+            at_end = check_threshold(params, r)
+            residual = np.where(at_end, 0.0, _phi_raw(r, s, params))
+            assert np.all(np.abs(residual) <= _root_tolerance(r, s, params))
+            assert np.array_equal(s[at_end], ref[at_end])
+            # never more passes than from the far end; on p = 2, where the
+            # model is exact, not at any radius
+            far, direction = _far_start(r, params, second)
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                s1 = critical_s1(r, params)
+                start = _model_start(r, s1, far, params)
+            got, n_new = _newton_passes(r, start, params, ~at_end, direction)
+            _, n_old = _newton_passes(r, far, params, ~at_end, direction)
+            assert np.array_equal(np.where(at_end, s1, got), s)
+            assert n_new.max() <= n_old.max()
+            if p == 2.0:
+                assert np.all(n_new <= n_old)
+
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    def test_model_start_ends_the_double_root_crawl(self, p):
+        # next to rbar, Newton from the far end converges only linearly
+        params = Params(beta=2.0, b=1.0, p=p, M=1.0)
+        r = rbar(params) * (1.0 - 10.0 ** -np.arange(2.0, 11.0))
+        for second in (False, True):
+            far, direction = _far_start(r, params, second)
+            s1 = critical_s1(r, params)
+            live = np.ones(r.shape, dtype=bool)
+            start = _model_start(r, s1, far, params)
+            _, n_new = _newton_passes(r, start, params, live, direction)
+            _, n_old = _newton_passes(r, far, params, live, direction)
+            assert n_old.min() >= 8 and n_new.max() <= 3
+
+
 class TestZeroM:
     def test_log_family(self):
         params = Params(beta=2.0, b=1.0, p=2.0, M=0.0)
@@ -574,6 +740,8 @@ class TestZeroM:
         # s = r^2, u = (1 - r^3)/3
         assert np.max(np.abs(prof.u_values - (1.0 - prof.r_grid**3) / 3.0)) < 1e-10
         assert prof.u_at_zero == pytest.approx(1.0 / 3.0)
+        # a first-zero branch: value reaches the center
+        assert float(prof.value(0.0)) == prof.u_at_zero
 
     def test_requires_m_zero(self):
         with pytest.raises(BranchError):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from degelliptic.barriers import build_supersolution, evaluate_barrier
@@ -28,6 +28,7 @@ from degelliptic.model import (
 from degelliptic.radial import (
     _exact_u,
     c1_bound,
+    check_threshold,
     explicit_sublinear_form,
     first_zero,
     radial_profile,
@@ -35,6 +36,7 @@ from degelliptic.radial import (
 )
 from degelliptic.verify import (
     ClosedFormRadial,
+    ThresholdVerdict,
     VerifyProblem,
     _h2_scaling_margin,
     _radial_residuals,
@@ -482,6 +484,29 @@ def _admits(call):
         return False, err.gap
 
 
+def _ref_threshold_probe(params, radii, probe_count):
+    """The verdicts with one root call per admissible radius: the loop that
+    the one batched call replaced, kept as the reference."""
+    verdicts = []
+    for R in radii:
+        try:
+            endpoint = check_threshold(params, R)
+        except ThresholdError as err:
+            verdicts.append(
+                ThresholdVerdict(
+                    R=float(R),
+                    exists=False,
+                    endpoint=False,
+                    fails_at=err.radius,
+                    gap=err.gap,
+                )
+            )
+            continue
+        first_zero(np.linspace(R / probe_count, R, probe_count), params)
+        verdicts.append(ThresholdVerdict(R=float(R), exists=True, endpoint=endpoint))
+    return tuple(verdicts)
+
+
 class TestThresholdProbe:
     @pytest.mark.parametrize("params", _agreement_sets())
     @pytest.mark.parametrize("eps", [-1e-9, 0.0, 5e-11, 1.5e-10, 5e-10, 1e-9])
@@ -565,6 +590,21 @@ class TestThresholdProbe:
         assert below.exists and not below.endpoint
         assert at.exists and at.endpoint
         assert not above.exists and above.gap > 0.0
+
+    @given(
+        st.floats(0.3, 3.0),
+        st.floats(0.3, 3.0),
+        st.floats(1.0 + 2e-6, 6.0),
+        st.floats(0.3, 3.0),
+        st.lists(st.floats(0.01, 1.5), min_size=1, max_size=8),
+    )
+    @settings(max_examples=60, deadline=None)
+    @example(beta=2.0, b=1.0, p=1.005, M=1.0, fracs=[1.2, 0.002, 0.5])  # s1 overflows
+    def test_one_root_call_gives_the_per_radius_verdicts(self, beta, b, p, M, fracs):
+        params = Params(beta=beta, b=b, p=p, M=M)
+        radii = rbar(params) * np.array(fracs + [1.0])
+        ref = _ref_threshold_probe(params, radii, 16)
+        assert threshold_probe(params, radii, 16) == ref
 
     def test_zero_forcing_never_fails(self):
         params = Params(beta=2.0, b=1.0, p=2.0, M=0.0)
