@@ -81,7 +81,6 @@ class RunConfig:
 
     command: str
     out: str
-    seed: int
     # structural envelope
     beta: float
     b: float
@@ -134,7 +133,7 @@ class RunConfig:
 
 # (section, key) -> default, in file order; every key is optional
 DEFAULTS: dict[str, dict[str, str]] = {
-    "run": {"command": "", "out": "out", "seed": "0"},
+    "run": {"command": "", "out": "out"},
     "params": {"beta": "1.0", "b": "1.0", "c": "0.0", "d": "0.0",
                "p": "2.0", "M": "1.0"},
     "problem": {
@@ -603,8 +602,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", required=True, help="INI config file")
     common.add_argument("--out", default=None, help="output directory")
     common.add_argument("--seed", type=int, default=None,
-                        help="accepted for interface stability; every"
-                        " command is deterministic")
+                        help="accepted and ignored; every command is"
+                        " deterministic")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
         sub.add_parser(name, parents=[common])
@@ -612,11 +611,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_flags(cfg: RunConfig, args) -> RunConfig:
-    updates = {
-        name: getattr(args, name)
-        for name in ("out", "seed")
-        if getattr(args, name) is not None
-    }
+    updates = {} if args.out is None else {"out": args.out}
     if cfg.command and cfg.command != args.command:
         raise ConfigError(
             f"config requests command {cfg.command!r} but"

@@ -602,6 +602,14 @@ class TestFlagsAndDispatch:
         assert code == 0
         assert "rbar = 1.00000000000000" in out
 
+    def test_seed_key_is_unknown(self, tmp_path, capsys):
+        # no command read the seed; the key is gone, while the flag is
+        # still accepted and ignored
+        path = write_config(tmp_path, MODEL_INI + "\n[run]\nseed = 7\n")
+        code, _, err = run_cli(capsys, "rbar", "--config", path)
+        assert code == 2
+        assert "unknown config key [run] seed" in err
+
     def test_module_entry_point(self, tmp_path):
         path = write_config(tmp_path, MODEL_INI)
         proc = subprocess.run(

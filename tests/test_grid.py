@@ -588,7 +588,8 @@ class TestNewtonJacobian:
             scheme.residual(v + self.EPS * w, upwind)
             - scheme.residual(v - self.EPS * w, upwind)
         ) / (2.0 * self.EPS)
-        return scheme, v, w, fd, scheme.jacobian(v, upwind) @ w[:-1]
+        jac = scheme.jacobian(scheme.linearize(v, upwind))
+        return scheme, v, w, fd, jac @ w[:-1]
 
     @JACOBIAN_OPERATORS
     @JACOBIAN_HAMILTONIANS
@@ -609,7 +610,7 @@ class TestNewtonJacobian:
         )
 
         def policy(x):  # larger arm, m_k > 0, and capped q, per slot and node
-            m, minus = scheme.upwind_differences(x)
+            m, minus, _ = scheme.linearize(x, upwind=True).slopes
             q = scheme.up_c @ (m * m)
             return np.vstack([minus, m > 0.0, q > scheme.g_cap**2])
 
@@ -622,6 +623,21 @@ class TestNewtonJacobian:
         capped = policy(v)[-1]
         assert 0 < capped[nodes].sum() < nodes.sum()
         assert float(np.max(np.abs(fd - jw)[nodes])) <= 1e-5
+
+    @JACOBIAN_OPERATORS
+    @JACOBIAN_HAMILTONIANS
+    @pytest.mark.parametrize("upwind", [True, False], ids=["upwind", "centered"])
+    def test_linearized_residual_is_the_residual(self, disc_h8, operator, ham, upwind):
+        # the Newton loop reads its residual from the linearization and
+        # residual_norm from the value-only path: the two must not drift
+        params = Params(beta=1.0, b=4.0, p=ham.p, M=1.0)
+        scheme = _Scheme(GridProblem(operator, ham, params, DISC, -0.1), disc_h8)
+        rng = np.random.default_rng(5)
+        for scale in (0.003, 0.03, 0.3):
+            v = np.append(rng.normal(scale=scale, size=disc_h8.n_nodes), 0.0)
+            lin = scheme.linearize(v, upwind)
+            assert lin.upwind == upwind
+            assert np.array_equal(lin.resid, scheme.residual(v, upwind))
 
 
 def _lens_problem(offset, ham, f):
@@ -704,7 +720,7 @@ class TestUpwindMonotone:
         scheme = _Scheme(problem, grid)
         rng = np.random.default_rng(seed)
         v = np.append(rng.normal(scale=scale, size=grid.n_nodes), 0.0)
-        jac = scheme.jacobian(v, upwind=True).tocoo()
+        jac = scheme.jacobian(scheme.linearize(v, upwind=True)).tocoo()
         off = jac.row != jac.col
         assert np.all(jac.data[off] >= 0.0)
         assert np.all(jac.diagonal() < 0.0)
@@ -755,11 +771,11 @@ class TestFactorReuse:
         v0 = np.append(
             grid_module._initial_values(problem, grid, scheme), 0.0
         )
-        r0, policy0 = scheme.residual_and_policy(v0, upwind)
-        jac0 = scheme.jacobian(v0, upwind)
+        lin0 = scheme.linearize(v0, upwind)
+        r0, policy0, jac0 = lin0.resid, lin0.policy, scheme.jacobian(lin0)
         v1 = np.append(v0[:-1] + spsolve(jac0.tocsc(), -r0), 0.0)
-        r1, policy1 = scheme.residual_and_policy(v1, upwind)
-        jac1 = scheme.jacobian(v1, upwind)
+        lin1 = scheme.linearize(v1, upwind)
+        r1, policy1, jac1 = lin1.resid, lin1.policy, scheme.jacobian(lin1)
         changed = np.flatnonzero((policy0 != policy1).any(axis=1))
         assert changed.size > 20
         lu = splu(jac0.tocsc())
@@ -794,8 +810,8 @@ class TestFactorReuse:
         n = grid.n_nodes
         v0, v1 = (np.append(rng.normal(scale=scale, size=n), 0.0) for _ in "01")
         rows = rng.choice(n, size=rng.integers(1, n), replace=False)
-        mixed = scheme.jacobian(v0, upwind=True).tolil()
-        mixed[rows] = scheme.jacobian(v1, upwind=True)[rows]
+        mixed = scheme.jacobian(scheme.linearize(v0, upwind=True)).tolil()
+        mixed[rows] = scheme.jacobian(scheme.linearize(v1, upwind=True))[rows]
         jac = mixed.tocoo()
         off = jac.row != jac.col
         assert np.all(jac.data[off] >= 0.0)
@@ -822,14 +838,51 @@ class TestFactorReuse:
         scheme = _Scheme(problem, disc_h8)
         rng = np.random.default_rng(1)
         v = np.append(rng.normal(scale=0.03, size=disc_h8.n_nodes), 0.0)
-        jac = {s: scheme.jacobian(s * v, upwind=True).toarray() for s in (1, 1.5, 2)}
-        _, lo = scheme.residual_and_policy(v, upwind=True)
-        _, hi = scheme.residual_and_policy(2 * v, upwind=True)
+        lin = {s: scheme.linearize(s * v, upwind=True) for s in (1, 1.5, 2)}
+        jac = {s: scheme.jacobian(lin[s]).toarray() for s in lin}
+        lo, hi = lin[1].policy, lin[2].policy
         same = (lo == hi).all(axis=1)
         assert 0 < (~same).sum() < same.sum()
         mid = (jac[1] + jac[2]) / 2
         scale = np.abs(mid).max()
         assert np.max(np.abs(jac[1.5] - mid)[same]) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("upwind", [True, False], ids=["upwind", "centered"])
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("aniso", [False, True], ids=["power", "aniso"])
+    def test_equal_policy_rows_have_equal_column_patterns(
+        self, disc_h8, upwind, p, aniso
+    ):
+        """The premise of ``_reuse_rows``: a node whose policy row is the
+        same at two iterates has a Jacobian row with the same nonzero
+        columns, so a reused factor keeps that row's form."""
+        ham = (
+            AnisotropicPower(SymMatrix(ANISO_A), p=p, b=1.0)
+            if aniso
+            else PowerNorm(b=1.0, p=p)
+        )
+        params = Params(beta=1.0, b=4.0, p=p, M=1.0)
+        scheme = _Scheme(GridProblem(MinMax(), ham, params, DISC, -0.1), disc_h8)
+        rng = np.random.default_rng(3)
+        n = disc_h8.n_nodes
+        # a random iterate, and the same one tilted by a linear function:
+        # the tilt keeps most fan choices and moves upwind arms and nodes
+        # across the gradient cap, which grows with p
+        v0 = np.append(rng.normal(scale=0.1 * scheme.g_cap, size=n), 0.0)
+        tilt = 0.25 * scheme.g_cap * (disc_h8.nodes_xy @ [1.0, 0.5])
+        v1 = v0 + np.append(tilt, 0.0)
+        lin0, lin1 = scheme.linearize(v0, upwind), scheme.linearize(v1, upwind)
+        same = (lin0.policy == lin1.policy).all(axis=1)
+        assert 0 < (~same).sum() and 0 < same.sum()
+        # some nodes beyond the gradient cap and some below it
+        assert 0 < lin0.policy[same, -1].sum() < same.sum()
+        jac0, jac1 = scheme.jacobian(lin0), scheme.jacobian(lin1)
+        jac0.eliminate_zeros()
+        jac1.eliminate_zeros()
+        for i in np.flatnonzero(same):
+            cols0 = jac0.indices[jac0.indptr[i] : jac0.indptr[i + 1]]
+            cols1 = jac1.indices[jac1.indptr[i] : jac1.indptr[i + 1]]
+            assert sorted(cols0) == sorted(cols1), i
 
     def test_rejected_reuse_refactors_at_the_same_iterate(self, monkeypatch):
         # a reused step that does not lower the residual is dropped and not
@@ -864,14 +917,24 @@ class TestFactorReuse:
         gap = float(np.max(np.abs(u.values - u_fresh.values)))
         assert gap <= report.stop_residual
 
+    def test_aniso_lens_h32_steps_are_pinned(self):
+        # any change to the Newton loop that moves a step shows up here
+        problem, grid = _aniso_lens(1 / 32)
+        _, report = solve(problem, grid)
+        assert report.policy_changes == (
+            1100, 758, 432, 216, 114, 68, 44, 54, 12, 4, 2, 2, 0
+        )
+        assert (report.upwind_steps, report.factorizations) == (7, 10)
+
     def test_reuse_needs_the_residual_inside_the_changed_rows(self):
         from scipy.sparse.linalg import splu
 
         problem, grid = _aniso_lens(1 / 16)
         scheme = _Scheme(problem, grid)
         v = np.append(np.zeros(grid.n_nodes), 0.0)
-        resid, policy = scheme.residual_and_policy(v, True)
-        lu = splu(scheme.jacobian(v, True).tocsc())
+        lin = scheme.linearize(v, True)
+        resid, policy = lin.resid, lin.policy
+        lu = splu(scheme.jacobian(lin).tocsc())
         moved = policy.copy()
         moved[[3, 7]] += 1
         small = np.zeros(grid.n_nodes)
@@ -1009,9 +1072,9 @@ class TestSolve:
         # name it instead of reporting a blow-up from NaN updates
         jacobian = grid_module._Scheme.jacobian
 
-        def singular(self, v_ext, upwind=False):
-            jac = jacobian(self, v_ext, upwind)
-            if upwind == (singular_form == "upwind"):
+        def singular(self, lin):
+            jac = jacobian(self, lin)
+            if lin.upwind == (singular_form == "upwind"):
                 jac = jac.tolil()
                 jac[0, :] = 0.0
             return jac
