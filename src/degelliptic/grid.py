@@ -13,7 +13,7 @@ nonuniform three-point differences against the exact ray-circle cut
 points.  The cut fractions are only clipped to [1e-14, 1]
 (``_cut_fractions``); there is no larger floor, so a node almost on the
 boundary gets an arm almost of length zero and the scale of its stencil
-row (the slope bound D_i) is unbounded.
+row, about 1/(h+ h-), is unbounded.
 
 The first-order term is coef <A g, g>^(p/2): ``PowerNorm`` b |g|^p is
 A = I, coef = b, and ``AnisotropicPower`` its own A with coef = 1.  The
@@ -140,11 +140,10 @@ class Grid2D:
 
     ``mask`` is 0 outside, 1 at interior nodes whose stencil arms all end at
     in-domain nodes, and 2 at boundary-adjacent nodes (at least one arm
-    crosses the boundary).  ``theta_plus``/``theta_minus`` hold the exact
-    crossing fractions in (0, 1] per node and direction (1.0 = full arm);
-    ``hp``/``hm`` are the corresponding arm lengths.  Neighbor indices point
-    into the packed node array, with ``n_nodes`` standing for the zero-valued
-    boundary slot.
+    crosses the boundary).  ``hp``/``hm`` are the arm lengths per node and
+    direction, h |v| for a full arm and up to the exact boundary crossing
+    for a cut one.  Neighbor indices point into the packed node array, with
+    ``n_nodes`` standing for the zero-valued boundary slot.
     """
 
     domain: ConvexDomain
@@ -159,9 +158,6 @@ class Grid2D:
     nodes_xy: np.ndarray
     nb_plus: np.ndarray
     nb_minus: np.ndarray
-    theta_plus: np.ndarray
-    theta_minus: np.ndarray
-    hv: np.ndarray
     hp: np.ndarray
     hm: np.ndarray
     slot_ex: int
@@ -290,10 +286,7 @@ def build_grid(domain: ConvexDomain, h: float, K: int) -> Grid2D:
     hp = theta_plus * hv
     hm = theta_minus * hv
 
-    for arr in (
-        xs, ys, mask, idx_grid, nodes_xy, nb_plus, nb_minus,
-        theta_plus, theta_minus, hv, hp, hm, op_mask,
-    ):
+    for arr in (xs, ys, mask, idx_grid, nodes_xy, nb_plus, nb_minus, hp, hm, op_mask):
         arr.flags.writeable = False
 
     return Grid2D(
@@ -309,9 +302,6 @@ def build_grid(domain: ConvexDomain, h: float, K: int) -> Grid2D:
         nodes_xy=nodes_xy,
         nb_plus=nb_plus,
         nb_minus=nb_minus,
-        theta_plus=theta_plus,
-        theta_minus=theta_minus,
-        hv=hv,
         hp=hp,
         hm=hm,
         slot_ex=directions.index((1, 0)),
@@ -440,8 +430,7 @@ class SolveReport:
     polish took ``iterations - upwind_steps``.  ``factorizations`` counts
     the LU factorizations of the Newton steps, and ``policy_changes`` per
     step the nodes whose active policy it changed.  ``form_gap`` is the gap
-    at which the upwind stage handed over (see `solve`).  ``d_max`` is the
-    largest per-node bound on the diagonal slope |d(F_h + H_h)/du_0|."""
+    at which the upwind stage handed over (see `solve`)."""
 
     iterations: int
     upwind_steps: int
@@ -449,8 +438,6 @@ class SolveReport:
     policy_changes: tuple[int, ...]
     residual_norm: float
     wall_time: float
-    d_max: float
-    f_sup: float
     stop_residual: float
     form_gap: float
 
@@ -560,23 +547,21 @@ class _Scheme:
 
         self._setup_hamiltonian(problem.hamiltonian)
 
-        # exact per-node bound on |d(F_h + H_h)/du_0|, for the refusal of a
-        # node with no diagonal slope and for the report's d_max
+        # refuse a node where no operator term and no centered gradient
+        # weight (with a gradient term) reaches u_0
         d_node = np.zeros(n)
         for slots, w, _ in self.terms:
             d_node += w * self.c0[:, slots].max(axis=1)
         if self.ham:
-            d_node += self.h_lip * np.hypot(*self.g_zero)
+            d_node += np.hypot(*self.g_zero)
         if np.any(d_node <= 0.0):
             raise ConfigError("operator has no diagonal slope at some node")
-        self.d_max = float(np.max(d_node))
 
     def _setup_hamiltonian(self, ham: HamiltonianSpec | None):
         """H(g) = h_coef <A g, g>^(h_p / 2): ``PowerNorm`` b |g|^p has A = I
         and h_coef = b, ``AnisotropicPower`` its own A and h_coef = 1.  This
         is the only place that dispatches on the Hamiltonian class."""
         self.ham = False
-        self.h_lip = 0.0
         if ham is None:
             return
         if isinstance(ham, PowerNorm):
@@ -623,8 +608,6 @@ class _Scheme:
         )
         if not math.isfinite(self.g_cap):
             raise ConfigError("gradient cap is unbounded for this envelope")
-        # b bounds h_coef <A g, g>^(p/2) by b |g|^p for both classes
-        self.h_lip = ham.p * ham.b * self.g_cap ** (ham.p - 1.0)
 
         # centered gradient, rows x and y: g = g_plus u+ + g_minus u- +
         # g_zero u0 over the arms g_ip, g_im of the axis slots
@@ -655,20 +638,14 @@ class _Scheme:
         parts *= self.cc_t
         return (parts[: self.d] + parts[self.d :]).T
 
-    def operator_values(self, d2: np.ndarray) -> np.ndarray:
-        out = np.zeros(self.n)
-        for slots, w, rule in self.terms:
-            out += w * _RULES[rule][0](d2[:, slots], axis=1)
-        return out
-
     def gradient(self, v_ext: np.ndarray) -> np.ndarray:
         """Centered gradient, rows x and y."""
         g = self.g_plus * v_ext[self.g_ip] + self.g_minus * v_ext[self.g_im]
         return g + self.g_zero * v_ext[: self.n]
 
-    def hamiltonian(self, v_ext: np.ndarray, upwind: bool = False, slopes=False):
-        """H_h at ``v_ext``; with ``slopes`` also its policy columns and its
-        slopes, which the values alone skip.
+    def hamiltonian(self, v_ext: np.ndarray, upwind: bool = False):
+        """H_h at ``v_ext``, its policy columns and its slopes; ``(0.0, [],
+        None)`` without a gradient term.
 
         Upwind: per upwind slot (rows) m_k = max(d+_k, d-_k, 0) from the
         one-sided differences (u_arm - u_0) / h_arm on the cut-cell arms,
@@ -680,7 +657,7 @@ class _Scheme:
         leaves a tangential slope unless A is a multiple of I.
         """
         if not self.ham:
-            return (0.0, [], None) if slopes else 0.0
+            return 0.0, [], None
         cap2, p = self.g_cap**2, self.h_p
         if upwind:
             diffs = np.take(v_ext, self.up_idx)
@@ -690,8 +667,6 @@ class _Scheme:
             m = np.maximum(np.maximum(plus, minus), 0.0)
             q = self.up_c @ (m * m)
             h_vals = self.h_coef * np.minimum(q, cap2) ** (p / 2.0)
-            if not slopes:
-                return h_vals
             minus = minus > plus
             live = (q > 0.0) & (q < cap2)
             dh_dq = np.zeros(self.n)
@@ -705,27 +680,20 @@ class _Scheme:
         q = (g * ag).sum(axis=0)
         qs = q * shrink
         h_vals = self.h_coef * np.maximum(qs, 0.0) ** (p / 2.0)
-        if not slopes:
-            return h_vals
         tilt = np.divide(q, n2, out=np.zeros(self.n), where=n2 > cap2)
         live = qs > 0.0
         coef = np.zeros(self.n)
         coef[live] = self.h_coef * p * qs[live] ** (p / 2.0 - 1.0) * shrink[live]
         return h_vals, [n2 < cap2], coef * (ag - tilt * g)
 
-    def residual(self, v_ext: np.ndarray, upwind: bool = False) -> np.ndarray:
-        """F_h + H_h - f with the centered or the upwind first-order term."""
-        f_h = self.operator_values(self.second_differences(v_ext))
-        return f_h + self.hamiltonian(v_ext, upwind) - self.fvals
-
     def linearize(self, v_ext: np.ndarray, upwind: bool = False) -> _Linearization:
-        """``residual`` with the policy and slopes of ``jacobian``, from one
-        pass of second differences and one of the first-order term.  A
-        term's active slot is the argmin of a min term, the argmax of a max
-        term, and its value there the term's value in ``residual``."""
+        """F_h + H_h - f (centered or upwind) with the policy and slopes of
+        ``jacobian``, from one pass of second differences and one of the
+        first-order term: the only evaluation of the scheme.  A term's
+        active slot is the argmin of a min term, the argmax of a max term."""
         # the slopes outlive the second differences; allocating them first
         # kept grid-lens peak RSS 4 MB lower than the other order
-        h_vals, h_cols, slopes = self.hamiltonian(v_ext, upwind, slopes=True)
+        h_vals, h_cols, slopes = self.hamiltonian(v_ext, upwind)
         d2 = self.second_differences(v_ext)
         rows = np.arange(self.n)
         f_h = np.zeros(self.n)
@@ -999,7 +967,7 @@ def _newton(
         if not hand_over:
             return stop
         with np.errstate(all="ignore"):
-            gap = lin.h_vals - scheme.hamiltonian(v_ext)
+            gap = lin.h_vals - scheme.hamiltonian(v_ext)[0]
         log.form_gap = float(np.max(np.abs(gap)))
         return max(stop, log.form_gap)
 
@@ -1114,8 +1082,6 @@ def solve(
         policy_changes=tuple(log.policy_changes),
         residual_norm=rmax,
         wall_time=wall,
-        d_max=scheme.d_max,
-        f_sup=scheme.f_sup,
         stop_residual=stop,
         form_gap=log.form_gap,
     )
@@ -1137,7 +1103,7 @@ def sweep(
         raise ConfigError("sweep needs a finite tau >= 0 and steps >= 0")
     scheme = _Scheme(problem, grid)
     for _ in range(steps):
-        v_ext[: grid.n_nodes] += tau * scheme.residual(v_ext)
+        v_ext[: grid.n_nodes] += tau * scheme.linearize(v_ext).resid
     return v_ext[: grid.n_nodes].copy()
 
 
@@ -1146,7 +1112,7 @@ def residual_norm(problem: GridProblem, u: GridFunction) -> float:
     scheme = _Scheme(problem, u.grid)
     if u.grid.n_nodes == 0:
         return 0.0
-    return float(np.max(np.abs(scheme.residual(u.extended()))))
+    return float(np.max(np.abs(scheme.linearize(u.extended()).resid)))
 
 
 def solution_to_csv(u: GridFunction, path) -> None:

@@ -178,6 +178,8 @@ def check_threshold(params: Params, R):
 # Newton converges only linearly: up to 25 from the far end of the branch
 # interval, up to 11 from ``_model_start`` (5 at p = 2)
 _NEWTON_CAP = 200
+# |phi| at or below this many eps of its largest term is rounding noise
+_PLATEAU_EPS = 4.0 * np.finfo(float).eps
 
 
 def _newton_root(r, s, params, live, direction):
@@ -188,9 +190,11 @@ def _newton_root(r, s, params, live, direction):
     left on a convex branch, increasing from the right on a convex one,
     decreasing from the right on a concave one) every iterate moves by
     ``direction`` (+1 up, -1 down) toward the root without passing it.  An
-    entry freezes once its step no longer moves that way: its residual has
-    reached the rounding floor.  Only ``live`` entries iterate.  Returns
-    the roots and the residuals there.
+    entry freezes once its residual has reached the rounding floor: its
+    step no longer moves that way, or |phi| is at most ``_PLATEAU_EPS``
+    times its largest term (beta s / r, b s^p or M), where steps of a few
+    ulps would only follow the rounding noise.  Only ``live`` entries iterate.
+    Returns the roots and the residuals there.
     """
     s = s.copy()
     idx = np.flatnonzero(live)
@@ -202,7 +206,9 @@ def _newton_root(r, s, params, live, direction):
         df = _dphi_raw(ri, si, params)
         with np.errstate(divide="ignore", invalid="ignore"):
             step = si - f / df
+        largest = np.maximum(params.beta * si / ri, params.b * si**params.p)
         moved = np.isfinite(step) & (direction * (step - si) > 0.0)
+        moved &= np.abs(f) > _PLATEAU_EPS * np.maximum(largest, params.M)
         s[idx[moved]] = step[moved]
         idx = idx[moved]
     return s, _phi_raw(r, s, params)

@@ -60,6 +60,7 @@ from degelliptic.model import (
     TruncatedLower,
     WeightedEigenvalues,
     ellipticity_constant,
+    evaluate_hamiltonian,
 )
 from degelliptic.radial import radial_profile, rbar
 
@@ -214,9 +215,12 @@ class TestBuildGrid:
             build_grid(dom, 0.05, 8)
 
     def test_cut_fractions_in_range(self, disc_h16):
-        for th in (disc_h16.theta_plus, disc_h16.theta_minus):
-            assert np.all(th > 0.0)
-            assert np.all(th <= 1.0)
+        # every arm is positive and at most the full lattice step h |v|
+        g = disc_h16
+        full = g.h * np.hypot(*np.asarray(g.directions, dtype=float).T)
+        for arm in (g.hp, g.hm):
+            assert np.all(arm > 0.0)
+            assert np.all(arm <= full)
 
     def test_cut_points_on_circle(self, disc_h16):
         g = disc_h16
@@ -253,7 +257,7 @@ class TestBuildGrid:
     def test_build_deterministic(self):
         a = build_grid(DISC, 1 / 8, 8)
         b = build_grid(DISC, 1 / 8, 8)
-        assert np.array_equal(a.theta_plus, b.theta_plus)
+        assert np.array_equal(a.hp, b.hp)
         assert np.array_equal(a.nb_minus, b.nb_minus)
         assert np.array_equal(a.nodes_xy, b.nodes_xy)
 
@@ -513,7 +517,8 @@ class TestDiscreteOperator:
             operator=spec, hamiltonian=None, params=MODEL, domain=LENS, f=0.0
         )
         scheme = _Scheme(prob, g)
-        got = scheme.operator_values(scheme.second_differences(u.extended()))
+        # f = 0 and no gradient term: the scheme's residual is F_h
+        got = scheme.linearize(u.extended()).resid
         per_node = [discrete_operator(spec, u, i) for i in range(g.n_nodes)]
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(per_node, want, rtol=1e-12, atol=0.0)
@@ -585,8 +590,8 @@ class TestNewtonJacobian:
         v = np.append(rng.normal(scale=0.03, size=grid.n_nodes), 0.0)
         w = np.append(rng.normal(size=grid.n_nodes), 0.0)
         fd = (
-            scheme.residual(v + self.EPS * w, upwind)
-            - scheme.residual(v - self.EPS * w, upwind)
+            scheme.linearize(v + self.EPS * w, upwind).resid
+            - scheme.linearize(v - self.EPS * w, upwind).resid
         ) / (2.0 * self.EPS)
         jac = scheme.jacobian(scheme.linearize(v, upwind))
         return scheme, v, w, fd, jac @ w[:-1]
@@ -628,16 +633,46 @@ class TestNewtonJacobian:
     @JACOBIAN_HAMILTONIANS
     @pytest.mark.parametrize("upwind", [True, False], ids=["upwind", "centered"])
     def test_linearized_residual_is_the_residual(self, disc_h8, operator, ham, upwind):
-        # the Newton loop reads its residual from the linearization and
-        # residual_norm from the value-only path: the two must not drift
+        # the Newton loop, residual_norm and sweep all read F_h + H_h - f
+        # from the linearization; check it node by node against
+        # discrete_operator and the first-order term built from the arms:
+        # the centered gradient rescaled onto the cap circle, or the upwind
+        # sum_k c_k m_k^2 over the dominant split of A, capped
         params = Params(beta=1.0, b=4.0, p=ham.p, M=1.0)
         scheme = _Scheme(GridProblem(operator, ham, params, DISC, -0.1), disc_h8)
+        g, cap = disc_h8, scheme.g_cap
+        coef, a = (ham.b, np.eye(2)) if isinstance(ham, PowerNorm) else (1.0, ham.A.a)
+        off = a[0, 1]
+        split = {
+            (1, 0): a[0, 0] - abs(off),
+            (0, 1): a[1, 1] - abs(off),
+            (1, 1) if off >= 0 else (-1, 1): 2.0 * abs(off),
+        }
         rng = np.random.default_rng(5)
         for scale in (0.003, 0.03, 0.3):
-            v = np.append(rng.normal(scale=scale, size=disc_h8.n_nodes), 0.0)
+            v = np.append(rng.normal(scale=scale, size=g.n_nodes), 0.0)
             lin = scheme.linearize(v, upwind)
             assert lin.upwind == upwind
-            assert np.array_equal(lin.resid, scheme.residual(v, upwind))
+            u = GridFunction(grid=g, values=v[:-1])
+            for i in range(g.n_nodes):
+                f_h = discrete_operator(operator, u, i)
+                if upwind:
+                    q = 0.0
+                    for slot, c in split.items():
+                        k = g.directions.index(slot)
+                        m = max(
+                            (v[g.nb_plus[i, k]] - v[i]) / g.hp[i, k],
+                            (v[g.nb_minus[i, k]] - v[i]) / g.hm[i, k],
+                            0.0,
+                        )
+                        q += c * m * m
+                    h_h = coef * min(q, cap**2) ** (ham.p / 2.0)
+                else:
+                    grad = discrete_gradient(u, i)
+                    grad *= min(1.0, cap / np.hypot(*grad))
+                    h_h = evaluate_hamiltonian(ham, grad)
+                want = f_h + h_h + 0.1
+                assert abs(lin.resid[i] - want) <= 1e-12 * (1.0 + abs(f_h) + h_h)
 
 
 def _lens_problem(offset, ham, f):
@@ -693,9 +728,9 @@ class TestUpwindMonotone:
         rng = np.random.default_rng(seed)
         v = np.append(rng.normal(scale=scale, size=grid.n_nodes), 0.0)
         j = int(rng.integers(grid.n_nodes))
-        before = scheme.residual(v, upwind=True)
+        before = scheme.linearize(v, upwind=True).resid
         v[j] += bump
-        after = np.delete(scheme.residual(v, upwind=True), j)
+        after = np.delete(scheme.linearize(v, upwind=True).resid, j)
         before = np.delete(before, j)
         assert np.all(after - before >= -1e-12 * (1.0 + np.abs(before)))
 
@@ -969,7 +1004,6 @@ class TestSolve:
 
     def test_report_stability_quantities(self, bench_h16):
         _, report = bench_h16
-        assert report.d_max > 0.0
         assert report.wall_time > 0.0
 
     def test_zero_forcing_zero_fixed_point(self, disc_h8):
@@ -1259,8 +1293,8 @@ def _small_disc(eps):
 
 class TestNearBoundaryNodes:
     # on a disc of radius 0.5 + eps the lattice nodes at distance 0.5 lie
-    # eps inside the boundary; their cut arms have length eps, so the slope
-    # bound d_max grows like 1/eps (7.6e15 at eps = 1e-14, h = 1/16)
+    # eps inside the boundary; their cut arms have length eps, so their
+    # stencil weights grow like 1/eps
 
     @pytest.mark.parametrize("h", [1 / 16, 1 / 64])
     def test_solves_and_center_moves_by_at_most_eps(self, h):
@@ -1268,8 +1302,11 @@ class TestNearBoundaryNodes:
         u0, _ = solve(prob0, build_grid(prob0.domain, h, 8))
         for eps in (1e-3, 1e-8, 1e-14):
             prob = _small_disc(eps)
-            u, rep = solve(prob, build_grid(prob.domain, h, 8))
-            assert rep.d_max * eps >= 10.0
+            grid = build_grid(prob.domain, h, 8)
+            # measured: 0.9992 eps at eps = 1e-14, (1 + 5e-9) eps at 1e-8
+            arm = grid.hp[grid.node_index((0.5, 0.0)), grid.slot_ex]
+            assert arm == pytest.approx(eps, rel=1e-2)
+            u, rep = solve(prob, grid)
             # measured: 2-3 upwind and 1-2 polish steps, 3 factorizations
             assert rep.upwind_steps <= 5
             assert rep.iterations - rep.upwind_steps <= 5
@@ -1543,7 +1580,7 @@ class TestInjectedOracleResidual:
         for h in (1 / 16, 1 / 32, 1 / 64):
             g = build_grid(DISC, h, 8)
             u = oracle_on(g, model_profile)
-            res = np.abs(_Scheme(BENCH, g).residual(u.extended()))
+            res = np.abs(_Scheme(BENCH, g).linearize(u.extended()).resid)
             vals.append(float(res[g.node_index((0.0, 0.0))]))
         assert vals[0] <= 1e-3
         assert vals[1] <= 2.5e-4
@@ -1563,11 +1600,18 @@ class TestComparison:
         v, rep = solve(BENCH, disc_h8, SolveControls(tol=1e-6))
         scheme = _Scheme(BENCH, disc_h8)
         shrunk = 0.9 * v.values
-        res_v = scheme.residual(v.extended())
-        res_u = scheme.residual(np.append(shrunk, 0.0))
+        res_v = scheme.linearize(v.extended()).resid
+        res_u = scheme.linearize(np.append(shrunk, 0.0)).resid
         # the scaled field is a strict discrete subsolution
         assert float(np.min(res_u - res_v)) >= 5e-3
-        tau = 0.9 / rep.d_max
+        # explicit step below 1 / (largest diagonal slope): per node the
+        # operator's weight times its largest c0, plus the gradient term's
+        # Lipschitz bound p b g_cap^(p-1) times its centered weight on u_0
+        ham = BENCH.hamiltonian
+        d_node = sum(w * scheme.c0[:, slots].max(axis=1) for slots, w, _ in scheme.terms)
+        lip = ham.p * ham.b * scheme.g_cap ** (ham.p - 1.0)
+        d_node = d_node + lip * np.hypot(*scheme.g_zero)
+        tau = 0.9 / float(np.max(d_node))
         u_k, v_k = shrunk, v.values.copy()
         for _ in range(20):
             u_k = sweep(BENCH, disc_h8, u_k, tau, steps=10)
@@ -1579,7 +1623,7 @@ class TestComparison:
         vals = rng.normal(scale=0.1, size=disc_h8.n_nodes)
         scheme = _Scheme(BENCH, disc_h8)
         tau = 1e-4
-        expect = vals + tau * scheme.residual(np.append(vals, 0.0))
+        expect = vals + tau * scheme.linearize(np.append(vals, 0.0)).resid
         assert np.allclose(
             sweep(BENCH, disc_h8, vals, tau), expect, rtol=0, atol=1e-15
         )

@@ -14,6 +14,7 @@ from degelliptic.errors import (
     NumericError,
     ThresholdError,
 )
+from degelliptic import radial as radial_module
 from degelliptic.model import Params
 from degelliptic.radial import (
     ENDPOINT_RTOL,
@@ -33,6 +34,7 @@ from degelliptic.radial import (
     _dphi_raw,
     _J,
     _model_start,
+    _PLATEAU_EPS,
     _newton_root,
     _phi_raw,
     _root_tolerance,
@@ -637,9 +639,12 @@ def _newton_passes(r, s, params, live, direction):
             break
         passes[idx] += 1
         ri, si = r[idx], s[idx]
+        f = _phi_raw(ri, si, params)
         with np.errstate(divide="ignore", invalid="ignore"):
-            step = si - _phi_raw(ri, si, params) / _dphi_raw(ri, si, params)
+            step = si - f / _dphi_raw(ri, si, params)
+        largest = np.maximum(params.beta * si / ri, params.b * si**params.p)
         moved = np.isfinite(step) & (direction * (step - si) > 0.0)
+        moved &= np.abs(f) > _PLATEAU_EPS * np.maximum(largest, params.M)
         s[idx[moved]] = step[moved]
         idx = idx[moved]
     return s, passes
@@ -717,6 +722,27 @@ class TestOnePassKernels:
             _, n_new = _newton_passes(r, start, params, live, direction)
             _, n_old = _newton_passes(r, far, params, live, direction)
             assert n_old.min() >= 8 and n_new.max() <= 3
+
+    def test_newton_freezes_on_the_rounding_plateau(self, monkeypatch):
+        # from s = 0 (its model start) this first zero used to take 10
+        # passes, the last four at |phi| <= 1.4e-15 against its largest term
+        # beta s / r = 9.15; three of them moved s by 6, 2 and 2 ulps, to
+        # 2.5371193195740913
+        params = Params(beta=2.30, b=2.92, p=1.037, M=1.48)
+        r = np.array([0.922 * rbar(params)])
+        passes = []
+
+        def counted(ri, si, prm):
+            passes.append(si.size)
+            return _dphi_raw(ri, si, prm)
+
+        monkeypatch.setattr(radial_module, "_dphi_raw", counted)
+        s, f = _newton_root(r, np.zeros(1), params, np.ones(1, dtype=bool), 1.0)
+        assert len(passes) == 7
+        assert s[0] == 2.537119319574087
+        assert abs(f[0]) <= 4 * np.finfo(float).eps * params.beta * s[0] / r[0]
+        monkeypatch.undo()
+        assert first_zero(float(r[0]), params) == s[0]
 
 
 class TestZeroM:
