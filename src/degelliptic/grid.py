@@ -1,8 +1,10 @@
 """Wide-stencil finite differences on ball-intersection domains.
 
 Discretizes F(x, D^2 u) + H(Du) = f with zero Dirichlet data on a 2D
-lattice.  Second derivatives are sampled along a fan of lattice directions
-(one pair per requested angle).  F_h is one table of (slots, weights,
+lattice.  Second derivatives are sampled along a fan of K lattice
+directions (one pair per angle k pi / K), K a multiple of 4; the fan is
+closed under the lattice's mirrors and quarter turns by construction
+(``_direction_fan``).  F_h is one table of (slots, weights,
 min|max) terms (``_operator_terms``), each a weighted minimum or maximum of
 the second differences along its slots.  ``LambdaK(1|2)``, ``MinMax``,
 two-weight ``WeightedEigenvalues`` and ``CoefficientLambdaN`` scan the fan;
@@ -112,45 +114,45 @@ __all__ = [
 ]
 
 def _direction_fan(K: int) -> tuple[tuple[int, int], ...]:
-    """Primitive lattice vectors nearest the angles k*pi/K, k = 0..K-1."""
-    cap = max(2, -(-K // 4))
-    cands: list[tuple[tuple[int, int], float]] = []
-    for a in range(-cap, cap + 1):
-        for b in range(cap + 1):
-            if b == 0 and a <= 0:
-                continue  # keep one representative per +-v pair
-            if math.gcd(abs(a), b) != 1:
-                continue
-            cands.append(((a, b), math.atan2(b, a)))
-    fan: list[tuple[int, int]] = []
-    for k in range(K):
-        target = math.pi * k / K
-        best = min(
-            cands,
-            key=lambda c: min(abs(c[1] - target), math.pi - abs(c[1] - target)),
-        )[0]
-        if best not in fan:
-            fan.append(best)
-    return tuple(fan)
+    """Primitive lattice vectors nearest the angles k*pi/K, k = 0..K-1, for K
+    a multiple of 4.
+
+    Only the first octant (angles 0..pi/4) is chosen, an exact angle tie
+    going to the shorter vector; its mirror across the diagonal completes
+    the first quarter and a quarter turn the second.  So the fan is closed
+    under the lattice's mirrors and quarter turns, and the axes and
+    diagonals sit at slots 0, K/4, K/2 and 3K/4.
+    """
+    m = K // 4
+    cap = max(2, m)
+    cands = [
+        (a, b) for a in range(1, cap + 1) for b in range(a + 1) if math.gcd(a, b) == 1
+    ]
+    octant = []
+    for k in range(m + 1):
+        miss = {v: abs(math.atan2(v[1], v[0]) - math.pi * k / K) for v in cands}
+        best = min(miss.values())
+        ties = [v for v in cands if miss[v] <= best + 1e-12]
+        octant.append(min(ties, key=lambda v: v[0] * v[0] + v[1] * v[1]))
+    quarter = octant + [(b, a) for a, b in reversed(octant[1:-1])]
+    return tuple(quarter + [(-b, a) for a, b in quarter])
 
 
 @dataclass(frozen=True, eq=False)
 class Grid2D:
     """Lattice over a ball-intersection domain with cut-distance data.
 
-    ``mask`` is 0 outside, 1 at interior nodes whose stencil arms all end at
-    in-domain nodes, and 2 at boundary-adjacent nodes (at least one arm
-    crosses the boundary).  ``hp``/``hm`` are the arm lengths per node and
-    direction, h |v| for a full arm and up to the exact boundary crossing
-    for a cut one.  Neighbor indices point into the packed node array, with
-    ``n_nodes`` standing for the zero-valued boundary slot.
+    ``directions`` is the symmetric fan of ``_direction_fan(K)``.  ``mask``
+    is True at the in-domain lattice nodes.  ``hp``/``hm`` are the arm
+    lengths per node and direction, h |v| for a full arm and up to the exact
+    boundary crossing for a cut one.  Neighbor indices point into the packed
+    node array, with ``n_nodes`` standing for the zero-valued boundary slot.
     """
 
     domain: ConvexDomain
     h: float
     K: int
     directions: tuple[tuple[int, int], ...]
-    op_mask: np.ndarray
     xs: np.ndarray
     ys: np.ndarray
     mask: np.ndarray
@@ -160,18 +162,10 @@ class Grid2D:
     nb_minus: np.ndarray
     hp: np.ndarray
     hm: np.ndarray
-    slot_ex: int
-    slot_ey: int
-    slot_pp: int
-    slot_mp: int
 
     @property
     def n_nodes(self) -> int:
         return self.nodes_xy.shape[0]
-
-    @property
-    def op_slots(self) -> np.ndarray:
-        return np.flatnonzero(self.op_mask)
 
     def node_index(self, point) -> int:
         """Packed index of the lattice node at ``point`` (exact hit only)."""
@@ -207,9 +201,9 @@ def _cut_fractions(x0: np.ndarray, step: np.ndarray, domain: ConvexDomain):
 def build_grid(domain: ConvexDomain, h: float, K: int) -> Grid2D:
     """Classify lattice nodes and record boundary cut distances.
 
-    The direction fan also always carries the two axes and both diagonals
-    (needed for gradients and for anisotropic trace operators); extra slots
-    beyond the requested K pairs are excluded from eigenvalue min/max scans.
+    K, the number of direction pairs, must be a multiple of 4: the fan is
+    then symmetric under the lattice's mirrors and quarter turns and holds
+    the two axes and both diagonals (see ``_direction_fan``).
     """
     if domain.dim != 2:
         raise ConfigError("grids are two-dimensional")
@@ -221,17 +215,9 @@ def build_grid(domain: ConvexDomain, h: float, K: int) -> Grid2D:
             f"spacing {h:g} too coarse for radius {domain.radius:g}"
             " (need h <= R/4)"
         )
-    if not isinstance(K, int) or K < 4:
-        raise ConfigError("need an integer K >= 4 direction pairs")
-
-    fan = list(_direction_fan(K))
-    op_count = len(fan)
-    for extra in ((1, 0), (0, 1), (1, 1), (-1, 1)):
-        if extra not in fan:
-            fan.append(extra)
-    directions = tuple(fan)
-    op_mask = np.zeros(len(directions), dtype=bool)
-    op_mask[:op_count] = True
+    if not isinstance(K, int) or K < 4 or K % 4:
+        raise ConfigError("need an integer K >= 4 direction pairs, a multiple of 4")
+    directions = _direction_fan(K)
 
     centers = domain.center_array()
     lo = centers.min(axis=0) - domain.radius
@@ -256,11 +242,10 @@ def build_grid(domain: ConvexDomain, h: float, K: int) -> Grid2D:
     idx_grid[order[:, 0], order[:, 1]] = np.arange(n, dtype=np.int32)
     nodes_xy = np.stack([xs[order[:, 1]], ys[order[:, 0]]], axis=1)
 
-    d = len(directions)
-    nb_plus = np.full((n, d), n, dtype=np.int32)
-    nb_minus = np.full((n, d), n, dtype=np.int32)
-    theta_plus = np.ones((n, d))
-    theta_minus = np.ones((n, d))
+    nb_plus = np.full((n, K), n, dtype=np.int32)
+    nb_minus = np.full((n, K), n, dtype=np.int32)
+    theta_plus = np.ones((n, K))
+    theta_minus = np.ones((n, K))
 
     for k, (a, b) in enumerate(directions):
         for sgn, nb, theta in (
@@ -278,15 +263,11 @@ def build_grid(domain: ConvexDomain, h: float, K: int) -> Grid2D:
                 step = h * sgn * np.array([a, b], dtype=float)
                 theta[cut, k] = _cut_fractions(nodes_xy[cut], step, domain)
 
-    cut_any = (theta_plus < 1.0).any(axis=1) | (theta_minus < 1.0).any(axis=1)
-    mask = np.zeros((ny, nx), dtype=np.int8)
-    mask[order[:, 0], order[:, 1]] = np.where(cut_any, 2, 1)
-
     hv = h * np.linalg.norm(np.asarray(directions, dtype=float), axis=1)
     hp = theta_plus * hv
     hm = theta_minus * hv
 
-    for arr in (xs, ys, mask, idx_grid, nodes_xy, nb_plus, nb_minus, hp, hm, op_mask):
+    for arr in (xs, ys, inside, idx_grid, nodes_xy, nb_plus, nb_minus, hp, hm):
         arr.flags.writeable = False
 
     return Grid2D(
@@ -294,20 +275,15 @@ def build_grid(domain: ConvexDomain, h: float, K: int) -> Grid2D:
         h=h,
         K=K,
         directions=directions,
-        op_mask=op_mask,
         xs=xs,
         ys=ys,
-        mask=mask,
+        mask=inside,
         idx_grid=idx_grid,
         nodes_xy=nodes_xy,
         nb_plus=nb_plus,
         nb_minus=nb_minus,
         hp=hp,
         hm=hm,
-        slot_ex=directions.index((1, 0)),
-        slot_ey=directions.index((0, 1)),
-        slot_pp=directions.index((1, 1)),
-        slot_mp=directions.index((-1, 1)),
     )
 
 
@@ -320,7 +296,7 @@ def _step_budget(grid: Grid2D) -> int:
 
 def _split_slots(grid: Grid2D) -> np.ndarray:
     """The ex, ey, (1, 1) and (-1, 1) slots, in ``_lattice_split`` order."""
-    return np.array([grid.slot_ex, grid.slot_ey, grid.slot_pp, grid.slot_mp])
+    return np.array([0, 2, 1, 3]) * (grid.K // 4)
 
 
 def _lattice_split(a: np.ndarray, what: str, where: str = "") -> np.ndarray:
@@ -384,8 +360,7 @@ class GridFunction:
 
     def to_dense(self) -> np.ndarray:
         out = np.full(self.grid.mask.shape, np.nan)
-        sel = self.grid.mask > 0
-        out[sel] = self.values
+        out[self.grid.mask] = self.values
         return out
 
 
@@ -464,7 +439,7 @@ def _operator_terms(spec: OperatorSpec, grid: Grid2D, xy: np.ndarray) -> list:
     weight vanishes at every point are dropped.  This is the only place
     that dispatches on the operator class.
     """
-    fan = grid.op_slots
+    fan = np.arange(grid.K)
     ones = np.ones(xy.shape[0])
     if isinstance(spec, LambdaK):
         if spec.index not in (1, 2):
@@ -542,7 +517,7 @@ class _Scheme:
         self.terms = _operator_terms(problem.operator, grid, grid.nodes_xy)
 
         self.fvals = _field_on_nodes(problem.f, grid.nodes_xy, "forcing")
-        self.f_sup = float(np.max(np.abs(self.fvals))) if n else 0.0
+        self.f_sup = float(np.max(np.abs(self.fvals)))
         self.m_eff = float(np.max(np.maximum(problem.params.c - self.fvals, 0.0)))
 
         self._setup_hamiltonian(problem.hamiltonian)
@@ -582,27 +557,27 @@ class _Scheme:
                 "sublinear gradient terms have no bounded-slope discretization;"
                 " move them into the forcing or set b = 0"
             )
+        params = self.problem.params
+        if abs(ham.p - params.p) > 1e-12:
+            raise ConfigError(
+                f"Hamiltonian exponent {ham.p} mismatches the declared envelope"
+                f" exponent {params.p}"
+            )
         self.ham = True
         self.h_p = ham.p
-        params = self.problem.params
         radius = self.problem.domain.radius
-        if params.superlinear:
-            # largest forcing magnitude this domain supports under the
-            # envelope; the solution gradient is capped by the worse of the
-            # actual forcing and that capacity value
-            try:
-                m_cap = (rbar(replace(params, M=1.0)) / radius) ** (
-                    params.p / (params.p - 1.0)
-                )
-            except OverflowError:
-                raise ConfigError(
-                    "gradient cap is unbounded for this envelope"
-                ) from None
-            levels = [m_cap]
-            if 0.0 < self.m_eff < m_cap:
-                levels.append(self.m_eff)
-        else:
-            levels = [max(self.m_eff, 1.0 + self.f_sup)]
+        # the envelope is superlinear (p = ham.p > 1): the largest forcing
+        # magnitude this domain supports under it; the solution gradient is
+        # capped by the worse of the actual forcing and that capacity value
+        try:
+            m_cap = (rbar(replace(params, M=1.0)) / radius) ** (
+                params.p / (params.p - 1.0)
+            )
+        except OverflowError:
+            raise ConfigError("gradient cap is unbounded for this envelope") from None
+        levels = [m_cap]
+        if 0.0 < self.m_eff < m_cap:
+            levels.append(self.m_eff)
         self.g_cap = 2.0 * max(
             c1_bound(replace(params, M=m), radius) for m in levels
         )
@@ -612,7 +587,7 @@ class _Scheme:
         # centered gradient, rows x and y: g = g_plus u+ + g_minus u- +
         # g_zero u0 over the arms g_ip, g_im of the axis slots
         grid = self.grid
-        axes = np.array([grid.slot_ex, grid.slot_ey])
+        axes = _split_slots(grid)[:2]
         hp2, hm2 = grid.hp[:, axes].T, grid.hm[:, axes].T
         den = hp2 * hm2 * (hp2 + hm2)
         self.g_plus, self.g_minus = hm2 * hm2 / den, -hp2 * hp2 / den
@@ -763,7 +738,7 @@ def _resolve_node(grid: Grid2D, node) -> int:
 def _resolve_direction(grid: Grid2D, direction) -> int:
     if isinstance(direction, (int, np.integer)):
         k = int(direction)
-        if not 0 <= k < len(grid.directions):
+        if not 0 <= k < grid.K:
             raise ConfigError(f"direction slot {k} out of range")
         return k
     a, b = int(direction[0]), int(direction[1])
@@ -799,7 +774,7 @@ def discrete_gradient(u: GridFunction, node) -> np.ndarray:
     i = _resolve_node(grid, node)
     v_ext = u.extended()
     out = np.empty(2)
-    for j, slot in enumerate((grid.slot_ex, grid.slot_ey)):
+    for j, slot in enumerate(_split_slots(grid)[:2]):
         hp, hm = grid.hp[i, slot], grid.hm[i, slot]
         up = v_ext[grid.nb_plus[i, slot]]
         um = v_ext[grid.nb_minus[i, slot]]
@@ -815,7 +790,7 @@ def discrete_operator(spec: OperatorSpec, u: GridFunction, node) -> float:
     grid = u.grid
     i = _resolve_node(grid, node)
     d2 = np.array(
-        [discrete_second_difference(u, i, k) for k in range(len(grid.directions))]
+        [discrete_second_difference(u, i, k) for k in range(grid.K)]
     )
     terms = _operator_terms(spec, grid, grid.nodes_xy[i : i + 1])
     return float(sum(w[0] * _RULES[rule][0](d2[slots]) for slots, w, rule in terms))
@@ -831,11 +806,6 @@ def _check_envelope(problem: GridProblem, scheme: _Scheme):
         raise ConfigError(
             f"declared ellipticity {params.beta} exceeds the operator's"
             f" constant {beta}"
-        )
-    if abs(ham.p - params.p) > 1e-12:
-        raise ConfigError(
-            f"Hamiltonian exponent {ham.p} mismatches the declared envelope"
-            f" exponent {params.p}"
         )
     if ham.b > params.b * (1.0 + 1e-12):
         raise ConfigError(
@@ -1110,8 +1080,6 @@ def sweep(
 def residual_norm(problem: GridProblem, u: GridFunction) -> float:
     """max over in-domain nodes of |F_h[u] + H_h[u] - f|."""
     scheme = _Scheme(problem, u.grid)
-    if u.grid.n_nodes == 0:
-        return 0.0
     return float(np.max(np.abs(scheme.linearize(u.extended()).resid)))
 
 

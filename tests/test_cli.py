@@ -461,6 +461,14 @@ class TestSolve:
         assert err.startswith("error: ") and message in err
         assert not out_dir.exists()
 
+    def test_k_not_a_multiple_of_4_exits_2(self, tmp_path, capsys):
+        path = write_config(tmp_path, LENS_INI.replace("K = 8", "K = 6"))
+        out_dir = tmp_path / "o"
+        code, _, err = run_cli(capsys, "solve", "--config", path, "--out", out_dir)
+        assert code == 2
+        assert "multiple of 4" in err
+        assert not out_dir.exists()
+
     def test_envelope_mismatch_is_config_error(self, tmp_path, capsys):
         # gradient growth above the declared envelope b
         bad = LENS_INI.replace("ham_b = 1.0", "ham_b = 2.0")

@@ -160,8 +160,16 @@ class TestDirectionFan:
     def test_k4_axes_and_diagonals(self):
         assert _direction_fan(4) == ((1, 0), (1, 1), (0, 1), (-1, 1))
 
+    def test_k16_ties_go_to_the_shorter_vector(self):
+        # (2, 1) and (3, 1) lie equally far from pi / 8 in angle; the
+        # shorter (2, 1) fixes its images (1, 2), (-1, 2) and (-2, 1)
+        assert _direction_fan(16) == (
+            (1, 0), (4, 1), (2, 1), (3, 2), (1, 1), (2, 3), (1, 2), (1, 4),
+            (0, 1), (-1, 4), (-1, 2), (-2, 3), (-1, 1), (-3, 2), (-2, 1), (-4, 1),
+        )
+
     def test_fan_size_and_primitivity(self):
-        for k in (4, 6, 8, 12):
+        for k in range(4, 65, 4):
             fan = _direction_fan(k)
             assert len(fan) == k
             assert all(math.gcd(a, b) == 1 for a, b in fan)
@@ -169,20 +177,28 @@ class TestDirectionFan:
             lines = {(a, b) for a, b in fan} | {(-a, -b) for a, b in fan}
             assert len(lines) == 2 * k
 
+    def test_closed_under_mirror(self):
+        for k in range(4, 65, 4):
+            fan = _direction_fan(k)
+            lines = {(a, b) for a, b in fan} | {(-a, -b) for a, b in fan}
+            assert all((-a, b) in lines for a, b in fan), k
+
     def test_orthogonal_pairing(self):
         # eigenvalue scans rely on the fan being closed under 90-degree
         # rotation so that min+max pairs up orthogonally
-        fan = _direction_fan(8)
-        lines = {(a, b) for a, b in fan} | {(-a, -b) for a, b in fan}
-        assert all((-b, a) in lines for a, b in fan)
+        for k in range(4, 65, 4):
+            fan = _direction_fan(k)
+            lines = {(a, b) for a, b in fan} | {(-a, -b) for a, b in fan}
+            assert all((-b, a) in lines for a, b in fan), k
+            # the axes and diagonals sit at the quarter slots
+            quarters = [fan[j * k // 4] for j in range(4)]
+            assert quarters == [(1, 0), (1, 1), (0, 1), (-1, 1)]
 
 
 class TestBuildGrid:
     def test_unit_disc_node_count(self, disc_h4):
         assert disc_h4.n_nodes == 45
-        packed = disc_h4.mask[disc_h4.mask > 0]
-        assert int((packed == 1).sum()) == 9
-        assert int((packed == 2).sum()) == 36
+        assert int(disc_h4.mask.sum()) == 45
 
     def test_lens_membership(self):
         g = build_grid(LENS, 1 / 8, 8)
@@ -197,6 +213,10 @@ class TestBuildGrid:
     def test_k_too_small(self):
         with pytest.raises(ConfigError, match="K >= 4"):
             build_grid(DISC, 0.25, 3)
+
+    def test_k_not_a_multiple_of_4(self):
+        with pytest.raises(ConfigError, match="multiple of 4"):
+            build_grid(DISC, 0.25, 6)
 
     def test_degenerate_domain(self):
         # three balls whose intersection is a sliver around an off-lattice
@@ -235,12 +255,14 @@ class TestBuildGrid:
             )
             assert np.max(np.abs(np.hypot(ends[:, 0], ends[:, 1]) - 1.0)) < 1e-12
 
-    def test_mask_consistent_with_membership(self, disc_h4):
-        g = disc_h4
-        inside = DISC.contains(np.stack(
-            np.meshgrid(g.xs, g.ys, indexing="ij"), axis=-1
+    def test_mask_consistent_with_membership(self):
+        # the lens box is wider than tall, so rows must be y and columns x
+        g = build_grid(LENS, 1 / 8, 8)
+        inside = LENS.contains(np.stack(
+            np.meshgrid(g.xs, g.ys), axis=-1
         ).reshape(-1, 2)).reshape(g.mask.shape)
-        assert np.array_equal(g.mask > 0, inside)
+        assert g.mask.dtype == bool
+        assert np.array_equal(g.mask, inside)
 
     def test_bounding_box_covers_domain(self, disc_h4):
         assert disc_h4.xs[0] <= -1.0 and disc_h4.xs[-1] >= 1.0
@@ -510,7 +532,7 @@ class TestDiscreteOperator:
                 )
             else:
                 d2 = np.array(
-                    [discrete_second_difference(u, i, k) for k in g.op_slots]
+                    [discrete_second_difference(u, i, k) for k in range(g.K)]
                 )
                 want.append(reference(d2, x))
         prob = GridProblem(
@@ -1006,6 +1028,12 @@ class TestSolve:
         _, report = bench_h16
         assert report.wall_time > 0.0
 
+    def test_k16_solution_is_mirror_symmetric(self):
+        # the symmetric fan makes the scheme commute with x -> -x
+        u, _ = solve(BENCH, build_grid(DISC, 1 / 32, 16))
+        dense = u.to_dense()
+        assert np.nanmax(np.abs(dense - dense[:, ::-1])) <= 1e-12
+
     def test_zero_forcing_zero_fixed_point(self, disc_h8):
         prob = GridProblem(
             operator=LambdaK(1),
@@ -1172,6 +1200,22 @@ class TestSolve:
         with pytest.raises(ConfigError, match="mismatches"):
             solve(prob, disc_h8)
 
+    @pytest.mark.parametrize("params", [MODEL, SUB], ids=["p2-p3", "p-half-p2"])
+    def test_exponent_mismatch_refused_by_every_scheme_entry(self, disc_h8, params):
+        # the scheme set-up refuses it, so residual_norm and sweep do too
+        prob = GridProblem(
+            operator=CoefficientLambdaN(ScalarField.constant(2.0)),
+            hamiltonian=PowerNorm(b=1.0, p=2.0 if params is SUB else 3.0),
+            params=params,
+            domain=DISC,
+            f=-1.0,
+        )
+        zero = GridFunction(grid=disc_h8, values=np.zeros(disc_h8.n_nodes))
+        with pytest.raises(ConfigError, match="mismatches"):
+            residual_norm(prob, zero)
+        with pytest.raises(ConfigError, match="mismatches"):
+            sweep(prob, disc_h8, zero.values, 0.0)
+
     def test_envelope_growth_mismatch(self, disc_h8):
         prob = GridProblem(
             operator=CoefficientLambdaN(ScalarField.constant(2.0)),
@@ -1304,7 +1348,7 @@ class TestNearBoundaryNodes:
             prob = _small_disc(eps)
             grid = build_grid(prob.domain, h, 8)
             # measured: 0.9992 eps at eps = 1e-14, (1 + 5e-9) eps at 1e-8
-            arm = grid.hp[grid.node_index((0.5, 0.0)), grid.slot_ex]
+            arm = grid.hp[grid.node_index((0.5, 0.0)), 0]  # slot 0 is (1, 0)
             assert arm == pytest.approx(eps, rel=1e-2)
             u, rep = solve(prob, grid)
             # measured: 2-3 upwind and 1-2 polish steps, 3 factorizations
