@@ -1,163 +1,19 @@
 """Radial solutions, barriers, and a wide-stencil 2D grid solver for
-degenerate elliptic Dirichlet problems with power-growth gradient terms."""
+degenerate elliptic Dirichlet problems with power-growth gradient terms.
 
-from .barriers import (
-    BarrierField,
-    build_subsolution,
-    build_supersolution,
-    evaluate_barrier,
-)
-from .errors import (
-    BranchError,
-    ConfigError,
-    DegellipticError,
-    DomainViolationError,
-    NumericError,
-    ThresholdError,
-    UnsupportedDiscretizationError,
-    VerificationError,
-)
-from .grid import (
-    ConvexDomain,
-    Grid2D,
-    GridFunction,
-    GridProblem,
-    SolveControls,
-    SolveReport,
-    build_grid,
-    report_to_text,
-    residual_norm,
-    solution_to_csv,
-    solve,
-    sweep,
-)
-from .model import (
-    AnisotropicPower,
-    CoefficientLambdaN,
-    CompactPerturbation,
-    LambdaK,
-    LinearDegenerate,
-    MatrixField,
-    MinMax,
-    MongeAmpere,
-    NonconvexPair,
-    Params,
-    PowerNorm,
-    ScalarField,
-    SupInf,
-    SymMatrix,
-    TruncatedLower,
-    TruncatedUpper,
-    WeightedEigenvalues,
-    ellipticity_constant,
-    evaluate_hamiltonian,
-    evaluate_operator,
-)
-from .radial import (
-    BoundedOrBlowup,
-    ExplicitSublinearForm,
-    ProfileBranch,
-    RadialProfile,
-    c1_bound,
-    classify_blowup,
-    critical_s1,
-    explicit_sublinear_form,
-    explicit_sublinear_solution,
-    first_zero,
-    phi,
-    profile_to_csv,
-    radial_profile,
-    rbar,
-    second_zero,
-)
-from .verify import (
-    ClosedFormRadial,
-    ConvergenceTable,
-    EpsilonCertificate,
-    ResidualReport,
-    SigmaCertificate,
-    ThresholdVerdict,
-    VerifyProblem,
-    convergence_study,
-    epsilon_scaling,
-    residual_check_radial,
-    sigma_perturbation,
-    threshold_probe,
-)
+The package exports each module's ``__all__``; a public name is declared
+once, in its home module."""
+
+from . import barriers, errors, grid, model, radial, verify
+from .errors import *  # noqa: F403
+from .model import *  # noqa: F403
+from .radial import *  # noqa: F403
+from .barriers import *  # noqa: F403
+from .grid import *  # noqa: F403
+from .verify import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AnisotropicPower",
-    "BarrierField",
-    "BoundedOrBlowup",
-    "BranchError",
-    "ClosedFormRadial",
-    "CoefficientLambdaN",
-    "CompactPerturbation",
-    "ConfigError",
-    "ConvergenceTable",
-    "ConvexDomain",
-    "DegellipticError",
-    "DomainViolationError",
-    "EpsilonCertificate",
-    "ExplicitSublinearForm",
-    "Grid2D",
-    "GridFunction",
-    "GridProblem",
-    "LambdaK",
-    "LinearDegenerate",
-    "MatrixField",
-    "MinMax",
-    "MongeAmpere",
-    "NonconvexPair",
-    "NumericError",
-    "Params",
-    "PowerNorm",
-    "ProfileBranch",
-    "RadialProfile",
-    "ResidualReport",
-    "ScalarField",
-    "SigmaCertificate",
-    "SolveControls",
-    "SolveReport",
-    "SupInf",
-    "SymMatrix",
-    "ThresholdError",
-    "ThresholdVerdict",
-    "TruncatedLower",
-    "TruncatedUpper",
-    "UnsupportedDiscretizationError",
-    "VerificationError",
-    "VerifyProblem",
-    "WeightedEigenvalues",
-    "__version__",
-    "build_grid",
-    "build_subsolution",
-    "build_supersolution",
-    "c1_bound",
-    "classify_blowup",
-    "convergence_study",
-    "critical_s1",
-    "ellipticity_constant",
-    "epsilon_scaling",
-    "evaluate_barrier",
-    "evaluate_hamiltonian",
-    "evaluate_operator",
-    "explicit_sublinear_form",
-    "explicit_sublinear_solution",
-    "first_zero",
-    "phi",
-    "profile_to_csv",
-    "radial_profile",
-    "rbar",
-    "report_to_text",
-    "residual_check_radial",
-    "residual_norm",
-    "second_zero",
-    "sigma_perturbation",
-    "solution_to_csv",
-    "solve",
-    "sweep",
-    "threshold_probe",
+__all__ = ["__version__"] + [
+    name for m in (errors, model, radial, barriers, grid, verify) for name in m.__all__
 ]

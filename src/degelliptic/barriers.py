@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._table import write_csv
 from .errors import ConfigError, DomainViolationError, NumericError
 from .model import ConvexDomain, Params
 from .radial import _exact_u, c1_bound, check_threshold
@@ -126,7 +127,9 @@ def sample_boundary(domain: ConvexDomain, count: int = 512) -> np.ndarray:
 
 
 def barrier_to_csv(field: BarrierField, path, resolution: int = 64) -> None:
-    """Lattice sample of the barrier over the domain, columns x, y, value."""
+    """Lattice sample of the barrier over the domain, columns x, y, value.
+
+    A lattice with no point in the domain is refused (``ConfigError``)."""
     if field.domain.dim != 2:
         raise ConfigError("CSV export implemented for planar domains")
     centers = field.domain.center_array()
@@ -135,19 +138,20 @@ def barrier_to_csv(field: BarrierField, path, resolution: int = 64) -> None:
     hi = centers.max(axis=0) + R
     xs = np.linspace(lo[0], hi[0], resolution)
     ys = np.linspace(lo[1], hi[1], resolution)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(
-            f"# kind={field.kind} forcing_norm={field.forcing_norm!r} "
-            f"R={R!r} centers={field.domain.centers!r}\n"
+    rows = []
+    for yv in ys:
+        row_pts = np.stack([xs, np.full_like(xs, yv)], axis=1)
+        dist = field.domain.max_center_distance(row_pts)
+        ok = dist <= R * (1.0 + 1e-12)
+        if np.any(ok):
+            vals = np.atleast_1d(evaluate_barrier(field, row_pts[ok]))
+            rows.extend((xv, yv, v) for xv, v in zip(xs[ok], vals))
+    if not rows:
+        raise ConfigError(
+            f"no lattice point inside the domain at resolution {resolution}"
         )
-        fh.write("x,y,value\n")
-        for yv in ys:
-            row_pts = np.stack([xs, np.full_like(xs, yv)], axis=1)
-            dist = field.domain.max_center_distance(row_pts)
-            ok = dist <= R * (1.0 + 1e-12)
-            if not np.any(ok):
-                continue
-            vals = evaluate_barrier(field, row_pts[ok])
-            vals = np.atleast_1d(vals)
-            for xv, v in zip(xs[ok], vals):
-                fh.write(f"{xv:.17g},{yv:.17g},{v:.17g}\n")
+    comment = (
+        f"kind={field.kind} forcing_norm={field.forcing_norm!r} "
+        f"R={R!r} centers={field.domain.centers!r}"
+    )
+    write_csv(path, "x,y,value", rows, comment)

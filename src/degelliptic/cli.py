@@ -2,8 +2,9 @@
 
 Everything a run needs lives in one INI-style config file; the subcommand
 picks which slice of it gets used.  Commands validate the full config
-before touching the filesystem and write CSV at 17 significant digits,
-console summaries at 15.
+before touching the filesystem.  Every CSV table goes through the one
+writer, ``_table.write_csv`` (17 significant digits); console summaries
+carry 15.
 
 Exit codes: 0 success, 2 configuration error, 3 numeric failure,
 4 verification failure.
@@ -23,6 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._table import write_csv
 from .barriers import build_subsolution, build_supersolution
 from .errors import ConfigError, DegellipticError, VerificationError
 from .grid import (
@@ -331,6 +333,12 @@ def _grid_problem(cfg: RunConfig) -> GridProblem:
 # commands: each returns (summary lines, {filename: write callback})
 
 
+def _table(header: str, rows, comment: str | None = None):
+    """Write callback for one CSV table; the rows are taken now."""
+    rows = list(rows)
+    return lambda path: write_csv(path, header, rows, comment)
+
+
 def cmd_rbar(cfg: RunConfig):
     params = cfg.params
     if not params.superlinear:
@@ -381,7 +389,7 @@ def cmd_blowup(cfg: RunConfig):
             branch, cfg.R, params, node_count=cfg.node_count, r_min=10.0**-k
         )
         u_min = float(prof.u_values[0])
-        growth = math.nan if prev is None else u_min - prev
+        growth = None if prev is None else u_min - prev
         rows.append((k, 10.0**-k, u_min, growth))
         prev = u_min
     if cls.kind == "Blowup":
@@ -396,16 +404,8 @@ def cmd_blowup(cfg: RunConfig):
             else ""
         )
     )
-
-    def write(path):
-        with open(path, "w", encoding="utf-8") as out:
-            out.write(f"# kind={cls.kind} bound={cls.bound!r}\n")
-            out.write("k,r_min,u_rmin,decade_growth\n")
-            for k, r_min, u_min, growth in rows:
-                g = "" if math.isnan(growth) else f"{growth:.17g}"
-                out.write(f"{k},{r_min:.17g},{u_min:.17g},{g}\n")
-
-    return lines, {"blowup.csv": write}
+    comment = f"kind={cls.kind} bound={cls.bound!r}"
+    return lines, {"blowup.csv": _table("k,r_min,u_rmin,decade_growth", rows, comment)}
 
 
 def cmd_explicit(cfg: RunConfig):
@@ -419,20 +419,11 @@ def cmd_explicit(cfg: RunConfig):
         f" K = {_fmt(form.K)}, g = {_fmt(form.g)}",
         f"u(0) = {_fmt(float(u[0]))}",
     ]
-
-    def write(path):
-        with open(path, "w", encoding="utf-8") as out:
-            out.write(
-                f"# kind={cfg.kind} p={cfg.p:.17g} R={cfg.R:.17g}"
-                f" N={cfg.dimension} K={form.K:.17g} g={form.g:.17g}\n"
-            )
-            out.write("r,u,du,ddu\n")
-            for i, ri in enumerate(r):
-                out.write(
-                    f"{ri:.17g},{u[i]:.17g},{du[i]:.17g},{ddu[i]:.17g}\n"
-                )
-
-    return lines, {"explicit.csv": write}
+    comment = (
+        f"kind={cfg.kind} p={cfg.p:.17g} R={cfg.R:.17g}"
+        f" N={cfg.dimension} K={form.K:.17g} g={form.g:.17g}"
+    )
+    return lines, {"explicit.csv": _table("r,u,du,ddu", zip(r, u, du, ddu), comment)}
 
 
 def cmd_barrier(cfg: RunConfig):
@@ -452,18 +443,12 @@ def cmd_barrier(cfg: RunConfig):
         raise VerificationError(
             "barrier ordering violated: upper < lower at a node"
         )
-
-    def write(path):
-        with open(path, "w", encoding="utf-8") as out:
-            out.write(
-                f"# h={grid.h:.17g} nodes={grid.n_nodes}"
-                f" upper_m={cfg.upper_m:.17g} lower_k={cfg.lower_k:.17g}\n"
-            )
-            out.write("x,y,lower,upper\n")
-            for (x, y), lo, hi in zip(grid.nodes_xy, low, up):
-                out.write(f"{x:.17g},{y:.17g},{lo:.17g},{hi:.17g}\n")
-
-    return lines, {"barrier.csv": write}
+    comment = (
+        f"h={grid.h:.17g} nodes={grid.n_nodes}"
+        f" upper_m={cfg.upper_m:.17g} lower_k={cfg.lower_k:.17g}"
+    )
+    rows = zip(*grid.nodes_xy.T, low, up)
+    return lines, {"barrier.csv": _table("x,y,lower,upper", rows, comment)}
 
 
 def cmd_solve(cfg: RunConfig):
@@ -563,16 +548,8 @@ def cmd_sweep(cfg: RunConfig):
     lines = [v.to_text() for v in verdicts]
     existing = sum(1 for v in verdicts if v.exists)
     lines.append(f"{existing} of {len(verdicts)} radii admit the profile")
-
-    def write(path):
-        with open(path, "w", encoding="utf-8") as out:
-            out.write("R,exists,endpoint,fails_at,gap\n")
-            for v in verdicts:
-                fails = "" if v.fails_at is None else f"{v.fails_at:.17g}"
-                gap = "" if v.gap is None else f"{v.gap:.17g}"
-                out.write(f"{v.R:.17g},{v.exists},{v.endpoint},{fails},{gap}\n")
-
-    return lines, {"sweep.csv": write}
+    rows = [(v.R, v.exists, v.endpoint, v.fails_at, v.gap) for v in verdicts]
+    return lines, {"sweep.csv": _table("R,exists,endpoint,fails_at,gap", rows)}
 
 
 _DISPATCH = {

@@ -7,6 +7,17 @@ failures exit 3, verification failures exit 4.  Every error may carry
 
 from __future__ import annotations
 
+__all__ = [
+    "DegellipticError",
+    "ConfigError",
+    "BranchError",
+    "ThresholdError",
+    "DomainViolationError",
+    "UnsupportedDiscretizationError",
+    "NumericError",
+    "VerificationError",
+]
+
 
 class DegellipticError(Exception):
     exit_code = 1

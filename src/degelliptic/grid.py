@@ -66,12 +66,14 @@ last factor through an exact low-rank row update (see ``_newton``).
 from __future__ import annotations
 
 import math
+import operator
 import time
 from dataclasses import dataclass, replace
 from typing import Callable, Union
 
 import numpy as np
 
+from ._table import write_csv
 from .barriers import build_subsolution, build_supersolution, evaluate_barrier
 from .errors import (
     ConfigError,
@@ -215,7 +217,11 @@ def build_grid(domain: ConvexDomain, h: float, K: int) -> Grid2D:
             f"spacing {h:g} too coarse for radius {domain.radius:g}"
             " (need h <= R/4)"
         )
-    if not isinstance(K, int) or K < 4 or K % 4:
+    try:
+        K = operator.index(K)  # any integer type; a float such as 8.0 is refused
+    except TypeError:
+        K = 0
+    if K < 4 or K % 4:
         raise ConfigError("need an integer K >= 4 direction pairs, a multiple of 4")
     directions = _direction_fan(K)
 
@@ -1015,6 +1021,9 @@ def solve(
     v_ext = np.zeros(n + 1)
     v_ext[:n] = _initial_values(problem, grid, scheme)
 
+    # the first solve in a process would otherwise time scipy's import
+    import scipy.sparse.linalg  # noqa: F401
+
     start = time.perf_counter()
     log = _StepLog()
     v_ext, rmax = _newton(scheme, v_ext, stop, True, log, hand_over=True)
@@ -1085,14 +1094,11 @@ def residual_norm(problem: GridProblem, u: GridFunction) -> float:
 
 def solution_to_csv(u: GridFunction, path) -> None:
     grid = u.grid
-    with open(path, "w", encoding="utf-8") as out:
-        out.write(
-            f"# h={grid.h:.17g} K={grid.K} nodes={grid.n_nodes}"
-            f" radius={grid.domain.radius:.17g}\n"
-        )
-        out.write("x,y,u\n")
-        for (x, y), v in zip(grid.nodes_xy, u.values):
-            out.write(f"{x:.17g},{y:.17g},{v:.17g}\n")
+    comment = (
+        f"h={grid.h:.17g} K={grid.K} nodes={grid.n_nodes}"
+        f" radius={grid.domain.radius:.17g}"
+    )
+    write_csv(path, "x,y,u", zip(*grid.nodes_xy.T, u.values), comment)
 
 
 def report_to_text(report: SolveReport) -> str:

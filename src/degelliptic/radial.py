@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._table import write_csv
 from .errors import (
     BranchError,
     ConfigError,
@@ -820,12 +821,10 @@ def explicit_sublinear_solution(
 
 def profile_to_csv(prof: RadialProfile, path) -> None:
     """CSV with columns r, s, u, residual (17 significant digits)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(
-            f"# branch={prof.branch.value} beta={prof.params.beta!r} "
-            f"b={prof.params.b!r} c={prof.params.c!r} d={prof.params.d!r} "
-            f"p={prof.params.p!r} M={prof.params.M!r} R={prof.R!r}\n"
-        )
-        fh.write("r,s,u,residual\n")
-        for row in zip(prof.r_grid, prof.s_values, prof.u_values, prof.residuals):
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+    comment = (
+        f"branch={prof.branch.value} beta={prof.params.beta!r} "
+        f"b={prof.params.b!r} c={prof.params.c!r} d={prof.params.d!r} "
+        f"p={prof.params.p!r} M={prof.params.M!r} R={prof.R!r}"
+    )
+    rows = zip(prof.r_grid, prof.s_values, prof.u_values, prof.residuals)
+    write_csv(path, "r,s,u,residual", rows, comment)

@@ -22,6 +22,7 @@ from typing import Callable, Union
 
 import numpy as np
 
+from ._table import write_csv
 from .errors import ConfigError, DomainViolationError, ThresholdError
 from .grid import GridProblem, SolveControls, build_grid, solve
 from .model import (
@@ -201,14 +202,11 @@ def residual_check_radial(
 
 
 def residual_report_to_csv(report: ResidualReport, path) -> None:
-    with open(path, "w", encoding="utf-8") as out:
-        out.write(
-            f"# max_abs={report.max_abs:.17g}"
-            f" tolerance={report.tolerance:.17g} passed={report.passed}\n"
-        )
-        out.write("r,residual\n")
-        for r, v in zip(report.radii, report.residuals):
-            out.write(f"{r:.17g},{v:.17g}\n")
+    comment = (
+        f"max_abs={report.max_abs:.17g}"
+        f" tolerance={report.tolerance:.17g} passed={report.passed}"
+    )
+    write_csv(path, "r,residual", zip(report.radii, report.residuals), comment)
 
 
 # ---------------------------------------------------------------------------
@@ -490,11 +488,11 @@ class ConvergenceTable:
         return "\n".join(lines) + "\n"
 
     def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as out:
-            out.write("h,error,order\n")
-            for row in self.rows:
-                order = "" if math.isnan(row.order) else f"{row.order:.17g}"
-                out.write(f"{row.h:.17g},{row.error:.17g},{order}\n")
+        rows = [
+            (row.h, row.error, None if math.isnan(row.order) else row.order)
+            for row in self.rows
+        ]
+        write_csv(path, "h,error,order", rows)
 
 
 def _auto_oracle(problem: GridProblem) -> Callable:

@@ -218,3 +218,13 @@ class TestCsv:
         )
         pts = np.stack([xs, ys], axis=1)
         assert np.allclose(evaluate_barrier(lens_super, pts), vs, atol=1e-15)
+
+    @pytest.mark.parametrize("resolution", [0, 1, 2])
+    def test_lattice_missing_the_domain_refused(self, tmp_path, resolution):
+        # these lattices hold at most the corners of the bounding box, all
+        # outside the disc
+        field = build_supersolution(DISC, MODEL, 0.5)
+        path = tmp_path / "barrier.csv"
+        with pytest.raises(ConfigError, match="no lattice point inside"):
+            barrier_to_csv(field, path, resolution=resolution)
+        assert not path.exists()

@@ -11,6 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from degelliptic._table import write_csv
+from degelliptic.barriers import barrier_to_csv, build_supersolution
 from degelliptic.cli import (
     _CODECS,
     COMMANDS,
@@ -21,16 +23,26 @@ from degelliptic.cli import (
     serialize_config,
 )
 from degelliptic.errors import ConfigError
+from degelliptic.grid import GridProblem
 from degelliptic.model import (
     CoefficientLambdaN,
+    ConvexDomain,
     LambdaK,
     LinearDegenerate,
     MinMax,
     MongeAmpere,
     Params,
+    PowerNorm,
+    ScalarField,
     WeightedEigenvalues,
 )
-from degelliptic.radial import rbar
+from degelliptic.radial import radial_profile, rbar
+from degelliptic.verify import (
+    VerifyProblem,
+    convergence_study,
+    residual_check_radial,
+    residual_report_to_csv,
+)
 
 MODEL_INI = """\
 [params]
@@ -565,6 +577,150 @@ class TestSweep:
         code, _, err = run_cli(capsys, "sweep", "--config", path)
         assert code == 2
         assert "R_values" in err
+
+
+EVERY_COMMAND_INI = LENS_INI + """
+[radial]
+R = 0.9
+decades = 3
+
+[verify]
+radii = 0.2, 0.5, 0.8
+tolerance = 1e-06
+sigma = 0.9
+epsilon = 0.1
+
+[sweep]
+R_values = 0.9, 1.0, 1.1
+"""
+EXPLICIT_INI = "[params]\np = 0.5\n\n[radial]\nkind = MongeAmpere\nnode_count = 65\n"
+
+# the files each command writes, as the README's command table lists them
+COMMAND_FILES = {
+    "rbar": [],
+    "radial": ["profile.csv"],
+    "blowup": ["blowup.csv"],
+    "explicit": ["explicit.csv"],
+    "barrier": ["barrier.csv"],
+    "solve": ["report.txt", "solution.csv"],
+    "verify": ["verify_report.txt"],
+    "sweep": ["sweep.csv"],
+}
+
+
+def _written(out_dir):
+    return sorted(p.name for p in out_dir.glob("*")) if out_dir.exists() else []
+
+
+def _stable_bytes(path):
+    """The file's bytes without report.txt's wall-time line."""
+    lines = path.read_bytes().splitlines(keepends=True)
+    return b"".join(line for line in lines if not line.startswith(b"wall_time_s:"))
+
+
+@pytest.fixture(scope="module")
+def cli_runs(tmp_path_factory):
+    """Each command run twice on one config: {command: (out_a, out_b)}."""
+    root = tmp_path_factory.mktemp("cli_runs")
+    configs = {}
+    for name, text in (("every", EVERY_COMMAND_INI), ("explicit", EXPLICIT_INI)):
+        configs[name] = root / f"{name}.ini"
+        configs[name].write_text(text, encoding="utf-8")
+    runs = {}
+    for command in COMMANDS:
+        config = configs["explicit" if command == "explicit" else "every"]
+        runs[command] = (root / command / "a", root / command / "b")
+        for out_dir in runs[command]:
+            assert main([command, "--config", str(config), "--out", str(out_dir)]) == 0
+    return runs
+
+
+def _check_cells(path):
+    """Every cell of a CSV table is a number written as f"{x:.17g}", a bool
+    column's True/False, or empty where the value is missing."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    if lines[0].startswith("# "):
+        lines = lines[1:]
+    header = lines[0].split(",")
+    assert len(lines) > 1
+    for i, line in enumerate(lines[1:]):
+        row = dict(zip(header, line.split(",")))
+        assert len(row) == len(header) == line.count(",") + 1
+        missing = {
+            "decade_growth": i == 0,
+            "order": i == 0,
+            "fails_at": row.get("exists") == "True",
+            "gap": row.get("exists") == "True",
+        }
+        for column, cell in row.items():
+            if column in ("exists", "endpoint"):
+                assert cell in ("True", "False")
+            elif missing.get(column, False):
+                assert cell == "", (path.name, column, i)
+            else:
+                assert cell == f"{float(cell):.17g}", (path.name, column, i)
+
+
+class TestOutputFiles:
+    def test_each_command_writes_its_files(self, cli_runs):
+        assert set(cli_runs) == set(COMMAND_FILES)
+        for command, out_dirs in cli_runs.items():
+            for out_dir in out_dirs:
+                assert _written(out_dir) == COMMAND_FILES[command], command
+
+    def test_reruns_byte_identical(self, cli_runs):
+        for command, (a, b) in cli_runs.items():
+            for name in _written(a):
+                assert _stable_bytes(a / name) == _stable_bytes(b / name), name
+
+    def test_cli_tables_share_one_cell_format(self, cli_runs):
+        tables = [
+            a / name
+            for a, _ in cli_runs.values()
+            for name in _written(a)
+            if name.endswith(".csv")
+        ]
+        assert len(tables) == 6
+        for path in tables:
+            _check_cells(path)
+        sweep = (cli_runs["sweep"][0] / "sweep.csv").read_text().splitlines()
+        assert [row.split(",")[1] for row in sweep[1:]] == ["True", "True", "False"]
+
+    def test_library_tables_share_one_cell_format(self, tmp_path):
+        params = Params(beta=2.0, b=1.0, p=2.0, M=1.0)
+        disc = ConvexDomain(radius=1.0, centers=((0.0, 0.0),))
+        problem = GridProblem(
+            operator=CoefficientLambdaN(ScalarField.constant(2.0)),
+            hamiltonian=PowerNorm(b=1.0, p=2.0),
+            params=params,
+            domain=disc,
+            f=-1.0,
+        )
+        verify_problem = VerifyProblem(
+            operator=problem.operator, hamiltonian=problem.hamiltonian, f=-1.0, N=2
+        )
+        profile = radial_profile("FirstZeroSuperlinear", 0.9, params, node_count=64)
+        barrier_to_csv(
+            build_supersolution(disc, params, 0.5), tmp_path / "barrier.csv", 16
+        )
+        residual_report_to_csv(
+            residual_check_radial(profile, verify_problem, [0.2, 0.5, 0.8]),
+            tmp_path / "residual.csv",
+        )
+        convergence_study(problem, [0.25, 0.125]).to_csv(tmp_path / "order.csv")
+        for name in ("barrier.csv", "residual.csv", "order.csv"):
+            _check_cells(tmp_path / name)
+
+    def test_write_csv(self, tmp_path):
+        path = tmp_path / "table.csv"
+        rows = [(0.1, None, 3, True), (np.float64(1 / 3), 2.5, np.int64(7), False)]
+        write_csv(path, "a,b,c,d", rows, comment="note")
+        assert path.read_text(encoding="utf-8") == (
+            "# note\na,b,c,d\n0.10000000000000001,,3,True\n"
+            "0.33333333333333331,2.5,7,False\n"
+        )
+        write_csv(path, "a", [])
+        assert path.read_bytes() == b"a\n"
 
 
 class TestFlagsAndDispatch:

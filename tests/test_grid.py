@@ -6,6 +6,10 @@ problem with manufactured forcing -|x|/2 is solved by (1 - |x|^3)/12.
 """
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -217,6 +221,15 @@ class TestBuildGrid:
     def test_k_not_a_multiple_of_4(self):
         with pytest.raises(ConfigError, match="multiple of 4"):
             build_grid(DISC, 0.25, 6)
+
+    def test_numpy_integer_k(self):
+        g = build_grid(DISC, 0.25, np.int64(8))
+        assert type(g.K) is int and g.K == 8
+        assert g.directions == build_grid(DISC, 0.25, 8).directions
+
+    def test_float_k_refused(self):
+        with pytest.raises(ConfigError, match="integer K"):
+            build_grid(DISC, 0.25, 8.0)
 
     def test_degenerate_domain(self):
         # three balls whose intersection is a sliver around an off-lattice
@@ -1010,6 +1023,30 @@ class TestFactorReuse:
 
 
 class TestSolve:
+    def test_wall_time_excludes_scipy_import(self):
+        # in a fresh process the first solve's clock starts after scipy has
+        # loaded: f = 0 without a gradient term takes zero iterations
+        code = (
+            "from degelliptic import *\n"
+            "problem = GridProblem(CoefficientLambdaN(ScalarField.constant(2.0)),"
+            " None, Params(beta=2.0, b=1.0, p=2.0, M=1.0),"
+            " ConvexDomain(radius=1.0, centers=((0.0, 0.0),)), 0.0)\n"
+            "u, report = solve(problem, build_grid(problem.domain, 0.25, 8))\n"
+            "print(report.iterations, report.wall_time)\n"
+        )
+        src = str(Path(grid_module.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True,
+            text=True, check=True, timeout=120,
+        )
+        iterations, wall = out.stdout.split()
+        assert int(iterations) == 0
+        assert float(wall) < 0.05
+
     def test_benchmark_center_value(self, bench_h16):
         u, report = bench_h16
         assert abs(u.value_at((0.0, 0.0)) - U_AT_ZERO) <= 0.009

@@ -1,4 +1,5 @@
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -53,3 +54,41 @@ def test_private_names_stay_in_their_module():
         ("verify", "model", "_field_values"),
         ("grid", "model", "_field_values"),
     }
+
+
+HOME_MODULES = ("errors", "model", "radial", "barriers", "grid", "verify")
+
+# the names the package exported before it built its list from the modules
+EXPORTED = """
+    AnisotropicPower BarrierField BoundedOrBlowup BranchError ClosedFormRadial
+    CoefficientLambdaN CompactPerturbation ConfigError ConvergenceTable
+    ConvexDomain DegellipticError DomainViolationError EpsilonCertificate
+    ExplicitSublinearForm Grid2D GridFunction GridProblem LambdaK
+    LinearDegenerate MatrixField MinMax MongeAmpere NonconvexPair NumericError
+    Params PowerNorm ProfileBranch RadialProfile ResidualReport ScalarField
+    SigmaCertificate SolveControls SolveReport SupInf SymMatrix ThresholdError
+    ThresholdVerdict TruncatedLower TruncatedUpper
+    UnsupportedDiscretizationError VerificationError VerifyProblem
+    WeightedEigenvalues __version__ build_grid build_subsolution
+    build_supersolution c1_bound classify_blowup convergence_study critical_s1
+    ellipticity_constant epsilon_scaling evaluate_barrier evaluate_hamiltonian
+    evaluate_operator explicit_sublinear_form explicit_sublinear_solution
+    first_zero phi profile_to_csv radial_profile rbar report_to_text
+    residual_check_radial residual_norm second_zero sigma_perturbation
+    solution_to_csv solve sweep threshold_probe
+""".split()
+
+
+def test_package_exports_the_modules_public_names():
+    modules = [importlib.import_module(f"degelliptic.{m}") for m in HOME_MODULES]
+    declared = [name for module in modules for name in module.__all__]
+    assert len(declared) == len(set(declared))
+    assert len(degelliptic.__all__) == len(set(degelliptic.__all__))
+    assert set(degelliptic.__all__) == {"__version__"} | set(declared)
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(degelliptic, name) is getattr(module, name), name
+    assert len(EXPORTED) == 72
+    assert set(EXPORTED) <= set(degelliptic.__all__)
+    assert "check_threshold" in degelliptic.__all__
+    assert "discrete_operator" in degelliptic.__all__
