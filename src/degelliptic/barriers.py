@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -129,9 +130,16 @@ def sample_boundary(domain: ConvexDomain, count: int = 512) -> np.ndarray:
 def barrier_to_csv(field: BarrierField, path, resolution: int = 64) -> None:
     """Lattice sample of the barrier over the domain, columns x, y, value.
 
-    A lattice with no point in the domain is refused (``ConfigError``)."""
+    A ``resolution`` that is not an integer >= 0, or a lattice with no point
+    in the domain, is refused (``ConfigError``)."""
     if field.domain.dim != 2:
         raise ConfigError("CSV export implemented for planar domains")
+    try:
+        resolution = operator.index(resolution)  # a float such as 8.0 is refused
+    except TypeError:
+        resolution = -1
+    if resolution < 0:
+        raise ConfigError("resolution must be an integer >= 0")
     centers = field.domain.center_array()
     R = field.domain.radius
     lo = centers.min(axis=0) - R

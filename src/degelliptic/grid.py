@@ -43,11 +43,12 @@ initial iterate is the paper's barrier: with a gradient term the
 supersolution, the first-zero radial profile at the forcing magnitude,
 which is the exact solution on a disc; without one the paraboloid envelope
 (m / 2 beta)(R^2 - max_y |x - y|^2), which exists on every domain.  On the
-unit disc this takes 1-2 upwind and 3-4 polish steps from h = 1/16 to 1/64
-(7-12 upwind steps from zero, where every fan direction ties).  There is no
-fallback: a polish that misses the stop residual within its step budget
-(``_step_budget``, the longer side of the lattice box, per stage), or a
-Jacobian that factors as singular, ends the solve with ``NumericError``.
+unit disc this takes 1-2 upwind and 4-5 polish steps from h = 1/16 to 1/64,
+2-4 of all steps factored (7-12 upwind steps from zero, where every fan
+direction ties).  There is no fallback: a polish that misses the stop
+residual within its step budget (``_step_budget``, the longer side of the
+lattice box, per stage), or a Jacobian that factors as singular, ends the
+solve with ``NumericError``.
 
 Each Newton system is factored by SuperLU in symmetric mode: a minimum
 degree order of J + J^T, with the diagonal pivot kept wherever it is at
@@ -58,9 +59,11 @@ Jacobian (nonnegative off-diagonal slopes, weakly dominant negative
 diagonal), and LU without row exchanges is stable for M-matrices.  The
 centered first-order term breaks that sign pattern, so the polish
 Jacobians are not M-matrices; the threshold lets SuperLU pivot off the
-diagonal where a polish pivot is too small.  A step that moves the policy
-at a few nodes only, with the residual elsewhere below the stop, reuses the
-last factor through an exact low-rank row update (see ``_newton``).
+diagonal where a polish pivot is too small.  A step may instead reuse the
+last factor with a low-rank update of the rows whose policy moved: exactly
+when the residual elsewhere is below the stop, otherwise as a chord step of
+modified Newton that must halve the residual (see ``_newton``).  On the disc
+the polish factors once or twice and then takes chord steps to the stop.
 """
 
 from __future__ import annotations
@@ -296,7 +299,8 @@ def build_grid(domain: ConvexDomain, h: float, K: int) -> Grid2D:
 def _step_budget(grid: Grid2D) -> int:
     """Newton steps per stage: the longer side of the lattice box.  A policy
     front moves about one lattice row per step; the anisotropic lens takes
-    10 + 16 steps of 171 at h = 1/64 and 16 + 42 of 337 at h = 1/128."""
+    10 + 16 steps of 171 at h = 1/64 and 16 + 42 of 337 at h = 1/128.  Chord
+    steps count: the disc polish at h = 1/8 takes 5 of 19, one factored."""
     return max(grid.mask.shape)
 
 
@@ -844,14 +848,22 @@ class _StepLog:
         self.form_gap = 0.0
 
 
-def _reuse_rows(lu, policy0, policy, resid, stop):
-    """The nodes whose policy differs from the factored Jacobian's, when the
-    next step may reuse that factor; otherwise None.
+# a chord step (on the last factor, with the residual above the stop outside
+# the changed rows) must cut the max residual by this ratio, as must the step
+# before it: Kelley's rule for modified Newton (nsol, SIAM 2003)
+_CHORD_RATIO = 0.5
 
-    A step reuses the factor when every node with |residual| > ``stop`` is
-    among them, so the policy alone limits the step and the rest is solved
-    to the stop, and when there are at most ``lu.nnz // (2 n)`` of them:
-    about that many triangular solves cost one factorization.
+
+def _reuse_rows(lu, policy0, policy, resid, stop, halved):
+    """``(rows, exact)`` when the next step may reuse the last factor, rows
+    the nodes whose policy differs from the factored Jacobian's; otherwise
+    None.
+
+    The step is exact when every node with |residual| > ``stop`` is among
+    the rows, so the policy alone limits the step and the rest is solved to
+    the stop.  Otherwise it is a chord step, tried only when the step before
+    it ``halved`` the max residual.  Either needs at most ``lu.nnz // (2 n)``
+    rows: about that many triangular solves cost one factorization.
     """
     if lu is None:
         return None
@@ -860,7 +872,8 @@ def _reuse_rows(lu, policy0, policy, resid, stop):
         return None
     outside = np.abs(resid) > stop
     outside[rows] = False
-    return None if outside.any() else rows
+    exact = not outside.any()
+    return (rows, exact) if exact or halved else None
 
 
 def _row_update_solve(lu, jac0, jac, rows, rhs, cols):
@@ -872,8 +885,11 @@ def _row_update_solve(lu, jac0, jac, rows, rhs, cols):
     x = y - Z (I + D Z)^-1 D y with y = jac0^-1 rhs and Z = jac0^-1 E.
     ``cols`` caches the columns of Z by node, one single right-hand-side
     solve each, for the steps that share ``lu``.  A singular J gives NaN.
+    With no ``rows`` this is ``lu.solve(rhs)``, and ``jac`` is not read.
     """
     y = lu.solve(rhs)
+    if not rows.size:
+        return y
     for i in rows.tolist():
         if i not in cols:
             unit = np.zeros(rhs.size)
@@ -913,15 +929,19 @@ def _newton(
     policy, form gap and any step's Jacobian come from that record, and the
     factored iterate keeps only its policy.  A step factors its Jacobian
     with symmetric-mode SuperLU (see the module docstring), or, when
-    ``_reuse_rows`` allows, solves exactly with the last factored Jacobian
-    J0 after its rows at the nodes whose policy changed are replaced by the
-    current ones (``_row_update_solve``); J0's other rows differ only in
-    gradient slopes, where the residual is below the stop.  A reused step
-    that does not lower the max residual is dropped and the step factors
-    afresh.  The old factor, J0 and the cached columns go before the next
-    factorization, so one factor is alive at a time.  A Jacobian that
-    factors as exactly singular raises ``NumericError`` with the step count
-    and the residual history.
+    ``_reuse_rows`` allows, solves with the last factored Jacobian J0 after
+    its rows at the nodes whose policy changed are replaced by the current
+    ones (``_row_update_solve``).  J0's other rows differ only in gradient
+    slopes.  Where the residual there is below the stop the step is exact
+    and must lower the max residual.  Otherwise it is a chord step of
+    modified Newton (Kelley, SIAM 2003), tried only right after a step that
+    halved the max residual, and it must halve it too.  A reused step that
+    fails its test is dropped and the step factors afresh at the same
+    iterate.  On the disc the polish factors once or twice and takes 2-4
+    chord steps to the stop.  The old factor, J0 and the cached columns go before the
+    next factorization, so one factor is alive at a time.  A Jacobian that
+    factors as exactly singular raises ``NumericError`` with the step count,
+    the factorizations and the residual history.
     """
     from scipy.sparse.linalg import splu
 
@@ -932,6 +952,7 @@ def _newton(
     log.history.append(rmax)
     best, best_r = v_ext, rmax
     lu = jac0 = policy0 = None
+    halved = False
     cols: dict[int, np.ndarray] = {}
 
     def advance(du):
@@ -949,14 +970,17 @@ def _newton(
 
     while math.isfinite(rmax) and rmax > target() and len(log.policy_changes) < cap:
         step = None
-        rows = _reuse_rows(lu, policy0, lin.policy, lin.resid, stop)
-        if rows is not None:
-            jac = scheme.jacobian(lin)
+        reuse = _reuse_rows(lu, policy0, lin.policy, lin.resid, stop, halved)
+        if reuse is not None:
+            rows, exact = reuse
+            jac = scheme.jacobian(lin) if rows.size else None
             du = _row_update_solve(lu, jac0, jac, rows, -lin.resid, cols)
             del jac
             step = advance(du)
-            # a reused step must lower the residual (a NaN one does not)
-            if not float(np.max(np.abs(step[1].resid))) < rmax:
+            # an exact step must lower the residual, a chord step at least
+            # halve it (a NaN one does neither)
+            r_new = float(np.max(np.abs(step[1].resid)))
+            if not (r_new < rmax if exact else r_new <= _CHORD_RATIO * rmax):
                 step = None
         if step is None:
             lu = jac0 = None
@@ -975,6 +999,7 @@ def _newton(
                     f" {len(log.policy_changes) + 1} ({exc})",
                     diagnostics={
                         "iterations": len(log.policy_changes),
+                        "factorizations": log.factorizations,
                         "residual_history": log.history,
                         "policy_changes": log.policy_changes,
                     },
@@ -983,7 +1008,8 @@ def _newton(
             step = advance(lu.solve(-lin.resid))
         log.policy_changes.append(int((step[1].policy != lin.policy).any(axis=1).sum()))
         v_ext, lin = step
-        rmax = float(np.max(np.abs(lin.resid)))
+        last, rmax = rmax, float(np.max(np.abs(lin.resid)))
+        halved = rmax <= _CHORD_RATIO * last
         log.history.append(rmax)
         if rmax < best_r:
             best, best_r = v_ext, rmax
@@ -1008,9 +1034,9 @@ def solve(
     polish) works on the centered form from the best upwind iterate, so the
     result solves the centered scheme.  ``iterations`` counts the steps of
     both stages; ``upwind_steps`` is the upwind stage's share.  An unmet
-    stop raises ``NumericError`` with the iterations, the residual, the
-    residual history (each stage's start residual, then one per step) and
-    the form gap.
+    stop raises ``NumericError`` with the iterations, the factorizations,
+    the residual, the residual history (each stage's start residual, then
+    one per step) and the form gap.
     """
     controls = controls or SolveControls()
     scheme = _Scheme(problem, grid)
@@ -1045,6 +1071,7 @@ def solve(
             f" (residual {rmax:.3e}, target {stop:.3e})",
             diagnostics={
                 "iterations": iterations,
+                "factorizations": log.factorizations,
                 "residual": rmax,
                 "residual_history": log.history,
                 "policy_changes": log.policy_changes,

@@ -228,3 +228,13 @@ class TestCsv:
         with pytest.raises(ConfigError, match="no lattice point inside"):
             barrier_to_csv(field, path, resolution=resolution)
         assert not path.exists()
+
+    @pytest.mark.parametrize("resolution", [-1, 8.0, True], ids=["negative", "float", "bool"])
+    def test_resolution_not_a_count_refused(self, tmp_path, resolution):
+        # refused before any sampling, so no file is written; True counts as
+        # the integer 1, whose lattice holds only a corner of the box
+        field = build_supersolution(DISC, MODEL, 0.5)
+        path = tmp_path / "barrier.csv"
+        with pytest.raises(ConfigError):
+            barrier_to_csv(field, path, resolution=resolution)
+        assert not path.exists()

@@ -997,6 +997,9 @@ class TestFactorReuse:
         assert (report.upwind_steps, report.factorizations) == (7, 10)
 
     def test_reuse_needs_the_residual_inside_the_changed_rows(self):
+        """Exact reuse when every residual above the stop lies in the changed
+        rows; otherwise a chord step, and only right after a step that halved
+        the residual; neither past the row bound or without a factor."""
         from scipy.sparse.linalg import splu
 
         problem, grid = _aniso_lens(1 / 16)
@@ -1005,21 +1008,108 @@ class TestFactorReuse:
         lin = scheme.linearize(v, True)
         resid, policy = lin.resid, lin.policy
         lu = splu(scheme.jacobian(lin).tocsc())
+        reuse = grid_module._reuse_rows
         moved = policy.copy()
         moved[[3, 7]] += 1
         small = np.zeros(grid.n_nodes)
         small[[3, 7]] = 1.0
-        assert list(grid_module._reuse_rows(lu, policy, moved, small, 0.5)) == [3, 7]
-        # a residual above the stop outside the changed rows
+        for halved in (False, True):
+            rows, exact = reuse(lu, policy, moved, small, 0.5, halved)
+            assert rows.tolist() == [3, 7] and exact
+        # a residual above the stop outside the changed rows: a chord step,
+        # after a halving step only
         small[11] = 1.0
-        assert grid_module._reuse_rows(lu, policy, moved, small, 0.5) is None
+        assert reuse(lu, policy, moved, small, 0.5, False) is None
+        rows, exact = reuse(lu, policy, moved, small, 0.5, True)
+        assert rows.tolist() == [3, 7] and not exact
+        rows, exact = reuse(lu, policy, policy, small, 0.5, True)
+        assert rows.size == 0 and not exact
         # more changed rows than lu.nnz // (2 n) triangular solves are worth
         budget = lu.nnz // (2 * grid.n_nodes)
         many = policy.copy()
         many[: budget + 1] += 1
         quiet = np.zeros(grid.n_nodes)
-        assert grid_module._reuse_rows(lu, policy, many, quiet, 0.5) is None
-        assert grid_module._reuse_rows(None, policy, moved, small, 0.5) is None
+        for halved in (False, True):
+            assert reuse(lu, policy, many, quiet, 0.5, halved) is None
+            assert reuse(lu, policy, many, small, 0.5, halved) is None
+            assert reuse(None, policy, moved, small, 0.5, halved) is None
+            assert reuse(None, policy, moved, quiet, 0.5, halved) is None
+        many[budget] -= 1
+        rows, exact = reuse(lu, policy, many, quiet, 0.5, False)
+        assert rows.size == budget and exact
+
+    def test_row_update_with_no_rows_is_a_plain_solve(self):
+        from scipy.sparse.linalg import splu
+
+        problem, grid = _aniso_lens(1 / 16)
+        scheme = _Scheme(problem, grid)
+        v = np.append(grid_module._initial_values(problem, grid, scheme), 0.0)
+        lin = scheme.linearize(v)
+        jac0 = scheme.jacobian(lin)
+        lu = splu(jac0.tocsc())
+        cols: dict = {}
+        none = np.array([], dtype=np.intp)
+        # the current Jacobian is not read, so a chord step needs none
+        x = grid_module._row_update_solve(lu, jac0, None, none, -lin.resid, cols)
+        assert np.array_equal(x, lu.solve(-lin.resid))
+        assert not cols
+
+    def test_rejected_chord_step_refactors_at_the_same_iterate(self, monkeypatch):
+        # a chord step that lowers the residual by less than half is dropped
+        # and not counted: the solve matches the one that never reuses a
+        # factor.  An exact reuse would keep such a step; the disc at h = 1/32
+        # tries chord steps only.
+        grid = build_grid(DISC, 1 / 32, 8)
+        monkeypatch.setattr(grid_module, "_reuse_rows", lambda *args: None)
+        u_fresh, fresh = solve(BENCH, grid)
+        monkeypatch.undo()
+        reuse = grid_module._reuse_rows
+        update = grid_module._row_update_solve
+        linearize = grid_module._Scheme.linearize
+        kinds, residuals, attempts = [], [], []
+
+        def record(*args):
+            out = reuse(*args)
+            if out is not None:
+                kinds.append(out[1])
+            return out
+
+        def spy(self, v_ext, upwind=False):
+            lin = linearize(self, v_ext, upwind)
+            residuals.append(float(np.max(np.abs(lin.resid))))
+            return lin
+
+        def short(lu, jac0, jac, rows, rhs, cols):
+            # the next linearization is this step's trial
+            attempts.append((float(np.max(np.abs(rhs))), len(residuals)))
+            return 0.3 * update(lu, jac0, jac, rows, rhs, cols)
+
+        monkeypatch.setattr(grid_module, "_reuse_rows", record)
+        monkeypatch.setattr(grid_module, "_row_update_solve", short)
+        monkeypatch.setattr(grid_module._Scheme, "linearize", spy)
+        u, report = solve(BENCH, grid)
+        assert kinds and not any(kinds)
+        assert len(attempts) == len(kinds)
+        for rmax, trial in attempts:
+            assert 0.5 * rmax < residuals[trial] < rmax
+        assert report.factorizations == report.iterations == fresh.iterations
+        assert report.policy_changes == fresh.policy_changes
+        assert np.array_equal(u.values, u_fresh.values)
+
+    def test_chord_steps_on_the_disc(self, monkeypatch):
+        # the polish factors once, then chord steps on that factor reach the
+        # stop: fewer factorizations than steps, and the same solution as
+        # factoring every step, to the stop residual
+        grid = build_grid(DISC, 1 / 32, 8)
+        u, report = solve(BENCH, grid)
+        assert (report.upwind_steps, report.iterations, report.factorizations) == (
+            1, 6, 2
+        )
+        monkeypatch.setattr(grid_module, "_reuse_rows", lambda *args: None)
+        u_fresh, fresh = solve(BENCH, grid)
+        assert fresh.factorizations == fresh.iterations < report.iterations
+        gap = float(np.max(np.abs(u.values - u_fresh.values)))
+        assert gap <= report.stop_residual
 
 
 class TestSolve:
@@ -1136,20 +1226,25 @@ class TestSolve:
         assert resid > stop
 
     def test_step_budget_caps_the_barrier_start(self, disc_h8, monkeypatch):
-        # the barrier start needs one upwind step and three polish steps;
-        # a budget of two per stage ends the polish one step short
-        monkeypatch.setattr(grid_module, "_step_budget", lambda grid: 2)
+        # the barrier start needs one upwind step and five polish steps, the
+        # first factored and four chord steps on its factor; a budget of four
+        # per stage ends the polish one step short
+        monkeypatch.setattr(grid_module, "_step_budget", lambda grid: 4)
         with pytest.raises(NumericError) as err:
             solve(BENCH, disc_h8)
         diag = err.value.diagnostics
-        assert diag["iterations"] == 3
-        assert len(diag["residual_history"]) == (1 + 1) + (1 + 2)
+        assert diag["iterations"] == 5
+        # iterations no longer tell how many steps factored
+        assert diag["factorizations"] == 2
+        assert len(diag["residual_history"]) == (1 + 1) + (1 + 4)
         assert diag["residual"] > 0.0
         # the short upwind stage explains itself: it handed over at the gap
         assert diag["residual_history"][1] <= diag["form_gap"]
-        monkeypatch.setattr(grid_module, "_step_budget", lambda grid: 3)
+        monkeypatch.setattr(grid_module, "_step_budget", lambda grid: 5)
         _, report = solve(BENCH, disc_h8)
-        assert (report.upwind_steps, report.iterations) == (1, 4)
+        assert (report.upwind_steps, report.iterations, report.factorizations) == (
+            1, 6, 2
+        )
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_blowup_detected(self, disc_h8):
@@ -1185,12 +1280,13 @@ class TestSolve:
         history = diag["residual_history"]
         assert len(diag["policy_changes"]) == diag["iterations"]
         if singular_form == "upwind":
-            assert diag["iterations"] == 0
+            assert diag["iterations"] == diag["factorizations"] == 0
             assert len(history) == 1
         else:
             # the upwind stage converged; its steps count, and the polish
             # start residual is the last entry
             assert diag["iterations"] > 0
+            assert diag["factorizations"] == diag["iterations"]
             assert len(history) == diag["iterations"] + 2
 
     def test_deterministic_bit_identical(self):
