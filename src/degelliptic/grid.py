@@ -48,7 +48,7 @@ unit disc this takes 1-2 upwind and 4-5 polish steps from h = 1/16 to 1/64,
 direction ties).  There is no fallback: a polish that misses the stop
 residual within its step budget (``_step_budget``, the longer side of the
 lattice box, per stage), or a Jacobian that factors as singular, ends the
-solve with ``NumericError``.
+solve with ``NumericError`` (``_StepLog.failure``).
 
 Each Newton system is factored by SuperLU in symmetric mode: a minimum
 degree order of J + J^T, with the diagonal pivot kept wherever it is at
@@ -353,13 +353,7 @@ class GridFunction:
 
     @classmethod
     def from_callable(cls, grid: Grid2D, fn: Callable) -> "GridFunction":
-        try:
-            vals = np.asarray(fn(grid.nodes_xy), dtype=float)
-            if vals.shape != (grid.n_nodes,):
-                raise TypeError
-        except Exception:
-            vals = np.array([float(fn(p)) for p in grid.nodes_xy])
-        return cls(grid=grid, values=vals)
+        return cls(grid=grid, values=_field_values(fn, grid.nodes_xy))
 
     def value_at(self, point) -> float:
         return float(self.values[self.grid.node_index(point)])
@@ -415,7 +409,9 @@ class SolveReport:
     polish took ``iterations - upwind_steps``.  ``factorizations`` counts
     the LU factorizations of the Newton steps, and ``policy_changes`` per
     step the nodes whose active policy it changed.  ``form_gap`` is the gap
-    at which the upwind stage handed over (see `solve`)."""
+    at which the upwind stage handed over (see `solve`).  A failed solve
+    raises ``NumericError`` whose diagnostics hold the same counts
+    (``_StepLog.failure``)."""
 
     iterations: int
     upwind_steps: int
@@ -545,7 +541,9 @@ class _Scheme:
     def _setup_hamiltonian(self, ham: HamiltonianSpec | None):
         """H(g) = h_coef <A g, g>^(h_p / 2): ``PowerNorm`` b |g|^p has A = I
         and h_coef = b, ``AnisotropicPower`` its own A and h_coef = 1.  This
-        is the only place that dispatches on the Hamiltonian class."""
+        is the only place that dispatches on the Hamiltonian class, and the
+        one admission of the declared envelope (p, beta, b) that `solve`,
+        `residual_norm` and `sweep` share."""
         self.ham = False
         if ham is None:
             return
@@ -612,6 +610,17 @@ class _Scheme:
         self.up_c = weights[weights > 0.0]
         self.up_idx = self.idx_t[np.concatenate([slots, slots + self.d])]
         self.up_inv_h = 1.0 / np.concatenate([grid.hp[:, slots].T, grid.hm[:, slots].T])
+
+        beta = ellipticity_constant(self.problem.operator)
+        if params.beta > beta * (1.0 + 1e-12):
+            raise ConfigError(
+                f"declared ellipticity {params.beta} exceeds the operator's"
+                f" constant {beta}"
+            )
+        if ham.b > params.b * (1.0 + 1e-12):
+            raise ConfigError(
+                f"Hamiltonian growth {ham.b} exceeds the declared envelope {params.b}"
+            )
 
     # -- evaluation ---------------------------------------------------------
 
@@ -806,28 +815,10 @@ def discrete_operator(spec: OperatorSpec, u: GridFunction, node) -> float:
     return float(sum(w[0] * _RULES[rule][0](d2[slots]) for slots, w, rule in terms))
 
 
-def _check_envelope(problem: GridProblem, scheme: _Scheme):
-    ham = problem.hamiltonian
-    if not scheme.ham:
-        return
-    params = problem.params
-    beta = ellipticity_constant(problem.operator)
-    if params.beta > beta * (1.0 + 1e-12):
-        raise ConfigError(
-            f"declared ellipticity {params.beta} exceeds the operator's"
-            f" constant {beta}"
-        )
-    if ham.b > params.b * (1.0 + 1e-12):
-        raise ConfigError(
-            f"Hamiltonian growth {ham.b} exceeds the declared envelope {params.b}"
-        )
-    check_threshold(replace(params, M=scheme.m_eff), problem.domain.radius)
-
-
 def _initial_values(problem: GridProblem, grid: Grid2D, scheme):
     """The barrier at the forcing magnitude m_eff: with a gradient term the
-    supersolution (``_check_envelope`` has already refused a radius above
-    its threshold), without one the paraboloid envelope, the negated
+    supersolution (`solve` has already refused a radius above its
+    threshold), without one the paraboloid envelope, the negated
     subsolution, which needs no threshold."""
     if scheme.ham:
         barrier = build_supersolution(problem.domain, problem.params, scheme.m_eff)
@@ -839,13 +830,32 @@ def _initial_values(problem: GridProblem, grid: Grid2D, scheme):
 class _StepLog:
     """Over the stages of one solve: the nodes whose policy each Newton step
     changed (so the step count is ``len(policy_changes)``), the residual
-    history, the factorizations and the last form gap (see ``_newton``)."""
+    history (each stage's start residual, then one per step), the
+    factorizations, the upwind steps (None until that stage ends), the best
+    residual of the current stage and the last form gap (see ``_newton``)."""
 
     def __init__(self):
         self.policy_changes: list[int] = []
         self.history: list[float] = []
         self.factorizations = 0
+        self.upwind_steps: int | None = None
+        self.residual = math.inf
         self.form_gap = 0.0
+
+    def failure(self, message: str) -> NumericError:
+        """``message`` as a ``NumericError`` with this log as diagnostics."""
+        return NumericError(
+            message,
+            diagnostics={
+                "iterations": len(self.policy_changes),
+                "factorizations": self.factorizations,
+                "upwind_steps": self.upwind_steps,
+                "residual": self.residual,
+                "residual_history": self.history,
+                "policy_changes": self.policy_changes,
+                "form_gap": self.form_gap,
+            },
+        )
 
 
 # a chord step (on the last factor, with the residual above the stop outside
@@ -919,11 +929,12 @@ def _newton(
     at most ``_step_budget`` of them past the steps already in ``log``.
 
     Returns the iterate with the smallest residual seen, the start included,
-    and that residual.  ``log`` gets the start residual, and per step the
-    residual after it and its policy changes, and the factorizations.
-    Reaching ``stop`` ends the stage; so does a non-finite residual, which
-    the caller reports.  With ``hand_over`` so does a residual at or below
-    the form gap at the iterate (see `solve`), kept in ``log.form_gap``.
+    and that residual, kept in ``log.residual``.  ``log`` gets the start
+    residual, and per step the residual after it and its policy changes,
+    and the factorizations.  Reaching ``stop`` ends the stage; so does a
+    non-finite residual, which the caller reports.  With ``hand_over`` so
+    does a residual at or below the form gap at the iterate (see `solve`),
+    kept in ``log.form_gap``.
 
     Each iterate is linearized once (``_Scheme.linearize``); its residual,
     policy, form gap and any step's Jacobian come from that record, and the
@@ -940,8 +951,7 @@ def _newton(
     iterate.  On the disc the polish factors once or twice and takes 2-4
     chord steps to the stop.  The old factor, J0 and the cached columns go before the
     next factorization, so one factor is alive at a time.  A Jacobian that
-    factors as exactly singular raises ``NumericError`` with the step count,
-    the factorizations and the residual history.
+    factors as exactly singular raises ``log.failure``.
     """
     from scipy.sparse.linalg import splu
 
@@ -950,7 +960,7 @@ def _newton(
     lin = scheme.linearize(v_ext, upwind)
     rmax = float(np.max(np.abs(lin.resid)))
     log.history.append(rmax)
-    best, best_r = v_ext, rmax
+    best, log.residual = v_ext, rmax
     lu = jac0 = policy0 = None
     halved = False
     cols: dict[int, np.ndarray] = {}
@@ -994,15 +1004,9 @@ def _newton(
                     options=dict(SymmetricMode=True),
                 )
             except RuntimeError as exc:
-                raise NumericError(
+                raise log.failure(
                     f"singular Newton Jacobian at step"
-                    f" {len(log.policy_changes) + 1} ({exc})",
-                    diagnostics={
-                        "iterations": len(log.policy_changes),
-                        "factorizations": log.factorizations,
-                        "residual_history": log.history,
-                        "policy_changes": log.policy_changes,
-                    },
+                    f" {len(log.policy_changes) + 1} ({exc})"
                 ) from exc
             log.factorizations += 1
             step = advance(lu.solve(-lin.resid))
@@ -1011,9 +1015,9 @@ def _newton(
         last, rmax = rmax, float(np.max(np.abs(lin.resid)))
         halved = rmax <= _CHORD_RATIO * last
         log.history.append(rmax)
-        if rmax < best_r:
-            best, best_r = v_ext, rmax
-    return best, best_r
+        if rmax < log.residual:
+            best, log.residual = v_ext, rmax
+    return best, log.residual
 
 
 def solve(
@@ -1033,14 +1037,15 @@ def solve(
     by which the centered residual differs from its own.  The second (the
     polish) works on the centered form from the best upwind iterate, so the
     result solves the centered scheme.  ``iterations`` counts the steps of
-    both stages; ``upwind_steps`` is the upwind stage's share.  An unmet
-    stop raises ``NumericError`` with the iterations, the factorizations,
-    the residual, the residual history (each stage's start residual, then
-    one per step) and the form gap.
+    both stages; ``upwind_steps`` is the upwind stage's share.  A blow-up,
+    a singular Jacobian or an unmet stop raises ``_StepLog.failure``.  The
+    scheme set-up admits the envelope (``_Scheme._setup_hamiltonian``); with
+    a gradient term `solve` adds the existence threshold at m_eff.
     """
     controls = controls or SolveControls()
     scheme = _Scheme(problem, grid)
-    _check_envelope(problem, scheme)
+    if scheme.ham:
+        check_threshold(replace(problem.params, M=scheme.m_eff), problem.domain.radius)
 
     stop = controls.tol * (1.0 + scheme.f_sup)
     n = grid.n_nodes
@@ -1053,37 +1058,23 @@ def solve(
     start = time.perf_counter()
     log = _StepLog()
     v_ext, rmax = _newton(scheme, v_ext, stop, True, log, hand_over=True)
-    upwind_steps = len(log.policy_changes)
+    log.upwind_steps = len(log.policy_changes)
     if math.isfinite(log.history[-1]):
         v_ext, rmax = _newton(scheme, v_ext, stop, False, log)
     iterations = len(log.policy_changes)
     if not math.isfinite(log.history[-1]):
-        raise NumericError(
-            "iteration blew up (non-finite residual)",
-            diagnostics={
-                "iterations": iterations,
-                "policy_changes": log.policy_changes,
-            },
-        )
+        raise log.failure("iteration blew up (non-finite residual)")
     if rmax > stop:
-        raise NumericError(
+        raise log.failure(
             f"no convergence within {iterations} iterations"
-            f" (residual {rmax:.3e}, target {stop:.3e})",
-            diagnostics={
-                "iterations": iterations,
-                "factorizations": log.factorizations,
-                "residual": rmax,
-                "residual_history": log.history,
-                "policy_changes": log.policy_changes,
-                "form_gap": log.form_gap,
-            },
+            f" (residual {rmax:.3e}, target {stop:.3e})"
         )
     wall = time.perf_counter() - start
 
     result = GridFunction(grid=grid, values=v_ext[:n])
     report = SolveReport(
         iterations=iterations,
-        upwind_steps=upwind_steps,
+        upwind_steps=log.upwind_steps,
         factorizations=log.factorizations,
         policy_changes=tuple(log.policy_changes),
         residual_norm=rmax,

@@ -631,8 +631,9 @@ def compact_perturbation_constant(
 
     ``norms`` is (sup|bump|, sup|D bump|, support radius).  R is the smallest
     radius >= the support radius with R^p >= R_phi^p + sup|bump| (an upper
-    bound for sup H over the ball of radius R), located by bisection;
-    c = max(R^p, 2 R sup|D bump| + sup|bump|).
+    bound for sup H over the ball of radius R): R^p increases in R, so R is
+    the p-th root of that bound, stepped up a float at a time while
+    rounding leaves R^p below it; c = max(R^p, 2 R sup|D bump| + sup|bump|).
     """
     if p <= 1.0:
         raise ConfigError("superlinear exponent required")
@@ -642,23 +643,11 @@ def compact_perturbation_constant(
     if r_phi <= 0:
         raise ConfigError("support radius must be positive")
     target = r_phi**p + norm_inf
-    if norm_inf == 0.0:
-        r = r_phi
-    else:
-        lo, hi = r_phi, 2.0 * r_phi
-        while hi**p < target:
-            hi *= 2.0
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if mid == lo or mid == hi:
-                break
-            if mid**p >= target:
-                hi = mid
-            else:
-                lo = mid
-            if hi - lo <= 1e-13 * max(1.0, hi):
-                break
-        r = hi
+    r = r_phi
+    if norm_inf != 0.0:
+        r = max(r_phi, target ** (1.0 / p))
+        while r**p < target:
+            r = math.nextafter(r, math.inf)
     c = max(r**p, 2.0 * r * dnorm_inf + norm_inf)
     return r, c
 

@@ -63,6 +63,7 @@ __all__ = [
 
 ENDPOINT_MARGIN = 1e-3  # sample radii must stay this far from 0 and R
 SLACK_TOL = 1e-10  # recomputed margins may undershoot a slack by this much
+_PROBE_COUNT = 64  # radii per threshold probe grid (0, R]
 
 
 # ---------------------------------------------------------------------------
@@ -428,14 +429,10 @@ class ThresholdVerdict:
         )
 
 
-def threshold_probe(
-    params: Params, R_values, probe_count: int = 64
-) -> tuple[ThresholdVerdict, ...]:
+def threshold_probe(params: Params, R_values) -> tuple[ThresholdVerdict, ...]:
     """Existence verdict per radius for the superlinear bounded branch."""
     if not params.superlinear:
         raise ConfigError("threshold probes require a superlinear exponent")
-    if probe_count < 2:
-        raise ConfigError("probe grid needs at least two radii")
     radii = np.atleast_1d(np.asarray(R_values, dtype=float))
     if radii.size == 0 or np.any(~np.isfinite(radii)) or np.any(radii <= 0.0):
         raise ConfigError("radii must be positive and finite")
@@ -460,7 +457,9 @@ def threshold_probe(
     if admissible.size:
         # the probe grids (0, R] of every admissible radius in one root call,
         # which raises NumericError where a root fails
-        grids = np.linspace(admissible / probe_count, admissible, probe_count, axis=-1)
+        grids = np.linspace(
+            admissible / _PROBE_COUNT, admissible, _PROBE_COUNT, axis=-1
+        )
         first_zero(grids.ravel(), params)
     return tuple(verdicts)
 
@@ -530,7 +529,7 @@ def _auto_oracle(problem: GridProblem) -> Callable:
     def oracle(r):
         return _exact_u(np.minimum(np.asarray(r, dtype=float), R), R, params)[1]
 
-    oracle(R)  # a radius past the threshold raises here, before any solve
+    check_threshold(params, R)  # refuse a radius past it before any solve
     return oracle
 
 

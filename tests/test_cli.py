@@ -506,6 +506,32 @@ class TestSolve:
         assert "gradient cap is unbounded for this envelope" in err
         assert not out_dir.exists()
 
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_blowup_prints_the_failure_record(self, tmp_path, capsys):
+        text = (
+            MODEL_INI.replace("hamiltonian = PowerNorm", "hamiltonian = none")
+            .replace("f = -1.0", "f = 1e308")
+            + "\n[solver]\nh = 0.125\ntol = 1e-12\n"
+        )
+        path = write_config(tmp_path, text)
+        out_dir = tmp_path / "o"
+        code, out, err = run_cli(capsys, "solve", "--config", path, "--out", out_dir)
+        assert code == 3
+        assert out == ""
+        lines = err.splitlines()
+        assert lines[0] == "error: iteration blew up (non-finite residual)"
+        keys = [line.split(":")[0].strip() for line in lines[1:]]
+        assert keys == [
+            "iterations",
+            "factorizations",
+            "upwind_steps",
+            "residual",
+            "residual_history",
+            "policy_changes",
+            "form_gap",
+        ]
+        assert not out_dir.exists()
+
 
 VERIFY_INI = MODEL_INI + """
 [radial]

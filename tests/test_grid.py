@@ -84,6 +84,17 @@ BENCH = GridProblem(
     f=-1.0,
 )
 
+# the diagnostics of every NumericError that solve raises
+FAILURE_KEYS = {
+    "iterations",
+    "factorizations",
+    "upwind_steps",
+    "residual",
+    "residual_history",
+    "policy_changes",
+    "form_gap",
+}
+
 
 def quadratic_field(grid, a_matrix):
     a = np.asarray(a_matrix, dtype=float)
@@ -315,6 +326,15 @@ class TestGridFunction:
         u = GridFunction.from_callable(disc_h4, lambda p: p[0] + p[1])
         v = GridFunction.from_callable(disc_h4, lambda P: P[:, 0] + P[:, 1])
         assert np.array_equal(u.values, v.values)
+
+    def test_from_callable_two_nodes(self):
+        # a thin lens with two nodes: its (2, 2) node stack must not pass for
+        # one point under a point-wise p[0]
+        lens = ConvexDomain(1.0, ((0.125, 0.97), (0.125, -0.97)))
+        grid = build_grid(lens, 0.25, 8)
+        assert grid.nodes_xy.tolist() == [[0.0, 0.0], [0.25, 0.0]]
+        u = GridFunction.from_callable(grid, lambda p: p[0])
+        assert u.values.tolist() == [0.0, 0.25]
 
     def test_extended_appends_boundary_zero(self, disc_h4):
         u = GridFunction.from_callable(disc_h4, lambda p: 1.0)
@@ -1233,6 +1253,7 @@ class TestSolve:
         with pytest.raises(NumericError) as err:
             solve(BENCH, disc_h8)
         diag = err.value.diagnostics
+        assert set(diag) == FAILURE_KEYS
         assert diag["iterations"] == 5
         # iterations no longer tell how many steps factored
         assert diag["factorizations"] == 2
@@ -1255,8 +1276,16 @@ class TestSolve:
             domain=DISC,
             f=1e308,
         )
-        with pytest.raises(NumericError, match="blew up"):
+        with pytest.raises(NumericError, match="blew up") as err:
             solve(prob, disc_h8, SolveControls(tol=1e-12))
+        diag = err.value.diagnostics
+        assert set(diag) == FAILURE_KEYS
+        # the first upwind step blew up, which ended that stage; the polish
+        # never ran, and the best residual is the start's
+        assert diag["iterations"] == diag["upwind_steps"] == 1
+        assert diag["factorizations"] == 1
+        assert diag["residual"] == diag["residual_history"][0] == 1e308
+        assert not math.isfinite(diag["residual_history"][-1])
 
     @pytest.mark.parametrize("singular_form", ["upwind", "centered"])
     def test_singular_jacobian_raises_numeric_error(
@@ -1277,17 +1306,23 @@ class TestSolve:
         with pytest.raises(NumericError, match="singular Newton Jacobian") as err:
             solve(BENCH, disc_h8)
         diag = err.value.diagnostics
+        assert set(diag) == FAILURE_KEYS
         history = diag["residual_history"]
         assert len(diag["policy_changes"]) == diag["iterations"]
         if singular_form == "upwind":
             assert diag["iterations"] == diag["factorizations"] == 0
             assert len(history) == 1
+            # the upwind stage had not ended
+            assert diag["upwind_steps"] is None
         else:
             # the upwind stage converged; its steps count, and the polish
             # start residual is the last entry
             assert diag["iterations"] > 0
             assert diag["factorizations"] == diag["iterations"]
             assert len(history) == diag["iterations"] + 2
+            assert diag["upwind_steps"] == diag["iterations"]
+        # the best residual of the stage that failed: its start
+        assert diag["residual"] == history[-1]
 
     def test_deterministic_bit_identical(self):
         runs = []
@@ -1348,6 +1383,42 @@ class TestSolve:
             residual_norm(prob, zero)
         with pytest.raises(ConfigError, match="mismatches"):
             sweep(prob, disc_h8, zero.values, 0.0)
+
+    @pytest.mark.parametrize(
+        "params, message",
+        [
+            (
+                Params(beta=3.0, b=1.0, p=2.0, M=1.0),
+                "declared ellipticity 3.0 exceeds the operator's constant 2.0",
+            ),
+            (
+                Params(beta=2.0, b=0.5, p=2.0, M=1.0),
+                "Hamiltonian growth 1.0 exceeds the declared envelope 0.5",
+            ),
+        ],
+        ids=["beta-above-operator", "b-below-growth"],
+    )
+    def test_envelope_mismatch_refused_by_every_scheme_entry(
+        self, disc_h8, params, message
+    ):
+        # the scheme set-up is the one admission: solve, residual_norm and
+        # sweep refuse the same envelope with the same message
+        prob = GridProblem(
+            operator=CoefficientLambdaN(ScalarField.constant(2.0)),
+            hamiltonian=PowerNorm(b=1.0, p=2.0),
+            params=params,
+            domain=DISC,
+            f=-1.0,
+        )
+        zero = GridFunction(grid=disc_h8, values=np.zeros(disc_h8.n_nodes))
+        for entry in (
+            lambda: solve(prob, disc_h8),
+            lambda: residual_norm(prob, zero),
+            lambda: sweep(prob, disc_h8, zero.values, 0.0),
+        ):
+            with pytest.raises(ConfigError) as err:
+                entry()
+            assert str(err.value) == message
 
     def test_envelope_growth_mismatch(self, disc_h8):
         prob = GridProblem(

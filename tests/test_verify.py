@@ -38,6 +38,7 @@ from degelliptic.verify import (
     ClosedFormRadial,
     ThresholdVerdict,
     VerifyProblem,
+    _PROBE_COUNT,
     _h2_scaling_margin,
     _radial_residuals,
     convergence_study,
@@ -484,7 +485,7 @@ def _admits(call):
         return False, err.gap
 
 
-def _ref_threshold_probe(params, radii, probe_count):
+def _ref_threshold_probe(params, radii):
     """The verdicts with one root call per admissible radius: the loop that
     the one batched call replaced, kept as the reference."""
     verdicts = []
@@ -502,7 +503,7 @@ def _ref_threshold_probe(params, radii, probe_count):
                 )
             )
             continue
-        first_zero(np.linspace(R / probe_count, R, probe_count), params)
+        first_zero(np.linspace(R / _PROBE_COUNT, R, _PROBE_COUNT), params)
         verdicts.append(ThresholdVerdict(R=float(R), exists=True, endpoint=endpoint))
     return tuple(verdicts)
 
@@ -603,8 +604,8 @@ class TestThresholdProbe:
     def test_one_root_call_gives_the_per_radius_verdicts(self, beta, b, p, M, fracs):
         params = Params(beta=beta, b=b, p=p, M=M)
         radii = rbar(params) * np.array(fracs + [1.0])
-        ref = _ref_threshold_probe(params, radii, 16)
-        assert threshold_probe(params, radii, 16) == ref
+        ref = _ref_threshold_probe(params, radii)
+        assert threshold_probe(params, radii) == ref
 
     def test_zero_forcing_never_fails(self):
         params = Params(beta=2.0, b=1.0, p=2.0, M=0.0)
