@@ -10,12 +10,15 @@ the second differences along its slots.  ``LambdaK(1|2)``, ``MinMax``,
 two-weight ``WeightedEigenvalues`` and ``CoefficientLambdaN`` scan the fan;
 ``LinearDegenerate`` has one single-slot term per lattice direction of the
 diagonally dominant split of Sigma^T Sigma.  Every other operator raises
-``UnsupportedDiscretizationError``.  Nodes next to the boundary use
-nonuniform three-point differences against the exact ray-circle cut
-points.  The cut fractions are only clipped to [1e-14, 1]
-(``_cut_fractions``); there is no larger floor, so a node almost on the
-boundary gets an arm almost of length zero and the scale of its stencil
-row, about 1/(h+ h-), is unbounded.
+``UnsupportedDiscretizationError``.  The grid holds one arm table, in
+the direction-major layout the scheme reads (``Grid2D``).  Nodes next to
+the boundary use nonuniform three-point differences against the exact
+ray-circle cut points, weighted by ``_three_point_weights`` and
+``_slope_weights`` in the scheme and the pointwise functions alike.  The
+cut fractions are only clipped to [1e-14, 1] (``_cut_fractions``); there
+is no larger floor, so a node almost on the boundary gets an arm almost of
+length zero and the scale of its stencil row, about 1/(h+ h-), is
+unbounded.
 
 The first-order term is coef <A g, g>^(p/2): ``PowerNorm`` b |g|^p is
 A = I, coef = b, and ``AnisotropicPower`` its own A with coef = 1.  The
@@ -148,10 +151,11 @@ class Grid2D:
     """Lattice over a ball-intersection domain with cut-distance data.
 
     ``directions`` is the symmetric fan of ``_direction_fan(K)``.  ``mask``
-    is True at the in-domain lattice nodes.  ``hp``/``hm`` are the arm
-    lengths per node and direction, h |v| for a full arm and up to the exact
-    boundary crossing for a cut one.  Neighbor indices point into the packed
-    node array, with ``n_nodes`` standing for the zero-valued boundary slot.
+    is True at the in-domain lattice nodes.  The arm table has one column
+    per node and one row per arm, row k the plus arm of direction k and row
+    K + k its minus arm: ``arm_nodes`` the end node in the packed node array
+    (``n_nodes`` for the zero-valued boundary slot), ``arm_lengths`` h |v|
+    for a full arm and up to the exact boundary crossing for a cut one.
     """
 
     domain: ConvexDomain
@@ -163,10 +167,8 @@ class Grid2D:
     mask: np.ndarray
     idx_grid: np.ndarray
     nodes_xy: np.ndarray
-    nb_plus: np.ndarray
-    nb_minus: np.ndarray
-    hp: np.ndarray
-    hm: np.ndarray
+    arm_nodes: np.ndarray
+    arm_lengths: np.ndarray
 
     @property
     def n_nodes(self) -> int:
@@ -251,32 +253,24 @@ def build_grid(domain: ConvexDomain, h: float, K: int) -> Grid2D:
     idx_grid[order[:, 0], order[:, 1]] = np.arange(n, dtype=np.int32)
     nodes_xy = np.stack([xs[order[:, 1]], ys[order[:, 0]]], axis=1)
 
-    nb_plus = np.full((n, K), n, dtype=np.int32)
-    nb_minus = np.full((n, K), n, dtype=np.int32)
-    theta_plus = np.ones((n, K))
-    theta_minus = np.ones((n, K))
+    # every arm end at once, from the index lattice padded by the fan's
+    # reach: -1 (outside the domain or the box) marks a cut arm
+    fan = np.asarray(directions)
+    arms = np.concatenate([fan, -fan])
+    reach = int(np.abs(fan).max())
+    padded = np.pad(idx_grid, reach, constant_values=-1)
+    arm_nodes = padded[
+        order[:, 0] + reach + arms[:, 1:], order[:, 1] + reach + arms[:, :1]
+    ]
+    arm_lengths = np.ones(arm_nodes.shape)
+    cut = arm_nodes < 0
+    for k in np.flatnonzero(cut.any(axis=1)):
+        step = h * arms[k].astype(float)
+        arm_lengths[k, cut[k]] = _cut_fractions(nodes_xy[cut[k]], step, domain)
+    arm_nodes[cut] = n
+    arm_lengths *= h * np.linalg.norm(arms.astype(float), axis=1)[:, None]
 
-    for k, (a, b) in enumerate(directions):
-        for sgn, nb, theta in (
-            (1, nb_plus, theta_plus),
-            (-1, nb_minus, theta_minus),
-        ):
-            jx = order[:, 1] + sgn * a
-            jy = order[:, 0] + sgn * b
-            ok = (jx >= 0) & (jx < nx) & (jy >= 0) & (jy < ny)
-            hit = np.zeros(n, dtype=bool)
-            hit[ok] = inside[jy[ok], jx[ok]]
-            nb[hit, k] = idx_grid[jy[hit], jx[hit]]
-            cut = ~hit
-            if np.any(cut):
-                step = h * sgn * np.array([a, b], dtype=float)
-                theta[cut, k] = _cut_fractions(nodes_xy[cut], step, domain)
-
-    hv = h * np.linalg.norm(np.asarray(directions, dtype=float), axis=1)
-    hp = theta_plus * hv
-    hm = theta_minus * hv
-
-    for arr in (xs, ys, inside, idx_grid, nodes_xy, nb_plus, nb_minus, hp, hm):
+    for arr in (xs, ys, inside, idx_grid, nodes_xy, arm_nodes, arm_lengths):
         arr.flags.writeable = False
 
     return Grid2D(
@@ -289,10 +283,8 @@ def build_grid(domain: ConvexDomain, h: float, K: int) -> Grid2D:
         mask=inside,
         idx_grid=idx_grid,
         nodes_xy=nodes_xy,
-        nb_plus=nb_plus,
-        nb_minus=nb_minus,
-        hp=hp,
-        hm=hm,
+        arm_nodes=arm_nodes,
+        arm_lengths=arm_lengths,
     )
 
 
@@ -330,6 +322,20 @@ def _lattice_split(a: np.ndarray, what: str, where: str = "") -> np.ndarray:
     return np.array(
         [max(wx, 0.0), max(wy, 0.0), wd if off >= 0 else 0.0, 0.0 if off >= 0 else wd]
     )
+
+
+def _three_point_weights(lengths: np.ndarray) -> np.ndarray:
+    """Weights c = 2 / (h_arm (h+ + h-)) of c+ (u+ - u0) + c- (u- - u0) on
+    arm rows laid out as in ``Grid2D``: the plus arms, then the minus arms."""
+    pair = lengths.reshape(2, -1, *lengths.shape[1:])
+    return (2.0 / (pair * (pair[0] + pair[1]))).reshape(lengths.shape)
+
+
+def _slope_weights(hp: np.ndarray, hm: np.ndarray) -> tuple:
+    """Weights (w+, w-, w0) of the centered slope w+ u+ + w- u- + w0 u0 on
+    the arms ``hp``, ``hm`` of one direction, exact on quadratics."""
+    den = hp * hm * (hp + hm)
+    return hm * hm / den, -hp * hp / den, (hp - hm) / (hp * hm)
 
 
 @dataclass(frozen=True, eq=False)
@@ -507,19 +513,14 @@ class _Scheme:
             raise ConfigError("problem and grid describe different domains")
         self.grid = grid
         self.problem = problem
-        n, d = grid.nb_plus.shape
+        n, d = grid.n_nodes, grid.K
         self.n = n
         self.d = d
 
-        hp, hm = grid.hp, grid.hm
-        cp = 2.0 / (hp * (hp + hm))
-        cm = 2.0 / (hm * (hp + hm))
-        # direction-major (2d, n): rows 0..d-1 are the plus arms
-        self.idx_t = np.ascontiguousarray(
-            np.concatenate([grid.nb_plus, grid.nb_minus], axis=1).T, dtype=np.intp
-        )
-        self.cc_t = np.ascontiguousarray(np.concatenate([cp, cm], axis=1).T)
-        self.c0 = cp + cm
+        # the grid's direction-major arm rows: 0..d-1 plus, d..2d-1 minus
+        self.idx_t = grid.arm_nodes.astype(np.intp)
+        self.cc_t = _three_point_weights(grid.arm_lengths)
+        self.c0 = self.cc_t[:d] + self.cc_t[d:]
         self.terms = _operator_terms(problem.operator, grid, grid.nodes_xy)
 
         self.fvals = _field_on_nodes(problem.f, grid.nodes_xy, "forcing")
@@ -532,7 +533,7 @@ class _Scheme:
         # weight (with a gradient term) reaches u_0
         d_node = np.zeros(n)
         for slots, w, _ in self.terms:
-            d_node += w * self.c0[:, slots].max(axis=1)
+            d_node += w * self.c0[slots].max(axis=0)
         if self.ham:
             d_node += np.hypot(*self.g_zero)
         if np.any(d_node <= 0.0):
@@ -594,22 +595,23 @@ class _Scheme:
 
         # centered gradient, rows x and y: g = g_plus u+ + g_minus u- +
         # g_zero u0 over the arms g_ip, g_im of the axis slots
-        grid = self.grid
-        axes = _split_slots(grid)[:2]
-        hp2, hm2 = grid.hp[:, axes].T, grid.hm[:, axes].T
-        den = hp2 * hm2 * (hp2 + hm2)
-        self.g_plus, self.g_minus = hm2 * hm2 / den, -hp2 * hp2 / den
-        self.g_zero = (hp2 - hm2) / (hp2 * hm2)
-        self.g_ip, self.g_im = self.idx_t[axes], self.idx_t[axes + self.d]
+        lengths = self.grid.arm_lengths
+        plus = _split_slots(self.grid)[:2]
+        minus = plus + self.d
+        self.g_plus, self.g_minus, self.g_zero = _slope_weights(
+            lengths[plus], lengths[minus]
+        )
+        self.g_ip, self.g_im = self.idx_t[plus], self.idx_t[minus]
 
         # upwind form: q = sum_k c_k m_k^2 over the lattice slots of A's
         # dominant split (ex and ey with c = 1 for A = I); rows of up_idx /
         # up_inv_h are the plus arms of those slots, then the minus arms
         weights = _lattice_split(self.A, "anisotropy matrix")
-        slots = _split_slots(grid)[weights > 0.0]
+        slots = _split_slots(self.grid)[weights > 0.0]
         self.up_c = weights[weights > 0.0]
-        self.up_idx = self.idx_t[np.concatenate([slots, slots + self.d])]
-        self.up_inv_h = 1.0 / np.concatenate([grid.hp[:, slots].T, grid.hm[:, slots].T])
+        arms = np.concatenate([slots, slots + self.d])
+        self.up_idx = self.idx_t[arms]
+        self.up_inv_h = 1.0 / lengths[arms]
 
         beta = ellipticity_constant(self.problem.operator)
         if params.beta > beta * (1.0 + 1e-12):
@@ -719,7 +721,7 @@ class _Scheme:
             cp, cm = self.cc_t[k, rows], self.cc_t[k + d, rows]
             cols += [self.idx_t[k, rows], self.idx_t[k + d, rows]]
             vals += [w * cp, w * cm]
-            diag -= w * self.c0[rows, k]
+            diag -= w * self.c0[k, rows]
         if lin.slopes is not None and lin.upwind:
             m, minus, dh_dq = lin.slopes
             plus_idx, minus_idx = np.split(self.up_idx, 2)
@@ -768,7 +770,8 @@ def _resolve_direction(grid: Grid2D, direction) -> int:
 
 
 def discrete_second_difference(u: GridFunction, node, direction) -> float:
-    """Three-point second difference along one stencil direction.
+    """Three-point second difference along one stencil direction, the
+    scheme's value (``_Scheme.second_differences``) at this node.
 
     Full arms give the uniform (u+ - 2 u0 + u-)/h_v^2; cut arms use the
     nonuniform weights against the zero boundary value at the (floored)
@@ -777,31 +780,23 @@ def discrete_second_difference(u: GridFunction, node, direction) -> float:
     grid = u.grid
     i = _resolve_node(grid, node)
     k = _resolve_direction(grid, direction)
-    v_ext = u.extended()
-    hp, hm = grid.hp[i, k], grid.hm[i, k]
-    u0 = v_ext[i]
-    up = v_ext[grid.nb_plus[i, k]]
-    um = v_ext[grid.nb_minus[i, k]]
-    return float(
-        2.0 * ((up - u0) / hp + (um - u0) / hm) / (hp + hm)
-    )
+    arms = [k, k + grid.K]
+    cp, cm = _three_point_weights(grid.arm_lengths[arms, i])
+    up, um = u.extended()[grid.arm_nodes[arms, i]]
+    u0 = u.values[i]
+    return float((up - u0) * cp + (um - u0) * cm)
 
 
 def discrete_gradient(u: GridFunction, node) -> np.ndarray:
-    """Centered two-point gradient estimate at a node."""
+    """Centered gradient at a node along the axes, the scheme's value
+    (``_Scheme.gradient``) there."""
     grid = u.grid
     i = _resolve_node(grid, node)
-    v_ext = u.extended()
-    out = np.empty(2)
-    for j, slot in enumerate(_split_slots(grid)[:2]):
-        hp, hm = grid.hp[i, slot], grid.hm[i, slot]
-        up = v_ext[grid.nb_plus[i, slot]]
-        um = v_ext[grid.nb_minus[i, slot]]
-        u0 = v_ext[i]
-        out[j] = (hm * hm * up - hp * hp * um + (hp * hp - hm * hm) * u0) / (
-            hp * hm * (hp + hm)
-        )
-    return out
+    axes = _split_slots(grid)[:2]
+    arms = np.concatenate([axes, axes + grid.K])
+    w_plus, w_minus, w_zero = _slope_weights(*grid.arm_lengths[arms, i].reshape(2, 2))
+    up, um = u.extended()[grid.arm_nodes[arms, i]].reshape(2, 2)
+    return w_plus * up + w_minus * um + w_zero * u.values[i]
 
 
 def discrete_operator(spec: OperatorSpec, u: GridFunction, node) -> float:

@@ -51,7 +51,7 @@ __all__ = [
     "ConditionReport",
 ]
 
-_P_GUARD = 1e-6  # reject exponents this close to the excluded p = 1
+_P_GUARD = 1e-5  # reject exponents this close to p = 1 (see ``radial.rbar``)
 
 
 # ---------------------------------------------------------------------------
@@ -64,7 +64,7 @@ class Params:
 
     ``beta``  ellipticity constant of the operator,
     ``b, c``  gradient growth coefficients, ``d`` lower bound of H,
-    ``p``     gradient exponent (p > 0, p != 1),
+    ``p``     gradient exponent (p > 0, |p - 1| >= 1e-5),
     ``M``     magnitude of the constant right-hand side.
     """
 

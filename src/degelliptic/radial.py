@@ -123,10 +123,10 @@ def rbar(params: Params) -> float:
 
     Floor on p: the roots at this radius are accepted within
     ``ENDPOINT_RTOL * (1 + M)`` of the double root s1, and the rounding of
-    phi(rbar, s1) measured against that slack grows like eps / (p - 1).  It
-    is about 0.04x the slack at p - 1 = 1e-4 and 0.23x at 1e-5, but at
-    p - 1 = 2e-6 ``first_zero(rbar(params), params)`` can raise
-    ``ThresholdError``.  Keep p - 1 >= 1e-5 where the radius itself is used.
+    phi(rbar, s1) measured against that slack grows like eps / (p - 1)
+    (0.23x the slack at p - 1 = 1e-5).  ``Params`` refuses |p - 1| < 1e-5
+    (``model._P_GUARD``), where ``first_zero(rbar(params), params)`` could
+    raise ``ThresholdError``.
     """
     if not params.superlinear:
         raise BranchError("no threshold radius in the sublinear regime")

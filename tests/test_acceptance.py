@@ -112,8 +112,8 @@ def test_criterion_01_model_case_roots():
 
 
 def test_criterion_02_model_case_profile():
-    """Quadrature reproduces u0: u(0.5) and u(0+) to 1e-6, node residuals
-    below 1e-9."""
+    """The closed-form profile reproduces u0: u(0.5) and u(0+) to 1e-6,
+    node residuals below 1e-9."""
     prof = radial_profile(
         "FirstZeroSuperlinear", 1.0, MODEL, node_count=512, include_radii=(0.5,)
     )

@@ -262,21 +262,20 @@ class TestBuildGrid:
         # every arm is positive and at most the full lattice step h |v|
         g = disc_h16
         full = g.h * np.hypot(*np.asarray(g.directions, dtype=float).T)
-        for arm in (g.hp, g.hm):
+        for arm in (g.arm_lengths[: g.K], g.arm_lengths[g.K :]):
             assert np.all(arm > 0.0)
-            assert np.all(arm <= full)
+            assert np.all(arm <= full[:, None])
 
     def test_cut_points_on_circle(self, disc_h16):
         g = disc_h16
         n = g.n_nodes
         dirs = np.asarray(g.directions, dtype=float)
         for k in range(len(g.directions)):
-            cut = g.nb_plus[:, k] == n
+            cut = g.arm_nodes[k] == n
             if not np.any(cut):
                 continue
-            ends = g.nodes_xy[cut] + g.hp[cut, k][:, None] * dirs[k] / np.hypot(
-                *dirs[k]
-            )
+            arm = g.arm_lengths[k, cut][:, None]
+            ends = g.nodes_xy[cut] + arm * dirs[k] / np.hypot(*dirs[k])
             assert np.max(np.abs(np.hypot(ends[:, 0], ends[:, 1]) - 1.0)) < 1e-12
 
     def test_mask_consistent_with_membership(self):
@@ -303,14 +302,77 @@ class TestBuildGrid:
     def test_build_deterministic(self):
         a = build_grid(DISC, 1 / 8, 8)
         b = build_grid(DISC, 1 / 8, 8)
-        assert np.array_equal(a.hp, b.hp)
-        assert np.array_equal(a.nb_minus, b.nb_minus)
+        assert np.array_equal(a.arm_lengths, b.arm_lengths)
+        assert np.array_equal(a.arm_nodes, b.arm_nodes)
         assert np.array_equal(a.nodes_xy, b.nodes_xy)
 
     def test_rejects_3d_domain(self):
         dom3 = ConvexDomain(radius=1.0, centers=((0.0, 0.0, 0.0),))
         with pytest.raises(ConfigError, match="two-dimensional"):
             build_grid(dom3, 0.1, 8)
+
+
+def _arm_table_by_passes(grid):
+    """The arm table built one arm row at a time, each pass bounds-checking
+    the arm ends against the lattice box and the mask: the reference for
+    the one-pass gather of ``build_grid``."""
+    n, K, h = grid.n_nodes, grid.K, grid.h
+    ny, nx = grid.mask.shape
+    order = np.argwhere(grid.mask)
+    nodes = np.full((2 * K, n), n, dtype=np.int32)
+    theta = np.ones((2 * K, n))
+    for k, (a, b) in enumerate(grid.directions):
+        for sgn, row in ((1, k), (-1, K + k)):
+            jx = order[:, 1] + sgn * a
+            jy = order[:, 0] + sgn * b
+            ok = (jx >= 0) & (jx < nx) & (jy >= 0) & (jy < ny)
+            hit = np.zeros(n, dtype=bool)
+            hit[ok] = grid.mask[jy[ok], jx[ok]]
+            nodes[row, hit] = grid.idx_grid[jy[hit], jx[hit]]
+            cut = ~hit
+            if np.any(cut):
+                step = h * sgn * np.array([a, b], dtype=float)
+                theta[row, cut] = grid_module._cut_fractions(
+                    grid.nodes_xy[cut], step, grid.domain
+                )
+    hv = h * np.linalg.norm(np.asarray(grid.directions, dtype=float), axis=1)
+    return nodes, theta * np.tile(hv, 2)[:, None]
+
+
+ARM_DOMAINS = {
+    "disc": DISC,
+    "lens": LENS,
+    "three-ball": ConvexDomain(
+        radius=1.0, centers=((0.0, 0.3), (-0.26, -0.15), (0.26, -0.15))
+    ),
+    "thin-two-ball": ConvexDomain(radius=1.0, centers=((-0.7, 0.0), (0.7, 0.0))),
+}
+
+
+class TestArmTable:
+    """``build_grid`` gathers every arm in one pass over a padded index
+    lattice; its table must be the per-arm passes' bit for bit."""
+
+    @staticmethod
+    def _assert_matches_passes(grid):
+        nodes, lengths = _arm_table_by_passes(grid)
+        assert grid.arm_nodes.dtype == np.int32
+        assert grid.arm_lengths.dtype == np.float64
+        assert np.array_equal(grid.arm_nodes, nodes)
+        assert np.array_equal(grid.arm_lengths, lengths)
+
+    @pytest.mark.parametrize("domain", ARM_DOMAINS.values(), ids=ARM_DOMAINS.keys())
+    def test_one_pass_matches_per_arm_passes(self, domain):
+        # spacings that are and are not powers of two; the K = 32 fan
+        # reaches 8 lattice steps, past the box's one-node margin
+        for K in (4, 8, 16, 32):
+            for h in (1 / 4, 1 / 16, 1 / 64, 0.1, 0.07, 1 / 37):
+                self._assert_matches_passes(build_grid(domain, h, K))
+
+    @pytest.mark.parametrize("h", [1 / 16, 1 / 64])
+    def test_near_boundary_nodes_match_per_arm_passes(self, h):
+        for eps in (0.0, 1e-3, 1e-8, 1e-14):
+            self._assert_matches_passes(build_grid(_small_disc(eps).domain, h, 8))
 
 
 class TestGridFunction:
@@ -579,6 +641,37 @@ class TestDiscreteOperator:
         np.testing.assert_allclose(per_node, want, rtol=1e-12, atol=0.0)
 
 
+class TestPointwiseIsTheScheme:
+    """The public pointwise functions return the values the solver uses,
+    bit for bit, at every node, cut cells included."""
+
+    @pytest.mark.parametrize("K", [8, 16])
+    def test_pointwise_values_equal_the_scheme_values(self, K):
+        g = build_grid(LENS, 1 / 10, K)
+        u = GridFunction(grid=g, values=np.random.default_rng(7).normal(size=g.n_nodes))
+        v = u.extended()
+        scheme = _Scheme(_lens_problem(0.3, PowerNorm(b=1.0, p=2.0), 0.0), g)
+        d2 = scheme.second_differences(v)
+        grad = scheme.gradient(v)
+        for i in range(g.n_nodes):
+            for k in range(K):
+                assert discrete_second_difference(u, i, k) == d2[i, k], (i, k)
+            assert np.array_equal(discrete_gradient(u, i), grad[:, i]), i
+        # f = 0 and no gradient term: the linearized residual is F_h
+        operators = (
+            WeightedEigenvalues((0.5, 1.5)),
+            CoefficientLambdaN(
+                ScalarField(fn=lambda x: 2.0 + x[..., 0], lower=1.0, upper=3.0)
+            ),
+            LinearDegenerate(MatrixField.constant(LINDEG_SIGMA)),
+        )
+        for spec in operators:
+            scheme = _Scheme(GridProblem(spec, None, MODEL, LENS, 0.0), g)
+            f_h = scheme.linearize(v).resid
+            for i in range(g.n_nodes):
+                assert discrete_operator(spec, u, i) == f_h[i], (spec, i)
+
+
 class TestMonotonicity:
     @pytest.mark.parametrize(
         "spec",
@@ -599,7 +692,7 @@ class TestMonotonicity:
         nodes = rng.integers(0, disc_h8.n_nodes, size=10)
         for i in nodes:
             before = discrete_operator(spec, u, int(i))
-            neighbors = set(disc_h8.nb_plus[i]) | set(disc_h8.nb_minus[i])
+            neighbors = set(disc_h8.arm_nodes[:, i])
             neighbors.discard(disc_h8.n_nodes)  # boundary slot is pinned
             neighbors.discard(int(i))
             for j in neighbors:
@@ -715,9 +808,10 @@ class TestNewtonJacobian:
                     q = 0.0
                     for slot, c in split.items():
                         k = g.directions.index(slot)
+                        plus, minus = k, k + g.K
                         m = max(
-                            (v[g.nb_plus[i, k]] - v[i]) / g.hp[i, k],
-                            (v[g.nb_minus[i, k]] - v[i]) / g.hm[i, k],
+                            (v[g.arm_nodes[plus, i]] - v[i]) / g.arm_lengths[plus, i],
+                            (v[g.arm_nodes[minus, i]] - v[i]) / g.arm_lengths[minus, i],
                             0.0,
                         )
                         q += c * m * m
@@ -841,6 +935,56 @@ class TestUpwindMonotone:
             assert resid <= 1e-11
             solutions.append(u[:-1])
         assert np.all(solutions[0] >= solutions[1] - 1e-9)
+
+    @pytest.mark.parametrize(
+        "problem, h, K",
+        [
+            (BENCH, 1 / 16, 8),
+            (BENCH, 1 / 32, 8),
+            (BENCH, 1 / 64, 8),
+            (BENCH, 1 / 64, 16),
+            (_lens_problem(0.3, PowerNorm(b=1.0, p=2.0), -1.0), 1 / 64, 8),
+            (
+                _lens_problem(
+                    0.3, AnisotropicPower(SymMatrix(ANISO_A), p=2.0, b=1.0), -1.0
+                ),
+                1 / 64,
+                8,
+            ),
+        ],
+        ids=[
+            "disc-h16", "disc-h32", "disc-h64", "disc-h64-k16", "lens-power-h64",
+            "lens-aniso-h64",
+        ],
+    )
+    def test_upwind_iterates_rise_from_the_barrier(self, problem, h, K, monkeypatch):
+        """Policy iteration on the convex monotone upwind form (Bokanowski,
+        Maroso & Zidani 2009): the barrier start is a strict discrete
+        supersolution, G < 0 at every node, and from the first exact Newton
+        step on no node of an iterate falls (measured: at most 2.4e-17
+        relative, on lens-power-h64).  Every step factors afresh, so no
+        reused factor enters."""
+        monkeypatch.setattr(grid_module, "_reuse_rows", lambda *args: None)
+        grid = build_grid(problem.domain, h, K)
+        scheme = _Scheme(problem, grid)
+        iterates, residuals = [], []
+        linearize = scheme.linearize
+
+        def record(v_ext, upwind=False):
+            lin = linearize(v_ext, upwind)
+            iterates.append(v_ext[:-1].copy())
+            residuals.append(lin.resid)
+            return lin
+
+        scheme.linearize = record
+        start = np.append(grid_module._initial_values(problem, grid, scheme), 0.0)
+        log = grid_module._StepLog()
+        stop = SolveControls().tol * (1.0 + scheme.f_sup)
+        grid_module._newton(scheme, start, stop, True, log, hand_over=True)
+        assert log.factorizations == len(log.policy_changes) == len(iterates) - 1
+        assert np.all(residuals[0] < 0.0)
+        for prev, nxt in zip(iterates[1:], iterates[2:]):
+            assert np.all(nxt - prev >= -1e-14 * (1.0 + np.abs(prev)))
 
 
 def _aniso_lens(h):
@@ -1552,7 +1696,7 @@ class TestNearBoundaryNodes:
             prob = _small_disc(eps)
             grid = build_grid(prob.domain, h, 8)
             # measured: 0.9992 eps at eps = 1e-14, (1 + 5e-9) eps at 1e-8
-            arm = grid.hp[grid.node_index((0.5, 0.0)), 0]  # slot 0 is (1, 0)
+            arm = grid.arm_lengths[0, grid.node_index((0.5, 0.0))]  # slot 0 is (1, 0)
             assert arm == pytest.approx(eps, rel=1e-2)
             u, rep = solve(prob, grid)
             # measured: 2-3 upwind and 1-2 polish steps, 3 factorizations
@@ -1856,7 +2000,7 @@ class TestComparison:
         # operator's weight times its largest c0, plus the gradient term's
         # Lipschitz bound p b g_cap^(p-1) times its centered weight on u_0
         ham = BENCH.hamiltonian
-        d_node = sum(w * scheme.c0[:, slots].max(axis=1) for slots, w, _ in scheme.terms)
+        d_node = sum(w * scheme.c0[slots].max(axis=0) for slots, w, _ in scheme.terms)
         lip = ham.p * ham.b * scheme.g_cap ** (ham.p - 1.0)
         d_node = d_node + lip * np.hypot(*scheme.g_zero)
         tau = 0.9 / float(np.max(d_node))

@@ -56,6 +56,9 @@ class TestParams:
             dict(beta=1.0, b=1.0, p=1.0),
             dict(beta=1.0, b=1.0, p=1.0 + 1e-9),
             dict(beta=math.inf, b=1.0),
+            # inside the guard |p - 1| < 1e-5; at p - 1 = 2e-6 the roots at
+            # the threshold radius can miss their tolerance
+            dict(beta=1.0, b=1.0, p=1.0 + 5e-6),
         ],
     )
     def test_rejects(self, kw):

@@ -669,7 +669,7 @@ class TestOnePassKernels:
         for x in X[:3]:  # a single point
             assert _J(x, p) == _ref_J(x, p)
 
-    @given(_COEFFS, _COEFFS, st.floats(1.0 + 2e-6, 6.0), _COEFFS)
+    @given(_COEFFS, _COEFFS, st.floats(1.0 + 1e-5, 6.0), _COEFFS)
     @settings(max_examples=150, deadline=None)
     @example(beta=2.0, b=1.0, p=2.0, M=1.0)
     @example(beta=2.0, b=1.0, p=1.005, M=1.0)  # s1 overflows at small radii

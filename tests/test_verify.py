@@ -595,7 +595,7 @@ class TestThresholdProbe:
     @given(
         st.floats(0.3, 3.0),
         st.floats(0.3, 3.0),
-        st.floats(1.0 + 2e-6, 6.0),
+        st.floats(1.0 + 1e-5, 6.0),
         st.floats(0.3, 3.0),
         st.lists(st.floats(0.01, 1.5), min_size=1, max_size=8),
     )
