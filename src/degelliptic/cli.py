@@ -1,10 +1,11 @@
 """Command-line entry point.
 
-Everything a run needs lives in one INI-style config file; the subcommand
-picks which slice of it gets used.  Commands validate the full config
-before touching the filesystem.  Every CSV table goes through the one
-writer, ``_table.write_csv`` (17 significant digits); console summaries
-carry 15.
+Everything a run needs lives in one INI-style config file, whose schema is
+the fields of ``RunConfig``: one field per key, with its section and typed
+default.  The subcommand picks which slice of it gets used.  Commands
+validate the full config before touching the filesystem.  Every CSV table
+goes through the one writer, ``_table.write_csv`` (17 significant digits);
+console summaries carry 15.
 
 Exit codes: 0 success, 2 configuration error, 3 numeric failure,
 4 verification failure.
@@ -16,6 +17,7 @@ import argparse
 import configparser
 import dataclasses
 import io
+import itertools
 import math
 import sys
 import typing
@@ -76,97 +78,69 @@ def _fmt(value: float) -> str:
 # configuration
 
 
+def _key(section: str, default):
+    """A config key: the field's file section and its typed default."""
+    return dataclasses.field(default=default, metadata={"section": section})
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    """One flat record backing every subcommand; see DEFAULTS for the file
-    schema.  parse -> serialize -> parse is the identity."""
+    """One flat record backing every subcommand, and the whole file schema:
+    each field is one key, declared with its section and default, in file
+    order; its type says how the value is parsed and written back
+    (``_CODECS``).  Every key is optional.  parse -> serialize -> parse is
+    the identity."""
 
-    command: str
-    out: str
+    command: str = _key("run", "")
+    out: str = _key("run", "out")
     # structural envelope
-    beta: float
-    b: float
-    c: float
-    d: float
-    p: float
-    M: float
+    beta: float = _key("params", 1.0)
+    b: float = _key("params", 1.0)
+    c: float = _key("params", 0.0)
+    d: float = _key("params", 0.0)
+    p: float = _key("params", 2.0)
+    M: float = _key("params", 1.0)
     # operator / gradient-term / forcing selections
-    operator: str
-    coefficient: float
-    index: int
-    weights: tuple[float, ...]
-    rows: tuple[tuple[float, ...], ...]
-    hamiltonian: str
-    ham_b: float
-    ham_p: float
-    hamiltonian_sign: float
-    f: float
-    dimension: int
+    operator: str = _key("problem", "CoefficientLambdaN")
+    coefficient: float = _key("problem", 1.0)
+    index: int = _key("problem", 1)
+    weights: tuple[float, ...] = _key("problem", ())
+    rows: tuple[tuple[float, ...], ...] = _key("problem", ())
+    hamiltonian: str = _key("problem", "PowerNorm")
+    ham_b: float = _key("problem", 1.0)
+    ham_p: float = _key("problem", 2.0)
+    hamiltonian_sign: float = _key("problem", 1.0)
+    f: float = _key("problem", 0.0)
+    dimension: int = _key("problem", 2)
     # domain
-    radius: float
-    centers: tuple[tuple[float, ...], ...]
+    radius: float = _key("domain", 1.0)
+    centers: tuple[tuple[float, ...], ...] = _key("domain", ((0.0, 0.0),))
     # radial runs
-    branch: str
-    R: float
-    node_count: int
-    r_min: float
-    include_radii: tuple[float, ...]
-    decades: int
-    kind: str
+    branch: str = _key("radial", "FirstZeroSuperlinear")
+    R: float = _key("radial", 1.0)
+    node_count: int = _key("radial", 512)
+    r_min: float = _key("radial", 1e-06)
+    include_radii: tuple[float, ...] = _key("radial", ())
+    decades: int = _key("radial", 6)
+    kind: str = _key("radial", "Lambda1")
     # barrier levels
-    upper_m: float
-    lower_k: float
+    upper_m: float = _key("barrier", 1.0)
+    lower_k: float = _key("barrier", 1.0)
     # grid solver controls
-    h: float
-    K: int
-    tol: float
+    h: float = _key("solver", 0.0625)
+    K: int = _key("solver", 8)
+    tol: float = _key("solver", 1e-05)
     # verification controls
-    radii: tuple[float, ...]
-    tolerance: float
-    sigma: float
-    epsilon: float
-    R_values: tuple[float, ...]
+    radii: tuple[float, ...] = _key("verify", (0.2, 0.5, 0.8))
+    tolerance: float = _key("verify", 1e-06)
+    sigma: float = _key("verify", 0.9)
+    epsilon: float = _key("verify", 0.1)
+    R_values: tuple[float, ...] = _key("sweep", ())
 
     @property
     def params(self) -> Params:
         return Params(beta=self.beta, b=self.b, c=self.c, d=self.d,
                       p=self.p, M=self.M)
-
-
-# (section, key) -> default, in file order; every key is optional
-DEFAULTS: dict[str, dict[str, str]] = {
-    "run": {"command": "", "out": "out"},
-    "params": {"beta": "1.0", "b": "1.0", "c": "0.0", "d": "0.0",
-               "p": "2.0", "M": "1.0"},
-    "problem": {
-        "operator": "CoefficientLambdaN",
-        "coefficient": "1.0",
-        "index": "1",
-        "weights": "",
-        "rows": "",
-        "hamiltonian": "PowerNorm",
-        "ham_b": "1.0",
-        "ham_p": "2.0",
-        "hamiltonian_sign": "1.0",
-        "f": "0.0",
-        "dimension": "2",
-    },
-    "domain": {"radius": "1.0", "centers": "0.0, 0.0"},
-    "radial": {
-        "branch": "FirstZeroSuperlinear",
-        "R": "1.0",
-        "node_count": "512",
-        "r_min": "1e-06",
-        "include_radii": "",
-        "decades": "6",
-        "kind": "Lambda1",
-    },
-    "barrier": {"upper_m": "1.0", "lower_k": "1.0"},
-    "solver": {"h": "0.0625", "K": "8", "tol": "1e-05"},
-    "verify": {"radii": "0.2, 0.5, 0.8", "tolerance": "1e-06",
-               "sigma": "0.9", "epsilon": "0.1"},
-    "sweep": {"R_values": ""},
-}
 
 
 def _parse_float(where: str, raw: str) -> float:
@@ -198,8 +172,7 @@ def _format_floats(values) -> str:
     return ", ".join(repr(float(v)) for v in values)
 
 
-# field type -> (parse(where, raw), format(value)); with DEFAULTS this is the
-# whole file schema, so a new key needs a DEFAULTS entry and a field only
+# field type -> (parse(where, raw), format(value))
 _CODECS = {
     str: (lambda where, raw: raw, str),
     int: (_parse_int, str),
@@ -211,8 +184,11 @@ _CODECS = {
         lambda rows: "; ".join(_format_floats(row) for row in rows),
     ),
 }
-_FIELD_CODECS = {
-    name: _CODECS[kind] for name, kind in typing.get_type_hints(RunConfig).items()
+_TYPES = typing.get_type_hints(RunConfig)
+# key -> (section, parse, format), in file order: the file schema
+_SCHEMA = {
+    key.name: (key.metadata["section"], *_CODECS[_TYPES[key.name]])
+    for key in dataclasses.fields(RunConfig)
 }
 
 
@@ -227,31 +203,30 @@ def parse_config(text: str) -> RunConfig:
     # [DEFAULT] keys would leak into every section as fallbacks
     if cp.defaults():
         raise ConfigError(f"unknown config section [{cp.default_section}]")
+    sections = {section for section, _, _ in _SCHEMA.values()}
     for section in cp.sections():
-        if section not in DEFAULTS:
+        if section not in sections:
             raise ConfigError(f"unknown config section [{section}]")
         for key in cp[section]:
-            if key not in DEFAULTS[section]:
+            if key not in _SCHEMA or _SCHEMA[key][0] != section:
                 raise ConfigError(f"unknown config key [{section}] {key}")
 
-    values = {
-        key: _FIELD_CODECS[key][0](
-            f"[{section}] {key}", cp.get(section, key, fallback=default).strip()
-        )
-        for section, keys in DEFAULTS.items()
-        for key, default in keys.items()
-    }
-    if values["command"] and values["command"] not in COMMANDS:
-        raise ConfigError(f"unknown command {values['command']!r}")
-    return RunConfig(**values)
+    cfg = RunConfig(**{
+        key: parse(f"[{section}] {key}", cp.get(section, key).strip())
+        for key, (section, parse, _) in _SCHEMA.items()
+        if cp.has_option(section, key)
+    })
+    if cfg.command and cfg.command not in COMMANDS:
+        raise ConfigError(f"unknown command {cfg.command!r}")
+    return cfg
 
 
 def serialize_config(cfg: RunConfig) -> str:
     out = io.StringIO()
-    for section, keys in DEFAULTS.items():
+    for section, keys in itertools.groupby(_SCHEMA.items(), lambda kv: kv[1][0]):
         out.write(f"[{section}]\n")
-        for key in keys:
-            out.write(f"{key} = {_FIELD_CODECS[key][1](getattr(cfg, key))}\n")
+        for key, (_, _, fmt) in keys:
+            out.write(f"{key} = {fmt(getattr(cfg, key))}\n")
         out.write("\n")
     return out.getvalue()
 

@@ -62,11 +62,12 @@ Jacobian (nonnegative off-diagonal slopes, weakly dominant negative
 diagonal), and LU without row exchanges is stable for M-matrices.  The
 centered first-order term breaks that sign pattern, so the polish
 Jacobians are not M-matrices; the threshold lets SuperLU pivot off the
-diagonal where a polish pivot is too small.  A step may instead reuse the
-last factor with a low-rank update of the rows whose policy moved: exactly
-when the residual elsewhere is below the stop, otherwise as a chord step of
-modified Newton that must halve the residual (see ``_newton``).  On the disc
-the polish factors once or twice and then takes chord steps to the stop.
+diagonal where a polish pivot is too small.  Every upwind step factors
+afresh; a polish step may instead reuse the last factor with a low-rank
+update of the rows whose policy moved: exactly when the residual elsewhere
+is below the stop, otherwise as a chord step of modified Newton that must
+halve the residual (see ``_newton``).  On the disc the polish factors once
+or twice and then takes chord steps to the stop.
 """
 
 from __future__ import annotations
@@ -102,7 +103,7 @@ from .model import (
     _field_values,
     ellipticity_constant,
 )
-from .radial import c1_bound, check_threshold, rbar
+from .radial import c1_bound, rbar
 
 __all__ = [
     "Grid2D",
@@ -812,9 +813,10 @@ def discrete_operator(spec: OperatorSpec, u: GridFunction, node) -> float:
 
 def _initial_values(problem: GridProblem, grid: Grid2D, scheme):
     """The barrier at the forcing magnitude m_eff: with a gradient term the
-    supersolution (`solve` has already refused a radius above its
-    threshold), without one the paraboloid envelope, the negated
-    subsolution, which needs no threshold."""
+    supersolution, whose construction is where `solve` refuses a radius
+    above the existence threshold (``ThresholdError``), without one the
+    paraboloid envelope, the negated subsolution, which needs no
+    threshold."""
     if scheme.ham:
         barrier = build_supersolution(problem.domain, problem.params, scheme.m_eff)
         return np.asarray(evaluate_barrier(barrier, grid.nodes_xy), dtype=float)
@@ -934,19 +936,22 @@ def _newton(
     Each iterate is linearized once (``_Scheme.linearize``); its residual,
     policy, form gap and any step's Jacobian come from that record, and the
     factored iterate keeps only its policy.  A step factors its Jacobian
-    with symmetric-mode SuperLU (see the module docstring), or, when
-    ``_reuse_rows`` allows, solves with the last factored Jacobian J0 after
-    its rows at the nodes whose policy changed are replaced by the current
-    ones (``_row_update_solve``).  J0's other rows differ only in gradient
-    slopes.  Where the residual there is below the stop the step is exact
-    and must lower the max residual.  Otherwise it is a chord step of
-    modified Newton (Kelley, SIAM 2003), tried only right after a step that
-    halved the max residual, and it must halve it too.  A reused step that
-    fails its test is dropped and the step factors afresh at the same
-    iterate.  On the disc the polish factors once or twice and takes 2-4
-    chord steps to the stop.  The old factor, J0 and the cached columns go before the
-    next factorization, so one factor is alive at a time.  A Jacobian that
-    factors as exactly singular raises ``log.failure``.
+    with symmetric-mode SuperLU (see the module docstring).  Every upwind
+    step does, as exact steps on that monotone convex form rise from the
+    barrier to the discrete solution while a stale Jacobian may overshoot
+    it.  A polish step may instead, when ``_reuse_rows`` allows, solve with
+    the last factored Jacobian J0 after its rows at the nodes whose policy
+    changed are replaced by the current ones (``_row_update_solve``).  J0's
+    other rows differ only in gradient slopes.  Where the residual there is
+    below the stop the step is exact and must lower the max residual.
+    Otherwise it is a chord step of modified Newton (Kelley, SIAM 2003),
+    tried only right after a step that halved the max residual, and it must
+    halve it too.  A reused step that fails its test is dropped and the step
+    factors afresh at the same iterate.  On the disc the polish factors once
+    or twice and takes 2-4 chord steps to the stop.  The old factor, J0 and
+    the cached columns go before the next factorization, so one factor is
+    alive at a time.  A Jacobian that factors as exactly singular raises
+    ``log.failure``.
     """
     from scipy.sparse.linalg import splu
 
@@ -975,7 +980,9 @@ def _newton(
 
     while math.isfinite(rmax) and rmax > target() and len(log.policy_changes) < cap:
         step = None
-        reuse = _reuse_rows(lu, policy0, lin.policy, lin.resid, stop, halved)
+        reuse = None if upwind else _reuse_rows(
+            lu, policy0, lin.policy, lin.resid, stop, halved
+        )
         if reuse is not None:
             rows, exact = reuse
             jac = scheme.jacobian(lin) if rows.size else None
@@ -1035,13 +1042,11 @@ def solve(
     both stages; ``upwind_steps`` is the upwind stage's share.  A blow-up,
     a singular Jacobian or an unmet stop raises ``_StepLog.failure``.  The
     scheme set-up admits the envelope (``_Scheme._setup_hamiltonian``); with
-    a gradient term `solve` adds the existence threshold at m_eff.
+    a gradient term the barrier start refuses a radius above the existence
+    threshold at m_eff (``_initial_values``).
     """
     controls = controls or SolveControls()
     scheme = _Scheme(problem, grid)
-    if scheme.ham:
-        check_threshold(replace(problem.params, M=scheme.m_eff), problem.domain.radius)
-
     stop = controls.tol * (1.0 + scheme.f_sup)
     n = grid.n_nodes
     v_ext = np.zeros(n + 1)
@@ -1091,6 +1096,10 @@ def sweep(
     on the centered form; the scheme set-up and residual probes of
     ``perfbench/run.py`` call it with ``tau = 0``."""
     v_ext = GridFunction(grid=grid, values=values).extended()
+    try:
+        steps = operator.index(steps)  # a float such as 2.0 is refused
+    except TypeError:
+        steps = -1
     if not (math.isfinite(tau) and tau >= 0.0 and steps >= 0):
         raise ConfigError("sweep needs a finite tau >= 0 and steps >= 0")
     scheme = _Scheme(problem, grid)

@@ -199,7 +199,8 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# plug-in coefficient fields (declared bounds are trusted inputs)
+# plug-in coefficient fields (declared bounds are trusted inputs); equality
+# and hashing read the declared bounds and name, never the callable ``fn``
 
 
 class _Constant:
@@ -218,7 +219,7 @@ class _Constant:
 class ScalarField:
     """Scalar coefficient x -> a(x) with declared inf/sup bounds."""
 
-    fn: Callable[[np.ndarray], float | np.ndarray]
+    fn: Callable[[np.ndarray], float | np.ndarray] = field(compare=False)
     lower: float
     upper: float
     name: str = "field"
@@ -231,18 +232,6 @@ class ScalarField:
         v = float(value)
         return cls(fn=_Constant(v), lower=v, upper=v, name=name)
 
-    def __eq__(self, other):
-        if not isinstance(other, ScalarField):
-            return NotImplemented
-        return (self.lower, self.upper, self.name) == (
-            other.lower,
-            other.upper,
-            other.name,
-        )
-
-    def __hash__(self):
-        return hash((self.lower, self.upper, self.name))
-
 
 @dataclass(frozen=True)
 class MatrixField:
@@ -250,7 +239,7 @@ class MatrixField:
     infimum over x of the smallest eigenvalue of Sigma^T Sigma and
     ``lambda_max_sts`` the declared infimum of the largest one."""
 
-    fn: Callable[[np.ndarray], np.ndarray]
+    fn: Callable[[np.ndarray], np.ndarray] = field(compare=False)
     lambda_min_sts: float
     lambda_max_sts: float
     name: str = "sigma"
@@ -270,18 +259,6 @@ class MatrixField:
             lambda_max_sts=float(ev[-1]),
             name=name,
         )
-
-    def __eq__(self, other):
-        if not isinstance(other, MatrixField):
-            return NotImplemented
-        return (self.lambda_min_sts, self.lambda_max_sts, self.name) == (
-            other.lambda_min_sts,
-            other.lambda_max_sts,
-            other.name,
-        )
-
-    def __hash__(self):
-        return hash((self.lambda_min_sts, self.lambda_max_sts, self.name))
 
 
 def _field_values(f, pts: np.ndarray, ndim: int = 0) -> np.ndarray:

@@ -83,7 +83,7 @@ def phi(r, s, params: Params):
     s = np.asarray(s, dtype=float)
     if np.any(s < 0.0):
         raise DomainViolationError("profile argument s must be nonnegative")
-    out = -params.beta * s / r + params.b * s**params.p + params.M
+    out = _phi_raw(r, s, params)
     return float(out) if out.ndim == 0 else out
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import string
 import subprocess
 import sys
@@ -16,7 +17,6 @@ from degelliptic.barriers import barrier_to_csv, build_supersolution
 from degelliptic.cli import (
     _CODECS,
     COMMANDS,
-    DEFAULTS,
     RunConfig,
     main,
     parse_config,
@@ -210,17 +210,115 @@ CONFIGS = st.builds(
 )
 
 
+# serialize_config(parse_config("")), byte for byte; an empty value is
+# written as "key = ", with the space (\x20)
+DEFAULT_INI = """\
+[run]
+command =\x20
+out = out
+
+[params]
+beta = 1.0
+b = 1.0
+c = 0.0
+d = 0.0
+p = 2.0
+M = 1.0
+
+[problem]
+operator = CoefficientLambdaN
+coefficient = 1.0
+index = 1
+weights =\x20
+rows =\x20
+hamiltonian = PowerNorm
+ham_b = 1.0
+ham_p = 2.0
+hamiltonian_sign = 1.0
+f = 0.0
+dimension = 2
+
+[domain]
+radius = 1.0
+centers = 0.0, 0.0
+
+[radial]
+branch = FirstZeroSuperlinear
+R = 1.0
+node_count = 512
+r_min = 1e-06
+include_radii =\x20
+decades = 6
+kind = Lambda1
+
+[barrier]
+upper_m = 1.0
+lower_k = 1.0
+
+[solver]
+h = 0.0625
+K = 8
+tol = 1e-05
+
+[verify]
+radii = 0.2, 0.5, 0.8
+tolerance = 1e-06
+sigma = 0.9
+epsilon = 0.1
+
+[sweep]
+R_values =\x20
+
+"""
+
+
+def _default_text(key) -> str:
+    """A field's typed default as the file writes it."""
+    kind = typing.get_type_hints(RunConfig)[key.name]
+    return _CODECS[kind][1](key.default)
+
+
 class TestConfigSchema:
     def test_defaults_match_fields(self):
+        keys = dataclasses.fields(RunConfig)
         hints = typing.get_type_hints(RunConfig)
-        keys = [key for keys in DEFAULTS.values() for key in keys]
-        assert keys == list(hints)
+        # every key has a section, and each section's keys are adjacent, so
+        # the file has one header per section
+        sections = [key.metadata["section"] for key in keys]
+        runs = [s for i, s in enumerate(sections) if i == 0 or s != sections[i - 1]]
+        assert len(runs) == len(set(runs)) == 9
         assert set(hints.values()) <= set(_CODECS)
         # every default parses on its own
-        for section, keys in DEFAULTS.items():
-            for key, default in keys.items():
-                cfg = parse_config(f"[{section}]\n{key} = {default}\n")
-                assert cfg == parse_config("")
+        for key, section in zip(keys, sections):
+            cfg = parse_config(f"[{section}]\n{key.name} = {_default_text(key)}\n")
+            assert cfg == parse_config("") == RunConfig()
+
+    def test_default_file_is_pinned(self):
+        assert serialize_config(parse_config("")) == DEFAULT_INI
+        assert parse_config(DEFAULT_INI) == RunConfig()
+
+    def test_readme_table_lists_every_key_and_default(self):
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        table = [
+            line for line in readme.read_text(encoding="utf-8").splitlines()
+            if line.startswith("| `[")
+        ]
+        documented = []
+        for line in table:
+            _, section, keys, _ = line.split("|")
+            section = section.strip().strip("`[]")
+            for key, default in re.findall(r"`(\w+)` \((`[^`]*`|empty|required)", keys):
+                documented.append((section, key, default))
+        expected = []
+        for key in dataclasses.fields(RunConfig):
+            text = _default_text(key)
+            if key.name == "command":
+                assert text == ""
+                default = "required"
+            else:
+                default = f"`{text}`" if text else "empty"
+            expected.append((key.metadata["section"], key.name, default))
+        assert documented == expected
 
     @settings(max_examples=200, deadline=None)
     @given(CONFIGS)

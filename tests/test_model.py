@@ -112,6 +112,35 @@ class TestSymMatrix:
         assert np.array_equal((2.0 * a).a, np.diag([2.0, 4.0]))
 
 
+class TestFieldEquality:
+    """Coefficient fields compare and hash by their declared bounds and name;
+    the callable ``fn`` takes no part."""
+
+    def test_scalar_fields(self):
+        one = ScalarField(fn=lambda x: 1.0 + x[0] ** 2, lower=1.0, upper=2.0)
+        two = ScalarField(fn=lambda x: 1.5, lower=1.0, upper=2.0)
+        assert one == two and hash(one) == hash(two)
+        assert one != ScalarField(fn=one.fn, lower=1.0, upper=2.0, name="a")
+        assert one != ScalarField(fn=one.fn, lower=1.1, upper=2.0)
+        assert one != ScalarField(fn=one.fn, lower=1.0, upper=2.5)
+        assert CoefficientLambdaN(one) == CoefficientLambdaN(two)
+        assert hash(CoefficientLambdaN(one)) == hash(CoefficientLambdaN(two))
+        assert ScalarField.constant(2.0) == ScalarField.constant(2.0)
+
+    def test_matrix_fields(self):
+        bounds = dict(lambda_min_sts=1.0, lambda_max_sts=1.0)
+        one = MatrixField(fn=lambda x: np.eye(2), **bounds)
+        two = MatrixField(fn=lambda x: -np.eye(2), **bounds)
+        assert one == two and hash(one) == hash(two)
+        assert one != MatrixField(fn=one.fn, **bounds, name="a")
+        assert one != MatrixField(fn=one.fn, lambda_min_sts=0.5, lambda_max_sts=1.0)
+        assert one != MatrixField(fn=one.fn, lambda_min_sts=1.0, lambda_max_sts=2.0)
+        assert LinearDegenerate(one) == LinearDegenerate(two)
+        assert hash(LinearDegenerate(one)) == hash(LinearDegenerate(two))
+        rows = ((1.0, 0.0), (0.4, 0.8))
+        assert MatrixField.constant(rows) == MatrixField.constant(rows)
+
+
 class TestEigenvalues:
     def test_against_lapack(self):
         # np.linalg.eigvalsh as reference oracle only
