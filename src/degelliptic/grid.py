@@ -62,12 +62,14 @@ Jacobian (nonnegative off-diagonal slopes, weakly dominant negative
 diagonal), and LU without row exchanges is stable for M-matrices.  The
 centered first-order term breaks that sign pattern, so the polish
 Jacobians are not M-matrices; the threshold lets SuperLU pivot off the
-diagonal where a polish pivot is too small.  Every upwind step factors
-afresh; a polish step may instead reuse the last factor with a low-rank
-update of the rows whose policy moved: exactly when the residual elsewhere
-is below the stop, otherwise as a chord step of modified Newton that must
-halve the residual (see ``_newton``).  On the disc the polish factors once
-or twice and then takes chord steps to the stop.
+diagonal where a polish pivot is too small.  With a gradient term every
+upwind step factors afresh; any other step may instead reuse the last
+factor with a low-rank update of the rows whose policy moved: exactly when
+the residual elsewhere is below the stop, otherwise as a chord step of
+modified Newton that must halve the residual (see ``_newton``).  Without a
+gradient term a row is fixed by its policy, so the update restores the
+current Jacobian.  On the disc the polish factors once or twice and then
+takes chord steps to the stop.
 """
 
 from __future__ import annotations
@@ -936,21 +938,22 @@ def _newton(
     Each iterate is linearized once (``_Scheme.linearize``); its residual,
     policy, form gap and any step's Jacobian come from that record, and the
     factored iterate keeps only its policy.  A step factors its Jacobian
-    with symmetric-mode SuperLU (see the module docstring).  Every upwind
-    step does, as exact steps on that monotone convex form rise from the
-    barrier to the discrete solution while a stale Jacobian may overshoot
-    it.  A polish step may instead, when ``_reuse_rows`` allows, solve with
-    the last factored Jacobian J0 after its rows at the nodes whose policy
-    changed are replaced by the current ones (``_row_update_solve``).  J0's
-    other rows differ only in gradient slopes.  Where the residual there is
-    below the stop the step is exact and must lower the max residual.
-    Otherwise it is a chord step of modified Newton (Kelley, SIAM 2003),
-    tried only right after a step that halved the max residual, and it must
-    halve it too.  A reused step that fails its test is dropped and the step
-    factors afresh at the same iterate.  On the disc the polish factors once
-    or twice and takes 2-4 chord steps to the stop.  The old factor, J0 and
-    the cached columns go before the next factorization, so one factor is
-    alive at a time.  A Jacobian that factors as exactly singular raises
+    with symmetric-mode SuperLU (see the module docstring).  With a
+    gradient term every upwind step does, as exact steps on that monotone
+    convex form rise from the barrier to the discrete solution while a
+    stale Jacobian may overshoot it.  Any other step may instead, when
+    ``_reuse_rows`` allows, solve with the last factored Jacobian J0 after
+    its rows at the nodes whose policy changed are replaced by the current
+    ones (``_row_update_solve``).  J0's other rows differ only in gradient
+    slopes, so without a gradient term that is the current Jacobian.
+    Where the residual at J0's other rows is below the stop the step is
+    exact and must lower the max residual.  Otherwise it is a chord step
+    of modified Newton (Kelley, SIAM 2003), tried only right after a step
+    that halved the max residual, and it must halve it too.  A reused step
+    that fails its test is dropped and the step factors afresh at the same
+    iterate.  On the disc the polish factors once or twice and takes 2-4
+    chord steps to the stop.  The old factor, J0 and the cached columns go
+    before the next factorization, so one factor is alive at a time.  A Jacobian that factors as exactly singular raises
     ``log.failure``.
     """
     from scipy.sparse.linalg import splu
@@ -980,7 +983,9 @@ def _newton(
 
     while math.isfinite(rmax) and rmax > target() and len(log.policy_changes) < cap:
         step = None
-        reuse = None if upwind else _reuse_rows(
+        # an upwind step with a gradient term factors afresh; without one a
+        # row is fixed by its policy, so the row update is a Newton step
+        reuse = None if upwind and scheme.ham else _reuse_rows(
             lu, policy0, lin.policy, lin.resid, stop, halved
         )
         if reuse is not None:
@@ -1097,10 +1102,12 @@ def sweep(
     ``perfbench/run.py`` call it with ``tau = 0``."""
     v_ext = GridFunction(grid=grid, values=values).extended()
     try:
-        steps = operator.index(steps)  # a float such as 2.0 is refused
+        # a float or bool steps and a str or None tau are refused
+        steps = -1 if isinstance(steps, bool) else operator.index(steps)
+        finite = math.isfinite(tau)
     except TypeError:
-        steps = -1
-    if not (math.isfinite(tau) and tau >= 0.0 and steps >= 0):
+        steps, finite = -1, False
+    if not (finite and tau >= 0.0 and steps >= 0):
         raise ConfigError("sweep needs a finite tau >= 0 and steps >= 0")
     scheme = _Scheme(problem, grid)
     for _ in range(steps):

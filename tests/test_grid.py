@@ -1012,6 +1012,48 @@ class TestUpwindMonotone:
         assert len(residuals) == len(log.policy_changes) + 1 > 2
         assert min(float(r.min()) for r in residuals[1:]) >= -1e-11
 
+    def test_upwind_reuse_without_a_gradient_term_is_a_newton_step(
+        self, monkeypatch
+    ):
+        """Without a gradient term a Jacobian row is fixed by its node's
+        policy, so a row update of the last factor restores the current
+        Jacobian and the upwind stage may reuse it.  Its iterates are those
+        of the stage that factors every step, up to rounding, and rise from
+        step 1 on (2 lambda_N is convex)."""
+        problem = GridProblem(
+            operator=CoefficientLambdaN(ScalarField.constant(2.0)),
+            hamiltonian=None,
+            params=MODEL,
+            domain=LENS,
+            f=lambda P: -1.0 - P[:, 0] ** 2,
+        )
+        grid = build_grid(LENS, 1 / 32, 8)
+
+        def upwind_stage():
+            scheme = _Scheme(problem, grid)
+            iterates = []
+            linearize = scheme.linearize
+
+            def record(v_ext, upwind=False):
+                iterates.append(v_ext[:-1].copy())
+                return linearize(v_ext, upwind)
+
+            scheme.linearize = record
+            start = np.append(grid_module._initial_values(problem, grid, scheme), 0.0)
+            log = grid_module._StepLog()
+            stop = SolveControls().tol * (1.0 + scheme.f_sup)
+            grid_module._newton(scheme, start, stop, True, log, hand_over=True)
+            return np.array(iterates), log
+
+        reused, log = upwind_stage()
+        assert log.factorizations < len(log.policy_changes)
+        monkeypatch.setattr(grid_module, "_reuse_rows", lambda *args: None)
+        exact, exact_log = upwind_stage()
+        assert exact_log.policy_changes == log.policy_changes
+        assert np.max(np.abs(reused - exact)) <= 1e-12
+        for prev, nxt in zip(reused[1:], reused[2:]):
+            assert np.all(nxt - prev >= -1e-14 * (1.0 + np.abs(prev)))
+
 
 def _aniso_lens(h):
     problem = _lens_problem(0.3, AnisotropicPower(SymMatrix(ANISO_A), p=2.0), -1.0)
@@ -1024,6 +1066,9 @@ class TestFactorReuse:
 
     @pytest.mark.parametrize("upwind", [True, False], ids=["upwind", "centered"])
     def test_row_update_matches_direct_solve(self, upwind):
+        """``_row_update_solve`` from the factor of one Jacobian equals a
+        direct solve with its changed rows taken from the next, on an
+        upwind (M-matrix) pair and on a centered one."""
         from scipy.sparse.linalg import splu, spsolve
 
         problem, grid = _aniso_lens(1 / 16)
@@ -1053,14 +1098,17 @@ class TestFactorReuse:
     @given(
         offset=st.floats(0.0, 0.5),
         h=st.sampled_from([1 / 8, 1 / 12, 1 / 16]),
-        ham=HAMILTONIANS,
+        ham=st.one_of(st.none(), HAMILTONIANS),
         scale=st.floats(0.01, 1.0),
         seed=st.integers(0, 2**32 - 1),
     )
     def test_mixed_upwind_rows_keep_the_m_matrix(self, offset, h, ham, scale, seed):
-        """A reused upwind step solves with rows of Jacobians taken at two
-        iterates.  Each row keeps the sign pattern and weak dominance, so the
-        mixed matrix is still a nonsingular M-matrix: -J^-1 is nonnegative."""
+        """A row update of an upwind factor (``_row_update_solve``) solves
+        with rows of Jacobians taken at two iterates.  Each row keeps the
+        sign pattern and weak dominance, so the mixed matrix is still a
+        nonsingular M-matrix: -J^-1 is nonnegative.  Without a gradient term
+        (``ham`` None) the upwind stage takes such steps; with one only the
+        centered polish reuses a factor."""
         from scipy.sparse.linalg import spsolve
 
         problem = _lens_problem(offset, ham, -1.0)
@@ -2055,13 +2103,16 @@ class TestComparison:
             (np.zeros, math.nan, 1, "tau"),
             (np.zeros, math.inf, 1, "tau"),
             (np.zeros, -1e-4, 1, "tau"),
+            (np.zeros, "0.1", 1, "tau"),
+            (np.zeros, None, 1, "tau"),
             (np.zeros, 1e-4, -1, "steps"),
             (np.zeros, 1e-4, 2.5, "steps"),
             (np.zeros, 1e-4, "2", "steps"),
+            (np.zeros, 1e-4, True, "steps"),
         ],
         ids=[
-            "scalar", "long", "nan", "tau-nan", "tau-inf", "tau-neg", "steps-neg",
-            "steps-float", "steps-str",
+            "scalar", "long", "nan", "tau-nan", "tau-inf", "tau-neg", "tau-str",
+            "tau-none", "steps-neg", "steps-float", "steps-str", "steps-bool",
         ],
     )
     def test_sweep_refuses_bad_input(self, disc_h8, values, tau, steps, match):
