@@ -55,14 +55,18 @@ solve with ``NumericError`` (``_StepLog.failure``).
 
 Each Newton system is factored by SuperLU in symmetric mode: a minimum
 degree order of J + J^T, with the diagonal pivot kept wherever it is at
-least 0.1 of the largest entry in its column.  Partial pivoting would swap
-rows and undo the symmetric fill-reducing order.  Keeping the diagonal is
-safe for the upwind form: a degenerate elliptic scheme has an M-matrix
+least 0.1 of the largest entry in its column, and a row exchange where it
+is not.  Partial pivoting would exchange rows throughout and undo the
+symmetric fill-reducing order.  The threshold also exchanges rows on the
+upwind form, although a degenerate elliptic scheme has an M-matrix
 Jacobian (nonnegative off-diagonal slopes, weakly dominant negative
-diagonal), and LU without row exchanges is stable for M-matrices.  The
-centered first-order term breaks that sign pattern, so the polish
-Jacobians are not M-matrices; the threshold lets SuperLU pivot off the
-diagonal where a polish pivot is too small.  With a gradient term every
+diagonal) and LU without row exchanges is stable for M-matrices: on the
+unit disc at h = 1/64, K = 16 the two upwind factors exchange rows in 44
+and 35 columns, where threshold 0 would exchange none and cut their
+L + U entries from 863,767 to 735,740 and from 946,896 to 759,484.  The
+centered first-order term breaks the M-matrix sign pattern, so the polish
+Jacobians are not M-matrices, and there the threshold lets SuperLU pivot
+off the diagonal where a pivot is too small.  With a gradient term every
 upwind step factors afresh; any other step may instead reuse the last
 factor with a low-rank update of the rows whose policy moved: exactly when
 the residual elsewhere is below the stop, otherwise as a chord step of

@@ -244,18 +244,12 @@ def _root_tolerance(r, s, params):
 
 def _zero(r, params: Params, second: bool):
     """The first zero of phi(r, .), or with ``second`` the second one, at
-    radii r; every root in this module comes from here.  Superlinear
-    Newton starts at ``_model_start``, sublinear at a bracket's upper end.
+    radii r; every root in this module comes from here.  For M > 0,
+    superlinear Newton starts at ``_model_start``, sublinear at a bracket's
+    upper end; for M = 0 the zeros have a closed form.
     """
     r_arr = _check_radius(np.atleast_1d(r))
     scalar = np.asarray(r, dtype=float).ndim == 0
-
-    if params.M == 0.0 and params.superlinear:
-        # phi = s (b s^(p-1) - beta/r): the zeros are 0 and a closed form
-        out = np.zeros_like(r_arr)
-        if second:
-            out = (params.beta / (params.b * r_arr)) ** (1.0 / (params.p - 1.0))
-        return float(out[0]) if scalar else out
 
     # at the threshold's double root s1 IS the root, and Newton would only
     # chase rounding noise there
@@ -264,32 +258,40 @@ def _zero(r, params: Params, second: bool):
     # _validate_root's finiteness check is then the one report
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         s1 = critical_s1(r_arr, params)
-        if not params.superlinear:
-            # phi rises to its max at s1 then falls to -inf: the zero lies in
-            # (s1, A + B] with A = 2Mr/beta, B = (2br/beta)^(1/(1-p)), because
-            # beta(A+B)/r = 2M + 2bB^p, b(A+B)^p <= bA^p + bB^p, and
-            # bA^p <= max(M, bB^p) depending on which of A, B is larger
-            upper = 2.0 * params.M * r_arr / params.beta + (
-                2.0 * params.b * r_arr / params.beta
-            ) ** (1.0 / (1.0 - params.p))
-            if not np.all(np.isfinite(upper)):
-                k = int(np.argmin(np.isfinite(upper)))
-                raise NumericError(
-                    f"sublinear root at r={r_arr[k]:.17g} overflows double"
-                    " precision"
-                )
-            # concave and decreasing on [s1, upper]: Newton descends from upper
-            start, direction = upper, -1.0
-        elif second:
-            # t = p^(1/(p-1)) has t^p / p = t, so phi(r, t s1) = M >= 0:
-            # convex and increasing on [s1, t s1], Newton descends from t s1
-            far = params.p ** (1.0 / (params.p - 1.0)) * s1
-            start, direction = _model_start(r_arr, s1, far, params), -1.0
+        if params.M == 0.0:
+            # phi = s (b s^(p-1) - beta/r): the zeros are 0, the superlinear
+            # first zero, and (beta / (b r))^(1/(p-1)), every other one
+            s = np.zeros_like(r_arr)
+            if second or not params.superlinear:
+                s = (params.beta / (params.b * r_arr)) ** (1.0 / (params.p - 1.0))
+            f = _phi_raw(r_arr, s, params)
         else:
-            # convex and decreasing on [0, s1]: Newton climbs from s = 0
-            far = np.zeros_like(r_arr)
-            start, direction = _model_start(r_arr, s1, far, params), 1.0
-        s, f = _newton_root(r_arr, start, params, ~at_end, direction)
+            if not params.superlinear:
+                # phi rises to its max at s1 then falls to -inf: the zero lies in
+                # (s1, A + B] with A = 2Mr/beta, B = (2br/beta)^(1/(1-p)), because
+                # beta(A+B)/r = 2M + 2bB^p, b(A+B)^p <= bA^p + bB^p, and
+                # bA^p <= max(M, bB^p) depending on which of A, B is larger
+                upper = 2.0 * params.M * r_arr / params.beta + (
+                    2.0 * params.b * r_arr / params.beta
+                ) ** (1.0 / (1.0 - params.p))
+                if not np.all(np.isfinite(upper)):
+                    k = int(np.argmin(np.isfinite(upper)))
+                    raise NumericError(
+                        f"sublinear root at r={r_arr[k]:.17g} overflows double"
+                        " precision"
+                    )
+                # concave and decreasing on [s1, upper]: Newton descends from upper
+                start, direction = upper, -1.0
+            elif second:
+                # t = p^(1/(p-1)) has t^p / p = t, so phi(r, t s1) = M >= 0:
+                # convex and increasing on [s1, t s1], Newton descends from t s1
+                far = params.p ** (1.0 / (params.p - 1.0)) * s1
+                start, direction = _model_start(r_arr, s1, far, params), -1.0
+            else:
+                # convex and decreasing on [0, s1]: Newton climbs from s = 0
+                far = np.zeros_like(r_arr)
+                start, direction = _model_start(r_arr, s1, far, params), 1.0
+            s, f = _newton_root(r_arr, start, params, ~at_end, direction)
     s = np.where(at_end, s1, s)
     _validate_root(r_arr, s, f, at_end, params)
     return float(s[0]) if scalar else s
@@ -363,9 +365,7 @@ class RadialProfile:
         ones, which diverge there."""
         second = _second_branch(self.branch, self.params)
         rr = np.clip(r, self.r_grid[0] if second else 0.0, self.R)
-        return np.asarray(
-            _branch_values(self.branch, rr, self.R, self.params)[1], dtype=float
-        )
+        return _exact_u(rr, self.R, self.params, second)[1]
 
     def du(self, r):
         """Exact u' = -s at radii r, the branch's root recomputed there."""
@@ -464,7 +464,7 @@ def radial_profile(
     else:
         grid = _merge_radii(_graded_nodes(R, node_count), include_radii, R)
 
-    s_vals, u_vals, u_zero = _branch_values(branch, grid, R, params)
+    s_vals, u_vals, u_zero = _exact_u(grid, R, params, second)
     residuals = _phi_raw(grid, s_vals, params)
 
     prof = RadialProfile(
@@ -560,16 +560,19 @@ def _J(X, p: float) -> np.ndarray:
         m = math.floor(a + 0.5)
         q = ((m + 1) * p - 2.0) / p
         tail = (-1.0) ** m * (_j_series_at_one(q) - _j_series(1.0 / Xb, q))
-        for k in range(m):
-            e = (2.0 - (k + 1) * p) / p
-            if e == 0.0:
-                grow = L
-            else:
-                # expm1 near e L = 0; the direct power elsewhere, since
-                # exp(e L) would magnify the rounding of L by e L
-                eL = e * L
-                grow = np.where(np.abs(eL) < 1.0, np.expm1(eL), Xb**e - 1.0) / e
-            tail = tail + (-1.0) ** k * grow
+        # np.where evaluates both forms, and X^e overflows for small p: the
+        # caller's finiteness check on u is then the one report
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(m):
+                e = (2.0 - (k + 1) * p) / p
+                if e == 0.0:
+                    grow = L
+                else:
+                    # expm1 near e L = 0; the direct power elsewhere, since
+                    # exp(e L) would magnify the rounding of L by e L
+                    eL = e * L
+                    grow = np.where(np.abs(eL) < 1.0, np.expm1(eL), Xb**e - 1.0) / e
+                tail = tail + (-1.0) ** k * grow
         out[big] += tail
     return out
 
@@ -581,29 +584,23 @@ def _second_branch(branch: ProfileBranch, params: Params) -> bool:
     )
 
 
-def _branch_values(branch: ProfileBranch, r, R: float, params: Params):
-    """(s, u, u(0+)) at radii r in (0, R] on one profile branch, in closed
-    form: ``_exact_u`` for M > 0, ``_zero_m_integrals`` for M = 0.  r = 0
-    is allowed on the first-zero branches."""
-    second = _second_branch(branch, params)
-    if params.M == 0.0:
-        # as in _exact_u, s(0) = 0 extends the first-zero branches to r = 0
-        r = np.asarray(r, dtype=float)
-        s = np.zeros(r.shape)
-        s[r > 0.0] = _zero(r[r > 0.0], params, second)
-        return (s, *_zero_m_integrals(branch, r, R, params, second))
-    return _exact_u(r, R, params, second)
-
-
 def _exact_u(r, R: float, params: Params, second: bool = False):
-    """(s, u, u(0+)) at radii r in [0, R] on one root branch, for M > 0.
+    """(s, u, u(0+)) at radii r in [0, R] on one root branch, for M >= 0.
 
-    u = int_r^R s is evaluated in closed form (see above) from the roots at
-    r and R, so it is exact up to the root accuracy.  r = 0 is allowed on
-    the first-zero branches, whose root extends by s(0) = 0.  At the center
-    the first-zero u is R s(R) - G(s(R)); the second-zero u diverges for
-    p <= 2 and is R s(R) + G(inf) - G(s(R)) for p > 2, with
-    G(inf) = beta / (M p) c^(-a) pi / sin(pi a).
+    u = int_r^R s is evaluated in closed form from the roots at r and R, so
+    it is exact up to the root accuracy; R is appended to r, so the terms
+    at R come from the same array expressions and u(R) is exactly 0.  r = 0
+    is allowed on the first-zero branches, whose root extends by s(0) = 0.
+    A u that overflows double precision raises ``NumericError``.
+
+    For M > 0 (see above), the first-zero u at the center is
+    R s(R) - G(s(R)); the second-zero u diverges for p <= 2 and is
+    R s(R) + G(inf) - G(s(R)) for p > 2, with
+    G(inf) = beta / (M p) c^(-a) pi / sin(pi a).  For M = 0 the
+    superlinear first zero is s = u = 0, and every other branch has
+    s = (beta / (b r))^q, q = 1 / (p - 1), so
+    u = (beta / b)^q (R^g - r^g) / g with g = (p - 2) / (p - 1), or
+    (beta / b)^q log(R / r) at p = 2; u(0+) is finite where g > 0.
     """
     r = np.asarray(r, dtype=float)
     inner = (r > 0.0) & (r < R)
@@ -611,58 +608,45 @@ def _exact_u(r, R: float, params: Params, second: bool = False):
     # radii at R take the one root computed there, so u(R) is exactly 0
     s = np.where(r >= R, roots[-1], 0.0)
     s[inner] = roots[:-1]
+    if params.M == 0.0 and params.superlinear and not second:
+        return s, np.zeros(r.shape), 0.0
 
-    a = 2.0 / params.p
-    c = params.b / params.M
-    scale = params.beta / (params.M * params.p) * c ** -a
-
-    # r s - G(s) at r and, last, at R
     rs = np.append(r, R)
-    ss = np.append(s, roots[-1])
-    r_s_minus_g = rs * ss - scale * _J(c * ss**params.p, params.p)
-    head = float(r_s_minus_g[-1])
-    u = (head - r_s_minus_g[:-1]).reshape(r.shape)
+    p = params.p
+    if params.M == 0.0:
+        # an overflow leaves a non-finite u, which the check below reports
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            coef = np.float64(params.beta / params.b) ** (1.0 / (p - 1.0))
+            if p == 2.0:
+                u, center = coef * np.log(R / rs[:-1]), math.inf
+            else:
+                g = (p - 2.0) / (p - 1.0)
+                rg = rs**g  # R^g and r^g from one array power
+                u = coef * (rg[-1] - rg[:-1]) / g
+                center = float(coef * rg[-1] / g) if g > 0.0 else math.inf
+    else:
+        a = 2.0 / p
+        c = params.b / params.M
+        scale = params.beta / (params.M * p) * c**-a
+        # r s - G(s) at r and, last, at R
+        ss = np.append(s, roots[-1])
+        r_s_minus_g = rs * ss - scale * _J(c * ss**p, p)
+        head = float(r_s_minus_g[-1])
+        u = head - r_s_minus_g[:-1]
+        if not second:
+            center = head
+        elif p > 2.0:
+            center = head + scale * math.pi / math.sin(math.pi * a)
+        else:
+            center = math.inf
+    u = u.reshape(r.shape)
     if not np.all(np.isfinite(u)):
         k = int(np.argmin(np.isfinite(u.ravel())))
         raise NumericError(
             "profile value overflows double precision",
             {"radius": float(r.ravel()[k]), "root": float(s.ravel()[k])},
         )
-    if not second:
-        center = head
-    elif params.p > 2.0:
-        center = head + scale * math.pi / math.sin(math.pi * a)
-    else:
-        center = math.inf
     return s, u, center
-
-
-def _zero_m_integrals(branch, grid, R, params, second):
-    """Closed-form u for the M = 0 families (no quadrature needed)."""
-    b, beta, p = params.b, params.beta, params.p
-    if second:
-        q = 1.0 / (p - 1.0)
-        coef = (beta / b) ** q
-        if p == 2.0:
-            u_vals = coef * np.log(R / grid)
-            u_zero = math.inf
-        else:
-            g = (p - 2.0) / (p - 1.0)
-            u_vals = coef * (p - 1.0) / (p - 2.0) * (R**g - grid**g)
-            u_zero = (
-                math.inf
-                if p < 2.0
-                else float(coef * (p - 1.0) / (p - 2.0) * R**g)
-            )
-    elif params.superlinear:
-        u_vals = np.zeros_like(grid)  # s0 = 0 identically
-        u_zero = 0.0
-    else:
-        g = (2.0 - p) / (1.0 - p)
-        coef = (b / beta) ** (1.0 / (1.0 - p)) / g
-        u_vals = coef * (R**g - grid**g)
-        u_zero = float(coef * R**g)
-    return u_vals, u_zero
 
 
 def _validate_profile(prof: RadialProfile, second: bool):
@@ -737,9 +721,11 @@ def c1_bound(params: Params, R: float) -> float:
         return (
             params.beta / (threshold * params.p * params.b)
         ) ** (1.0 / (params.p - 1.0)) * (threshold + 1.0)
-    lo = params.M ** (1.0 / params.p)
-    hi = ((1.0 + params.b) * R / params.beta) ** (1.0 / (1.0 - params.p))
-    return (1.0 + R) * max(lo, hi)
+    # numpy powers give inf where the bound degenerates (p near 1 or 0)
+    with np.errstate(over="ignore"):
+        lo = np.float64(params.M) ** (1.0 / params.p)
+        hi = np.float64((1.0 + params.b) * R / params.beta) ** (1.0 / (1.0 - params.p))
+    return float((1.0 + R) * max(lo, hi))
 
 
 _SUBLINEAR_KINDS = ("Lambda1", "LambdaI", "Laplacian", "MongeAmpere")
@@ -763,8 +749,9 @@ class ExplicitSublinearForm:
     sign: float
 
     def value(self, r):
-        r = np.asarray(r, dtype=float)
-        out = self.sign * self.K * (self.R**self.g - r**self.g)
+        # R^g and r^g from one array power, so u(R) is exactly 0
+        rg = np.append(np.asarray(r, dtype=float), self.R) ** self.g
+        out = (self.sign * self.K * (rg[-1] - rg[:-1])).reshape(np.shape(r))
         return float(out) if out.ndim == 0 else out
 
     def du(self, r):

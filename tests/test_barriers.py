@@ -14,6 +14,7 @@ from degelliptic.barriers import (
 from degelliptic.errors import (
     ConfigError,
     DomainViolationError,
+    NumericError,
     ThresholdError,
 )
 from degelliptic.model import ConvexDomain, Params
@@ -146,8 +147,35 @@ class TestEvaluate:
         assert out.shape == (7,)
         assert isinstance(evaluate_barrier(lens_super, [0.0, 0.0]), float)
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflow_is_one_numeric_error(self):
+        # for tiny p the profile overflows: one NumericError, no warning first
+        params = Params(
+            beta=0.1598966368301927,
+            b=10.968906836207735,
+            p=0.021340593701074904,
+            M=0.0008281458554840104,
+        )
+        R = 0.0012390635964094243
+        dom = ConvexDomain(radius=R, centers=((0.0, 0.0), (0.3 * R, 0.0)))
+        field = build_supersolution(dom, params, params.M)
+        pts = [[0.15 * R, 0.0], [0.15 * R, 0.5 * R], [0.15 * R, 0.9 * R]]
+        with pytest.raises(NumericError, match="overflows"):
+            evaluate_barrier(field, pts)
+
 
 class TestFieldProperties:
+    def test_lipschitz_bound_degenerates_near_p_one(self):
+        params = Params(
+            beta=14.68231850811822,
+            b=16.43781829443773,
+            p=0.998359016715867,
+            M=15.719050959292076,
+        )
+        dom = ConvexDomain(radius=9.524594548037758, centers=((0.0, 0.0),))
+        field = build_supersolution(dom, params, params.M)
+        assert field.lipschitz_bound == math.inf
+
     def test_lipschitz_sampled(self, lens_super, interior_points):
         rng = np.random.default_rng(7)
         bound = lens_super.lipschitz_bound

@@ -781,6 +781,49 @@ class TestZeroM:
         assert prof.branch is ProfileBranch.SECOND_ZERO_SUPERLINEAR
         assert np.max(np.abs(prof.u_values - 2.0 * np.log(1.0 / prof.r_grid))) < 1e-12
 
+    @given(
+        st.floats(0.3, 3.0),
+        st.floats(0.3, 3.0),
+        st.one_of(st.floats(1.1, 4.0), st.floats(0.1, 0.9)),
+        st.floats(0.1, 10.0),
+    )
+    @settings(max_examples=100, deadline=None)
+    @example(1.0, 1.0, 2.5, 1.2)
+    def test_every_profile_vanishes_at_r(self, beta, b, p, R):
+        # R^g and r^g come from one array power, so u(R) is exactly 0 on
+        # every branch, not just within rounding
+        params = Params(beta=beta, b=b, p=p, M=0.0)
+        prof = radial_profile(ProfileBranch.ZERO_M, R, params)
+        assert prof.u_values[-1] == 0.0
+        assert prof.value(R) == 0.0
+        assert np.all(np.diff(prof.u_values) <= 0.0)
+
+
+@pytest.mark.filterwarnings("error")
+class TestOverflowIsReported:
+    """Near p = 1 (and for tiny p) the closed forms overflow; each case
+    raises a ``DegellipticError`` or returns, with no warning on the way."""
+
+    def test_m_zero_second_zero(self):
+        params = Params(beta=24.07, b=9.03, p=1.001508, M=0.0)
+        with pytest.raises(NumericError, match="not finite"):
+            second_zero(np.array([0.5, 2.1]), params)
+
+    def test_m_zero_profile(self):
+        params = Params(beta=2.0, b=1.0, p=1.0001, M=0.0)
+        with pytest.raises(NumericError):
+            radial_profile(ProfileBranch.ZERO_M, 0.5, params)
+
+    @pytest.mark.parametrize("number", [float, np.float64])
+    def test_c1_bound_degenerates(self, number):
+        params = Params(
+            beta=number(14.68231850811822),
+            b=number(16.43781829443773),
+            p=number(0.998359016715867),
+            M=number(15.719050959292076),
+        )
+        assert c1_bound(params, number(9.524594548037758)) == math.inf
+
 
 class TestThresholdEndpoint:
     def test_second_derivative_diverges(self):
@@ -866,6 +909,17 @@ class TestExplicitSublinear:
     @pytest.mark.parametrize("kind", ["Lambda1", "LambdaI", "Laplacian", "MongeAmpere"])
     def test_boundary_condition(self, kind):
         assert explicit_sublinear_solution(kind, 0.5, 2.0, 3, 2.0) == 0.0
+
+    @given(
+        st.sampled_from(["Lambda1", "LambdaI", "Laplacian", "MongeAmpere"]),
+        st.floats(0.05, 0.95),
+        st.floats(0.1, 10.0),
+    )
+    @settings(max_examples=100, deadline=None)
+    @example("Lambda1", 0.5, 2.0)
+    def test_vanishes_at_r_on_an_array(self, kind, p, R):
+        form = explicit_sublinear_form(kind, p, R, 2)
+        assert form.value(np.linspace(0.0, R, 9))[-1] == 0.0
 
     def test_monge_ampere_sign(self):
         v = explicit_sublinear_solution("MongeAmpere", 0.5, 1.0, 2, 0.0)
