@@ -21,21 +21,25 @@ length zero and the scale of its stencil row, about 1/(h+ h-), is
 unbounded.
 
 The first-order term is coef <A g, g>^(p/2): ``PowerNorm`` b |g|^p is
-A = I, coef = b, and ``AnisotropicPower`` its own A with coef = 1.  The
-centered form uses three-point centered differences along the axes and
-rescales g onto the cap circle; it is second-order accurate but not
-monotone.  The upwind form, after Rouy & Tourin (1992), takes per lattice
-slot k the one-sided m_k = max((u+ - u0)/h+, (u- - u0)/h-, 0) on the
-cut-cell arms and H_h = coef min(sum_k c_k m_k^2, cap^2)^(p/2), with c the
-diagonally dominant split of A on the axes and one diagonal (a
+A = I, coef = b, and ``AnisotropicPower`` its own A with coef = 1.  Both
+forms evaluate it as written, with no bound on g.  The centered form uses
+three-point centered differences along the axes for g; it is second-order
+accurate but not monotone.  The upwind form, after Rouy & Tourin (1992),
+takes per lattice slot k the one-sided m_k = max((u+ - u0)/h+, (u- -
+u0)/h-, 0) on the cut-cell arms and H_h = coef (sum_k c_k m_k^2)^(p/2),
+with c the diagonally dominant split of A on the axes and one diagonal (a
 non-dominant A is refused).  m_k is nondecreasing in every u_j - u0, so
 F_h + H_h is degenerate elliptic in Oberman's sense (SIAM J. Numer. Anal.
-44, 2006) and its solutions obey the discrete comparison principle.
+44, 2006) and its solutions obey the discrete comparison principle.  Each
+m_k is convex in u and nonnegative, so sqrt(sum_k c_k m_k^2) is convex,
+and t -> t^p is convex and nondecreasing on t >= 0 for p >= 1: the upwind
+H_h is convex in u, and with an F_h of max terms (or a linear one) so is
+the upwind residual.
 
 The solver takes semismooth Newton steps (policy iteration, after
 Bokanowski, Maroso & Zidani 2009): each step fixes every node's active slot
 in each operator term (the argmin of a min term, the argmax of a max term)
-and the active arm of each upwind slot, adds the exact slope of the capped
+and the active arm of each upwind slot, adds the exact slope of the
 gradient term, and solves the assembled sparse linear system.  One pass
 over the iterate (``_Scheme.linearize``) gives the residual, those choices
 and the slopes, and the Jacobian is assembled from that record.  Newton
@@ -81,7 +85,7 @@ from __future__ import annotations
 import math
 import operator
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np
@@ -109,7 +113,6 @@ from .model import (
     _field_values,
     ellipticity_constant,
 )
-from .radial import c1_bound, rbar
 
 __all__ = [
     "Grid2D",
@@ -513,7 +516,7 @@ class _Linearization:
 
 class _Scheme:
     """Precomputed discretization of F_h + H_h - f on one grid: F_h from
-    the ``terms`` table, H_h from (A, h_coef, h_p, g_cap) alone."""
+    the ``terms`` table, H_h from (A, h_coef, h_p) alone."""
 
     def __init__(self, problem: GridProblem, grid: Grid2D):
         if problem.domain != grid.domain:
@@ -581,24 +584,6 @@ class _Scheme:
             )
         self.ham = True
         self.h_p = ham.p
-        radius = self.problem.domain.radius
-        # the envelope is superlinear (p = ham.p > 1): the largest forcing
-        # magnitude this domain supports under it; the solution gradient is
-        # capped by the worse of the actual forcing and that capacity value
-        try:
-            m_cap = (rbar(replace(params, M=1.0)) / radius) ** (
-                params.p / (params.p - 1.0)
-            )
-        except OverflowError:
-            raise ConfigError("gradient cap is unbounded for this envelope") from None
-        levels = [m_cap]
-        if 0.0 < self.m_eff < m_cap:
-            levels.append(self.m_eff)
-        self.g_cap = 2.0 * max(
-            c1_bound(replace(params, M=m), radius) for m in levels
-        )
-        if not math.isfinite(self.g_cap):
-            raise ConfigError("gradient cap is unbounded for this envelope")
 
         # centered gradient, rows x and y: g = g_plus u+ + g_minus u- +
         # g_zero u0 over the arms g_ip, g_im of the axis slots
@@ -652,16 +637,16 @@ class _Scheme:
 
         Upwind: per upwind slot (rows) m_k = max(d+_k, d-_k, 0) from the
         one-sided differences (u_arm - u_0) / h_arm on the cut-cell arms,
-        nondecreasing in every u_arm - u_0, so H_h is degenerate elliptic.
-        Its policy is each slot's active arm (0 where m_k = 0, 1 plus, 2
-        minus) and whether q is below the cap; its slopes (m, minus, dH/dq).
-        Centered: its policy is whether |g| is below the cap; its slope
-        dH/dg.  Beyond the cap g is rescaled onto the cap circle, which
-        leaves a tangential slope unless A is a multiple of I.
+        nondecreasing in every u_arm - u_0, so H_h is degenerate elliptic,
+        and H_h = h_coef q^(p/2) with q = sum_k c_k m_k^2.  Its policy is
+        each slot's active arm (0 where m_k = 0, 1 plus, 2 minus); its
+        slopes (m, minus, dH/dq).  Centered: H_h = h_coef <A g, g>^(p/2) on
+        the centered gradient g, with no policy; its slope dH/dg = h_coef p
+        <A g, g>^(p/2 - 1) A g.
         """
         if not self.ham:
             return 0.0, [], None
-        cap2, p = self.g_cap**2, self.h_p
+        p = self.h_p
         if upwind:
             diffs = np.take(v_ext, self.up_idx)
             diffs -= v_ext[: self.n]
@@ -669,25 +654,21 @@ class _Scheme:
             plus, minus = np.split(diffs, 2)
             m = np.maximum(np.maximum(plus, minus), 0.0)
             q = self.up_c @ (m * m)
-            h_vals = self.h_coef * np.minimum(q, cap2) ** (p / 2.0)
+            h_vals = self.h_coef * q ** (p / 2.0)
             minus = minus > plus
-            live = (q > 0.0) & (q < cap2)
+            live = q > 0.0
             dh_dq = np.zeros(self.n)
             dh_dq[live] = self.h_coef * p * q[live] ** (p / 2.0 - 1.0)
-            arms = [*np.where(m > 0.0, 1 + minus, 0), q < cap2]
+            arms = list(np.where(m > 0.0, 1 + minus, 0))
             return h_vals, arms, (m, minus, dh_dq)
         g = self.gradient(v_ext)
         ag = self.A @ g
-        n2 = (g * g).sum(axis=0)
-        shrink = np.divide(cap2, n2, out=np.ones(self.n), where=n2 > cap2)
         q = (g * ag).sum(axis=0)
-        qs = q * shrink
-        h_vals = self.h_coef * np.maximum(qs, 0.0) ** (p / 2.0)
-        tilt = np.divide(q, n2, out=np.zeros(self.n), where=n2 > cap2)
-        live = qs > 0.0
+        h_vals = self.h_coef * np.maximum(q, 0.0) ** (p / 2.0)
+        live = q > 0.0
         coef = np.zeros(self.n)
-        coef[live] = self.h_coef * p * qs[live] ** (p / 2.0 - 1.0) * shrink[live]
-        return h_vals, [n2 < cap2], coef * (ag - tilt * g)
+        coef[live] = self.h_coef * p * q[live] ** (p / 2.0 - 1.0)
+        return h_vals, [], coef * ag
 
     def linearize(self, v_ext: np.ndarray, upwind: bool = False) -> _Linearization:
         """F_h + H_h - f (centered or upwind) with the policy and slopes of
@@ -715,7 +696,7 @@ class _Scheme:
         Each node keeps only the active slot of each operator term, which
         makes this an element of the generalized derivative of the min/max
         scheme.  The upwind form adds one active arm per slot, the larger
-        one-sided difference (none where m_k = 0 or q is capped).  Arms that
+        one-sided difference (none where m_k = 0).  Arms that
         end on the boundary slot carry no unknown and are dropped.
         """
         from scipy.sparse import csr_matrix

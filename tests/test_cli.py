@@ -587,9 +587,9 @@ class TestSolve:
         assert code == 2
         assert not (tmp_path / "o").exists()
 
-    def test_unbounded_gradient_cap_exits_2(self, tmp_path, capsys):
-        # p = 1.00001 on a disc of radius 0.99 rbar: the gradient cap
-        # overflows a float, which is a refusal, not a crash
+    def test_near_linear_gradient_term_solves(self, tmp_path, capsys):
+        # p = 1.00001 on a disc of radius 0.99 rbar: a well-posed problem,
+        # solved with the gradient term as written
         radius = 0.99 * rbar(Params(beta=2.0, b=1.0, p=1.00001))
         text = (
             MODEL_INI.replace("p = 2.0", "p = 1.00001")
@@ -599,10 +599,10 @@ class TestSolve:
         )
         path = write_config(tmp_path, text)
         out_dir = tmp_path / "o"
-        code, _, err = run_cli(capsys, "solve", "--config", path, "--out", out_dir)
-        assert code == 2
-        assert "gradient cap is unbounded for this envelope" in err
-        assert not out_dir.exists()
+        code, out, _ = run_cli(capsys, "solve", "--config", path, "--out", out_dir)
+        assert code == 0
+        assert "solved" in out
+        assert (out_dir / "solution.csv").is_file()
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_blowup_prints_the_failure_record(self, tmp_path, capsys):

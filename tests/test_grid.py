@@ -66,7 +66,7 @@ from degelliptic.model import (
     ellipticity_constant,
     evaluate_hamiltonian,
 )
-from degelliptic.radial import radial_profile, rbar
+from degelliptic.radial import c1_bound, radial_profile, rbar
 
 MODEL = Params(beta=2.0, b=1.0, p=2.0, M=1.0)
 SUB = Params(beta=1.0, b=1.0, p=0.5, M=1.0)
@@ -704,6 +704,16 @@ class TestMonotonicity:
                 assert after - before >= -1e-12
 
 
+def _gradient_scale(params):
+    """Twice the a-priori gradient bound on the unit disc at the forcing
+    magnitude that puts the disc at the existence threshold; it grows
+    with p."""
+    # rbar scales as M^(-(p - 1) / p)
+    m = params.M * rbar(params) ** (params.p / (params.p - 1.0))
+    at_threshold = Params(beta=params.beta, b=params.b, p=params.p, M=m)
+    return 2.0 * c1_bound(at_threshold, DISC.radius)
+
+
 JACOBIAN_OPERATORS = pytest.mark.parametrize(
     "operator",
     [
@@ -727,8 +737,7 @@ JACOBIAN_HAMILTONIANS = pytest.mark.parametrize(
 
 
 class TestNewtonJacobian:
-    # a random field at this scale puts some nodes beyond the gradient cap
-    # and leaves others inside it; ties in the fan scans have measure zero
+    # ties in the fan scans of a random field have measure zero
     EPS = 1e-7
 
     def _jacobian_and_differences(self, grid, operator, ham, upwind):
@@ -747,12 +756,9 @@ class TestNewtonJacobian:
     @JACOBIAN_OPERATORS
     @JACOBIAN_HAMILTONIANS
     def test_matches_central_differences(self, disc_h8, operator, ham):
-        scheme, v, _, fd, jw = self._jacobian_and_differences(
+        _, _, _, fd, jw = self._jacobian_and_differences(
             disc_h8, operator, ham, upwind=False
         )
-        gx, gy = scheme.gradient(v)
-        capped = np.hypot(gx, gy) > scheme.g_cap
-        assert 0 < capped.sum() < disc_h8.n_nodes
         assert float(np.max(np.abs(fd - jw))) <= 1e-5
 
     @JACOBIAN_OPERATORS
@@ -762,10 +768,9 @@ class TestNewtonJacobian:
             disc_h8, operator, ham, upwind=True
         )
 
-        def policy(x):  # larger arm, m_k > 0, and capped q, per slot and node
+        def policy(x):  # larger arm and m_k > 0, per slot and node
             m, minus, _ = scheme.linearize(x, upwind=True).slopes
-            q = scheme.up_c @ (m * m)
-            return np.vstack([minus, m > 0.0, q > scheme.g_cap**2])
+            return np.vstack([minus, m > 0.0])
 
         # compare only away from ties: where the policy is the same at both
         # ends of the difference stencil
@@ -773,8 +778,6 @@ class TestNewtonJacobian:
             policy(v + self.EPS * w) == policy(v - self.EPS * w), axis=0
         )
         assert nodes.sum() >= 0.95 * disc_h8.n_nodes
-        capped = policy(v)[-1]
-        assert 0 < capped[nodes].sum() < nodes.sum()
         assert float(np.max(np.abs(fd - jw)[nodes])) <= 1e-5
 
     @JACOBIAN_OPERATORS
@@ -784,11 +787,11 @@ class TestNewtonJacobian:
         # the Newton loop, residual_norm and sweep all read F_h + H_h - f
         # from the linearization; check it node by node against
         # discrete_operator and the first-order term built from the arms:
-        # the centered gradient rescaled onto the cap circle, or the upwind
-        # sum_k c_k m_k^2 over the dominant split of A, capped
+        # the centered gradient, or the upwind sum_k c_k m_k^2 over the
+        # dominant split of A
         params = Params(beta=1.0, b=4.0, p=ham.p, M=1.0)
         scheme = _Scheme(GridProblem(operator, ham, params, DISC, -0.1), disc_h8)
-        g, cap = disc_h8, scheme.g_cap
+        g = disc_h8
         coef, a = (ham.b, np.eye(2)) if isinstance(ham, PowerNorm) else (1.0, ham.A.a)
         off = a[0, 1]
         split = {
@@ -815,11 +818,9 @@ class TestNewtonJacobian:
                             0.0,
                         )
                         q += c * m * m
-                    h_h = coef * min(q, cap**2) ** (ham.p / 2.0)
+                    h_h = coef * q ** (ham.p / 2.0)
                 else:
-                    grad = discrete_gradient(u, i)
-                    grad *= min(1.0, cap / np.hypot(*grad))
-                    h_h = evaluate_hamiltonian(ham, grad)
+                    h_h = evaluate_hamiltonian(ham, discrete_gradient(u, i))
                 want = f_h + h_h + 0.1
                 assert abs(lin.resid[i] - want) <= 1e-12 * (1.0 + abs(f_h) + h_h)
 
@@ -912,6 +913,56 @@ class TestUpwindMonotone:
         row_scale = np.asarray(abs(jac).sum(axis=1)).ravel()
         assert np.all(sums <= 1e-12 * row_scale)
         assert np.any(sums < -1e-12 * row_scale)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        operator=st.sampled_from(
+            [
+                CoefficientLambdaN(
+                    ScalarField(fn=lambda x: 2.0 + x[..., 0], lower=1.0, upper=3.0)
+                ),
+                LambdaK(2),
+                LinearDegenerate(MatrixField.constant(np.eye(2))),
+            ]
+        ),
+        aniso=st.booleans(),
+        p=st.floats(1.05, 4.0),
+        h=st.sampled_from([1 / 8, 1 / 12]),
+        below=st.floats(0.05, 0.9),
+        above=st.floats(1.1, 4.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_upwind_residual_is_convex_for_convex_operators(
+        self, operator, aniso, p, h, below, above, seed
+    ):
+        """Each m_k is convex and nonnegative, so the upwind H_h is convex in
+        u for p >= 1, and with a max-term or linear F_h so is the residual:
+        the midpoint lies below the chord at every node.  The two fields
+        tilt at ``below`` and ``above`` times G = ``_gradient_scale``, so
+        their gradients straddle G."""
+        ham = (
+            AnisotropicPower(SymMatrix(ANISO_A), p=p, b=1.0)
+            if aniso
+            else PowerNorm(b=1.0, p=p)
+        )
+        params = Params(beta=1.0, b=4.0, p=p, M=1.0)
+        bound = _gradient_scale(params)
+        grid = build_grid(DISC, h, 8)
+        scheme = _Scheme(GridProblem(operator, ham, params, DISC, -0.1), grid)
+        rng = np.random.default_rng(seed)
+
+        def field(slope):
+            direction = rng.normal(size=2)
+            tilt = grid.nodes_xy @ (slope * bound * direction / np.hypot(*direction))
+            noise = rng.normal(scale=0.1 * slope * bound * h, size=grid.n_nodes)
+            return np.append(tilt + noise, 0.0)
+
+        v0, v1 = field(below), field(above)
+        lin0, lin1 = (scheme.linearize(v, upwind=True) for v in (v0, v1))
+        mid = scheme.linearize((v0 + v1) / 2.0, upwind=True).resid
+        scale = 1.0 + np.abs(lin0.resid) + np.abs(lin1.resid) + lin0.h_vals + lin1.h_vals
+        excess = mid - (lin0.resid + lin1.resid) / 2.0
+        assert np.all(excess <= 1e-12 * scale)
 
     @settings(max_examples=15, deadline=None)
     @given(
@@ -1138,8 +1189,8 @@ class TestFactorReuse:
     def test_rows_with_an_unchanged_policy_are_affine(self, disc_h8, ham):
         """At p = 2 an upwind Jacobian row is affine in the iterate while the
         row's policy holds; a reused step keeps such rows from J0.  Scaling
-        the iterate keeps every fan and arm choice and moves nodes across
-        the gradient cap only, so the cap must count as policy."""
+        the iterate by a positive factor keeps every fan and arm choice, so
+        every row keeps its policy and is affine along the scaling."""
         params = Params(beta=1.0, b=4.0, p=2.0, M=1.0)
         operator = CoefficientLambdaN(ScalarField.constant(2.0))
         problem = GridProblem(operator, ham, params, DISC, -0.1)
@@ -1148,12 +1199,10 @@ class TestFactorReuse:
         v = np.append(rng.normal(scale=0.03, size=disc_h8.n_nodes), 0.0)
         lin = {s: scheme.linearize(s * v, upwind=True) for s in (1, 1.5, 2)}
         jac = {s: scheme.jacobian(lin[s]).toarray() for s in lin}
-        lo, hi = lin[1].policy, lin[2].policy
-        same = (lo == hi).all(axis=1)
-        assert 0 < (~same).sum() < same.sum()
+        assert all(np.array_equal(lin[s].policy, lin[1].policy) for s in lin)
         mid = (jac[1] + jac[2]) / 2
         scale = np.abs(mid).max()
-        assert np.max(np.abs(jac[1.5] - mid)[same]) <= 1e-12 * scale
+        assert np.max(np.abs(jac[1.5] - mid)) <= 1e-12 * scale
 
     @pytest.mark.parametrize("upwind", [True, False], ids=["upwind", "centered"])
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
@@ -1174,16 +1223,14 @@ class TestFactorReuse:
         rng = np.random.default_rng(3)
         n = disc_h8.n_nodes
         # a random iterate, and the same one tilted by a linear function:
-        # the tilt keeps most fan choices and moves upwind arms and nodes
-        # across the gradient cap, which grows with p
-        v0 = np.append(rng.normal(scale=0.1 * scheme.g_cap, size=n), 0.0)
-        tilt = 0.25 * scheme.g_cap * (disc_h8.nodes_xy @ [1.0, 0.5])
+        # the tilt keeps most fan choices and moves upwind arms
+        scale = _gradient_scale(params)
+        v0 = np.append(rng.normal(scale=0.1 * scale, size=n), 0.0)
+        tilt = 0.25 * scale * (disc_h8.nodes_xy @ [1.0, 0.5])
         v1 = v0 + np.append(tilt, 0.0)
         lin0, lin1 = scheme.linearize(v0, upwind), scheme.linearize(v1, upwind)
         same = (lin0.policy == lin1.policy).all(axis=1)
         assert 0 < (~same).sum() and 0 < same.sum()
-        # some nodes beyond the gradient cap and some below it
-        assert 0 < lin0.policy[same, -1].sum() < same.sum()
         jac0, jac1 = scheme.jacobian(lin0), scheme.jacobian(lin1)
         jac0.eliminate_zeros()
         jac1.eliminate_zeros()
@@ -1418,9 +1465,9 @@ class TestSolve:
         assert resid <= stop == rep.stop_residual
         assert float(np.max(np.abs(u_zero - u_bar.values))) <= 1e-5
 
-    def test_gradient_cap_overflow_is_config_error(self):
-        # at p = 1.00001 the capacity (rbar / R)^(p / (p - 1)) of a disc just
-        # inside the threshold overflows a float
+    def test_near_linear_gradient_term_solves(self):
+        # p = 1.00001 on a disc just inside the threshold: the gradient term
+        # is evaluated as written, so this well-posed problem solves
         params = Params(beta=2.0, b=1.0, p=1.00001, M=1.0)
         radius = 0.99 * rbar(params)
         domain = ConvexDomain(radius=radius, centers=((0.0, 0.0),))
@@ -1431,8 +1478,9 @@ class TestSolve:
             domain,
             -1.0,
         )
-        with pytest.raises(ConfigError, match="gradient cap is unbounded"):
-            solve(problem, build_grid(domain, radius / 4, 8))
+        u, report = solve(problem, build_grid(domain, radius / 4, 8))
+        assert report.residual_norm <= report.stop_residual
+        assert np.all(np.isfinite(u.values))
 
     def test_tau_control_refused(self):
         # Newton is the only solver; there is no explicit step to set
@@ -2072,10 +2120,13 @@ class TestComparison:
         assert float(np.min(res_u - res_v)) >= 5e-3
         # explicit step below 1 / (largest diagonal slope): per node the
         # operator's weight times its largest c0, plus the gradient term's
-        # Lipschitz bound p b g_cap^(p-1) times its centered weight on u_0
+        # Lipschitz bound p b G^(p-1) on |g| <= G = _gradient_scale (twice
+        # c1_bound here, where the disc is at the threshold), times its
+        # centered weight on u_0
         ham = BENCH.hamiltonian
+        bound = _gradient_scale(BENCH.params)
         d_node = sum(w * scheme.c0[slots].max(axis=0) for slots, w, _ in scheme.terms)
-        lip = ham.p * ham.b * scheme.g_cap ** (ham.p - 1.0)
+        lip = ham.p * ham.b * bound ** (ham.p - 1.0)
         d_node = d_node + lip * np.hypot(*scheme.g_zero)
         tau = 0.9 / float(np.max(d_node))
         u_k, v_k = shrunk, v.values.copy()
@@ -2083,6 +2134,10 @@ class TestComparison:
             u_k = sweep(BENCH, disc_h8, u_k, tau, steps=10)
             v_k = sweep(BENCH, disc_h8, v_k, tau, steps=10)
             assert float(np.max(u_k - v_k)) <= 1e-12
+            # the Lipschitz bound holds along both sequences
+            for w_k in (u_k, v_k):
+                g = scheme.gradient(np.append(w_k, 0.0))
+                assert float(np.max(np.hypot(*g))) <= bound
 
     def test_sweep_is_simultaneous(self, disc_h8):
         rng = np.random.default_rng(5)
