@@ -42,10 +42,11 @@ in each operator term (the argmin of a min term, the argmax of a max term)
 and the active arm of each upwind slot, adds the exact slope of the
 gradient term, and solves the assembled sparse linear system.  One pass
 over the iterate (``_Scheme.linearize``) gives the residual, those choices
-and the slopes, and the Jacobian is assembled from that record.  Newton
-first steps on the upwind form from the initial iterate, down to the gap
-between the two gradient forms, then polishes on the centered form from
-the best upwind iterate; the result solves the centered scheme.  The
+and the gradient term's Jacobian entries, in one layout for both forms
+(``_Scheme.hamiltonian``), and the Jacobian is assembled from that record.
+Newton first steps on the upwind form from the initial iterate, down to
+the gap between the two gradient forms, then polishes on the centered form
+from the best upwind iterate; the result solves the centered scheme.  The
 initial iterate is the paper's barrier: with a gradient term the
 supersolution, the first-zero radial profile at the forcing magnitude,
 which is the exact solution on a disc; without one the paraboloid envelope
@@ -83,6 +84,7 @@ takes chord steps to the stop.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 import time
 from dataclasses import dataclass
@@ -186,7 +188,10 @@ class Grid2D:
 
     def node_index(self, point) -> int:
         """Packed index of the lattice node at ``point`` (exact hit only)."""
-        x, y = float(point[0]), float(point[1])
+        try:
+            x, y = map(float, point)
+        except (TypeError, ValueError):
+            raise ConfigError(f"point {point!r} is not an (x, y) pair") from None
         ix = round((x - float(self.xs[0])) / self.h)
         iy = round((y - float(self.ys[0])) / self.h)
         if not (0 <= ix < self.xs.size and 0 <= iy < self.ys.size):
@@ -415,8 +420,10 @@ class SolveControls:
     tol: float = 1e-5
 
     def __post_init__(self):
-        if not (self.tol > 0 and math.isfinite(self.tol)):
-            raise ConfigError("tolerance must be positive")
+        tol = self.tol
+        number = isinstance(tol, numbers.Real) and not isinstance(tol, bool)
+        if not (number and 0.0 < tol < math.inf):
+            raise ConfigError("tolerance must be a positive number")
 
 
 @dataclass(frozen=True)
@@ -505,12 +512,11 @@ class _Linearization:
     ``policy`` has one row per node: the active slot of each operator term,
     then the gradient term's choices.  Nodes with equal rows at two iterates
     have Jacobian rows of the same form; only the gradient slopes differ.
-    ``slopes`` (None without a gradient term) and ``h_vals`` are H_h's."""
+    ``h_entries`` and ``h_vals`` are H_h's (``_Scheme.hamiltonian``)."""
 
-    upwind: bool
     resid: np.ndarray
     policy: np.ndarray
-    slopes: tuple | np.ndarray | None
+    h_entries: tuple
     h_vals: float | np.ndarray
 
 
@@ -596,12 +602,12 @@ class _Scheme:
         self.g_ip, self.g_im = self.idx_t[plus], self.idx_t[minus]
 
         # upwind form: q = sum_k c_k m_k^2 over the lattice slots of A's
-        # dominant split (ex and ey with c = 1 for A = I); rows of up_idx /
-        # up_inv_h are the plus arms of those slots, then the minus arms
+        # dominant split (ex and ey with c = 1 for A = I); up_idx / up_inv_h
+        # stack the plus arms of those slots over their minus arms
         weights = _lattice_split(self.A, "anisotropy matrix")
         slots = _split_slots(self.grid)[weights > 0.0]
         self.up_c = weights[weights > 0.0]
-        arms = np.concatenate([slots, slots + self.d])
+        arms = np.stack([slots, slots + self.d])
         self.up_idx = self.idx_t[arms]
         self.up_inv_h = 1.0 / lengths[arms]
 
@@ -632,52 +638,58 @@ class _Scheme:
         return g + self.g_zero * v_ext[: self.n]
 
     def hamiltonian(self, v_ext: np.ndarray, upwind: bool = False):
-        """H_h at ``v_ext``, its policy columns and its slopes; ``(0.0, [],
-        None)`` without a gradient term.
+        """H_h = h_coef q^(p/2) at ``v_ext``, its policy columns and its
+        Jacobian entries (arm columns, their slopes, the diagonal slope);
+        ``(0.0, [], ([], [], 0.0))`` without a gradient term.
 
-        Upwind: per upwind slot (rows) m_k = max(d+_k, d-_k, 0) from the
-        one-sided differences (u_arm - u_0) / h_arm on the cut-cell arms,
-        nondecreasing in every u_arm - u_0, so H_h is degenerate elliptic,
-        and H_h = h_coef q^(p/2) with q = sum_k c_k m_k^2.  Its policy is
-        each slot's active arm (0 where m_k = 0, 1 plus, 2 minus); its
-        slopes (m, minus, dH/dq).  Centered: H_h = h_coef <A g, g>^(p/2) on
-        the centered gradient g, with no policy; its slope dH/dg = h_coef p
-        <A g, g>^(p/2 - 1) A g.
+        Upwind: q = sum_k c_k m_k^2, per upwind slot (rows) m_k = max(d+_k,
+        d-_k, 0) from the one-sided differences (u_arm - u_0) / h_arm on the
+        cut-cell arms, nondecreasing in every u_arm - u_0, so H_h is
+        degenerate elliptic.  Its policy is each slot's active arm (0 where
+        m_k = 0, 1 plus, 2 minus), of slope dH/dm_k / h_arm; the diagonal is
+        minus their sum.  Centered: q = <A g, g> on the centered gradient g,
+        with no policy; with s = dH/dg the four axis arms have slopes s g_plus
+        and s g_minus, the diagonal sum s g_zero.
         """
         if not self.ham:
-            return 0.0, [], None
+            return 0.0, [], ([], [], 0.0)
         p = self.h_p
         if upwind:
             diffs = np.take(v_ext, self.up_idx)
             diffs -= v_ext[: self.n]
             diffs *= self.up_inv_h
-            plus, minus = np.split(diffs, 2)
+            plus, minus = diffs
             m = np.maximum(np.maximum(plus, minus), 0.0)
             q = self.up_c @ (m * m)
-            h_vals = self.h_coef * q ** (p / 2.0)
-            minus = minus > plus
-            live = q > 0.0
-            dh_dq = np.zeros(self.n)
-            dh_dq[live] = self.h_coef * p * q[live] ** (p / 2.0 - 1.0)
-            arms = list(np.where(m > 0.0, 1 + minus, 0))
-            return h_vals, arms, (m, minus, dh_dq)
-        g = self.gradient(v_ext)
-        ag = self.A @ g
-        q = (g * ag).sum(axis=0)
+        else:
+            g = self.gradient(v_ext)
+            ag = self.A @ g
+            q = (g * ag).sum(axis=0)
         h_vals = self.h_coef * np.maximum(q, 0.0) ** (p / 2.0)
         live = q > 0.0
         coef = np.zeros(self.n)
         coef[live] = self.h_coef * p * q[live] ** (p / 2.0 - 1.0)
-        return h_vals, [], coef * ag
+        if upwind:
+            on_minus = minus > plus
+            arms = list(np.where(m > 0.0, 1 + on_minus, 0))
+            # dH/dm_k times dm_k/du_arm = 1 / h_arm; dm_k/du_0 = -1 / h_arm
+            arm_inv = np.where(on_minus, self.up_inv_h[1], self.up_inv_h[0])
+            slope = coef * self.up_c[:, None] * m * arm_inv
+            cols = list(np.where(on_minus, self.up_idx[1], self.up_idx[0]))
+            return h_vals, arms, (cols, list(slope), -slope.sum(axis=0))
+        s = coef * ag
+        cols = [*self.g_ip, *self.g_im]
+        slopes = [*(s * self.g_plus), *(s * self.g_minus)]
+        return h_vals, [], (cols, slopes, (s * self.g_zero).sum(axis=0))
 
     def linearize(self, v_ext: np.ndarray, upwind: bool = False) -> _Linearization:
-        """F_h + H_h - f (centered or upwind) with the policy and slopes of
-        ``jacobian``, from one pass of second differences and one of the
-        first-order term: the only evaluation of the scheme.  A term's
+        """F_h + H_h - f (centered or upwind) with the policy and the H_h
+        entries of ``jacobian``, from one pass of second differences and one
+        of the first-order term: the only evaluation of the scheme.  A term's
         active slot is the argmin of a min term, the argmax of a max term."""
-        # the slopes outlive the second differences; allocating them first
-        # kept grid-lens peak RSS 4 MB lower than the other order
-        h_vals, h_cols, slopes = self.hamiltonian(v_ext, upwind)
+        # the H_h entries outlive the second differences; allocating them
+        # first kept grid-lens peak RSS 4 MB lower than the other order
+        h_vals, h_policy, h_entries = self.hamiltonian(v_ext, upwind)
         d2 = self.second_differences(v_ext)
         rows = np.arange(self.n)
         f_h = np.zeros(self.n)
@@ -687,17 +699,16 @@ class _Scheme:
             at = _RULES[rule][1](along, axis=1)
             f_h += w * along[rows, at]
             cols.append(slots[at])
-        policy = np.array(cols + h_cols, dtype=np.int16).reshape(-1, self.n).T
-        return _Linearization(upwind, f_h + h_vals - self.fvals, policy, slopes, h_vals)
+        policy = np.array(cols + h_policy, dtype=np.int16).reshape(-1, self.n).T
+        return _Linearization(f_h + h_vals - self.fvals, policy, h_entries, h_vals)
 
     def jacobian(self, lin: _Linearization):
         """Sparse d(F_h + H_h)/du under the policy of ``lin``.
 
         Each node keeps only the active slot of each operator term, which
         makes this an element of the generalized derivative of the min/max
-        scheme.  The upwind form adds one active arm per slot, the larger
-        one-sided difference (none where m_k = 0).  Arms that
-        end on the boundary slot carry no unknown and are dropped.
+        scheme; H_h's entries, of either form, come as ``lin.h_entries``.
+        Arms that end on the boundary slot carry no unknown and are dropped.
         """
         from scipy.sparse import csr_matrix
 
@@ -706,27 +717,12 @@ class _Scheme:
         cols: list[np.ndarray] = []
         vals: list[np.ndarray] = []
         for k, (_, w, _) in zip(lin.policy.T, self.terms):
-            cp, cm = self.cc_t[k, rows], self.cc_t[k + d, rows]
             cols += [self.idx_t[k, rows], self.idx_t[k + d, rows]]
-            vals += [w * cp, w * cm]
+            vals += [w * self.cc_t[k, rows], w * self.cc_t[k + d, rows]]
             diag -= w * self.c0[k, rows]
-        if lin.slopes is not None and lin.upwind:
-            m, minus, dh_dq = lin.slopes
-            plus_idx, minus_idx = np.split(self.up_idx, 2)
-            plus_inv, minus_inv = np.split(self.up_inv_h, 2)
-            # dH/dm_k times dm_k/du_arm = 1 / h_arm; dm_k/du_0 = -1 / h_arm
-            arm_inv = np.where(minus, minus_inv, plus_inv)
-            slope = dh_dq * self.up_c[:, None] * m * arm_inv
-            cols += list(np.where(minus, minus_idx, plus_idx))
-            vals += list(slope)
-            diag -= slope.sum(axis=0)
-        elif lin.slopes is not None:
-            s = lin.slopes
-            cols += [*self.g_ip, *self.g_im]
-            vals += [*(s * self.g_plus), *(s * self.g_minus)]
-            diag += (s * self.g_zero).sum(axis=0)
-        cols.append(rows)
-        vals.append(diag)
+        h_cols, h_slopes, h_diag = lin.h_entries
+        cols += [*h_cols, rows]
+        vals += [*h_slopes, diag + h_diag]
         r = np.tile(rows, len(cols))
         c = np.concatenate(cols)
         keep = c < n
@@ -736,25 +732,23 @@ class _Scheme:
 
 
 def _resolve_node(grid: Grid2D, node) -> int:
-    if isinstance(node, (int, np.integer)):
-        idx = int(node)
-        if not 0 <= idx < grid.n_nodes:
-            raise ConfigError(f"node index {idx} out of range")
-        return idx
+    if isinstance(node, (int, np.integer)) and not isinstance(node, bool):
+        if not 0 <= node < grid.n_nodes:
+            raise ConfigError(f"node index {node} out of range")
+        return int(node)
     return grid.node_index(node)
 
 
 def _resolve_direction(grid: Grid2D, direction) -> int:
-    if isinstance(direction, (int, np.integer)):
-        k = int(direction)
-        if not 0 <= k < grid.K:
-            raise ConfigError(f"direction slot {k} out of range")
-        return k
-    a, b = int(direction[0]), int(direction[1])
-    for cand in ((a, b), (-a, -b)):
-        if cand in grid.directions:
-            return grid.directions.index(cand)
-    raise ConfigError(f"direction {(a, b)} is not in the stencil fan")
+    if isinstance(direction, (int, np.integer)) and not isinstance(direction, bool):
+        if not 0 <= direction < grid.K:
+            raise ConfigError(f"direction slot {direction} out of range")
+        return int(direction)
+    signed = grid.directions + tuple((-a, -b) for a, b in grid.directions)
+    try:
+        return signed.index(tuple(map(int, direction))) % grid.K
+    except (TypeError, ValueError):
+        raise ConfigError(f"direction {direction!r} not in the stencil fan") from None
 
 
 def discrete_second_difference(u: GridFunction, node, direction) -> float:
@@ -762,8 +756,8 @@ def discrete_second_difference(u: GridFunction, node, direction) -> float:
     scheme's value (``_Scheme.second_differences``) at this node.
 
     Full arms give the uniform (u+ - 2 u0 + u-)/h_v^2; cut arms use the
-    nonuniform weights against the zero boundary value at the (floored)
-    cut point recorded in the grid.
+    nonuniform weights against the zero boundary value at the cut point
+    recorded in the grid.
     """
     grid = u.grid
     i = _resolve_node(grid, node)
@@ -938,8 +932,8 @@ def _newton(
     that fails its test is dropped and the step factors afresh at the same
     iterate.  On the disc the polish factors once or twice and takes 2-4
     chord steps to the stop.  The old factor, J0 and the cached columns go
-    before the next factorization, so one factor is alive at a time.  A Jacobian that factors as exactly singular raises
-    ``log.failure``.
+    before the next factorization, so one factor is alive at a time.  A
+    Jacobian that factors as exactly singular raises ``log.failure``.
     """
     from scipy.sparse.linalg import splu
 

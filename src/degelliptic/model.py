@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Sequence, Union
 
@@ -265,14 +266,16 @@ def _field_values(f, pts: np.ndarray, ndim: int = 0) -> np.ndarray:
     """A field at each point of the stack ``pts`` (one point per row), as an
     array (k, ...) of ``ndim``-dimensional values.
 
-    ``f`` is a number, a constant field, or a callable that is tried once
-    on the whole stack and otherwise called point by point.  A square stack
-    is tried with its last row repeated, so that a point-wise ``x[0]`` on
-    it cannot pass for k values.
+    ``f`` is a real number (not a bool), a constant field, or a callable
+    that is tried once on the whole stack and otherwise called point by
+    point; anything else is a ``ConfigError``.  A square stack is tried with
+    its last row repeated, so a point-wise ``x[0]`` cannot pass for k values.
     """
     k = pts.shape[0]
-    if isinstance(f, (int, float)):
+    if isinstance(f, numbers.Real) and not isinstance(f, bool):
         return np.full(k, float(f))
+    if not callable(f):
+        raise ConfigError(f"a field is a number or a callable, not {f!r}")
     fn = f.fn if isinstance(f, (ScalarField, MatrixField)) else f
     if isinstance(fn, _Constant):
         value = np.asarray(fn.value, dtype=float)

@@ -17,6 +17,7 @@ nothing here re-roots the profile function.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Union
 
@@ -505,7 +506,7 @@ def _auto_oracle(problem: GridProblem) -> Callable:
     params = problem.params
     if len(problem.domain.centers) != 1:
         raise ConfigError("no built-in oracle off the single-ball domain")
-    if not isinstance(problem.f, (int, float)):
+    if not isinstance(problem.f, numbers.Real) or isinstance(problem.f, bool):
         raise ConfigError("no built-in oracle for non-constant forcing")
     fval = float(problem.f)
     if fval == 0.0:

@@ -9,6 +9,8 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -768,14 +770,13 @@ class TestNewtonJacobian:
             disc_h8, operator, ham, upwind=True
         )
 
-        def policy(x):  # larger arm and m_k > 0, per slot and node
-            m, minus, _ = scheme.linearize(x, upwind=True).slopes
-            return np.vstack([minus, m > 0.0])
+        def policy(x):  # active slots and upwind arms (0 where m_k = 0)
+            return scheme.linearize(x, upwind=True).policy
 
         # compare only away from ties: where the policy is the same at both
         # ends of the difference stencil
         nodes = np.all(
-            policy(v + self.EPS * w) == policy(v - self.EPS * w), axis=0
+            policy(v + self.EPS * w) == policy(v - self.EPS * w), axis=1
         )
         assert nodes.sum() >= 0.95 * disc_h8.n_nodes
         assert float(np.max(np.abs(fd - jw)[nodes])) <= 1e-5
@@ -803,7 +804,9 @@ class TestNewtonJacobian:
         for scale in (0.003, 0.03, 0.3):
             v = np.append(rng.normal(scale=scale, size=g.n_nodes), 0.0)
             lin = scheme.linearize(v, upwind)
-            assert lin.upwind == upwind
+            # one column per operator term, then one arm per upwind slot
+            width = len(scheme.terms) + (scheme.up_c.size if upwind else 0)
+            assert lin.policy.shape == (g.n_nodes, width)
             u = GridFunction(grid=g, values=v[:-1])
             for i in range(g.n_nodes):
                 f_h = discrete_operator(operator, u, i)
@@ -1398,6 +1401,38 @@ class TestFactorReuse:
 
 
 class TestSolve:
+    def test_forcing_of_any_real_type_is_a_constant(self, disc_h8):
+        want, _ = solve(BENCH, disc_h8)
+        for f in (np.float32(-1.0), np.int64(-1), Fraction(-1)):
+            got, _ = solve(replace(BENCH, f=f), disc_h8)
+            assert np.array_equal(got.values, want.values), type(f)
+
+    @pytest.mark.parametrize("f", ["abc", None, True], ids=["str", "none", "bool"])
+    def test_forcing_neither_number_nor_callable_refused(self, disc_h8, f):
+        with pytest.raises(ConfigError, match="number or a callable"):
+            solve(replace(BENCH, f=f), disc_h8)
+
+    @pytest.mark.parametrize(
+        "call, match",
+        [
+            (lambda u: SolveControls(tol="1e-5"), "tolerance"),
+            (lambda u: SolveControls(tol=None), "tolerance"),
+            (lambda u: SolveControls(tol=True), "tolerance"),
+            (lambda u: discrete_second_difference(u, 3.0, 0), "point"),
+            (lambda u: discrete_second_difference(u, True, 0), "point"),
+            (lambda u: discrete_second_difference(u, 0, 3.0), "direction"),
+            (lambda u: discrete_second_difference(u, 0, True), "direction"),
+        ],
+        ids=[
+            "tol-str", "tol-none", "tol-bool", "node-float", "node-bool",
+            "direction-float", "direction-bool",
+        ],
+    )
+    def test_entry_points_refuse_non_numbers(self, disc_h4, call, match):
+        u = GridFunction(grid=disc_h4, values=np.zeros(disc_h4.n_nodes))
+        with pytest.raises(ConfigError, match=match):
+            call(u)
+
     def test_wall_time_excludes_scipy_import(self):
         # in a fresh process the first solve's clock starts after scipy has
         # loaded: f = 0 without a gradient term takes zero iterations
@@ -1563,7 +1598,9 @@ class TestSolve:
 
         def singular(self, lin):
             jac = jacobian(self, lin)
-            if lin.upwind == (singular_form == "upwind"):
+            # arm columns follow the operator terms' only in the upwind form
+            upwind = lin.policy.shape[1] > len(self.terms)
+            if upwind == (singular_form == "upwind"):
                 jac = jac.tolil()
                 jac[0, :] = 0.0
             return jac

@@ -1,4 +1,6 @@
 import math
+from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -241,6 +243,22 @@ class TestResidualValidation:
     def test_bad_tolerance(self, model_form):
         with pytest.raises(ConfigError, match="tolerance"):
             residual_check_radial(model_form, MODEL_PROBLEM, (0.5,), tolerance=0.0)
+
+    @pytest.mark.parametrize(
+        "f", [np.int64(-1), np.float32(-1.0), Fraction(-1)],
+        ids=["int64", "float32", "fraction"],
+    )
+    def test_forcing_of_any_real_type_is_a_constant(self, model_form, f):
+        want = residual_check_radial(model_form, MODEL_PROBLEM, (0.2, 0.5, 0.8))
+        got = residual_check_radial(
+            model_form, replace(MODEL_PROBLEM, f=f), (0.2, 0.5, 0.8)
+        )
+        assert np.array_equal(got.residuals, want.residuals)
+
+    @pytest.mark.parametrize("f", ["abc", None, True], ids=["str", "none", "bool"])
+    def test_forcing_neither_number_nor_callable_refused(self, model_form, f):
+        with pytest.raises(ConfigError, match="number or a callable"):
+            residual_check_radial(model_form, replace(MODEL_PROBLEM, f=f), (0.5,))
 
     def test_bad_dimension(self):
         with pytest.raises(ConfigError, match="dimension"):
@@ -655,6 +673,19 @@ class TestConvergenceStudy:
         assert errors[1] <= 0.009
         assert math.isnan(table.rows[0].order)
         assert table.rows[1].order > 0.0
+
+    def test_numpy_scalar_forcing_gets_the_radial_oracle(self):
+        # a float32 forcing is the constant -1, not a non-constant field
+        problem = GridProblem(
+            operator=CoefficientLambdaN(ScalarField.constant(2.0)),
+            hamiltonian=PowerNorm(1.0, 2.0),
+            params=MODEL,
+            domain=DISC,
+            f=-1.0,
+        )
+        want = convergence_study(problem, [1 / 8])
+        got = convergence_study(replace(problem, f=np.float32(-1.0)), [1 / 8])
+        assert [row.error for row in got.rows] == [row.error for row in want.rows]
 
     def test_sublinear_benchmark_against_callable_oracle(self):
         # lambda_1(D^2 u) = -r/2 on the unit disc has u = (1 - r^3)/12
