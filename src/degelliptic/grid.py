@@ -36,49 +36,38 @@ and t -> t^p is convex and nondecreasing on t >= 0 for p >= 1: the upwind
 H_h is convex in u, and with an F_h of max terms (or a linear one) so is
 the upwind residual.
 
-The solver takes semismooth Newton steps (policy iteration, after
-Bokanowski, Maroso & Zidani 2009): each step fixes every node's active slot
-in each operator term (the argmin of a min term, the argmax of a max term)
-and the active arm of each upwind slot, adds the exact slope of the
-gradient term, and solves the assembled sparse linear system.  One pass
-over the iterate (``_Scheme.linearize``) gives the residual, those choices
-and the gradient term's Jacobian entries, in one layout for both forms
-(``_Scheme.hamiltonian``), and the Jacobian is assembled from that record.
-Newton first steps on the upwind form from the initial iterate, down to
-the gap between the two gradient forms, then polishes on the centered form
-from the best upwind iterate; the result solves the centered scheme.  The
-initial iterate is the paper's barrier: with a gradient term the
-supersolution, the first-zero radial profile at the forcing magnitude,
-which is the exact solution on a disc; without one the paraboloid envelope
-(m / 2 beta)(R^2 - max_y |x - y|^2), which exists on every domain.  On the
-unit disc this takes 1-2 upwind and 4-5 polish steps from h = 1/16 to 1/64,
-2-4 of all steps factored (7-12 upwind steps from zero, where every fan
-direction ties).  There is no fallback: a polish that misses the stop
-residual within its step budget (``_step_budget``, the longer side of the
-lattice box, per stage), or a Jacobian that factors as singular, ends the
-solve with ``NumericError`` (``_StepLog.failure``).
+The solver works on the accurate form F_A of Froese & Oberman (SIAM J.
+Numer. Anal. 49, 2011 and 51, 2013), not on the fan.  Its Hessian is the
+nine-point X_h = [[D_x, u_xy], [u_xy, D_y]], with D_x, D_y, D_(1,1) and
+D_(-1,1) the second differences at the axis and diagonal slots
+(``_split_slots``), cut-cell arms included, and u_xy = (D_(1,1) -
+D_(-1,1)) / 2.  A term over the whole fan reads lambda_max (a max term) or
+lambda_min (a min term) of X_h in place of its scan; a single-slot term
+(``LinearDegenerate``) is already linear on those slots and stays as it is.
+The first-order term is the centered H_h.  F_A + H_h - f has no policy and
+no fan, so its solution does not depend on K (``_Scheme.accurate``); it is
+second-order accurate but not monotone, so it has no discrete comparison
+principle.  The fan scheme, in either gradient form, stays as the monotone
+scheme (``_Scheme.linearize``, ``_Scheme.jacobian``, ``discrete_operator``,
+``sweep``).
+
+`solve` takes full Newton steps on F_A + H_h - f from the paper's barrier:
+with a gradient term the supersolution, the first-zero radial profile at
+the forcing magnitude, which is the exact solution on a disc; without one
+the paraboloid envelope (m / 2 beta)(R^2 - max_y |x - y|^2), which exists
+on every domain.  The unit disc takes 3 steps from h = 1/16 to 1/64 and
+the benchmark lenses 7-8 at h = 1/64, each step factored.  There is no
+fallback: a non-finite residual, a Jacobian that factors as singular, or a
+stop residual not met within ``_step_budget`` steps ends the solve with
+``NumericError`` (``_StepLog.failure``).
 
 Each Newton system is factored by SuperLU in symmetric mode: a minimum
 degree order of J + J^T, with the diagonal pivot kept wherever it is at
 least 0.1 of the largest entry in its column, and a row exchange where it
 is not.  Partial pivoting would exchange rows throughout and undo the
-symmetric fill-reducing order.  The threshold also exchanges rows on the
-upwind form, although a degenerate elliptic scheme has an M-matrix
-Jacobian (nonnegative off-diagonal slopes, weakly dominant negative
-diagonal) and LU without row exchanges is stable for M-matrices: on the
-unit disc at h = 1/64, K = 16 the two upwind factors exchange rows in 44
-and 35 columns, where threshold 0 would exchange none and cut their
-L + U entries from 863,767 to 735,740 and from 946,896 to 759,484.  The
-centered first-order term breaks the M-matrix sign pattern, so the polish
-Jacobians are not M-matrices, and there the threshold lets SuperLU pivot
-off the diagonal where a pivot is too small.  With a gradient term every
-upwind step factors afresh; any other step may instead reuse the last
-factor with a low-rank update of the rows whose policy moved: exactly when
-the residual elsewhere is below the stop, otherwise as a chord step of
-modified Newton that must halve the residual (see ``_newton``).  Without a
-gradient term a row is fixed by its policy, so the update restores the
-current Jacobian.  On the disc the polish factors once or twice and then
-takes chord steps to the stop.
+symmetric fill-reducing order.  F_A's Jacobian is not an M-matrix (the
+u_xy slopes and the centered gradient slopes take either sign), so the
+threshold lets SuperLU pivot off the diagonal where a pivot is too small.
 """
 
 from __future__ import annotations
@@ -304,10 +293,9 @@ def build_grid(domain: ConvexDomain, h: float, K: int) -> Grid2D:
 
 
 def _step_budget(grid: Grid2D) -> int:
-    """Newton steps per stage: the longer side of the lattice box.  A policy
-    front moves about one lattice row per step; the anisotropic lens takes
-    10 + 16 steps of 171 at h = 1/64 and 16 + 42 of 337 at h = 1/128.  Chord
-    steps count: the disc polish at h = 1/8 takes 5 of 19, one factored."""
+    """Newton steps per solve: the longer side of the lattice box, far above
+    the steps that F_A takes from the barrier (the anisotropic lens takes 8
+    of 171 at h = 1/64 and 8 of 337 at h = 1/128)."""
     return max(grid.mask.shape)
 
 
@@ -424,26 +412,22 @@ class SolveControls:
         number = isinstance(tol, numbers.Real) and not isinstance(tol, bool)
         if not (number and 0.0 < tol < math.inf):
             raise ConfigError("tolerance must be a positive number")
+        # a numpy scalar would carry its precision into the stop residual
+        object.__setattr__(self, "tol", float(tol))
 
 
 @dataclass(frozen=True)
 class SolveReport:
-    """``upwind_steps`` counts the Newton steps of the upwind stage; the
-    polish took ``iterations - upwind_steps``.  ``factorizations`` counts
-    the LU factorizations of the Newton steps, and ``policy_changes`` per
-    step the nodes whose active policy it changed.  ``form_gap`` is the gap
-    at which the upwind stage handed over (see `solve`).  A failed solve
-    raises ``NumericError`` whose diagnostics hold the same counts
+    """``iterations`` counts the Newton steps, each one factored;
+    ``residual_norm`` is max |F_A + H_h - f| at the solution, at most
+    ``stop_residual``.  A failed solve raises ``NumericError`` whose
+    diagnostics hold the steps and the residual history
     (``_StepLog.failure``)."""
 
     iterations: int
-    upwind_steps: int
-    factorizations: int
-    policy_changes: tuple[int, ...]
     residual_norm: float
     wall_time: float
     stop_residual: float
-    form_gap: float
 
 
 def _field_on_nodes(f: ForcingLike, pts: np.ndarray, what: str) -> np.ndarray:
@@ -507,7 +491,7 @@ def _operator_terms(spec: OperatorSpec, grid: Grid2D, xy: np.ndarray) -> list:
 
 @dataclass(frozen=True, eq=False)
 class _Linearization:
-    """F_h + H_h - f at one Newton iterate (``_Scheme.linearize``).
+    """F_h + H_h - f of the fan scheme at one iterate (``_Scheme.linearize``).
 
     ``policy`` has one row per node: the active slot of each operator term,
     then the gradient term's choices.  Nodes with equal rows at two iterates
@@ -520,9 +504,25 @@ class _Linearization:
     h_vals: float | np.ndarray
 
 
+def _assemble(n: int, cols, slopes, diag: np.ndarray):
+    """The sparse n x n matrix with ``slopes[k][i]`` at (i, ``cols[k][i]``)
+    and ``diag`` on the diagonal, entries at one position summed.  Arms that
+    end on the boundary slot (column n) carry no unknown and are dropped."""
+    from scipy.sparse import csr_matrix
+
+    rows = np.arange(n)
+    r = np.tile(rows, len(cols) + 1)
+    c = np.concatenate([*cols, rows])
+    keep = c < n
+    return csr_matrix(
+        (np.concatenate([*slopes, diag])[keep], (r[keep], c[keep])), shape=(n, n)
+    )
+
+
 class _Scheme:
-    """Precomputed discretization of F_h + H_h - f on one grid: F_h from
-    the ``terms`` table, H_h from (A, h_coef, h_p) alone."""
+    """Precomputed discretization on one grid of the fan scheme F_h + H_h -
+    f and of the accurate F_A + H_h - f: both read the ``terms`` table, and
+    H_h comes from (A, h_coef, h_p) alone."""
 
     def __init__(self, problem: GridProblem, grid: Grid2D):
         if problem.domain != grid.domain:
@@ -685,8 +685,9 @@ class _Scheme:
     def linearize(self, v_ext: np.ndarray, upwind: bool = False) -> _Linearization:
         """F_h + H_h - f (centered or upwind) with the policy and the H_h
         entries of ``jacobian``, from one pass of second differences and one
-        of the first-order term: the only evaluation of the scheme.  A term's
-        active slot is the argmin of a min term, the argmax of a max term."""
+        of the first-order term: the only evaluation of the fan scheme.  A
+        term's active slot is the argmin of a min term, the argmax of a max
+        term."""
         # the H_h entries outlive the second differences; allocating them
         # first kept grid-lens peak RSS 4 MB lower than the other order
         h_vals, h_policy, h_entries = self.hamiltonian(v_ext, upwind)
@@ -708,10 +709,7 @@ class _Scheme:
         Each node keeps only the active slot of each operator term, which
         makes this an element of the generalized derivative of the min/max
         scheme; H_h's entries, of either form, come as ``lin.h_entries``.
-        Arms that end on the boundary slot carry no unknown and are dropped.
         """
-        from scipy.sparse import csr_matrix
-
         n, d, rows = self.n, self.d, np.arange(self.n)
         diag = np.zeros(n)
         cols: list[np.ndarray] = []
@@ -721,14 +719,56 @@ class _Scheme:
             vals += [w * self.cc_t[k, rows], w * self.cc_t[k + d, rows]]
             diag -= w * self.c0[k, rows]
         h_cols, h_slopes, h_diag = lin.h_entries
-        cols += [*h_cols, rows]
-        vals += [*h_slopes, diag + h_diag]
-        r = np.tile(rows, len(cols))
-        c = np.concatenate(cols)
-        keep = c < n
-        return csr_matrix(
-            (np.concatenate(vals)[keep], (r[keep], c[keep])), shape=(n, n)
-        )
+        return _assemble(n, cols + h_cols, vals + h_slopes, diag + h_diag)
+
+    def accurate(self, v_ext: np.ndarray) -> tuple[np.ndarray, tuple]:
+        """F_A + H_h - f at ``v_ext``, H_h centered, and its Jacobian entries,
+        H_h's included, in the layout of ``_Scheme.hamiltonian`` (arm
+        columns, their slopes, the diagonal slope) that ``_assemble`` takes.
+
+        X_h is built from D = (D_x, D_y, D_(1,1), D_(-1,1)), the second
+        differences at the ``_split_slots``.  A fan term is w lambda_max (a
+        max term) or w lambda_min (a min term) of X_h, (D_x + D_y)/2 +- r
+        with r = hypot((D_x - D_y)/2, u_xy).  Its slopes on D are w (c^2,
+        s^2, c s, -c s) with (c, s) = (cos t, sin t), t = atan2(2 u_xy, D_x -
+        D_y) / 2, the unit eigenvector of lambda_max, and that vector turned
+        by 90 degrees for lambda_min; they are written through cos 2t and
+        sin 2t, with t = 0 where X_h is a multiple of I.  A single-slot term
+        is w times the second difference at its slot.
+        """
+        # the H_h entries outlive the second differences, as in ``linearize``
+        h_vals, _, (_, h_slopes, h_diag) = self.hamiltonian(v_ext)
+        n, slots = self.n, _split_slots(self.grid)
+        arms = np.concatenate([slots, slots + self.d])
+        parts = np.take(v_ext, self.idx_t[arms])
+        parts -= v_ext[:n]
+        parts *= self.cc_t[arms]
+        dd = parts[:4] + parts[4:]  # D_x, D_y, D_(1,1), D_(-1,1)
+        half = (dd[0] - dd[1]) / 2.0
+        uxy = (dd[2] - dd[3]) / 2.0
+        r = np.hypot(half, uxy)
+        live = r > 0.0
+        cos2 = np.divide(half, r, out=np.ones(n), where=live)
+        sin2 = np.divide(uxy, r, out=np.zeros(n), where=live)
+        f_a = np.zeros(n)
+        weights = np.zeros((4, n))  # dF_A/dD, row by row
+        for term_slots, w, rule in self.terms:
+            if term_slots.size == 1:
+                j = slots.tolist().index(term_slots[0])
+                f_a += w * dd[j]
+                weights[j] += w
+                continue
+            sign = 1.0 if rule == "max" else -1.0
+            f_a += w * ((dd[0] + dd[1]) / 2.0 + sign * r)
+            c, s = sign * cos2, sign * sin2
+            weights += (w / 2.0) * np.stack([1.0 + c, 1.0 - c, s, -s])
+        slopes = np.concatenate([weights, weights]) * self.cc_t[arms]
+        if self.ham:
+            # the centered gradient's arms g_ip, g_im are the axis arms, rows
+            # 0, 1 (plus) and 4, 5 (minus) here: its slopes join theirs
+            slopes[[0, 1, 4, 5]] += h_slopes
+        diag = h_diag - (weights * self.c0[slots]).sum(axis=0)
+        return f_a + h_vals - self.fvals, (self.idx_t[arms], slopes, diag)
 
 
 def _resolve_node(grid: Grid2D, node) -> int:
@@ -746,7 +786,8 @@ def _resolve_direction(grid: Grid2D, direction) -> int:
         return int(direction)
     signed = grid.directions + tuple((-a, -b) for a, b in grid.directions)
     try:
-        return signed.index(tuple(map(int, direction))) % grid.K
+        # integer components of any type; a float such as 1.5 is refused
+        return signed.index(tuple(map(operator.index, direction))) % grid.K
     except (TypeError, ValueError):
         raise ConfigError(f"direction {direction!r} not in the stencil fan") from None
 
@@ -806,204 +847,76 @@ def _initial_values(problem: GridProblem, grid: Grid2D, scheme):
 
 
 class _StepLog:
-    """Over the stages of one solve: the nodes whose policy each Newton step
-    changed (so the step count is ``len(policy_changes)``), the residual
-    history (each stage's start residual, then one per step), the
-    factorizations, the upwind steps (None until that stage ends), the best
-    residual of the current stage and the last form gap (see ``_newton``)."""
+    """The max residual of one solve's start and of each Newton iterate."""
 
     def __init__(self):
-        self.policy_changes: list[int] = []
         self.history: list[float] = []
-        self.factorizations = 0
-        self.upwind_steps: int | None = None
-        self.residual = math.inf
-        self.form_gap = 0.0
+
+    @property
+    def iterations(self) -> int:
+        return len(self.history) - 1
 
     def failure(self, message: str) -> NumericError:
-        """``message`` as a ``NumericError`` with this log as diagnostics."""
+        """``message`` as a ``NumericError`` with this log as diagnostics;
+        ``residual`` is the last iterate's."""
         return NumericError(
             message,
             diagnostics={
-                "iterations": len(self.policy_changes),
-                "factorizations": self.factorizations,
-                "upwind_steps": self.upwind_steps,
-                "residual": self.residual,
+                "iterations": self.iterations,
+                "residual": self.history[-1],
                 "residual_history": self.history,
-                "policy_changes": self.policy_changes,
-                "form_gap": self.form_gap,
             },
         )
 
 
-# a chord step (on the last factor, with the residual above the stop outside
-# the changed rows) must cut the max residual by this ratio, as must the step
-# before it: Kelley's rule for modified Newton (nsol, SIAM 2003)
-_CHORD_RATIO = 0.5
-
-
-def _reuse_rows(lu, policy0, policy, resid, stop, halved):
-    """``(rows, exact)`` when the next step may reuse the last factor, rows
-    the nodes whose policy differs from the factored Jacobian's; otherwise
-    None.
-
-    The step is exact when every node with |residual| > ``stop`` is among
-    the rows, so the policy alone limits the step and the rest is solved to
-    the stop.  Otherwise it is a chord step, tried only when the step before
-    it ``halved`` the max residual.  Either needs at most ``lu.nnz // (2 n)``
-    rows: about that many triangular solves cost one factorization.
-    """
-    if lu is None:
-        return None
-    rows = np.flatnonzero((policy != policy0).any(axis=1))
-    if rows.size > lu.nnz // (2 * resid.size):
-        return None
-    outside = np.abs(resid) > stop
-    outside[rows] = False
-    exact = not outside.any()
-    return (rows, exact) if exact or halved else None
-
-
-def _row_update_solve(lu, jac0, jac, rows, rhs, cols):
-    """Solve J x = rhs, where J is ``jac0`` with its rows ``rows`` replaced by
-    those of ``jac``, from ``lu``, the factor of ``jac0``.
-
-    J = jac0 + E D with E the unit columns of ``rows`` and D = (jac -
-    jac0)[rows], so by the Woodbury identity (Hager, SIAM Review 31, 1989)
-    x = y - Z (I + D Z)^-1 D y with y = jac0^-1 rhs and Z = jac0^-1 E.
-    ``cols`` caches the columns of Z by node, one single right-hand-side
-    solve each, for the steps that share ``lu``.  A singular J gives NaN.
-    With no ``rows`` this is ``lu.solve(rhs)``, and ``jac`` is not read.
-    """
-    y = lu.solve(rhs)
-    if not rows.size:
-        return y
-    for i in rows.tolist():
-        if i not in cols:
-            unit = np.zeros(rhs.size)
-            unit[i] = 1.0
-            cols[i] = lu.solve(unit)
-    z = [cols[i] for i in rows.tolist()]
-    d = jac[rows] - jac0[rows]
-    capacitance = np.eye(rows.size) + np.column_stack([d @ zi for zi in z])
-    try:
-        weights = np.linalg.solve(capacitance, d @ y)
-    except np.linalg.LinAlgError:  # J is singular
-        return np.full(rhs.size, np.nan)
-    for wi, zi in zip(weights, z):
-        y -= wi * zi
-    return y
-
-
 def _newton(
-    scheme: _Scheme,
-    v_ext: np.ndarray,
-    stop: float,
-    upwind: bool,
-    log: _StepLog,
-    hand_over: bool = False,
-) -> tuple[np.ndarray, float]:
-    """Semismooth Newton (policy-iteration) steps on one form of the scheme,
-    at most ``_step_budget`` of them past the steps already in ``log``.
+    scheme: _Scheme, v_ext: np.ndarray, stop: float, log: _StepLog
+) -> np.ndarray:
+    """Full Newton steps on F_A + H_h - f (``_Scheme.accurate``) from
+    ``v_ext``, updated in place, until the max residual is at most ``stop``.
 
-    Returns the iterate with the smallest residual seen, the start included,
-    and that residual, kept in ``log.residual``.  ``log`` gets the start
-    residual, and per step the residual after it and its policy changes,
-    and the factorizations.  Reaching ``stop`` ends the stage; so does a
-    non-finite residual, which the caller reports.  With ``hand_over`` so
-    does a residual at or below the form gap at the iterate (see `solve`),
-    kept in ``log.form_gap``.
-
-    Each iterate is linearized once (``_Scheme.linearize``); its residual,
-    policy, form gap and any step's Jacobian come from that record, and the
-    factored iterate keeps only its policy.  A step factors its Jacobian
-    with symmetric-mode SuperLU (see the module docstring).  With a
-    gradient term every upwind step does, as exact steps on that monotone
-    convex form rise from the barrier to the discrete solution while a
-    stale Jacobian may overshoot it.  Any other step may instead, when
-    ``_reuse_rows`` allows, solve with the last factored Jacobian J0 after
-    its rows at the nodes whose policy changed are replaced by the current
-    ones (``_row_update_solve``).  J0's other rows differ only in gradient
-    slopes, so without a gradient term that is the current Jacobian.
-    Where the residual at J0's other rows is below the stop the step is
-    exact and must lower the max residual.  Otherwise it is a chord step
-    of modified Newton (Kelley, SIAM 2003), tried only right after a step
-    that halved the max residual, and it must halve it too.  A reused step
-    that fails its test is dropped and the step factors afresh at the same
-    iterate.  On the disc the polish factors once or twice and takes 2-4
-    chord steps to the stop.  The old factor, J0 and the cached columns go
-    before the next factorization, so one factor is alive at a time.  A
-    Jacobian that factors as exactly singular raises ``log.failure``.
+    ``log`` gets the start residual and one per step.  Each step factors its
+    Jacobian with symmetric-mode SuperLU (see the module docstring); the
+    Jacobian goes once it is factored and the factor once its step is
+    solved, so one factor and one iterate are alive at a time.  A step may
+    raise the residual: there is no line search.  A non-finite residual, a
+    Jacobian that factors as exactly singular, or ``_step_budget`` steps
+    without reaching ``stop`` raise ``log.failure``.
     """
     from scipy.sparse.linalg import splu
 
     n = scheme.n
-    cap = len(log.policy_changes) + _step_budget(scheme.grid)
-    lin = scheme.linearize(v_ext, upwind)
-    rmax = float(np.max(np.abs(lin.resid)))
-    log.history.append(rmax)
-    best, log.residual = v_ext, rmax
-    lu = jac0 = policy0 = None
-    halved = False
-    cols: dict[int, np.ndarray] = {}
-
-    def advance(du):
-        trial = np.append(v_ext[:n] + du, 0.0)
+    budget = _step_budget(scheme.grid)
+    resid, entries = scheme.accurate(v_ext)
+    log.history.append(float(np.max(np.abs(resid))))
+    while not log.history[-1] <= stop:
+        if not math.isfinite(log.history[-1]):
+            raise log.failure("iteration blew up (non-finite residual)")
+        if log.iterations == budget:
+            raise log.failure(
+                f"no convergence within {budget} iterations"
+                f" (residual {log.history[-1]:.3e}, target {stop:.3e})"
+            )
+        jac = _assemble(n, *entries).tocsc()
+        del entries
+        try:
+            lu = splu(
+                jac,
+                permc_spec="MMD_AT_PLUS_A",
+                diag_pivot_thresh=0.1,
+                options=dict(SymmetricMode=True),
+            )
+        except RuntimeError as exc:
+            raise log.failure(
+                f"singular Newton Jacobian at step {log.iterations + 1} ({exc})"
+            ) from exc
+        del jac
+        v_ext[:n] += lu.solve(-resid)
+        del lu
         with np.errstate(all="ignore"):
-            return trial, scheme.linearize(trial, upwind)
-
-    def target():
-        if not hand_over:
-            return stop
-        with np.errstate(all="ignore"):
-            gap = lin.h_vals - scheme.hamiltonian(v_ext)[0]
-        log.form_gap = float(np.max(np.abs(gap)))
-        return max(stop, log.form_gap)
-
-    while math.isfinite(rmax) and rmax > target() and len(log.policy_changes) < cap:
-        step = None
-        # an upwind step with a gradient term factors afresh; without one a
-        # row is fixed by its policy, so the row update is a Newton step
-        reuse = None if upwind and scheme.ham else _reuse_rows(
-            lu, policy0, lin.policy, lin.resid, stop, halved
-        )
-        if reuse is not None:
-            rows, exact = reuse
-            jac = scheme.jacobian(lin) if rows.size else None
-            du = _row_update_solve(lu, jac0, jac, rows, -lin.resid, cols)
-            del jac
-            step = advance(du)
-            # an exact step must lower the residual, a chord step at least
-            # halve it (a NaN one does neither)
-            r_new = float(np.max(np.abs(step[1].resid)))
-            if not (r_new < rmax if exact else r_new <= _CHORD_RATIO * rmax):
-                step = None
-        if step is None:
-            lu = jac0 = None
-            cols.clear()
-            jac0, policy0 = scheme.jacobian(lin), lin.policy
-            try:
-                lu = splu(
-                    jac0.tocsc(),
-                    permc_spec="MMD_AT_PLUS_A",
-                    diag_pivot_thresh=0.1,
-                    options=dict(SymmetricMode=True),
-                )
-            except RuntimeError as exc:
-                raise log.failure(
-                    f"singular Newton Jacobian at step"
-                    f" {len(log.policy_changes) + 1} ({exc})"
-                ) from exc
-            log.factorizations += 1
-            step = advance(lu.solve(-lin.resid))
-        log.policy_changes.append(int((step[1].policy != lin.policy).any(axis=1).sum()))
-        v_ext, lin = step
-        last, rmax = rmax, float(np.max(np.abs(lin.resid)))
-        halved = rmax <= _CHORD_RATIO * last
-        log.history.append(rmax)
-        if rmax < log.residual:
-            best, log.residual = v_ext, rmax
-    return best, log.residual
+            resid, entries = scheme.accurate(v_ext)
+        log.history.append(float(np.max(np.abs(resid))))
+    return v_ext
 
 
 def solve(
@@ -1011,62 +924,33 @@ def solve(
     grid: Grid2D,
     controls: SolveControls | None = None,
 ) -> tuple[GridFunction, SolveReport]:
-    """Solve to the discrete solution; stop when the residual max-norm falls
-    below tol*(1 + sup|f|).
+    """Solve F_A + H_h = f to the stop residual tol*(1 + sup|f|) in the max
+    norm, by full Newton steps (``_newton``) from the barrier start.
 
-    Semismooth Newton (policy iteration) steps in two stages, each capped
-    at ``_step_budget`` steps.  The first works on the upwind form of the
-    first-order term, which is degenerate elliptic, from the barrier start.
-    It only picks the centered solution and starts the polish close to it,
-    so it hands over at the larger of the stop and the form gap max
-    |H_h^upwind - H_h^centered| at its iterate (0 without a gradient term),
-    by which the centered residual differs from its own.  The second (the
-    polish) works on the centered form from the best upwind iterate, so the
-    result solves the centered scheme.  ``iterations`` counts the steps of
-    both stages; ``upwind_steps`` is the upwind stage's share.  A blow-up,
-    a singular Jacobian or an unmet stop raises ``_StepLog.failure``.  The
-    scheme set-up admits the envelope (``_Scheme._setup_hamiltonian``); with
-    a gradient term the barrier start refuses a radius above the existence
-    threshold at m_eff (``_initial_values``).
+    A blow-up, a singular Jacobian or an unmet stop within ``_step_budget``
+    steps raises ``_StepLog.failure``.  The scheme set-up admits the
+    envelope (``_Scheme._setup_hamiltonian``); with a gradient term the
+    barrier start refuses a radius above the existence threshold at m_eff
+    (``_initial_values``).
     """
     controls = controls or SolveControls()
     scheme = _Scheme(problem, grid)
     stop = controls.tol * (1.0 + scheme.f_sup)
-    n = grid.n_nodes
-    v_ext = np.zeros(n + 1)
-    v_ext[:n] = _initial_values(problem, grid, scheme)
+    v_ext = np.append(_initial_values(problem, grid, scheme), 0.0)
 
     # the first solve in a process would otherwise time scipy's import
     import scipy.sparse.linalg  # noqa: F401
 
     start = time.perf_counter()
     log = _StepLog()
-    v_ext, rmax = _newton(scheme, v_ext, stop, True, log, hand_over=True)
-    log.upwind_steps = len(log.policy_changes)
-    if math.isfinite(log.history[-1]):
-        v_ext, rmax = _newton(scheme, v_ext, stop, False, log)
-    iterations = len(log.policy_changes)
-    if not math.isfinite(log.history[-1]):
-        raise log.failure("iteration blew up (non-finite residual)")
-    if rmax > stop:
-        raise log.failure(
-            f"no convergence within {iterations} iterations"
-            f" (residual {rmax:.3e}, target {stop:.3e})"
-        )
-    wall = time.perf_counter() - start
-
-    result = GridFunction(grid=grid, values=v_ext[:n])
+    v_ext = _newton(scheme, v_ext, stop, log)
     report = SolveReport(
-        iterations=iterations,
-        upwind_steps=log.upwind_steps,
-        factorizations=log.factorizations,
-        policy_changes=tuple(log.policy_changes),
-        residual_norm=rmax,
-        wall_time=wall,
+        iterations=log.iterations,
+        residual_norm=log.history[-1],
+        wall_time=time.perf_counter() - start,
         stop_residual=stop,
-        form_gap=log.form_gap,
     )
-    return result, report
+    return GridFunction(grid=grid, values=v_ext[: grid.n_nodes]), report
 
 
 def sweep(
@@ -1077,8 +961,8 @@ def sweep(
     steps: int = 1,
 ) -> np.ndarray:
     """Apply ``steps`` simultaneous updates u <- u + tau (F_h[u] + H_h[u] - f)
-    on the centered form; the scheme set-up and residual probes of
-    ``perfbench/run.py`` call it with ``tau = 0``."""
+    on the fan scheme with the centered H_h; the scheme set-up and residual
+    probes of ``perfbench/run.py`` call it with ``tau = 0``."""
     v_ext = GridFunction(grid=grid, values=values).extended()
     try:
         # a float or bool steps and a str or None tau are refused
@@ -1095,9 +979,10 @@ def sweep(
 
 
 def residual_norm(problem: GridProblem, u: GridFunction) -> float:
-    """max over in-domain nodes of |F_h[u] + H_h[u] - f|."""
+    """max over in-domain nodes of |F_A[u] + H_h[u] - f|, the residual that
+    `solve` drives below its stop."""
     scheme = _Scheme(problem, u.grid)
-    return float(np.max(np.abs(scheme.linearize(u.extended()).resid)))
+    return float(np.max(np.abs(scheme.accurate(u.extended())[0])))
 
 
 def solution_to_csv(u: GridFunction, path) -> None:
@@ -1112,12 +997,8 @@ def solution_to_csv(u: GridFunction, path) -> None:
 def report_to_text(report: SolveReport) -> str:
     lines = [
         f"iterations: {report.iterations}",
-        f"upwind_steps: {report.upwind_steps}",
-        f"factorizations: {report.factorizations}",
-        "policy_changes: " + " ".join(map(str, report.policy_changes)),
         f"residual_norm: {report.residual_norm:.17g}",
         f"stop_residual: {report.stop_residual:.17g}",
-        f"form_gap: {report.form_gap:.17g}",
         f"wall_time_s: {report.wall_time:.3f}",
     ]
     return "\n".join(lines) + "\n"

@@ -7,8 +7,8 @@ independently (see the derivations referenced in tests/test_radial.py and
 tests/test_verify.py).
 
 Criterion 9 performs three full grid solves with Newton steps on the
-assembled stencil (about 0.3 s for the h = 1/64 solve, 1 upwind and 4
-polish steps of which 3 factor, on a 2-CPU machine).
+assembled stencil (about 0.2 s for the h = 1/64 solve, 3 Newton steps,
+each factored, on a 2-CPU machine).
 """
 
 import math
