@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._args import integer, real
 from ._table import write_csv
 from .errors import ConfigError, DomainViolationError, NumericError
 from .model import ConvexDomain, Params
@@ -63,8 +63,7 @@ class BarrierField:
 def build_supersolution(domain: ConvexDomain, params: Params, M: float) -> BarrierField:
     """Nonnegative barrier from above: inf over centers of the first-zero
     radial solution at forcing magnitude M (zero field when M = 0)."""
-    if M < 0.0 or not math.isfinite(M):
-        raise ConfigError("forcing magnitude M must be finite and >= 0")
+    M = real(M, "forcing magnitude M", ge=0)
     check_threshold(dataclasses.replace(params, M=M), domain.radius)
     return BarrierField(domain=domain, kind="Super", params=params, forcing_norm=M)
 
@@ -72,8 +71,7 @@ def build_supersolution(domain: ConvexDomain, params: Params, M: float) -> Barri
 def build_subsolution(domain: ConvexDomain, params: Params, K: float) -> BarrierField:
     """Nonpositive barrier from below: envelope of the paraboloids
     (K / 2 beta)(|x - y|^2 - R^2)."""
-    if K < 0.0 or not math.isfinite(K):
-        raise ConfigError("paraboloid coefficient K must be finite and >= 0")
+    K = real(K, "paraboloid coefficient K", ge=0)
     return BarrierField(domain=domain, kind="Sub", params=params, forcing_norm=K)
 
 
@@ -108,8 +106,7 @@ def sample_boundary(domain: ConvexDomain, count: int = 512) -> np.ndarray:
     """
     if domain.dim != 2:
         raise ConfigError("boundary sampling implemented for planar domains")
-    if count < 1:
-        raise ConfigError("need a positive sample count")
+    count = integer(count, "sample count", ge=1)
     centers = domain.center_array()
     per_ball = 256
     for _ in range(16):
@@ -130,16 +127,10 @@ def sample_boundary(domain: ConvexDomain, count: int = 512) -> np.ndarray:
 def barrier_to_csv(field: BarrierField, path, resolution: int = 64) -> None:
     """Lattice sample of the barrier over the domain, columns x, y, value.
 
-    A ``resolution`` that is not an integer >= 0, or a lattice with no point
-    in the domain, is refused (``ConfigError``)."""
+    A lattice with no point in the domain is refused (``ConfigError``)."""
     if field.domain.dim != 2:
         raise ConfigError("CSV export implemented for planar domains")
-    try:
-        resolution = operator.index(resolution)  # a float such as 8.0 is refused
-    except TypeError:
-        resolution = -1
-    if resolution < 0:
-        raise ConfigError("resolution must be an integer >= 0")
+    resolution = integer(resolution, "resolution", ge=0)
     centers = field.domain.center_array()
     R = field.domain.radius
     lo = centers.min(axis=0) - R

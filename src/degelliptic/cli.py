@@ -277,12 +277,6 @@ def _hamiltonian_from(cfg: RunConfig):
     raise ConfigError(f"unknown gradient term {name!r}")
 
 
-def _domain_from(cfg: RunConfig) -> ConvexDomain:
-    if not cfg.centers:
-        raise ConfigError("domain needs at least one center")
-    return ConvexDomain(radius=cfg.radius, centers=cfg.centers)
-
-
 def _verify_problem(cfg: RunConfig) -> VerifyProblem:
     return VerifyProblem(
         operator=_operator_from(cfg),
@@ -299,7 +293,7 @@ def _grid_problem(cfg: RunConfig) -> GridProblem:
         operator=_operator_from(cfg),
         hamiltonian=_hamiltonian_from(cfg),
         params=cfg.params,
-        domain=_domain_from(cfg),
+        domain=ConvexDomain(radius=cfg.radius, centers=cfg.centers),
         f=cfg.f,
     )
 
@@ -402,7 +396,7 @@ def cmd_explicit(cfg: RunConfig):
 
 
 def cmd_barrier(cfg: RunConfig):
-    domain = _domain_from(cfg)
+    domain = ConvexDomain(radius=cfg.radius, centers=cfg.centers)
     upper = build_supersolution(domain, cfg.params, cfg.upper_m)
     lower = build_subsolution(domain, cfg.params, cfg.lower_k)
     grid = build_grid(domain, cfg.h, cfg.K)

@@ -73,14 +73,13 @@ threshold lets SuperLU pivot off the diagonal where a pivot is too small.
 from __future__ import annotations
 
 import math
-import numbers
-import operator
 import time
 from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np
 
+from ._args import integer, real
 from ._table import write_csv
 from .barriers import build_subsolution, build_supersolution, evaluate_barrier
 from .errors import (
@@ -178,7 +177,7 @@ class Grid2D:
     def node_index(self, point) -> int:
         """Packed index of the lattice node at ``point`` (exact hit only)."""
         try:
-            x, y = map(float, point)
+            x, y = (real(v, "node coordinate") for v in point)
         except (TypeError, ValueError):
             raise ConfigError(f"point {point!r} is not an (x, y) pair") from None
         ix = round((x - float(self.xs[0])) / self.h)
@@ -218,20 +217,15 @@ def build_grid(domain: ConvexDomain, h: float, K: int) -> Grid2D:
     """
     if domain.dim != 2:
         raise ConfigError("grids are two-dimensional")
-    h = float(h)
-    if not (h > 0.0 and math.isfinite(h)):
-        raise ConfigError("grid spacing must be positive and finite")
+    h = real(h, "grid spacing", gt=0)
     if h > domain.radius / 4.0:
         raise ConfigError(
             f"spacing {h:g} too coarse for radius {domain.radius:g}"
             " (need h <= R/4)"
         )
-    try:
-        K = operator.index(K)  # any integer type; a float such as 8.0 is refused
-    except TypeError:
-        K = 0
-    if K < 4 or K % 4:
-        raise ConfigError("need an integer K >= 4 direction pairs, a multiple of 4")
+    K = integer(K, "K", ge=4)
+    if K % 4:
+        raise ConfigError(f"need a multiple of 4 direction pairs K, got {K}")
     directions = _direction_fan(K)
 
     centers = domain.center_array()
@@ -408,12 +402,7 @@ class SolveControls:
     tol: float = 1e-5
 
     def __post_init__(self):
-        tol = self.tol
-        number = isinstance(tol, numbers.Real) and not isinstance(tol, bool)
-        if not (number and 0.0 < tol < math.inf):
-            raise ConfigError("tolerance must be a positive number")
-        # a numpy scalar would carry its precision into the stop residual
-        object.__setattr__(self, "tol", float(tol))
+        object.__setattr__(self, "tol", real(self.tol, "tolerance", gt=0))
 
 
 @dataclass(frozen=True)
@@ -431,9 +420,10 @@ class SolveReport:
 
 
 def _field_on_nodes(f: ForcingLike, pts: np.ndarray, what: str) -> np.ndarray:
-    vals = _field_values(f, pts)
+    rule = f"{what} must be finite on the grid"
+    vals = _field_values(f, pts, what=rule)
     if not np.all(np.isfinite(vals)):
-        raise ConfigError(f"{what} must be finite on the grid")
+        raise ConfigError(rule)
     return vals
 
 
@@ -467,7 +457,7 @@ def _operator_terms(spec: OperatorSpec, grid: Grid2D, xy: np.ndarray) -> list:
             raise UnsupportedDiscretizationError(
                 "eigenvalue weights must be two-dimensional here"
             )
-        a1, a2 = map(float, spec.alphas)
+        a1, a2 = spec.alphas
         terms = [(fan, a1 * ones, "min"), (fan, a2 * ones, "max")]
     elif isinstance(spec, CoefficientLambdaN):
         a = _field_on_nodes(spec.a, xy, "coefficient")
@@ -771,25 +761,26 @@ class _Scheme:
         return f_a + h_vals - self.fvals, (self.idx_t[arms], slopes, diag)
 
 
+_VECTORS = (tuple, list, np.ndarray)  # a node or direction given as a vector
+
+
 def _resolve_node(grid: Grid2D, node) -> int:
-    if isinstance(node, (int, np.integer)) and not isinstance(node, bool):
-        if not 0 <= node < grid.n_nodes:
-            raise ConfigError(f"node index {node} out of range")
-        return int(node)
-    return grid.node_index(node)
+    """A node given by its packed index or by its (x, y) point."""
+    if isinstance(node, _VECTORS):
+        return grid.node_index(node)
+    return integer(node, "node index (or an (x, y) point)", ge=0, le=grid.n_nodes - 1)
 
 
 def _resolve_direction(grid: Grid2D, direction) -> int:
-    if isinstance(direction, (int, np.integer)) and not isinstance(direction, bool):
-        if not 0 <= direction < grid.K:
-            raise ConfigError(f"direction slot {direction} out of range")
-        return int(direction)
+    """A direction given by its slot or by an integer vector of the fan."""
+    if not isinstance(direction, _VECTORS):
+        return integer(direction, "direction slot", ge=0, le=grid.K - 1)
+    missing = f"{direction!r} is not in the stencil fan"
+    vector = tuple(integer(c, f"direction component ({missing})") for c in direction)
     signed = grid.directions + tuple((-a, -b) for a, b in grid.directions)
-    try:
-        # integer components of any type; a float such as 1.5 is refused
-        return signed.index(tuple(map(operator.index, direction))) % grid.K
-    except (TypeError, ValueError):
-        raise ConfigError(f"direction {direction!r} not in the stencil fan") from None
+    if vector not in signed:
+        raise ConfigError(f"direction {missing}")
+    return signed.index(vector) % grid.K
 
 
 def discrete_second_difference(u: GridFunction, node, direction) -> float:
@@ -964,14 +955,8 @@ def sweep(
     on the fan scheme with the centered H_h; the scheme set-up and residual
     probes of ``perfbench/run.py`` call it with ``tau = 0``."""
     v_ext = GridFunction(grid=grid, values=values).extended()
-    try:
-        # a float or bool steps and a str or None tau are refused
-        steps = -1 if isinstance(steps, bool) else operator.index(steps)
-        finite = math.isfinite(tau)
-    except TypeError:
-        steps, finite = -1, False
-    if not (finite and tau >= 0.0 and steps >= 0):
-        raise ConfigError("sweep needs a finite tau >= 0 and steps >= 0")
+    tau = real(tau, "sweep step tau", ge=0)
+    steps = integer(steps, "number of sweep steps", ge=0)
     scheme = _Scheme(problem, grid)
     for _ in range(steps):
         v_ext[: grid.n_nodes] += tau * scheme.linearize(v_ext).resid

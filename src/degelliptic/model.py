@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Sequence, Union
 
 import numpy as np
 
+from ._args import integer, real
 from .errors import ConfigError, DomainViolationError, NumericError
 
 __all__ = [
@@ -55,6 +55,14 @@ __all__ = [
 _P_GUARD = 1e-5  # reject exponents this close to p = 1 (see ``radial.rbar``)
 
 
+def _exponent(p) -> float:
+    """A gradient exponent p > 0 with |p - 1| >= ``_P_GUARD``, as a float."""
+    p = real(p, "gradient exponent p", gt=0)
+    if abs(p - 1.0) < _P_GUARD:
+        raise ConfigError(f"gradient exponent p={p} too close to the excluded p=1")
+    return p
+
+
 # ---------------------------------------------------------------------------
 # scalar problem data
 
@@ -77,19 +85,11 @@ class Params:
     M: float = 1.0
 
     def __post_init__(self):
-        vals = (self.beta, self.b, self.c, self.d, self.p, self.M)
-        if not all(math.isfinite(v) for v in vals):
-            raise ConfigError("non-finite parameter value")
-        if self.beta <= 0 or self.b <= 0:
-            raise ConfigError("beta and b must be positive")
-        if self.c < 0 or self.d < 0 or self.M < 0:
-            raise ConfigError("c, d, M must be nonnegative")
-        if self.p <= 0:
-            raise ConfigError("gradient exponent p must be positive")
-        if abs(self.p - 1.0) < _P_GUARD:
-            raise ConfigError(
-                f"gradient exponent p={self.p} too close to the excluded p=1"
-            )
+        for name in ("beta", "b"):
+            object.__setattr__(self, name, real(getattr(self, name), name, gt=0))
+        for name in ("c", "d", "M"):
+            object.__setattr__(self, name, real(getattr(self, name), name, ge=0))
+        object.__setattr__(self, "p", _exponent(self.p))
 
     @property
     def superlinear(self) -> bool:
@@ -146,7 +146,7 @@ class SymMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "SymMatrix":
-        return cls(np.eye(n))
+        return cls(np.eye(integer(n, "matrix dimension")))
 
     def __add__(self, other: "SymMatrix") -> "SymMatrix":
         return SymMatrix(self.a + other.a)
@@ -200,8 +200,8 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# plug-in coefficient fields (declared bounds are trusted inputs); equality
-# and hashing read the declared bounds and name, never the callable ``fn``
+# plug-in coefficient fields (declared bounds are admitted, then trusted);
+# equality and hashing read the declared bounds and name, never ``fn``
 
 
 class _Constant:
@@ -225,12 +225,20 @@ class ScalarField:
     upper: float
     name: str = "field"
 
+    def __post_init__(self):
+        lower = real(self.lower, "declared bound lower")
+        upper = math.inf  # the supremum of an unbounded coefficient
+        if self.upper != math.inf:
+            upper = real(self.upper, "declared bound upper", ge=lower)
+        object.__setattr__(self, "lower", lower)
+        object.__setattr__(self, "upper", upper)
+
     def __call__(self, x):
         return self.fn(np.asarray(x, dtype=float))
 
     @classmethod
     def constant(cls, value: float, name: str = "const") -> "ScalarField":
-        v = float(value)
+        v = real(value, "constant field value")
         return cls(fn=_Constant(v), lower=v, upper=v, name=name)
 
 
@@ -245,6 +253,12 @@ class MatrixField:
     lambda_max_sts: float
     name: str = "sigma"
 
+    def __post_init__(self):
+        low = real(self.lambda_min_sts, "declared bound lambda_min_sts")
+        high = real(self.lambda_max_sts, "declared bound lambda_max_sts", ge=low)
+        object.__setattr__(self, "lambda_min_sts", low)
+        object.__setattr__(self, "lambda_max_sts", high)
+
     def __call__(self, x):
         return np.asarray(self.fn(np.asarray(x, dtype=float)), dtype=float)
 
@@ -256,26 +270,24 @@ class MatrixField:
         s.flags.writeable = False
         return cls(
             fn=_Constant(s),
-            lambda_min_sts=float(ev[0]),
-            lambda_max_sts=float(ev[-1]),
+            lambda_min_sts=ev[0],
+            lambda_max_sts=ev[-1],
             name=name,
         )
 
 
-def _field_values(f, pts: np.ndarray, ndim: int = 0) -> np.ndarray:
+def _field_values(f, pts: np.ndarray, ndim: int = 0, what: str = "field") -> np.ndarray:
     """A field at each point of the stack ``pts`` (one point per row), as an
     array (k, ...) of ``ndim``-dimensional values.
 
-    ``f`` is a real number (not a bool), a constant field, or a callable
-    that is tried once on the whole stack and otherwise called point by
-    point; anything else is a ``ConfigError``.  A square stack is tried with
-    its last row repeated, so a point-wise ``x[0]`` cannot pass for k values.
+    ``f`` is a constant field, a callable that is tried once on the whole
+    stack and otherwise called point by point, or else a number, admitted
+    by ``real`` (``what`` names it).  A square stack is tried with its last
+    row repeated, so a point-wise ``x[0]`` cannot pass for k values.
     """
     k = pts.shape[0]
-    if isinstance(f, numbers.Real) and not isinstance(f, bool):
-        return np.full(k, float(f))
     if not callable(f):
-        raise ConfigError(f"a field is a number or a callable, not {f!r}")
+        return np.full(k, real(f, f"number or a callable ({what})"))
     fn = f.fn if isinstance(f, (ScalarField, MatrixField)) else f
     if isinstance(fn, _Constant):
         value = np.asarray(fn.value, dtype=float)
@@ -306,11 +318,11 @@ class WeightedEigenvalues:
     alphas: tuple[float, ...]
 
     def __post_init__(self):
-        if len(self.alphas) < 2:
+        alphas = tuple(real(a, "eigenvalue weight", ge=0) for a in self.alphas)
+        object.__setattr__(self, "alphas", alphas)
+        if len(alphas) < 2:
             raise ConfigError("need at least two eigenvalue weights")
-        if any(a < 0 for a in self.alphas):
-            raise ConfigError("eigenvalue weights must be nonnegative")
-        if sum(self.alphas) <= 0:
+        if sum(alphas) <= 0:
             raise ConfigError("eigenvalue weights must not all vanish")
 
 
@@ -321,8 +333,7 @@ class LambdaK:
     index: int
 
     def __post_init__(self):
-        if self.index < 1:
-            raise ConfigError("eigenvalue index is 1-based")
+        object.__setattr__(self, "index", integer(self.index, "eigenvalue index", ge=1))
 
 
 @dataclass(frozen=True)
@@ -332,8 +343,7 @@ class TruncatedLower:
     k: int
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ConfigError("truncation order must be >= 1")
+        object.__setattr__(self, "k", integer(self.k, "truncation order", ge=1))
 
 
 @dataclass(frozen=True)
@@ -343,8 +353,7 @@ class TruncatedUpper:
     k: int
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ConfigError("truncation order must be >= 1")
+        object.__setattr__(self, "k", integer(self.k, "truncation order", ge=1))
 
 
 @dataclass(frozen=True)
@@ -360,8 +369,9 @@ class NonconvexPair:
     j: int
 
     def __post_init__(self):
-        if self.i < 1 or self.j < 1:
-            raise ConfigError("eigenvalue indices are 1-based")
+        for name in ("i", "j"):
+            index = integer(getattr(self, name), "eigenvalue index", ge=1)
+            object.__setattr__(self, name, index)
 
 
 @dataclass(frozen=True)
@@ -482,7 +492,7 @@ def evaluate_operator(spec: OperatorSpec, x, X: SymMatrix) -> float:
 def ellipticity_constant(spec: OperatorSpec) -> float:
     """The catalog's stated ellipticity constant for ``spec``."""
     if isinstance(spec, WeightedEigenvalues):
-        return float(sum(spec.alphas))
+        return sum(spec.alphas)
     if isinstance(spec, (LambdaK, NonconvexPair, MongeAmpere)):
         return 1.0
     if isinstance(spec, (TruncatedLower, TruncatedUpper)):
@@ -510,10 +520,8 @@ class PowerNorm:
     p: float
 
     def __post_init__(self):
-        if self.b < 0 or not math.isfinite(self.b):
-            raise ConfigError("power-norm coefficient must be >= 0")
-        if self.p <= 0 or abs(self.p - 1.0) < _P_GUARD:
-            raise ConfigError("power-norm exponent must be positive and != 1")
+        object.__setattr__(self, "b", real(self.b, "power-norm coefficient b", ge=0))
+        object.__setattr__(self, "p", _exponent(self.p))
 
 
 @dataclass(frozen=True)
@@ -530,18 +538,15 @@ class AnisotropicPower:
     b: float | None = None
 
     def __post_init__(self):
-        if self.p <= 0 or abs(self.p - 1.0) < _P_GUARD:
-            raise ConfigError("exponent must be positive and != 1")
+        object.__setattr__(self, "p", _exponent(self.p))
         ev = eigenvalues_sorted(self.A)
         if ev[0] < -1e-12:
             raise ConfigError("anisotropy matrix must be positive semidefinite")
         min_b = float(max(ev[-1], 0.0) ** (self.p / 2.0))
-        if self.b is None:
-            object.__setattr__(self, "b", min_b)
-        elif self.b < min_b * (1.0 - 1e-12):
-            raise ConfigError(
-                f"need b >= lambda_N(A)^(p/2) = {min_b:.6g}, got {self.b}"
-            )
+        b = min_b if self.b is None else real(self.b, "anisotropic coefficient b")
+        if b < min_b * (1.0 - 1e-12):
+            raise ConfigError(f"need b >= lambda_N(A)^(p/2) = {min_b:.6g}, got {b}")
+        object.__setattr__(self, "b", b)
 
 
 @dataclass(frozen=True)
@@ -562,15 +567,12 @@ class CompactPerturbation:
     c: float = field(init=False)
 
     def __post_init__(self):
-        if self.p <= 1.0:
-            raise ConfigError("compact perturbation needs a superlinear exponent")
-        if self.support_radius <= 0:
-            raise ConfigError("support radius must be positive")
-        if self.norm_inf < 0 or self.dnorm_inf < 0:
-            raise ConfigError("bump norms must be nonnegative")
         r, c = compact_perturbation_constant(
             self.p, (self.norm_inf, self.dnorm_inf, self.support_radius)
         )
+        # admitted by compact_perturbation_constant, stored as Python floats
+        for name in ("p", "norm_inf", "dnorm_inf", "support_radius"):
+            object.__setattr__(self, name, float(getattr(self, name)))
         object.__setattr__(self, "R", r)
         object.__setattr__(self, "c", c)
 
@@ -615,13 +617,9 @@ def compact_perturbation_constant(
     the p-th root of that bound, stepped up a float at a time while
     rounding leaves R^p below it; c = max(R^p, 2 R sup|D bump| + sup|bump|).
     """
-    if p <= 1.0:
-        raise ConfigError("superlinear exponent required")
-    norm_inf, dnorm_inf, r_phi = (float(v) for v in norms)
-    if not all(math.isfinite(v) for v in (norm_inf, dnorm_inf, r_phi)):
-        raise ConfigError("bump norms must be finite")
-    if r_phi <= 0:
-        raise ConfigError("support radius must be positive")
+    p = real(p, "superlinear exponent p", gt=1)
+    norm_inf, dnorm_inf = (real(v, "bump norm", ge=0) for v in norms[:2])
+    r_phi = real(norms[2], "support radius", gt=0)
     target = r_phi**p + norm_inf
     r = r_phi
     if norm_inf != 0.0:
@@ -644,16 +642,14 @@ class ConvexDomain:
     centers: tuple[tuple[float, ...], ...]
 
     def __post_init__(self):
-        if self.radius <= 0 or not math.isfinite(self.radius):
-            raise ConfigError("ball radius must be positive and finite")
-        if len(self.centers) == 0:
-            raise ConfigError("need at least one ball center")
-        dims = {len(c) for c in self.centers}
-        if len(dims) != 1:
-            raise ConfigError("all centers must share one dimension")
-        cs = np.asarray(self.centers, dtype=float)
-        if not np.all(np.isfinite(cs)):
-            raise ConfigError("centers must be finite")
+        object.__setattr__(self, "radius", real(self.radius, "ball radius", gt=0))
+        centers = tuple(
+            tuple(real(v, "center coordinate") for v in c) for c in self.centers
+        )
+        object.__setattr__(self, "centers", centers)
+        if len({len(c) for c in centers}) != 1:
+            raise ConfigError("need one or more ball centers, all of one dimension")
+        cs = np.asarray(centers, dtype=float)
         # nonemptiness witness: the centroid must see every center within R
         centroid = cs.mean(axis=0)
         if float(np.linalg.norm(cs - centroid, axis=1).max()) >= self.radius:
@@ -757,10 +753,9 @@ def check_structural_conditions(
 
     A condition passes when its worst sampled violation margin is <= 1e-9.
     """
-    if sample_count < 1:
-        raise ConfigError("sample_count must be >= 1")
-    if n is None:
-        n = len(op.alphas) if isinstance(op, WeightedEigenvalues) else 2
+    sample_count = integer(sample_count, "sample count", ge=1)
+    default = len(op.alphas) if isinstance(op, WeightedEigenvalues) else 2
+    n = integer(default if n is None else n, "dimension n", ge=2, le=8)
     rng = np.random.default_rng(seed)
     on_cone = _split_for_cone(op)
     beta = params.beta

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._args import integer, real
 from ._table import write_csv
 from .errors import (
     BranchError,
@@ -440,10 +441,9 @@ def radial_profile(
     """
     if isinstance(branch, str):
         branch = ProfileBranch.parse(branch)
-    if node_count < 64:
-        raise ConfigError("node_count must be at least 64")
-    if not (math.isfinite(R) and R > 0.0):
-        raise ConfigError("ball radius must be positive and finite")
+    node_count = integer(node_count, "node_count", ge=64)
+    R = real(R, "ball radius R", gt=0)
+    r_min = real(r_min, "r_min", gt=0)
 
     if branch is ProfileBranch.ZERO_M:
         if params.M != 0.0:
@@ -711,8 +711,7 @@ def classify_blowup(params: Params) -> BoundedOrBlowup:
 
 def c1_bound(params: Params, R: float) -> float:
     """Uniform C^1 bound for the first-zero solution on the ball of radius R."""
-    if not (R > 0.0 and math.isfinite(R)):
-        raise ConfigError("ball radius must be positive and finite")
+    R = real(R, "ball radius R", gt=0)
     if params.superlinear:
         if params.M == 0.0:
             return math.inf  # threshold is infinite and the bound degenerates
@@ -770,12 +769,11 @@ def explicit_sublinear_form(
 ) -> ExplicitSublinearForm:
     if kind not in _SUBLINEAR_KINDS:
         raise ConfigError(f"kind must be one of {_SUBLINEAR_KINDS}")
+    p = real(p, "exponent p")
     if not 0.0 < p < 1.0:
         raise ConfigError("explicit sublinear forms need p in (0, 1)")
-    if not (R > 0.0 and math.isfinite(R)):
-        raise ConfigError("ball radius must be positive and finite")
-    if N < 2:
-        raise ConfigError("dimension must be at least 2")
+    R = real(R, "ball radius R", gt=0)
+    N = integer(N, "dimension N", ge=2)
     g = (2.0 - p) / (1.0 - p)
     sign = 1.0
     if kind == "Lambda1":

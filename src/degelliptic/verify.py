@@ -17,12 +17,12 @@ nothing here re-roots the profile function.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np
 
+from ._args import integer, real
 from ._table import write_csv
 from .errors import ConfigError, DomainViolationError, ThresholdError
 from .grid import GridProblem, SolveControls, build_grid, solve
@@ -81,8 +81,7 @@ class ClosedFormRadial:
     R: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.R) and self.R > 0.0):
-            raise ConfigError("ball radius must be positive and finite")
+        object.__setattr__(self, "R", real(self.R, "ball radius R", gt=0))
 
 
 RadialCandidate = Union[RadialProfile, ExplicitSublinearForm, ClosedFormRadial]
@@ -109,19 +108,12 @@ class VerifyProblem:
     hamiltonian_sign: float = 1.0
 
     def __post_init__(self):
-        if not 2 <= self.N <= 8:
-            raise ConfigError(f"dimension {self.N} outside [2, 8]")
-        if self.hamiltonian_sign not in (1.0, -1.0):
-            raise ConfigError("hamiltonian_sign must be +1 or -1")
-        if not (math.isfinite(self.R) and self.R > 0.0):
-            raise ConfigError("ball radius must be positive and finite")
-
-
-def _forcing_values(f, r: np.ndarray) -> np.ndarray:
-    vals = _field_values(f, r)
-    if not np.all(np.isfinite(vals)):
-        raise ConfigError("forcing returned non-finite values")
-    return vals
+        object.__setattr__(self, "N", integer(self.N, "dimension N", ge=2, le=8))
+        sign = real(self.hamiltonian_sign, "hamiltonian_sign")
+        if sign not in (1.0, -1.0):
+            raise ConfigError(f"hamiltonian_sign must be +1 or -1, got {sign!r}")
+        object.__setattr__(self, "hamiltonian_sign", sign)
+        object.__setattr__(self, "R", real(self.R, "ball radius R", gt=0))
 
 
 def _radial_residuals(
@@ -131,7 +123,9 @@ def _radial_residuals(
     Hessian is diag(u'', u'/r, ..., u'/r) at x = (r, 0, ..., 0), and the
     gradient is (u', 0, ..., 0)."""
     n = problem.N
-    fvals = _forcing_values(problem.f, r)
+    fvals = _field_values(problem.f, r, what="forcing")
+    if not np.all(np.isfinite(fvals)):
+        raise ConfigError("forcing returned non-finite values")
     hess = np.zeros((r.size, n, n))
     hess[:, 0, 0] = ddu
     hess[:, range(1, n), range(1, n)] = (du / r)[:, None]
@@ -190,8 +184,7 @@ def residual_check_radial(
             f"sample radii must lie in [{ENDPOINT_MARGIN},"
             f" {radius - ENDPOINT_MARGIN}] (margin from singular endpoints)"
         )
-    if not (tolerance > 0.0):
-        raise ConfigError("tolerance must be positive")
+    tolerance = real(tolerance, "tolerance", gt=0)
     res = _radial_residuals(problem, r, candidate.du(r), candidate.ddu(r))
     max_abs = float(np.max(np.abs(res)))
     return ResidualReport(
@@ -216,6 +209,7 @@ def residual_report_to_csv(report: ResidualReport, path) -> None:
 
 
 def _sample_radii(v: RadialCandidate, count: int) -> np.ndarray:
+    count = integer(count, "sample count", ge=1)
     return np.linspace(ENDPOINT_MARGIN, v.R - ENDPOINT_MARGIN, count)
 
 
@@ -268,12 +262,8 @@ def sigma_perturbation(
     forcing magnitude M + epsilon); for operators and gradient terms convex
     in their arguments the combination then has slack (1-sigma)*epsilon.
     """
-    if not 0.0 < sigma < 1.0:
-        raise ConfigError(f"sigma must lie in (0, 1), got {sigma}")
-    if not (epsilon > 0.0 and math.isfinite(epsilon)):
-        raise ConfigError("epsilon must be a positive slack")
-    if sample_count < 1:
-        raise ConfigError("need at least one sample point")
+    sigma = real(sigma, "sigma", gt=0, lt=1)
+    epsilon = real(epsilon, "slack epsilon", gt=0)
 
     r = _sample_radii(v, sample_count)
     du = sigma * v.du(r) + (1.0 - sigma) * varphi.du(r)
@@ -360,19 +350,13 @@ def epsilon_scaling(
 ) -> EpsilonCertificate:
     """Certify (1+epsilon)*v as a strict supersolution of the sublinear
     problem, with slack -epsilon*sup_f > 0.  Requires sup_f < 0."""
-    if not (epsilon > 0.0 and math.isfinite(epsilon)):
-        raise ConfigError("epsilon must be positive")
-    if not sup_f < 0.0:
-        raise ConfigError(
-            f"scaling certificate needs sup f < 0, got sup_f = {sup_f}"
-        )
+    epsilon = real(epsilon, "epsilon", gt=0)
+    sup_f = real(sup_f, "sup f", lt=0)
     ham = problem.hamiltonian
     if ham is None or not isinstance(ham, PowerNorm) or ham.p >= 1.0:
         raise ConfigError(
             "scaling certificate applies to sublinear power gradient terms"
         )
-    if sample_count < 1:
-        raise ConfigError("need at least one sample point")
 
     r = _sample_radii(v, sample_count)
     scale = 1.0 + epsilon
@@ -506,9 +490,9 @@ def _auto_oracle(problem: GridProblem) -> Callable:
     params = problem.params
     if len(problem.domain.centers) != 1:
         raise ConfigError("no built-in oracle off the single-ball domain")
-    if not isinstance(problem.f, numbers.Real) or isinstance(problem.f, bool):
+    if callable(problem.f):
         raise ConfigError("no built-in oracle for non-constant forcing")
-    fval = float(problem.f)
+    fval = real(problem.f, "constant forcing")
     if fval == 0.0:
         return lambda r: np.zeros_like(np.asarray(r, dtype=float))
     op = problem.operator
@@ -545,19 +529,20 @@ def convergence_study(
     """Solve per spacing and tabulate max-norm errors vs a radial oracle.
 
     ``oracle`` maps node radii to exact values; omitted, it is derived for
-    the constant-forcing benchmark family.  Solver non-convergence
-    propagates.
+    the constant-forcing benchmark family.  Every grid is built, and so
+    every spacing and K admitted, before the first solve.  Solver
+    non-convergence propagates.
     """
-    hs = [float(h) for h in h_list]
-    if not hs or any(not (h > 0.0 and math.isfinite(h)) for h in hs):
-        raise ConfigError("need positive finite spacings")
+    grids = [build_grid(problem.domain, h, K) for h in h_list]
+    if not grids:
+        raise ConfigError("need at least one grid spacing")
+    controls = SolveControls(tol=tol)
     fn = oracle if oracle is not None else _auto_oracle(problem)
 
     rows = []
     prev = None
-    for h in hs:
-        grid = build_grid(problem.domain, h, K)
-        u, _ = solve(problem, grid, SolveControls(tol=tol))
+    for grid in grids:
+        u, _ = solve(problem, grid, controls)
         centers = np.asarray(problem.domain.centers, dtype=float)
         if centers.shape[0] == 1:
             r = np.hypot(
@@ -570,7 +555,7 @@ def convergence_study(
         if prev is None or err == 0.0 or prev[1] == 0.0:
             order = math.nan
         else:
-            order = math.log2(prev[1] / err) / math.log2(prev[0] / h)
-        rows.append(ConvergenceRow(h=h, error=err, order=order))
-        prev = (h, err)
+            order = math.log2(prev[1] / err) / math.log2(prev[0] / grid.h)
+        rows.append(ConvergenceRow(h=grid.h, error=err, order=order))
+        prev = (grid.h, err)
     return ConvergenceTable(rows=tuple(rows))

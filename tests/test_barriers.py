@@ -259,8 +259,8 @@ class TestCsv:
 
     @pytest.mark.parametrize("resolution", [-1, 8.0, True], ids=["negative", "float", "bool"])
     def test_resolution_not_a_count_refused(self, tmp_path, resolution):
-        # refused before any sampling, so no file is written; True counts as
-        # the integer 1, whose lattice holds only a corner of the box
+        # refused before any sampling, so no file is written; a bool is not
+        # a count
         field = build_supersolution(DISC, MODEL, 0.5)
         path = tmp_path / "barrier.csv"
         with pytest.raises(ConfigError):

@@ -553,6 +553,29 @@ class TestSolve:
         assert (a / "solution.csv").read_bytes() == (b / "solution.csv").read_bytes()
 
     @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("ham_p = 2.0", "ham_p = nan", "gradient exponent p > 0, got nan"),
+            (
+                "operator = CoefficientLambdaN",
+                "operator = WeightedEigenvalues\nweights = inf, 1.0",
+                "eigenvalue weight >= 0, got inf",
+            ),
+        ],
+        ids=["ham-p-nan", "weight-inf"],
+    )
+    def test_non_finite_spec_value_exits_2(self, tmp_path, capsys, old, new, message):
+        # a NaN or inf admitted by a spec would compare false in every later
+        # check and reach the solve, which reports a blow-up (exit 3)
+        path = write_config(tmp_path, LENS_INI.replace(old, new))
+        out_dir = tmp_path / "o"
+        code, _, err = run_cli(capsys, "solve", "--config", path, "--out", out_dir)
+        assert code == 2
+        assert err.startswith("error: need a finite real ") and message in err
+        assert "blew up" not in err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
         "rows, message",
         [
             ("1, 0; 0.4", "[problem] rows: rows differ in length"),

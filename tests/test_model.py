@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -139,6 +140,41 @@ class TestFieldEquality:
         assert hash(LinearDegenerate(one)) == hash(LinearDegenerate(two))
         rows = ((1.0, 0.0), (0.4, 0.8))
         assert MatrixField.constant(rows) == MatrixField.constant(rows)
+
+
+class TestFieldBounds:
+    """The declared bounds are admitted as Python floats with lower <= upper:
+    a NaN infimum would compare false against every envelope test, so a
+    coefficient with no stated ellipticity would pass them all."""
+
+    @pytest.mark.parametrize("lower", [math.nan, -math.inf, "1", None, True])
+    def test_scalar_lower_refused(self, lower):
+        with pytest.raises(ConfigError, match="declared bound lower"):
+            ScalarField(fn=lambda x: 2.0, lower=lower, upper=2.0)
+
+    def test_scalar_lower_above_upper_refused(self):
+        with pytest.raises(ConfigError, match=r"upper >= 3\.0, got 1"):
+            ScalarField(fn=lambda x: 2.0, lower=3, upper=1)
+
+    def test_matrix_min_above_max_refused(self):
+        with pytest.raises(ConfigError, match="lambda_max_sts >= 2.0"):
+            MatrixField(fn=lambda x: np.eye(2), lambda_min_sts=2.0, lambda_max_sts=1.0)
+        with pytest.raises(ConfigError, match="lambda_max_sts"):
+            MatrixField(fn=lambda x: np.eye(2), lambda_min_sts=0.0, lambda_max_sts=math.inf)
+
+    def test_unbounded_coefficient_declares_sup_inf(self):
+        a = ScalarField(fn=lambda x: 1.5 + x[0] ** 2, lower=1.5, upper=math.inf)
+        assert a.upper == math.inf
+        with pytest.raises(ConfigError, match="declared bound upper"):
+            ScalarField(fn=a.fn, lower=1.5, upper=-math.inf)
+
+    def test_bounds_stored_as_python_floats(self):
+        a = ScalarField(fn=lambda x: 2.0, lower=np.float32(0.5), upper=Fraction(5, 2))
+        assert (type(a.lower), type(a.upper)) == (float, float)
+        assert (a.lower, a.upper) == (0.5, 2.5)
+        assert ellipticity_constant(CoefficientLambdaN(a)) == 0.5
+        s = MatrixField.constant([[1.0, 0.0], [0.0, 2.0]])
+        assert (type(s.lambda_min_sts), type(s.lambda_max_sts)) == (float, float)
 
 
 class TestEigenvalues:
