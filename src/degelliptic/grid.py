@@ -27,14 +27,14 @@ three-point centered differences along the axes for g; it is second-order
 accurate but not monotone.  The upwind form, after Rouy & Tourin (1992),
 takes per lattice slot k the one-sided m_k = max((u+ - u0)/h+, (u- -
 u0)/h-, 0) on the cut-cell arms and H_h = coef (sum_k c_k m_k^2)^(p/2),
-with c the diagonally dominant split of A on the axes and one diagonal (a
-non-dominant A is refused).  m_k is nondecreasing in every u_j - u0, so
-F_h + H_h is degenerate elliptic in Oberman's sense (SIAM J. Numer. Anal.
-44, 2006) and its solutions obey the discrete comparison principle.  Each
-m_k is convex in u and nonnegative, so sqrt(sum_k c_k m_k^2) is convex,
-and t -> t^p is convex and nondecreasing on t >= 0 for p >= 1: the upwind
-H_h is convex in u, and with an F_h of max terms (or a linear one) so is
-the upwind residual.
+with c the diagonally dominant split of A on the axes and one diagonal (the
+upwind form refuses a non-dominant A; the centered form takes any A).  m_k
+is nondecreasing in every u_j - u0, so F_h + H_h is degenerate elliptic in
+Oberman's sense (SIAM J. Numer. Anal. 44, 2006) and its solutions obey the
+discrete comparison principle.  Each m_k is convex in u and nonnegative,
+so sqrt(sum_k c_k m_k^2) is convex, and t -> t^p is convex and
+nondecreasing on t >= 0 for p >= 1: the upwind H_h is convex in u, and
+with an F_h of max terms (or a linear one) so is the upwind residual.
 
 The solver works on the accurate form F_A of Froese & Oberman (SIAM J.
 Numer. Anal. 49, 2011 and 51, 2013), not on the fan.  Its Hessian is the
@@ -48,8 +48,8 @@ The first-order term is the centered H_h.  F_A + H_h - f has no policy and
 no fan, so its solution does not depend on K (``_Scheme.accurate``); it is
 second-order accurate but not monotone, so it has no discrete comparison
 principle.  The fan scheme, in either gradient form, stays as the monotone
-scheme (``_Scheme.linearize``, ``_Scheme.jacobian``, ``discrete_operator``,
-``sweep``).
+scheme (``_Scheme.fan``, ``discrete_operator``, ``sweep``); one Newton loop
+(``_newton``) solves either scheme.
 
 `solve` takes full Newton steps on F_A + H_h - f from the paper's barrier:
 with a gradient term the supersolution, the first-zero radial profile at
@@ -75,6 +75,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Union
 
 import numpy as np
@@ -479,21 +480,6 @@ def _operator_terms(spec: OperatorSpec, grid: Grid2D, xy: np.ndarray) -> list:
     return [term for term in terms if np.any(term[1] != 0.0)]
 
 
-@dataclass(frozen=True, eq=False)
-class _Linearization:
-    """F_h + H_h - f of the fan scheme at one iterate (``_Scheme.linearize``).
-
-    ``policy`` has one row per node: the active slot of each operator term,
-    then the gradient term's choices.  Nodes with equal rows at two iterates
-    have Jacobian rows of the same form; only the gradient slopes differ.
-    ``h_entries`` and ``h_vals`` are H_h's (``_Scheme.hamiltonian``)."""
-
-    resid: np.ndarray
-    policy: np.ndarray
-    h_entries: tuple
-    h_vals: float | np.ndarray
-
-
 def _assemble(n: int, cols, slopes, diag: np.ndarray):
     """The sparse n x n matrix with ``slopes[k][i]`` at (i, ``cols[k][i]``)
     and ``diag`` on the diagonal, entries at one position summed.  Arms that
@@ -510,9 +496,11 @@ def _assemble(n: int, cols, slopes, diag: np.ndarray):
 
 
 class _Scheme:
-    """Precomputed discretization on one grid of the fan scheme F_h + H_h -
-    f and of the accurate F_A + H_h - f: both read the ``terms`` table, and
-    H_h comes from (A, h_coef, h_p) alone."""
+    """Precomputed discretization on one grid of the accurate F_A + H_h - f
+    (``accurate``) and of the fan scheme F_h + H_h - f (``fan``): both read
+    the ``terms`` table, H_h comes from (A, h_coef, h_p) alone, and both
+    return the residual with its Jacobian entries, as ``_assemble`` takes
+    them.  The set-up builds only F_A's nine-point arm tables."""
 
     def __init__(self, problem: GridProblem, grid: Grid2D):
         if problem.domain != grid.domain:
@@ -523,10 +511,13 @@ class _Scheme:
         self.n = n
         self.d = d
 
-        # the grid's direction-major arm rows: 0..d-1 plus, d..2d-1 minus
-        self.idx_t = grid.arm_nodes.astype(np.intp)
-        self.cc_t = _three_point_weights(grid.arm_lengths)
-        self.c0 = self.cc_t[:d] + self.cc_t[d:]
+        # F_A's arm rows: the plus arms of the ``_split_slots``, then their
+        # minus arms; c0 is the weight of u_0 in each slot's second difference
+        slots = _split_slots(grid)
+        arms = np.concatenate([slots, slots + d])
+        self.idx = grid.arm_nodes[arms].astype(np.intp)
+        self.cc = _three_point_weights(grid.arm_lengths[arms])
+        self.c0 = self.cc[:4] + self.cc[4:]
         self.terms = _operator_terms(problem.operator, grid, grid.nodes_xy)
 
         self.fvals = _field_on_nodes(problem.f, grid.nodes_xy, "forcing")
@@ -536,10 +527,8 @@ class _Scheme:
         self._setup_hamiltonian(problem.hamiltonian)
 
         # refuse a node where no operator term and no centered gradient
-        # weight (with a gradient term) reaches u_0
-        d_node = np.zeros(n)
-        for slots, w, _ in self.terms:
-            d_node += w * self.c0[slots].max(axis=0)
+        # weight reaches u_0 (every second difference weighs u_0 by c0 > 0)
+        d_node = sum((w for _, w, _ in self.terms), np.zeros(n))
         if self.ham:
             d_node += np.hypot(*self.g_zero)
         if np.any(d_node <= 0.0):
@@ -582,24 +571,13 @@ class _Scheme:
         self.h_p = ham.p
 
         # centered gradient, rows x and y: g = g_plus u+ + g_minus u- +
-        # g_zero u0 over the arms g_ip, g_im of the axis slots
+        # g_zero u0 over the axis arms g_ip, g_im, nine-point rows 0, 1 and 4, 5
         lengths = self.grid.arm_lengths
         plus = _split_slots(self.grid)[:2]
-        minus = plus + self.d
         self.g_plus, self.g_minus, self.g_zero = _slope_weights(
-            lengths[plus], lengths[minus]
+            lengths[plus], lengths[plus + self.d]
         )
-        self.g_ip, self.g_im = self.idx_t[plus], self.idx_t[minus]
-
-        # upwind form: q = sum_k c_k m_k^2 over the lattice slots of A's
-        # dominant split (ex and ey with c = 1 for A = I); up_idx / up_inv_h
-        # stack the plus arms of those slots over their minus arms
-        weights = _lattice_split(self.A, "anisotropy matrix")
-        slots = _split_slots(self.grid)[weights > 0.0]
-        self.up_c = weights[weights > 0.0]
-        arms = np.stack([slots, slots + self.d])
-        self.up_idx = self.idx_t[arms]
-        self.up_inv_h = 1.0 / lengths[arms]
+        self.g_ip, self.g_im = self.idx[:2], self.idx[4:6]
 
         beta = ellipticity_constant(self.problem.operator)
         if params.beta > beta * (1.0 + 1e-12):
@@ -612,14 +590,36 @@ class _Scheme:
                 f"Hamiltonian growth {ham.b} exceeds the declared envelope {params.b}"
             )
 
+    @cached_property
+    def fan_arms(self) -> tuple:
+        """End nodes and three-point weights of the grid's 2K arm rows, and
+        per direction the weight c0 of u_0, built by the first fan call."""
+        cc = _three_point_weights(self.grid.arm_lengths)
+        return self.grid.arm_nodes.astype(np.intp), cc, cc[: self.d] + cc[self.d :]
+
+    @cached_property
+    def upwind_arms(self) -> tuple:
+        """The weights c of A's dominant split (the upwind q = sum_k c_k
+        m_k^2), and the end nodes and inverse lengths of their slots' plus
+        (row 0) and minus (row 1) arms; refuses a non-dominant A."""
+        weights = _lattice_split(self.A, "anisotropy matrix")
+        slots = _split_slots(self.grid)[weights > 0.0]
+        arms = np.stack([slots, slots + self.d])
+        return (
+            weights[weights > 0.0],
+            self.grid.arm_nodes[arms].astype(np.intp),
+            1.0 / self.grid.arm_lengths[arms],
+        )
+
     # -- evaluation ---------------------------------------------------------
 
     def second_differences(self, v_ext: np.ndarray) -> np.ndarray:
         # gathered direction-major: one contiguous take per stencil arm,
         # then updated in place (same arithmetic, no large temporaries)
-        parts = np.take(v_ext, self.idx_t)
+        idx, cc, _ = self.fan_arms
+        parts = np.take(v_ext, idx)
         parts -= v_ext[: self.n]
-        parts *= self.cc_t
+        parts *= cc
         return (parts[: self.d] + parts[self.d :]).T
 
     def gradient(self, v_ext: np.ndarray) -> np.ndarray:
@@ -628,29 +628,29 @@ class _Scheme:
         return g + self.g_zero * v_ext[: self.n]
 
     def hamiltonian(self, v_ext: np.ndarray, upwind: bool = False):
-        """H_h = h_coef q^(p/2) at ``v_ext``, its policy columns and its
-        Jacobian entries (arm columns, their slopes, the diagonal slope);
-        ``(0.0, [], ([], [], 0.0))`` without a gradient term.
+        """H_h = h_coef q^(p/2) at ``v_ext`` and its Jacobian entries (arm
+        columns, their slopes, the diagonal slope); ``(0.0, ([], [], 0.0))``
+        without a gradient term.
 
         Upwind: q = sum_k c_k m_k^2, per upwind slot (rows) m_k = max(d+_k,
         d-_k, 0) from the one-sided differences (u_arm - u_0) / h_arm on the
         cut-cell arms, nondecreasing in every u_arm - u_0, so H_h is
-        degenerate elliptic.  Its policy is each slot's active arm (0 where
-        m_k = 0, 1 plus, 2 minus), of slope dH/dm_k / h_arm; the diagonal is
-        minus their sum.  Centered: q = <A g, g> on the centered gradient g,
-        with no policy; with s = dH/dg the four axis arms have slopes s g_plus
-        and s g_minus, the diagonal sum s g_zero.
+        degenerate elliptic.  Each slot's active arm has slope dH/dm_k /
+        h_arm; the diagonal is minus their sum.  Centered: q = <A g, g> on
+        the centered gradient g; with s = dH/dg the four axis arms have
+        slopes s g_plus and s g_minus, the diagonal sum s g_zero.
         """
         if not self.ham:
-            return 0.0, [], ([], [], 0.0)
+            return 0.0, ([], [], 0.0)
         p = self.h_p
         if upwind:
-            diffs = np.take(v_ext, self.up_idx)
+            up_c, up_idx, up_inv_h = self.upwind_arms
+            diffs = np.take(v_ext, up_idx)
             diffs -= v_ext[: self.n]
-            diffs *= self.up_inv_h
+            diffs *= up_inv_h
             plus, minus = diffs
             m = np.maximum(np.maximum(plus, minus), 0.0)
-            q = self.up_c @ (m * m)
+            q = up_c @ (m * m)
         else:
             g = self.gradient(v_ext)
             ag = self.A @ g
@@ -661,55 +661,41 @@ class _Scheme:
         coef[live] = self.h_coef * p * q[live] ** (p / 2.0 - 1.0)
         if upwind:
             on_minus = minus > plus
-            arms = list(np.where(m > 0.0, 1 + on_minus, 0))
             # dH/dm_k times dm_k/du_arm = 1 / h_arm; dm_k/du_0 = -1 / h_arm
-            arm_inv = np.where(on_minus, self.up_inv_h[1], self.up_inv_h[0])
-            slope = coef * self.up_c[:, None] * m * arm_inv
-            cols = list(np.where(on_minus, self.up_idx[1], self.up_idx[0]))
-            return h_vals, arms, (cols, list(slope), -slope.sum(axis=0))
+            arm_inv = np.where(on_minus, up_inv_h[1], up_inv_h[0])
+            slope = coef * up_c[:, None] * m * arm_inv
+            cols = list(np.where(on_minus, up_idx[1], up_idx[0]))
+            return h_vals, (cols, list(slope), -slope.sum(axis=0))
         s = coef * ag
         cols = [*self.g_ip, *self.g_im]
         slopes = [*(s * self.g_plus), *(s * self.g_minus)]
-        return h_vals, [], (cols, slopes, (s * self.g_zero).sum(axis=0))
+        return h_vals, (cols, slopes, (s * self.g_zero).sum(axis=0))
 
-    def linearize(self, v_ext: np.ndarray, upwind: bool = False) -> _Linearization:
-        """F_h + H_h - f (centered or upwind) with the policy and the H_h
-        entries of ``jacobian``, from one pass of second differences and one
-        of the first-order term: the only evaluation of the fan scheme.  A
-        term's active slot is the argmin of a min term, the argmax of a max
-        term."""
+    def fan(self, v_ext: np.ndarray, upwind: bool = False) -> tuple[np.ndarray, tuple]:
+        """F_h + H_h - f of the fan scheme at ``v_ext``, H_h centered or
+        upwind, and its Jacobian entries in the layout of ``accurate``.
+
+        Each term keeps only its active slot, the argmin of a min term and
+        the argmax of a max term, which makes the Jacobian an element of the
+        generalized derivative of the min/max scheme.
+        """
         # the H_h entries outlive the second differences; allocating them
         # first kept grid-lens peak RSS 4 MB lower than the other order
-        h_vals, h_policy, h_entries = self.hamiltonian(v_ext, upwind)
+        h_vals, (h_cols, h_slopes, h_diag) = self.hamiltonian(v_ext, upwind)
         d2 = self.second_differences(v_ext)
-        rows = np.arange(self.n)
-        f_h = np.zeros(self.n)
-        cols = []
+        idx, cc, c0 = self.fan_arms
+        n, d, rows = self.n, self.d, np.arange(self.n)
+        f_h, diag, cols, slopes = np.zeros(n), np.zeros(n), [], []
         for slots, w, rule in self.terms:
             along = d2[:, slots]
             at = _RULES[rule][1](along, axis=1)
             f_h += w * along[rows, at]
-            cols.append(slots[at])
-        policy = np.array(cols + h_policy, dtype=np.int16).reshape(-1, self.n).T
-        return _Linearization(f_h + h_vals - self.fvals, policy, h_entries, h_vals)
-
-    def jacobian(self, lin: _Linearization):
-        """Sparse d(F_h + H_h)/du under the policy of ``lin``.
-
-        Each node keeps only the active slot of each operator term, which
-        makes this an element of the generalized derivative of the min/max
-        scheme; H_h's entries, of either form, come as ``lin.h_entries``.
-        """
-        n, d, rows = self.n, self.d, np.arange(self.n)
-        diag = np.zeros(n)
-        cols: list[np.ndarray] = []
-        vals: list[np.ndarray] = []
-        for k, (_, w, _) in zip(lin.policy.T, self.terms):
-            cols += [self.idx_t[k, rows], self.idx_t[k + d, rows]]
-            vals += [w * self.cc_t[k, rows], w * self.cc_t[k + d, rows]]
-            diag -= w * self.c0[k, rows]
-        h_cols, h_slopes, h_diag = lin.h_entries
-        return _assemble(n, cols + h_cols, vals + h_slopes, diag + h_diag)
+            k = slots[at]
+            cols += [idx[k, rows], idx[k + d, rows]]
+            slopes += [w * cc[k, rows], w * cc[k + d, rows]]
+            diag -= w * c0[k, rows]
+        entries = (cols + h_cols, slopes + h_slopes, diag + h_diag)
+        return f_h + h_vals - self.fvals, entries
 
     def accurate(self, v_ext: np.ndarray) -> tuple[np.ndarray, tuple]:
         """F_A + H_h - f at ``v_ext``, H_h centered, and its Jacobian entries,
@@ -726,13 +712,12 @@ class _Scheme:
         sin 2t, with t = 0 where X_h is a multiple of I.  A single-slot term
         is w times the second difference at its slot.
         """
-        # the H_h entries outlive the second differences, as in ``linearize``
-        h_vals, _, (_, h_slopes, h_diag) = self.hamiltonian(v_ext)
+        # the H_h entries outlive the second differences, as in ``fan``
+        h_vals, (_, h_slopes, h_diag) = self.hamiltonian(v_ext)
         n, slots = self.n, _split_slots(self.grid)
-        arms = np.concatenate([slots, slots + self.d])
-        parts = np.take(v_ext, self.idx_t[arms])
+        parts = np.take(v_ext, self.idx)
         parts -= v_ext[:n]
-        parts *= self.cc_t[arms]
+        parts *= self.cc
         dd = parts[:4] + parts[4:]  # D_x, D_y, D_(1,1), D_(-1,1)
         half = (dd[0] - dd[1]) / 2.0
         uxy = (dd[2] - dd[3]) / 2.0
@@ -752,13 +737,13 @@ class _Scheme:
             f_a += w * ((dd[0] + dd[1]) / 2.0 + sign * r)
             c, s = sign * cos2, sign * sin2
             weights += (w / 2.0) * np.stack([1.0 + c, 1.0 - c, s, -s])
-        slopes = np.concatenate([weights, weights]) * self.cc_t[arms]
+        slopes = np.concatenate([weights, weights]) * self.cc
         if self.ham:
             # the centered gradient's arms g_ip, g_im are the axis arms, rows
             # 0, 1 (plus) and 4, 5 (minus) here: its slopes join theirs
             slopes[[0, 1, 4, 5]] += h_slopes
-        diag = h_diag - (weights * self.c0[slots]).sum(axis=0)
-        return f_a + h_vals - self.fvals, (self.idx_t[arms], slopes, diag)
+        diag = h_diag - (weights * self.c0).sum(axis=0)
+        return f_a + h_vals - self.fvals, (self.idx, slopes, diag)
 
 
 _VECTORS = (tuple, list, np.ndarray)  # a node or direction given as a vector
@@ -861,24 +846,24 @@ class _StepLog:
 
 
 def _newton(
-    scheme: _Scheme, v_ext: np.ndarray, stop: float, log: _StepLog
+    evaluate: Callable, v_ext: np.ndarray, stop: float, log: _StepLog, budget: int
 ) -> np.ndarray:
-    """Full Newton steps on F_A + H_h - f (``_Scheme.accurate``) from
-    ``v_ext``, updated in place, until the max residual is at most ``stop``.
+    """Full Newton steps on ``evaluate`` (``_Scheme.accurate`` or ``fan``)
+    from ``v_ext``, updated in place, until the max residual is at most
+    ``stop``.
 
     ``log`` gets the start residual and one per step.  Each step factors its
     Jacobian with symmetric-mode SuperLU (see the module docstring); the
     Jacobian goes once it is factored and the factor once its step is
     solved, so one factor and one iterate are alive at a time.  A step may
     raise the residual: there is no line search.  A non-finite residual, a
-    Jacobian that factors as exactly singular, or ``_step_budget`` steps
-    without reaching ``stop`` raise ``log.failure``.
+    Jacobian that factors as exactly singular, or ``budget`` steps without
+    reaching ``stop`` raise ``log.failure``.
     """
     from scipy.sparse.linalg import splu
 
-    n = scheme.n
-    budget = _step_budget(scheme.grid)
-    resid, entries = scheme.accurate(v_ext)
+    n = v_ext.size - 1
+    resid, entries = evaluate(v_ext)
     log.history.append(float(np.max(np.abs(resid))))
     while not log.history[-1] <= stop:
         if not math.isfinite(log.history[-1]):
@@ -905,7 +890,7 @@ def _newton(
         v_ext[:n] += lu.solve(-resid)
         del lu
         with np.errstate(all="ignore"):
-            resid, entries = scheme.accurate(v_ext)
+            resid, entries = evaluate(v_ext)
         log.history.append(float(np.max(np.abs(resid))))
     return v_ext
 
@@ -934,7 +919,7 @@ def solve(
 
     start = time.perf_counter()
     log = _StepLog()
-    v_ext = _newton(scheme, v_ext, stop, log)
+    v_ext = _newton(scheme.accurate, v_ext, stop, log, _step_budget(grid))
     report = SolveReport(
         iterations=log.iterations,
         residual_norm=log.history[-1],
@@ -959,7 +944,7 @@ def sweep(
     steps = integer(steps, "number of sweep steps", ge=0)
     scheme = _Scheme(problem, grid)
     for _ in range(steps):
-        v_ext[: grid.n_nodes] += tau * scheme.linearize(v_ext).resid
+        v_ext[: grid.n_nodes] += tau * scheme.fan(v_ext)[0]
     return v_ext[: grid.n_nodes].copy()
 
 

@@ -155,13 +155,19 @@ def check_threshold(params: Params, R):
     if not params.superlinear or params.M == 0.0:
         return np.zeros(r.shape, dtype=bool) if r.ndim else False
     with np.errstate(over="ignore", invalid="ignore"):
-        # s1 as an array, so s1^p takes numpy's array power as in ``phi``;
-        # where s1 overflows (p near 1) the gap is NaN, and the root
-        # finder's finiteness check reports it
-        gap = np.asarray(_phi_raw(r, np.asarray(critical_s1(r, params)), params))
+        # s1 as an array, so s1^p takes numpy's array power as in ``phi``
+        s1 = np.asarray(critical_s1(r, params))
+        gap = np.asarray(_phi_raw(r, s1, params))
+        finite = np.isfinite(gap)
+        if not finite.all():
+            # near p = 1, b s1^p overflows before s1 does (+inf far below the
+            # threshold); b p s1^(p-1) = beta / r gives the gap as M - (p - 1)
+            # beta s1 / (p r) there, -inf where s1 overflows too
+            closed = params.M - (params.p - 1.0) * params.beta * s1 / (params.p * r)
+            gap = np.where(finite, gap, closed)
     tol = ENDPOINT_RTOL * (1.0 + params.M)
     if (gap > tol).any():
-        k = int(np.nanargmax(gap))  # not a NaN gap where s1 overflows
+        k = int(np.argmax(gap))
         radius = float(r.ravel()[k])
         raise ThresholdError(
             f"ball radius {radius} exceeds the existence threshold"
@@ -419,7 +425,7 @@ def _merge_radii(nodes: np.ndarray, include_radii, R: float) -> np.ndarray:
     if include_radii is None or len(include_radii) == 0:
         return nodes
     extra = np.asarray(sorted(include_radii), dtype=float)
-    if np.any(extra <= 0.0) or np.any(extra > R * (1.0 + 1e-12)):
+    if not np.all((extra > 0.0) & (extra <= R * (1.0 + 1e-12))):  # NaN too
         raise ConfigError("include_radii must lie in (0, R]")
     return np.union1d(nodes, np.minimum(extra, R))
 

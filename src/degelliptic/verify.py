@@ -176,8 +176,8 @@ def residual_check_radial(
     ball radius (the singular endpoints of the tabulated branches).
     """
     r = np.atleast_1d(np.asarray(radii, dtype=float))
-    if r.size == 0:
-        raise ConfigError("need at least one sample radius")
+    if r.size == 0 or not np.all(np.isfinite(r)):
+        raise ConfigError("need at least one sample radius, each finite")
     radius = candidate.R
     if np.any(r < ENDPOINT_MARGIN) or np.any(r > radius - ENDPOINT_MARGIN):
         raise DomainViolationError(

@@ -416,6 +416,19 @@ class TestRadial:
         u_half = float(rows["0.5"][2])
         assert u_half == pytest.approx(0.24221468741956725, abs=1e-6)
 
+    def test_nan_include_radius_exits_2(self, tmp_path, capsys):
+        # a config error, refused before any profile is computed (exit 3
+        # would read as a numeric failure)
+        path = write_config(
+            tmp_path, MODEL_INI + "\n[radial]\nR = 1.0\ninclude_radii = 0.5, nan\n"
+        )
+        out_dir = tmp_path / "results"
+        code, out, err = run_cli(capsys, "radial", "--config", path, "--out", out_dir)
+        assert code == 2
+        assert out == ""
+        assert "include_radii must lie in (0, R]" in err
+        assert not out_dir.exists()
+
     def test_threshold_refusal_no_partial_output(self, tmp_path, capsys):
         # one refusal, with the sign gap 1 - 1/R^2, for the radial profile
         # and the supersolution alike

@@ -643,7 +643,7 @@ class TestDiscreteOperator:
         )
         scheme = _Scheme(prob, g)
         # f = 0 and no gradient term: the scheme's residual is F_h
-        got = scheme.linearize(u.extended()).resid
+        got = scheme.fan(u.extended())[0]
         per_node = [discrete_operator(spec, u, i) for i in range(g.n_nodes)]
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(per_node, want, rtol=1e-12, atol=0.0)
@@ -665,7 +665,7 @@ class TestPointwiseIsTheScheme:
             for k in range(K):
                 assert discrete_second_difference(u, i, k) == d2[i, k], (i, k)
             assert np.array_equal(discrete_gradient(u, i), grad[:, i]), i
-        # f = 0 and no gradient term: the linearized residual is F_h
+        # f = 0 and no gradient term: the fan residual is F_h
         operators = (
             WeightedEigenvalues((0.5, 1.5)),
             CoefficientLambdaN(
@@ -675,7 +675,7 @@ class TestPointwiseIsTheScheme:
         )
         for spec in operators:
             scheme = _Scheme(GridProblem(spec, None, MODEL, LENS, 0.0), g)
-            f_h = scheme.linearize(v).resid
+            f_h = scheme.fan(v)[0]
             for i in range(g.n_nodes):
                 assert discrete_operator(spec, u, i) == f_h[i], (spec, i)
 
@@ -761,6 +761,48 @@ class TestAccurateScheme:
         assert np.array_equal(u8.values, u16.values)
         assert (r8.iterations, r8.residual_norm) == (r16.iterations, r16.residual_norm)
 
+    @pytest.mark.parametrize(
+        "ham",
+        [None, PowerNorm(b=1.0, p=2.0), AnisotropicPower(SymMatrix(ANISO_A), p=2.0)],
+        ids=["none", "power", "aniso"],
+    )
+    def test_fan_tables_wait_for_the_fan(self, disc_h8, ham):
+        # the set-up and F_A read the nine-point tables alone; the fan's
+        # 2K-row tables wait for the first fan evaluation, and the upwind
+        # split of A for the first upwind one (none without a gradient term)
+        problem = GridProblem(BENCH.operator, ham, MODEL, DISC, -1.0)
+        scheme = _Scheme(problem, disc_h8)
+        v = np.append(np.random.default_rng(2).normal(size=disc_h8.n_nodes), 0.0)
+
+        def built():
+            return {name for name in ("fan_arms", "upwind_arms") if name in vars(scheme)}
+
+        scheme.accurate(v)
+        assert built() == set()
+        scheme.fan(v)
+        assert built() == {"fan_arms"}
+        scheme.fan(v, upwind=True)
+        assert built() == ({"fan_arms", "upwind_arms"} if ham else {"fan_arms"})
+
+    def test_solve_memory_does_not_depend_on_the_fan(self):
+        # `solve` builds F_A's nine-point arm tables and no fan table: its
+        # traced peak at K = 16 is within 1 % of K = 8 (measured 11.17 MB
+        # both; 15.3 MB and 19.4 MB while the set-up built the 2K-row fan)
+        import tracemalloc
+
+        import scipy.sparse.linalg  # noqa: F401  (its import is not traced)
+
+        peaks = []
+        for K in (8, 16):
+            grid = build_grid(DISC, 1 / 64, K)
+            tracemalloc.start()
+            try:
+                solve(BENCH, grid)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) <= 0.01 * peaks[0]
+
     def test_fine_lens_takes_few_steps(self):
         # 8 full steps on the anisotropic lens at h = 1/128 (measured 2.3 s)
         problem, grid = _aniso_lens(1 / 128)
@@ -844,10 +886,10 @@ class TestNewtonJacobian:
         v = np.append(rng.normal(scale=0.03, size=grid.n_nodes), 0.0)
         w = np.append(rng.normal(size=grid.n_nodes), 0.0)
         fd = (
-            scheme.linearize(v + self.EPS * w, upwind).resid
-            - scheme.linearize(v - self.EPS * w, upwind).resid
+            scheme.fan(v + self.EPS * w, upwind)[0]
+            - scheme.fan(v - self.EPS * w, upwind)[0]
         ) / (2.0 * self.EPS)
-        jac = scheme.jacobian(scheme.linearize(v, upwind))
+        jac = grid_module._assemble(grid.n_nodes, *scheme.fan(v, upwind)[1])
         return scheme, v, w, fd, jac @ w[:-1]
 
     @JACOBIAN_OPERATORS
@@ -880,14 +922,14 @@ class TestNewtonJacobian:
         scheme, v, w, fd, jw = self._jacobian_and_differences(
             disc_h8, operator, ham, upwind=True
         )
+        def columns(x):  # each node's Jacobian columns, one row per entry
+            return np.array(scheme.fan(x, upwind=True)[1][0])
 
-        def policy(x):  # active slots and upwind arms (0 where m_k = 0)
-            return scheme.linearize(x, upwind=True).policy
-
-        # compare only away from ties: where the policy is the same at both
-        # ends of the difference stencil
+        # compare only away from kinks: where no fan slot and no upwind arm
+        # switches between the ends of the difference stencil, so each
+        # node's Jacobian entries sit in the same columns at both
         nodes = np.all(
-            policy(v + self.EPS * w) == policy(v - self.EPS * w), axis=1
+            columns(v + self.EPS * w) == columns(v - self.EPS * w), axis=0
         )
         assert nodes.sum() >= 0.95 * disc_h8.n_nodes
         assert float(np.max(np.abs(fd - jw)[nodes])) <= 1e-5
@@ -895,10 +937,10 @@ class TestNewtonJacobian:
     @JACOBIAN_OPERATORS
     @JACOBIAN_HAMILTONIANS
     @pytest.mark.parametrize("upwind", [True, False], ids=["upwind", "centered"])
-    def test_linearized_residual_is_the_residual(self, disc_h8, operator, ham, upwind):
-        # the Newton loop, residual_norm and sweep all read F_h + H_h - f
-        # from the linearization; check it node by node against
-        # discrete_operator and the first-order term built from the arms:
+    def test_fan_residual_is_the_residual(self, disc_h8, operator, ham, upwind):
+        # sweep and the upwind solves read F_h + H_h - f from ``fan``; check
+        # it node by node against discrete_operator and the first-order
+        # term built from the arms:
         # the centered gradient, or the upwind sum_k c_k m_k^2 over the
         # dominant split of A
         params = Params(beta=1.0, b=4.0, p=ham.p, M=1.0)
@@ -914,10 +956,7 @@ class TestNewtonJacobian:
         rng = np.random.default_rng(5)
         for scale in (0.003, 0.03, 0.3):
             v = np.append(rng.normal(scale=scale, size=g.n_nodes), 0.0)
-            lin = scheme.linearize(v, upwind)
-            # one column per operator term, then one arm per upwind slot
-            width = len(scheme.terms) + (scheme.up_c.size if upwind else 0)
-            assert lin.policy.shape == (g.n_nodes, width)
+            resid = scheme.fan(v, upwind)[0]
             u = GridFunction(grid=g, values=v[:-1])
             for i in range(g.n_nodes):
                 f_h = discrete_operator(operator, u, i)
@@ -936,7 +975,7 @@ class TestNewtonJacobian:
                 else:
                     h_h = evaluate_hamiltonian(ham, discrete_gradient(u, i))
                 want = f_h + h_h + 0.1
-                assert abs(lin.resid[i] - want) <= 1e-12 * (1.0 + abs(f_h) + h_h)
+                assert abs(resid[i] - want) <= 1e-12 * (1.0 + abs(f_h) + h_h)
 
 
 def _lens_problem(offset, ham, f):
@@ -962,24 +1001,28 @@ def _newton_from(problem, grid, v0, tol=1e-5):
     scheme = _Scheme(problem, grid)
     stop = tol * (1.0 + scheme.f_sup)
     log = grid_module._StepLog()
-    v = grid_module._newton(scheme, np.append(v0, 0.0), stop, log)
+    v = grid_module._newton(
+        scheme.accurate, np.append(v0, 0.0), stop, log, grid_module._step_budget(grid)
+    )
     return v[:-1], log, stop
 
 
-def _fan_newton(scheme, v_ext, stop, upwind=True, budget=60):
+def _upwind_iterates(scheme, v_ext, stop):
     """Policy iteration (Bokanowski, Maroso & Zidani 2009) on the monotone
-    fan scheme, ``_Scheme.linearize`` and ``_Scheme.jacobian``, every step
-    factored, from ``v_ext`` to ``stop`` or ``budget`` steps: the monotone
-    scheme's solve, which `solve` does not run.  Returns the iterates,
-    ``v_ext`` first, and their residuals."""
-    from scipy.sparse.linalg import splu
+    upwind fan scheme: the Newton loop of `solve` (``_newton``) on
+    ``_Scheme.fan``, from ``v_ext`` to ``stop`` within 60 steps, which
+    `solve` does not run.  Returns the iterates, ``v_ext`` first, and
+    their residuals, recorded as ``_newton`` evaluates them."""
+    iterates, residuals = [], []
 
-    iterates, lins = [v_ext], [scheme.linearize(v_ext, upwind)]
-    while np.max(np.abs(lins[-1].resid)) > stop and len(iterates) <= budget:
-        lu = splu(scheme.jacobian(lins[-1]).tocsc())
-        iterates.append(np.append(iterates[-1][:-1] + lu.solve(-lins[-1].resid), 0.0))
-        lins.append(scheme.linearize(iterates[-1], upwind))
-    return iterates, [lin.resid for lin in lins]
+    def evaluate(v):
+        resid, entries = scheme.fan(v, upwind=True)
+        iterates.append(v.copy())
+        residuals.append(resid)
+        return resid, entries
+
+    grid_module._newton(evaluate, v_ext.copy(), stop, grid_module._StepLog(), 60)
+    return iterates, residuals
 
 
 class TestUpwindMonotone:
@@ -1004,9 +1047,9 @@ class TestUpwindMonotone:
         rng = np.random.default_rng(seed)
         v = np.append(rng.normal(scale=scale, size=grid.n_nodes), 0.0)
         j = int(rng.integers(grid.n_nodes))
-        before = scheme.linearize(v, upwind=True).resid
+        before = scheme.fan(v, upwind=True)[0]
         v[j] += bump
-        after = np.delete(scheme.linearize(v, upwind=True).resid, j)
+        after = np.delete(scheme.fan(v, upwind=True)[0], j)
         before = np.delete(before, j)
         assert np.all(after - before >= -1e-12 * (1.0 + np.abs(before)))
 
@@ -1031,7 +1074,8 @@ class TestUpwindMonotone:
         scheme = _Scheme(problem, grid)
         rng = np.random.default_rng(seed)
         v = np.append(rng.normal(scale=scale, size=grid.n_nodes), 0.0)
-        jac = scheme.jacobian(scheme.linearize(v, upwind=True)).tocoo()
+        entries = scheme.fan(v, upwind=True)[1]
+        jac = grid_module._assemble(grid.n_nodes, *entries).tocoo()
         off = jac.row != jac.col
         assert np.all(jac.data[off] >= 0.0)
         assert np.all(jac.diagonal() < 0.0)
@@ -1084,10 +1128,12 @@ class TestUpwindMonotone:
             return np.append(tilt + noise, 0.0)
 
         v0, v1 = field(below), field(above)
-        lin0, lin1 = (scheme.linearize(v, upwind=True) for v in (v0, v1))
-        mid = scheme.linearize((v0 + v1) / 2.0, upwind=True).resid
-        scale = 1.0 + np.abs(lin0.resid) + np.abs(lin1.resid) + lin0.h_vals + lin1.h_vals
-        excess = mid - (lin0.resid + lin1.resid) / 2.0
+        r0, r1, mid = (
+            scheme.fan(v, upwind=True)[0] for v in (v0, v1, (v0 + v1) / 2.0)
+        )
+        h0, h1 = (scheme.hamiltonian(v, upwind=True)[0] for v in (v0, v1))
+        scale = 1.0 + np.abs(r0) + np.abs(r1) + h0 + h1
+        excess = mid - (r0 + r1) / 2.0
         assert np.all(excess <= 1e-12 * scale)
 
     @settings(max_examples=15, deadline=None)
@@ -1105,7 +1151,7 @@ class TestUpwindMonotone:
             problem = _lens_problem(offset, ham, f)
             grid = build_grid(problem.domain, h, 8)
             scheme = _Scheme(problem, grid)
-            iterates, residuals = _fan_newton(scheme, np.zeros(grid.n_nodes + 1), 1e-11)
+            iterates, residuals = _upwind_iterates(scheme, np.zeros(grid.n_nodes + 1), 1e-11)
             assert np.max(np.abs(residuals[-1])) <= 1e-11
             solutions.append(iterates[-1][:-1])
         assert np.all(solutions[0] >= solutions[1] - 1e-9)
@@ -1141,7 +1187,7 @@ class TestUpwindMonotone:
         scheme = _Scheme(problem, grid)
         start = np.append(grid_module._initial_values(problem, grid, scheme), 0.0)
         stop = SolveControls().tol * (1.0 + scheme.f_sup)
-        iterates, residuals = _fan_newton(scheme, start, stop)
+        iterates, residuals = _upwind_iterates(scheme, start, stop)
         assert np.max(np.abs(residuals[-1])) <= stop
         assert np.all(residuals[0] < 0.0)
         for prev, nxt in zip(iterates[1:], iterates[2:]):
@@ -1158,18 +1204,14 @@ class TestUpwindMonotone:
         scheme = _Scheme(problem, grid)
         start = np.append(grid_module._initial_values(problem, grid, scheme), 0.0)
         stop = SolveControls().tol * (1.0 + scheme.f_sup)
-        _, residuals = _fan_newton(scheme, start, stop)
+        _, residuals = _upwind_iterates(scheme, start, stop)
         assert np.max(np.abs(residuals[-1])) <= stop
         assert len(residuals) > 2
         assert min(float(r.min()) for r in residuals[1:]) >= -1e-11
 
-    def test_upwind_reuse_without_a_gradient_term_is_a_newton_step(self):
-        """Without a gradient term a fan Jacobian row is fixed by its node's
-        policy: the last Jacobian with its rows at the nodes whose policy
-        moved replaced by the current ones is the current Jacobian, so a
-        factor reused with that row update would take exact Newton steps.
-        Along policy iteration to the stop the iterates rise from step 1 on
-        (2 lambda_N is convex)."""
+    def test_upwind_iterates_rise_without_a_gradient_term(self):
+        """Without a gradient term, along policy iteration to the stop the
+        iterates rise from step 1 on (2 lambda_N is convex)."""
         problem = GridProblem(
             operator=CoefficientLambdaN(ScalarField.constant(2.0)),
             hamiltonian=None,
@@ -1181,28 +1223,10 @@ class TestUpwindMonotone:
         scheme = _Scheme(problem, grid)
         start = np.append(grid_module._initial_values(problem, grid, scheme), 0.0)
         stop = SolveControls().tol * (1.0 + scheme.f_sup)
-        iterates, residuals = _fan_newton(scheme, start, stop)
+        iterates, residuals = _upwind_iterates(scheme, start, stop)
         assert np.max(np.abs(residuals[-1])) <= stop and len(iterates) > 3
-        lins = [scheme.linearize(v) for v in iterates]
-        for lin0, lin1 in zip(lins, lins[1:]):
-            moved = np.flatnonzero((lin0.policy != lin1.policy).any(axis=1))
-            mixed = scheme.jacobian(lin0).tolil()
-            mixed[moved] = scheme.jacobian(lin1)[moved]
-            assert (mixed.tocsr() != scheme.jacobian(lin1)).nnz == 0
         for prev, nxt in zip(iterates[1:], iterates[2:]):
             assert np.all(nxt - prev >= -1e-14 * (1.0 + np.abs(prev)))
-
-
-def _aniso_lens(h):
-    problem = _lens_problem(0.3, AnisotropicPower(SymMatrix(ANISO_A), p=2.0), -1.0)
-    return problem, build_grid(problem.domain, h, 8)
-
-
-class TestFactorReuse:
-    """`solve` reuses no factor: each Newton step on F_A factors its own
-    Jacobian.  The row structure of the monotone fan Jacobians, on which a
-    factor reused across policy iteration steps of the fan scheme would
-    rest, stays pinned here."""
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -1213,10 +1237,9 @@ class TestFactorReuse:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_mixed_upwind_rows_keep_the_m_matrix(self, offset, h, ham, scale, seed):
-        """A matrix with rows of upwind Jacobians taken at two iterates, as
-        a row update of an upwind factor solves with, keeps each row's sign
-        pattern and weak dominance, so it is still a nonsingular M-matrix:
-        -J^-1 is nonnegative."""
+        """A matrix with rows of upwind Jacobians taken at two iterates keeps
+        each row's sign pattern and weak dominance, so it is still a
+        nonsingular M-matrix: -J^-1 is nonnegative."""
         from scipy.sparse.linalg import spsolve
 
         problem = _lens_problem(offset, ham, -1.0)
@@ -1226,8 +1249,11 @@ class TestFactorReuse:
         n = grid.n_nodes
         v0, v1 = (np.append(rng.normal(scale=scale, size=n), 0.0) for _ in "01")
         rows = rng.choice(n, size=rng.integers(1, n), replace=False)
-        mixed = scheme.jacobian(scheme.linearize(v0, upwind=True)).tolil()
-        mixed[rows] = scheme.jacobian(scheme.linearize(v1, upwind=True))[rows]
+        jac0, jac1 = (
+            grid_module._assemble(n, *scheme.fan(v, upwind=True)[1]) for v in (v0, v1)
+        )
+        mixed = jac0.tolil()
+        mixed[rows] = jac1[rows]
         jac = mixed.tocoo()
         off = jac.row != jac.col
         assert np.all(jac.data[off] >= 0.0)
@@ -1243,20 +1269,23 @@ class TestFactorReuse:
         [PowerNorm(b=4.0, p=2.0), AnisotropicPower(SymMatrix(ANISO_A), p=2.0)],
         ids=["power", "aniso"],
     )
-    def test_rows_with_an_unchanged_policy_are_affine(self, disc_h8, ham):
+    def test_rows_are_affine_along_a_scaling(self, disc_h8, ham):
         """At p = 2 an upwind Jacobian row is affine in the iterate while the
-        row's policy holds.  Scaling the iterate by a positive factor keeps
-        every fan and arm choice, so every row keeps its policy and is
-        affine along the scaling."""
+        row's fan slots and upwind arms hold.  Scaling the iterate by a
+        positive factor keeps every one of them, so the Jacobian is affine
+        along the scaling."""
         params = Params(beta=1.0, b=4.0, p=2.0, M=1.0)
         operator = CoefficientLambdaN(ScalarField.constant(2.0))
         problem = GridProblem(operator, ham, params, DISC, -0.1)
         scheme = _Scheme(problem, disc_h8)
         rng = np.random.default_rng(1)
         v = np.append(rng.normal(scale=0.03, size=disc_h8.n_nodes), 0.0)
-        lin = {s: scheme.linearize(s * v, upwind=True) for s in (1, 1.5, 2)}
-        jac = {s: scheme.jacobian(lin[s]).toarray() for s in lin}
-        assert all(np.array_equal(lin[s].policy, lin[1].policy) for s in lin)
+        jac = {
+            s: grid_module._assemble(
+                disc_h8.n_nodes, *scheme.fan(s * v, upwind=True)[1]
+            ).toarray()
+            for s in (1, 1.5, 2)
+        }
         mid = (jac[1] + jac[2]) / 2
         scale = np.abs(mid).max()
         assert np.max(np.abs(jac[1.5] - mid)) <= 1e-12 * scale
@@ -1264,12 +1293,10 @@ class TestFactorReuse:
     @pytest.mark.parametrize("upwind", [True, False], ids=["upwind", "centered"])
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
     @pytest.mark.parametrize("aniso", [False, True], ids=["power", "aniso"])
-    def test_equal_policy_rows_have_equal_column_patterns(
-        self, disc_h8, upwind, p, aniso
-    ):
-        """A node whose policy row is the same at two iterates has a fan
-        Jacobian row with the same nonzero columns, so a reused factor
-        would keep that row's form."""
+    def test_jacobian_rows_stay_in_the_node_stencil(self, disc_h8, upwind, p, aniso):
+        """Tilting an iterate moves fan choices, and with them the nonzero
+        columns of some fan Jacobian rows; every row keeps its diagonal and
+        reads no column outside the node and its 2K arm ends."""
         ham = (
             AnisotropicPower(SymMatrix(ANISO_A), p=p, b=1.0)
             if aniso
@@ -1285,16 +1312,29 @@ class TestFactorReuse:
         v0 = np.append(rng.normal(scale=0.1 * scale, size=n), 0.0)
         tilt = 0.25 * scale * (disc_h8.nodes_xy @ [1.0, 0.5])
         v1 = v0 + np.append(tilt, 0.0)
-        lin0, lin1 = scheme.linearize(v0, upwind), scheme.linearize(v1, upwind)
-        same = (lin0.policy == lin1.policy).all(axis=1)
-        assert 0 < (~same).sum() and 0 < same.sum()
-        jac0, jac1 = scheme.jacobian(lin0), scheme.jacobian(lin1)
-        jac0.eliminate_zeros()
-        jac1.eliminate_zeros()
-        for i in np.flatnonzero(same):
-            cols0 = jac0.indices[jac0.indptr[i] : jac0.indptr[i + 1]]
-            cols1 = jac1.indices[jac1.indptr[i] : jac1.indptr[i + 1]]
-            assert sorted(cols0) == sorted(cols1), i
+        patterns = []
+        for v in (v0, v1):
+            jac = grid_module._assemble(n, *scheme.fan(v, upwind)[1])
+            jac.eliminate_zeros()
+            rows = [
+                set(jac.indices[jac.indptr[i] : jac.indptr[i + 1]]) for i in range(n)
+            ]
+            for i, cols in enumerate(rows):
+                assert i in cols, i
+                assert cols <= {i, *disc_h8.arm_nodes[:, i]}, i
+            patterns.append(rows)
+        moved = sum(c0 != c1 for c0, c1 in zip(*patterns))
+        assert 0 < moved < n
+
+
+def _aniso_lens(h):
+    problem = _lens_problem(0.3, AnisotropicPower(SymMatrix(ANISO_A), p=2.0), -1.0)
+    return problem, build_grid(problem.domain, h, 8)
+
+
+class TestNewtonSteps:
+    """`solve` takes full Newton steps on F_A, each one factoring its own
+    Jacobian."""
 
     def test_chord_steps_on_the_disc(self, monkeypatch):
         # none: the disc converges quadratically in three full steps, each
@@ -1742,16 +1782,32 @@ class TestSolve:
         assert len(history) == 1 + 2
         assert diag["residual"] == history[-1] > 2e-5
 
-    def test_non_dominant_anisotropy_refused(self, disc_h8):
+    @pytest.mark.parametrize("domain", [DISC, LENS], ids=["disc", "lens"])
+    def test_non_dominant_anisotropy_solved_and_refused_by_the_upwind_form(
+        self, domain
+    ):
+        # A = [[1, 0.6], [0.6, 0.5]] is positive definite but has no
+        # diagonally dominant lattice split: the centered H_h of `solve`
+        # takes it, the upwind fan form alone refuses it
         prob = GridProblem(
             operator=CoefficientLambdaN(ScalarField.constant(2.0)),
             hamiltonian=AnisotropicPower(SymMatrix([[1.0, 0.6], [0.6, 0.5]]), p=2.0),
-            params=Params(beta=2.0, b=1.3, p=2.0, M=1.0),
-            domain=DISC,
+            params=Params(beta=2.0, b=1.4, p=2.0, M=1.0),
+            domain=domain,
             f=-0.5,
         )
+        grid = build_grid(domain, 1 / 16, 8)
+        u, report = solve(prob, grid)
+        assert report.residual_norm <= report.stop_residual
+        # below the supersolution, the barrier start (measured 1.2e-4 on the
+        # disc, 2.2e-5 on the lens at the closest node)
+        scheme = _Scheme(prob, grid)
+        assert np.all(grid_module._initial_values(prob, grid, scheme) >= u.values)
+        # residual_norm and sweep (the centered fan) take it too
+        assert residual_norm(prob, u) == report.residual_norm
+        assert np.array_equal(sweep(prob, grid, u.values, 0.0), u.values)
         with pytest.raises(UnsupportedDiscretizationError, match="anisotropy matrix"):
-            solve(prob, disc_h8)
+            scheme.fan(u.extended(), upwind=True)
 
 
 def _small_disc(eps):
@@ -1880,12 +1936,12 @@ SWEEP_OPERATORS = [
 ]
 
 
-class TestUpwindHandOver:
-    """`solve` hands nothing over from an upwind stage: it runs Newton on
-    F_A alone.  The monotone fan scheme, run to the stop by policy
-    iteration (``_fan_newton``) from the same barrier, still converges for
-    every operator and gradient term the grid accepts, and F_A's solution
-    lies within the fan scheme's consistency error of it."""
+class TestAgainstTheUpwindScheme:
+    """`solve` runs Newton on F_A alone.  The monotone upwind fan scheme,
+    run to the stop by the same Newton loop (``_upwind_iterates``) from the
+    same barrier, converges for every operator and gradient term the grid
+    accepts, and F_A's solution lies within the fan scheme's consistency
+    error of it."""
 
     @pytest.mark.parametrize(
         "op",
@@ -1895,9 +1951,7 @@ class TestUpwindHandOver:
     @pytest.mark.parametrize(
         "hamiltonian", [None, PowerNorm(b=0.0, p=2.0)], ids=["none", "b0"]
     )
-    def test_no_gradient_term_runs_the_upwind_stage_to_the_stop(
-        self, op, hamiltonian
-    ):
+    def test_no_gradient_term_agrees_with_the_upwind_solution(self, op, hamiltonian):
         # without a gradient term the two schemes differ only in the fan's
         # angular resolution (a single-slot LinearDegenerate not at all):
         # measured within 0.2 % of max u, 0 where the barrier solves both
@@ -1906,7 +1960,7 @@ class TestUpwindHandOver:
         u, report = solve(problem, grid)
         scheme = _Scheme(problem, grid)
         start = np.append(grid_module._initial_values(problem, grid, scheme), 0.0)
-        iterates, residuals = _fan_newton(scheme, start, report.stop_residual)
+        iterates, residuals = _upwind_iterates(scheme, start, report.stop_residual)
         assert np.max(np.abs(residuals[-1])) <= report.stop_residual
         gap = float(np.max(np.abs(u.values - iterates[-1][:-1])))
         assert gap <= 0.01 * float(np.max(u.values))
@@ -1927,7 +1981,7 @@ class TestUpwindHandOver:
         h=st.sampled_from([1 / 8, 1 / 12, 1 / 16]),
         f=st.sampled_from([-1.0, -0.3]),
     )
-    def test_agrees_with_the_upwind_stage_run_to_the_stop(self, op, ham, offset, h, f):
+    def test_agrees_with_the_upwind_solution(self, op, ham, offset, h, f):
         params = Params(
             beta=ellipticity_constant(op), b=1.0, p=ham.p if ham else 2.0, M=1.0
         )
@@ -1940,7 +1994,7 @@ class TestUpwindHandOver:
             assume(False)
         scheme = _Scheme(problem, grid)
         start = np.append(grid_module._initial_values(problem, grid, scheme), 0.0)
-        iterates, residuals = _fan_newton(scheme, start, report.stop_residual)
+        iterates, residuals = _upwind_iterates(scheme, start, report.stop_residual)
         assert np.max(np.abs(residuals[-1])) <= report.stop_residual
         # the upwind gradient term is first-order: over every draw of this
         # space the gap measured at most 0.35 h (p = 1.5 on the disc)
@@ -2023,7 +2077,7 @@ class TestInjectedOracleResidual:
         for h in (1 / 16, 1 / 32, 1 / 64):
             g = build_grid(DISC, h, 8)
             u = oracle_on(g, model_profile)
-            res = np.abs(_Scheme(BENCH, g).linearize(u.extended()).resid)
+            res = np.abs(_Scheme(BENCH, g).fan(u.extended())[0])
             vals.append(float(res[g.node_index((0.0, 0.0))]))
         assert vals[0] <= 1e-3
         assert vals[1] <= 2.5e-4
@@ -2036,7 +2090,7 @@ class TestInjectedOracleResidual:
         # fan scheme does not vanish; it stays at the documented
         # boundary-layer size (measured 0.24; F_A's is 0.84 there)
         u = oracle_on(disc_h16, model_profile)
-        resid = _Scheme(BENCH, disc_h16).linearize(u.extended()).resid
+        resid = _Scheme(BENCH, disc_h16).fan(u.extended())[0]
         assert float(np.max(np.abs(resid))) <= 0.5
 
     def test_accurate_residual_inside_the_rim(self, model_profile):
@@ -2050,7 +2104,7 @@ class TestInjectedOracleResidual:
             u = oracle_on(g, model_profile)
             scheme = _Scheme(BENCH, g)
             accurate = np.abs(scheme.accurate(u.extended())[0])
-            fan = np.abs(scheme.linearize(u.extended()).resid)
+            fan = np.abs(scheme.fan(u.extended())[0])
             assert residual_norm(BENCH, u) == float(np.max(accurate))
             inner = np.hypot(*g.nodes_xy.T) < 1.0 - 3.0 * h
             assert np.max(accurate[inner]) <= 0.4 * np.max(fan[inner])
@@ -2063,8 +2117,8 @@ class TestComparison:
         v, rep = solve(BENCH, disc_h8, SolveControls(tol=1e-6))
         scheme = _Scheme(BENCH, disc_h8)
         shrunk = 0.9 * v.values
-        res_v = scheme.linearize(v.extended()).resid
-        res_u = scheme.linearize(np.append(shrunk, 0.0)).resid
+        res_v = scheme.fan(v.extended())[0]
+        res_u = scheme.fan(np.append(shrunk, 0.0))[0]
         # the scaled field is a strict discrete subsolution
         assert float(np.min(res_u - res_v)) >= 5e-3
         # explicit step below 1 / (largest diagonal slope): per node the
@@ -2074,7 +2128,8 @@ class TestComparison:
         # centered weight on u_0
         ham = BENCH.hamiltonian
         bound = _gradient_scale(BENCH.params)
-        d_node = sum(w * scheme.c0[slots].max(axis=0) for slots, w, _ in scheme.terms)
+        c0 = scheme.fan_arms[2]
+        d_node = sum(w * c0[slots].max(axis=0) for slots, w, _ in scheme.terms)
         lip = ham.p * ham.b * bound ** (ham.p - 1.0)
         d_node = d_node + lip * np.hypot(*scheme.g_zero)
         tau = 0.9 / float(np.max(d_node))
@@ -2093,7 +2148,7 @@ class TestComparison:
         vals = rng.normal(scale=0.1, size=disc_h8.n_nodes)
         scheme = _Scheme(BENCH, disc_h8)
         tau = 1e-4
-        expect = vals + tau * scheme.linearize(np.append(vals, 0.0)).resid
+        expect = vals + tau * scheme.fan(np.append(vals, 0.0))[0]
         assert np.allclose(
             sweep(BENCH, disc_h8, vals, tau), expect, rtol=0, atol=1e-15
         )

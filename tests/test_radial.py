@@ -446,6 +446,15 @@ class TestRadialProfileFirstZero:
                 include_radii=[1.5],
             )
 
+    @pytest.mark.parametrize(
+        "branch", ["FirstZeroSuperlinear", "SecondZeroSuperlinear"]
+    )
+    def test_nan_include_radius_is_a_config_error(self, branch):
+        # a NaN compares false in the range check; it once reached the
+        # profile and surfaced as an overflow (NumericError)
+        with pytest.raises(ConfigError, match=r"include_radii must lie in \(0, R\]"):
+            radial_profile(branch, 1.0, MODEL, include_radii=(0.5, math.nan))
+
     def test_branch_parse(self):
         assert ProfileBranch.parse("FirstZeroSuperlinear") is (
             ProfileBranch.FIRST_ZERO_SUPERLINEAR

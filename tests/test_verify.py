@@ -240,6 +240,11 @@ class TestResidualValidation:
         with pytest.raises(ConfigError, match="at least one"):
             residual_check_radial(model_form, MODEL_PROBLEM, ())
 
+    def test_nan_radius_is_a_config_error(self, model_form):
+        # an input error, not a failed verification (passed=False)
+        with pytest.raises(ConfigError, match="each finite"):
+            residual_check_radial(model_form, MODEL_PROBLEM, (0.5, math.nan))
+
     def test_bad_tolerance(self, model_form):
         with pytest.raises(ConfigError, match="tolerance"):
             residual_check_radial(model_form, MODEL_PROBLEM, (0.5,), tolerance=0.0)
@@ -619,6 +624,9 @@ class TestThresholdProbe:
     )
     @settings(max_examples=60, deadline=None)
     @example(beta=2.0, b=1.0, p=1.005, M=1.0, fracs=[1.2, 0.002, 0.5])  # s1 overflows
+    # b s1^p overflows while s1 is finite: the gap once read +inf and
+    # refused R = 0.01 rbar as above the threshold
+    @example(beta=1.0, b=0.5, p=1.01, M=2.0, fracs=[0.01])
     def test_one_root_call_gives_the_per_radius_verdicts(self, beta, b, p, M, fracs):
         params = Params(beta=beta, b=b, p=p, M=M)
         radii = rbar(params) * np.array(fracs + [1.0])
@@ -637,6 +645,8 @@ class TestThresholdProbe:
     def test_bad_radii(self):
         with pytest.raises(ConfigError, match="positive"):
             threshold_probe(MODEL, [0.5, -1.0])
+        with pytest.raises(ConfigError, match="positive and finite"):
+            threshold_probe(MODEL, [0.5, math.nan])
 
     def test_text_rendering(self):
         exists, fails = threshold_probe(MODEL, [0.5, 2.0])
