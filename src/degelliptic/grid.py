@@ -47,9 +47,9 @@ lambda_min (a min term) of X_h in place of its scan; a single-slot term
 The first-order term is the centered H_h.  F_A + H_h - f has no policy and
 no fan, so its solution does not depend on K (``_Scheme.accurate``); it is
 second-order accurate but not monotone, so it has no discrete comparison
-principle.  The fan scheme, in either gradient form, stays as the monotone
-scheme (``_Scheme.fan``, ``discrete_operator``, ``sweep``); one Newton loop
-(``_newton``) solves either scheme.
+principle; `solve`, `residual_norm` and `sweep` evaluate it.  The monotone
+scheme is F_h with the upwind H_h (``_Scheme.fan``, ``discrete_operator``);
+one Newton loop (``_newton``) solves either scheme.
 
 `solve` takes full Newton steps on F_A + H_h - f from the paper's barrier:
 with a gradient term the supersolution, the first-zero radial profile at
@@ -214,7 +214,8 @@ def build_grid(domain: ConvexDomain, h: float, K: int) -> Grid2D:
 
     K, the number of direction pairs, must be a multiple of 4: the fan is
     then symmetric under the lattice's mirrors and quarter turns and holds
-    the two axes and both diagonals (see ``_direction_fan``).
+    the two axes and both diagonals (see ``_direction_fan``), and at most
+    four times the longer side of the lattice box in lattice steps.
     """
     if domain.dim != 2:
         raise ConfigError("grids are two-dimensional")
@@ -224,11 +225,6 @@ def build_grid(domain: ConvexDomain, h: float, K: int) -> Grid2D:
             f"spacing {h:g} too coarse for radius {domain.radius:g}"
             " (need h <= R/4)"
         )
-    K = integer(K, "K", ge=4)
-    if K % 4:
-        raise ConfigError(f"need a multiple of 4 direction pairs K, got {K}")
-    directions = _direction_fan(K)
-
     centers = domain.center_array()
     lo = centers.min(axis=0) - domain.radius
     hi = centers.max(axis=0) + domain.radius
@@ -237,6 +233,13 @@ def build_grid(domain: ConvexDomain, h: float, K: int) -> Grid2D:
     xs = np.arange(ix0, ix1 + 1, dtype=float) * h
     ys = np.arange(iy0, iy1 + 1, dtype=float) * h
     nx, ny = xs.size, ys.size
+
+    # refuse a fan whose longest candidate, max(2, K // 4) steps, outreaches
+    # the box: its arms are cut at every node; ``_direction_fan`` is O(K^3)
+    K = integer(K, "K", ge=4, le=4 * (max(nx, ny) - 1))
+    if K % 4:
+        raise ConfigError(f"need a multiple of 4 direction pairs K, got {K}")
+    directions = _direction_fan(K)
 
     px, py = np.meshgrid(xs, ys)
     pts = np.stack([px, py], axis=-1)
@@ -327,6 +330,14 @@ def _three_point_weights(lengths: np.ndarray) -> np.ndarray:
     arm rows laid out as in ``Grid2D``: the plus arms, then the minus arms."""
     pair = lengths.reshape(2, -1, *lengths.shape[1:])
     return (2.0 / (pair * (pair[0] + pair[1]))).reshape(lengths.shape)
+
+
+def _arm_rows(grid: Grid2D, slots: np.ndarray) -> tuple:
+    """End nodes and three-point weights of the plus arms of ``slots``, then
+    their minus arms, and per slot the u_0 weight c0 of its second difference."""
+    arms = np.concatenate([slots, slots + grid.K])
+    cc = _three_point_weights(grid.arm_lengths[arms])
+    return grid.arm_nodes[arms].astype(np.intp), cc, cc[: slots.size] + cc[slots.size :]
 
 
 def _slope_weights(hp: np.ndarray, hm: np.ndarray) -> tuple:
@@ -496,28 +507,19 @@ def _assemble(n: int, cols, slopes, diag: np.ndarray):
 
 
 class _Scheme:
-    """Precomputed discretization on one grid of the accurate F_A + H_h - f
-    (``accurate``) and of the fan scheme F_h + H_h - f (``fan``): both read
-    the ``terms`` table, H_h comes from (A, h_coef, h_p) alone, and both
-    return the residual with its Jacobian entries, as ``_assemble`` takes
-    them.  The set-up builds only F_A's nine-point arm tables."""
+    """Precomputed discretization on one grid of F_A + H_h - f, H_h centered
+    (``accurate``), and of the monotone F_h + H_h - f, H_h upwind (``fan``):
+    both read the ``terms`` table, H_h comes from (A, h_coef, h_p) alone, and
+    both return the residual with its Jacobian entries, as ``_assemble``
+    takes them.  The set-up builds only F_A's nine-point arm table."""
 
     def __init__(self, problem: GridProblem, grid: Grid2D):
         if problem.domain != grid.domain:
             raise ConfigError("problem and grid describe different domains")
         self.grid = grid
         self.problem = problem
-        n, d = grid.n_nodes, grid.K
-        self.n = n
-        self.d = d
-
-        # F_A's arm rows: the plus arms of the ``_split_slots``, then their
-        # minus arms; c0 is the weight of u_0 in each slot's second difference
-        slots = _split_slots(grid)
-        arms = np.concatenate([slots, slots + d])
-        self.idx = grid.arm_nodes[arms].astype(np.intp)
-        self.cc = _three_point_weights(grid.arm_lengths[arms])
-        self.c0 = self.cc[:4] + self.cc[4:]
+        self.n, self.d = grid.n_nodes, grid.K
+        self.arms = _arm_rows(grid, _split_slots(grid))
         self.terms = _operator_terms(problem.operator, grid, grid.nodes_xy)
 
         self.fvals = _field_on_nodes(problem.f, grid.nodes_xy, "forcing")
@@ -528,7 +530,7 @@ class _Scheme:
 
         # refuse a node where no operator term and no centered gradient
         # weight reaches u_0 (every second difference weighs u_0 by c0 > 0)
-        d_node = sum((w for _, w, _ in self.terms), np.zeros(n))
+        d_node = sum((w for _, w, _ in self.terms), np.zeros(self.n))
         if self.ham:
             d_node += np.hypot(*self.g_zero)
         if np.any(d_node <= 0.0):
@@ -577,7 +579,7 @@ class _Scheme:
         self.g_plus, self.g_minus, self.g_zero = _slope_weights(
             lengths[plus], lengths[plus + self.d]
         )
-        self.g_ip, self.g_im = self.idx[:2], self.idx[4:6]
+        self.g_ip, self.g_im = self.arms[0][:2], self.arms[0][4:6]
 
         beta = ellipticity_constant(self.problem.operator)
         if params.beta > beta * (1.0 + 1e-12):
@@ -592,10 +594,8 @@ class _Scheme:
 
     @cached_property
     def fan_arms(self) -> tuple:
-        """End nodes and three-point weights of the grid's 2K arm rows, and
-        per direction the weight c0 of u_0, built by the first fan call."""
-        cc = _three_point_weights(self.grid.arm_lengths)
-        return self.grid.arm_nodes.astype(np.intp), cc, cc[: self.d] + cc[self.d :]
+        """The whole fan's ``_arm_rows``, built by the first fan call."""
+        return _arm_rows(self.grid, np.arange(self.d))
 
     @cached_property
     def upwind_arms(self) -> tuple:
@@ -613,14 +613,15 @@ class _Scheme:
 
     # -- evaluation ---------------------------------------------------------
 
-    def second_differences(self, v_ext: np.ndarray) -> np.ndarray:
-        # gathered direction-major: one contiguous take per stencil arm,
-        # then updated in place (same arithmetic, no large temporaries)
-        idx, cc, _ = self.fan_arms
+    def second_differences(self, v_ext: np.ndarray, arms: tuple) -> np.ndarray:
+        """Second differences along the slots of an ``_arm_rows`` table (rows)
+        at the nodes: one contiguous take per arm row, updated in place."""
+        idx, cc, _ = arms
         parts = np.take(v_ext, idx)
         parts -= v_ext[: self.n]
         parts *= cc
-        return (parts[: self.d] + parts[self.d :]).T
+        half = idx.shape[0] // 2
+        return parts[:half] + parts[half:]
 
     def gradient(self, v_ext: np.ndarray) -> np.ndarray:
         """Centered gradient, rows x and y."""
@@ -630,7 +631,7 @@ class _Scheme:
     def hamiltonian(self, v_ext: np.ndarray, upwind: bool = False):
         """H_h = h_coef q^(p/2) at ``v_ext`` and its Jacobian entries (arm
         columns, their slopes, the diagonal slope); ``(0.0, ([], [], 0.0))``
-        without a gradient term.
+        without a gradient term; ``fan`` reads it upwind, ``accurate`` centered.
 
         Upwind: q = sum_k c_k m_k^2, per upwind slot (rows) m_k = max(d+_k,
         d-_k, 0) from the one-sided differences (u_arm - u_0) / h_arm on the
@@ -671,9 +672,10 @@ class _Scheme:
         slopes = [*(s * self.g_plus), *(s * self.g_minus)]
         return h_vals, (cols, slopes, (s * self.g_zero).sum(axis=0))
 
-    def fan(self, v_ext: np.ndarray, upwind: bool = False) -> tuple[np.ndarray, tuple]:
-        """F_h + H_h - f of the fan scheme at ``v_ext``, H_h centered or
-        upwind, and its Jacobian entries in the layout of ``accurate``.
+    def fan(self, v_ext: np.ndarray) -> tuple[np.ndarray, tuple]:
+        """F_h + H_h - f of the monotone fan scheme at ``v_ext``, H_h upwind,
+        and its Jacobian entries in the layout of ``accurate``; refuses an
+        A with no diagonally dominant split (``upwind_arms``).
 
         Each term keeps only its active slot, the argmin of a min term and
         the argmax of a max term, which makes the Jacobian an element of the
@@ -681,15 +683,15 @@ class _Scheme:
         """
         # the H_h entries outlive the second differences; allocating them
         # first kept grid-lens peak RSS 4 MB lower than the other order
-        h_vals, (h_cols, h_slopes, h_diag) = self.hamiltonian(v_ext, upwind)
-        d2 = self.second_differences(v_ext)
-        idx, cc, c0 = self.fan_arms
+        h_vals, (h_cols, h_slopes, h_diag) = self.hamiltonian(v_ext, upwind=True)
+        idx, cc, c0 = arms = self.fan_arms
+        d2 = self.second_differences(v_ext, arms)
         n, d, rows = self.n, self.d, np.arange(self.n)
         f_h, diag, cols, slopes = np.zeros(n), np.zeros(n), [], []
         for slots, w, rule in self.terms:
-            along = d2[:, slots]
-            at = _RULES[rule][1](along, axis=1)
-            f_h += w * along[rows, at]
+            along = d2[slots]
+            at = _RULES[rule][1](along, axis=0)
+            f_h += w * along[at, rows]
             k = slots[at]
             cols += [idx[k, rows], idx[k + d, rows]]
             slopes += [w * cc[k, rows], w * cc[k + d, rows]]
@@ -715,10 +717,8 @@ class _Scheme:
         # the H_h entries outlive the second differences, as in ``fan``
         h_vals, (_, h_slopes, h_diag) = self.hamiltonian(v_ext)
         n, slots = self.n, _split_slots(self.grid)
-        parts = np.take(v_ext, self.idx)
-        parts -= v_ext[:n]
-        parts *= self.cc
-        dd = parts[:4] + parts[4:]  # D_x, D_y, D_(1,1), D_(-1,1)
+        idx, cc, c0 = arms = self.arms
+        dd = self.second_differences(v_ext, arms)  # D_x, D_y, D_(1,1), D_(-1,1)
         half = (dd[0] - dd[1]) / 2.0
         uxy = (dd[2] - dd[3]) / 2.0
         r = np.hypot(half, uxy)
@@ -737,13 +737,13 @@ class _Scheme:
             f_a += w * ((dd[0] + dd[1]) / 2.0 + sign * r)
             c, s = sign * cos2, sign * sin2
             weights += (w / 2.0) * np.stack([1.0 + c, 1.0 - c, s, -s])
-        slopes = np.concatenate([weights, weights]) * self.cc
+        slopes = np.concatenate([weights, weights]) * cc
         if self.ham:
             # the centered gradient's arms g_ip, g_im are the axis arms, rows
             # 0, 1 (plus) and 4, 5 (minus) here: its slopes join theirs
             slopes[[0, 1, 4, 5]] += h_slopes
-        diag = h_diag - (weights * self.c0).sum(axis=0)
-        return f_a + h_vals - self.fvals, (self.idx, slopes, diag)
+        diag = h_diag - (weights * c0).sum(axis=0)
+        return f_a + h_vals - self.fvals, (idx, slopes, diag)
 
 
 _VECTORS = (tuple, list, np.ndarray)  # a node or direction given as a vector
@@ -936,15 +936,15 @@ def sweep(
     tau: float,
     steps: int = 1,
 ) -> np.ndarray:
-    """Apply ``steps`` simultaneous updates u <- u + tau (F_h[u] + H_h[u] - f)
-    on the fan scheme with the centered H_h; the scheme set-up and residual
-    probes of ``perfbench/run.py`` call it with ``tau = 0``."""
+    """Apply ``steps`` simultaneous updates u <- u + tau (F_A[u] + H_h[u] - f),
+    the residual of `solve`; the scheme set-up and residual probes of
+    ``perfbench/run.py`` call it with ``tau = 0``."""
     v_ext = GridFunction(grid=grid, values=values).extended()
     tau = real(tau, "sweep step tau", ge=0)
     steps = integer(steps, "number of sweep steps", ge=0)
     scheme = _Scheme(problem, grid)
     for _ in range(steps):
-        v_ext[: grid.n_nodes] += tau * scheme.fan(v_ext)[0]
+        v_ext[: grid.n_nodes] += tau * scheme.accurate(v_ext)[0]
     return v_ext[: grid.n_nodes].copy()
 
 

@@ -522,7 +522,6 @@ def convergence_study(
     problem: GridProblem,
     h_list,
     *,
-    K: int = 8,
     tol: float = 1e-5,
     oracle: Callable | None = None,
 ) -> ConvergenceTable:
@@ -530,10 +529,11 @@ def convergence_study(
 
     ``oracle`` maps node radii to exact values; omitted, it is derived for
     the constant-forcing benchmark family.  Every grid is built, and so
-    every spacing and K admitted, before the first solve.  Solver
-    non-convergence propagates.
+    every spacing admitted, before the first solve, with the K = 4 fan:
+    `solve` reads only its axis and diagonal arms, which every fan holds.
+    Solver non-convergence propagates.
     """
-    grids = [build_grid(problem.domain, h, K) for h in h_list]
+    grids = [build_grid(problem.domain, h, 4) for h in h_list]
     if not grids:
         raise ConfigError("need at least one grid spacing")
     controls = SolveControls(tol=tol)

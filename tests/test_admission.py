@@ -151,8 +151,8 @@ def _profile(R=0.9, node_count=64, r_min=1e-6, branch="FirstZeroSuperlinear"):
     return (prof.r_grid.tobytes(), prof.u_values.tobytes()), [prof.R]
 
 
-def _study(h=0.25, K=8, tol=1e-5):
-    return convergence_study(ZERO_FORCING, [h], K=K, tol=tol).to_text(), []
+def _study(h=0.25, tol=1e-5):
+    return convergence_study(ZERO_FORCING, [h], tol=tol).to_text(), []
 
 
 def _sweep(tau=0.01, steps=1):
@@ -290,7 +290,6 @@ CASES = {
     "epsilon_scaling epsilon": ("real", (0.1, 1), lambda v: _epsilon(epsilon=v)),
     "epsilon_scaling sup_f": ("real", (-1, -0.5), lambda v: _epsilon(sup_f=v)),
     "convergence_study spacing": ("real", (0.25, 0.2), lambda v: _study(h=v)),
-    "convergence_study K": ("integer", (4, 8), lambda v: _study(K=v)),
     "convergence_study tol": ("real", (1e-5, 0.01), lambda v: _study(tol=v)),
 }
 

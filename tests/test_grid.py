@@ -9,6 +9,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -226,6 +227,18 @@ class TestBuildGrid:
     def test_k_not_a_multiple_of_4(self):
         with pytest.raises(ConfigError, match="multiple of 4"):
             build_grid(DISC, 0.25, 6)
+
+    def test_k_past_the_lattice_box_refused_quickly(self):
+        # the box at h = R/4 spans 10 lattice steps: K = 40 reaches 10 and
+        # builds, K = 44 reaches 11 and is refused, as is K = 10^6 (whose
+        # fan would take O(K^3) to choose) before any fan is built.  The
+        # widest fan in use, K = 32 at h = R/4, builds in ``TestArmTable``
+        assert build_grid(DISC, 0.25, 40).K == 40
+        for K in (44, 10**6):
+            start = time.perf_counter()
+            with pytest.raises(ConfigError, match="K >= 4 and <= 40"):
+                build_grid(DISC, 0.25, K)
+            assert time.perf_counter() - start < 1.0
 
     def test_numpy_integer_k(self):
         g = build_grid(DISC, 0.25, np.int64(8))
@@ -659,11 +672,11 @@ class TestPointwiseIsTheScheme:
         u = GridFunction(grid=g, values=np.random.default_rng(7).normal(size=g.n_nodes))
         v = u.extended()
         scheme = _Scheme(_lens_problem(0.3, PowerNorm(b=1.0, p=2.0), 0.0), g)
-        d2 = scheme.second_differences(v)
+        d2 = scheme.second_differences(v, scheme.fan_arms)
         grad = scheme.gradient(v)
         for i in range(g.n_nodes):
             for k in range(K):
-                assert discrete_second_difference(u, i, k) == d2[i, k], (i, k)
+                assert discrete_second_difference(u, i, k) == d2[k, i], (i, k)
             assert np.array_equal(discrete_gradient(u, i), grad[:, i]), i
         # f = 0 and no gradient term: the fan residual is F_h
         operators = (
@@ -761,15 +774,29 @@ class TestAccurateScheme:
         assert np.array_equal(u8.values, u16.values)
         assert (r8.iterations, r8.residual_norm) == (r16.iterations, r16.residual_norm)
 
+    @pytest.mark.parametrize("K", [4, 8, 16])
+    @pytest.mark.parametrize("domain", [DISC, LENS], ids=["disc", "lens"])
+    def test_one_second_difference_routine(self, domain, K):
+        # F_A's nine-point table and the fan's 2K-row table come from one
+        # builder and go through one take/subtract/scale: at the split slots
+        # the fan's rows are F_A's bit for bit, cut-cell arms included
+        g = build_grid(domain, 1 / 8, K)
+        scheme = _Scheme(GridProblem(MinMax(), None, MODEL, domain, -0.1), g)
+        v = np.append(np.random.default_rng(6).normal(size=g.n_nodes), 0.0)
+        nine = scheme.second_differences(v, scheme.arms)
+        fan = scheme.second_differences(v, scheme.fan_arms)
+        assert nine.shape == (4, g.n_nodes) and fan.shape == (K, g.n_nodes)
+        assert np.array_equal(nine, fan[grid_module._split_slots(g)])
+
     @pytest.mark.parametrize(
         "ham",
         [None, PowerNorm(b=1.0, p=2.0), AnisotropicPower(SymMatrix(ANISO_A), p=2.0)],
         ids=["none", "power", "aniso"],
     )
     def test_fan_tables_wait_for_the_fan(self, disc_h8, ham):
-        # the set-up and F_A read the nine-point tables alone; the fan's
-        # 2K-row tables wait for the first fan evaluation, and the upwind
-        # split of A for the first upwind one (none without a gradient term)
+        # the set-up and F_A read the nine-point table alone; the fan's
+        # 2K-row table and the upwind split of A (none without a gradient
+        # term) wait for the first fan evaluation
         problem = GridProblem(BENCH.operator, ham, MODEL, DISC, -1.0)
         scheme = _Scheme(problem, disc_h8)
         v = np.append(np.random.default_rng(2).normal(size=disc_h8.n_nodes), 0.0)
@@ -780,8 +807,6 @@ class TestAccurateScheme:
         scheme.accurate(v)
         assert built() == set()
         scheme.fan(v)
-        assert built() == {"fan_arms"}
-        scheme.fan(v, upwind=True)
         assert built() == ({"fan_arms", "upwind_arms"} if ham else {"fan_arms"})
 
     def test_solve_memory_does_not_depend_on_the_fan(self):
@@ -879,26 +904,17 @@ class TestNewtonJacobian:
     # ties in the fan scans of a random field have measure zero
     EPS = 1e-7
 
-    def _jacobian_and_differences(self, grid, operator, ham, upwind):
+    def _jacobian_and_differences(self, grid, operator, ham):
         params = Params(beta=1.0, b=4.0, p=ham.p, M=1.0)
         scheme = _Scheme(GridProblem(operator, ham, params, DISC, -0.1), grid)
         rng = np.random.default_rng(1)
         v = np.append(rng.normal(scale=0.03, size=grid.n_nodes), 0.0)
         w = np.append(rng.normal(size=grid.n_nodes), 0.0)
         fd = (
-            scheme.fan(v + self.EPS * w, upwind)[0]
-            - scheme.fan(v - self.EPS * w, upwind)[0]
+            scheme.fan(v + self.EPS * w)[0] - scheme.fan(v - self.EPS * w)[0]
         ) / (2.0 * self.EPS)
-        jac = grid_module._assemble(grid.n_nodes, *scheme.fan(v, upwind)[1])
+        jac = grid_module._assemble(grid.n_nodes, *scheme.fan(v)[1])
         return scheme, v, w, fd, jac @ w[:-1]
-
-    @JACOBIAN_OPERATORS
-    @JACOBIAN_HAMILTONIANS
-    def test_matches_central_differences(self, disc_h8, operator, ham):
-        _, _, _, fd, jw = self._jacobian_and_differences(
-            disc_h8, operator, ham, upwind=False
-        )
-        assert float(np.max(np.abs(fd - jw))) <= 1e-5
 
     @JACOBIAN_OPERATORS
     @JACOBIAN_HAMILTONIANS
@@ -918,12 +934,68 @@ class TestNewtonJacobian:
 
     @JACOBIAN_OPERATORS
     @JACOBIAN_HAMILTONIANS
-    def test_upwind_matches_central_differences(self, disc_h8, operator, ham):
-        scheme, v, w, fd, jw = self._jacobian_and_differences(
-            disc_h8, operator, ham, upwind=True
+    def test_accurate_entries_do_not_depend_on_the_fan(self, operator, ham):
+        # F_A + H_h reads only the axis and diagonal arms, which every fan
+        # holds with the same cut-cell lengths: K = 4, the nine-point fan
+        # that ``convergence_study`` builds, gives the K = 8 and K = 16
+        # residual and Jacobian bit for bit
+        params = Params(beta=1.0, b=4.0, p=ham.p, M=1.0)
+        problem = GridProblem(operator, ham, params, LENS, -0.1)
+        results = []
+        for K in (4, 8, 16):
+            g = build_grid(LENS, 1 / 8, K)
+            v = np.append(np.random.default_rng(8).normal(size=g.n_nodes), 0.0)
+            resid, entries = _Scheme(problem, g).accurate(v)
+            jac = grid_module._assemble(g.n_nodes, *entries).toarray()
+            results.append((resid, jac))
+        for resid, jac in results[1:]:
+            assert np.array_equal(resid, results[0][0])
+            assert np.array_equal(jac, results[0][1])
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("aniso", [False, True], ids=["power", "aniso"])
+    def test_accurate_rows_stay_in_the_nine_point_stencil(self, disc_h8, p, aniso):
+        """Unlike the fan's, F_A's Jacobian rows do not move with the
+        iterate: every row keeps its diagonal and reads the node and the
+        ends of its axis and diagonal arms, and no other column, at a
+        random iterate and at the same one tilted.  The aniso case takes an
+        A with no lattice split, which F_A accepts."""
+        ham = (
+            AnisotropicPower(SymMatrix([[1.0, 0.6], [0.6, 0.5]]), p=p)
+            if aniso
+            else PowerNorm(b=1.0, p=p)
         )
+        params = Params(beta=1.0, b=4.0, p=p, M=1.0)
+        # unequal eigenvalue weights: the diagonal arms keep nonzero slopes
+        operator = WeightedEigenvalues((0.5, 1.5))
+        scheme = _Scheme(GridProblem(operator, ham, params, DISC, -0.1), disc_h8)
+        rng = np.random.default_rng(3)
+        n = disc_h8.n_nodes
+        slots = grid_module._split_slots(disc_h8)
+        nine = disc_h8.arm_nodes[np.concatenate([slots, slots + disc_h8.K])]
+        scale = _gradient_scale(params)
+        v0 = np.append(rng.normal(scale=0.1 * scale, size=n), 0.0)
+        tilt = 0.25 * scale * (disc_h8.nodes_xy @ [1.0, 0.5])
+        v1 = v0 + np.append(tilt, 0.0)
+        patterns = []
+        for v in (v0, v1):
+            jac = grid_module._assemble(n, *scheme.accurate(v)[1])
+            jac.eliminate_zeros()
+            rows = [
+                set(jac.indices[jac.indptr[i] : jac.indptr[i + 1]]) for i in range(n)
+            ]
+            for i, cols in enumerate(rows):
+                assert cols == {i, *nine[:, i]} - {n}, i
+            patterns.append(rows)
+        assert patterns[0] == patterns[1]
+
+    @JACOBIAN_OPERATORS
+    @JACOBIAN_HAMILTONIANS
+    def test_upwind_matches_central_differences(self, disc_h8, operator, ham):
+        scheme, v, w, fd, jw = self._jacobian_and_differences(disc_h8, operator, ham)
+
         def columns(x):  # each node's Jacobian columns, one row per entry
-            return np.array(scheme.fan(x, upwind=True)[1][0])
+            return np.array(scheme.fan(x)[1][0])
 
         # compare only away from kinks: where no fan slot and no upwind arm
         # switches between the ends of the difference stencil, so each
@@ -936,13 +1008,10 @@ class TestNewtonJacobian:
 
     @JACOBIAN_OPERATORS
     @JACOBIAN_HAMILTONIANS
-    @pytest.mark.parametrize("upwind", [True, False], ids=["upwind", "centered"])
-    def test_fan_residual_is_the_residual(self, disc_h8, operator, ham, upwind):
-        # sweep and the upwind solves read F_h + H_h - f from ``fan``; check
-        # it node by node against discrete_operator and the first-order
-        # term built from the arms:
-        # the centered gradient, or the upwind sum_k c_k m_k^2 over the
-        # dominant split of A
+    def test_fan_residual_is_the_residual(self, disc_h8, operator, ham):
+        # the upwind solves read F_h + H_h - f from ``fan``; check it node
+        # by node against discrete_operator and the upwind sum_k c_k m_k^2
+        # built from the arms over the dominant split of A
         params = Params(beta=1.0, b=4.0, p=ham.p, M=1.0)
         scheme = _Scheme(GridProblem(operator, ham, params, DISC, -0.1), disc_h8)
         g = disc_h8
@@ -956,24 +1025,21 @@ class TestNewtonJacobian:
         rng = np.random.default_rng(5)
         for scale in (0.003, 0.03, 0.3):
             v = np.append(rng.normal(scale=scale, size=g.n_nodes), 0.0)
-            resid = scheme.fan(v, upwind)[0]
+            resid = scheme.fan(v)[0]
             u = GridFunction(grid=g, values=v[:-1])
             for i in range(g.n_nodes):
                 f_h = discrete_operator(operator, u, i)
-                if upwind:
-                    q = 0.0
-                    for slot, c in split.items():
-                        k = g.directions.index(slot)
-                        plus, minus = k, k + g.K
-                        m = max(
-                            (v[g.arm_nodes[plus, i]] - v[i]) / g.arm_lengths[plus, i],
-                            (v[g.arm_nodes[minus, i]] - v[i]) / g.arm_lengths[minus, i],
-                            0.0,
-                        )
-                        q += c * m * m
-                    h_h = coef * q ** (ham.p / 2.0)
-                else:
-                    h_h = evaluate_hamiltonian(ham, discrete_gradient(u, i))
+                q = 0.0
+                for slot, c in split.items():
+                    k = g.directions.index(slot)
+                    plus, minus = k, k + g.K
+                    m = max(
+                        (v[g.arm_nodes[plus, i]] - v[i]) / g.arm_lengths[plus, i],
+                        (v[g.arm_nodes[minus, i]] - v[i]) / g.arm_lengths[minus, i],
+                        0.0,
+                    )
+                    q += c * m * m
+                h_h = coef * q ** (ham.p / 2.0)
                 want = f_h + h_h + 0.1
                 assert abs(resid[i] - want) <= 1e-12 * (1.0 + abs(f_h) + h_h)
 
@@ -1016,7 +1082,7 @@ def _upwind_iterates(scheme, v_ext, stop):
     iterates, residuals = [], []
 
     def evaluate(v):
-        resid, entries = scheme.fan(v, upwind=True)
+        resid, entries = scheme.fan(v)
         iterates.append(v.copy())
         residuals.append(resid)
         return resid, entries
@@ -1047,9 +1113,9 @@ class TestUpwindMonotone:
         rng = np.random.default_rng(seed)
         v = np.append(rng.normal(scale=scale, size=grid.n_nodes), 0.0)
         j = int(rng.integers(grid.n_nodes))
-        before = scheme.fan(v, upwind=True)[0]
+        before = scheme.fan(v)[0]
         v[j] += bump
-        after = np.delete(scheme.fan(v, upwind=True)[0], j)
+        after = np.delete(scheme.fan(v)[0], j)
         before = np.delete(before, j)
         assert np.all(after - before >= -1e-12 * (1.0 + np.abs(before)))
 
@@ -1074,7 +1140,7 @@ class TestUpwindMonotone:
         scheme = _Scheme(problem, grid)
         rng = np.random.default_rng(seed)
         v = np.append(rng.normal(scale=scale, size=grid.n_nodes), 0.0)
-        entries = scheme.fan(v, upwind=True)[1]
+        entries = scheme.fan(v)[1]
         jac = grid_module._assemble(grid.n_nodes, *entries).tocoo()
         off = jac.row != jac.col
         assert np.all(jac.data[off] >= 0.0)
@@ -1129,7 +1195,7 @@ class TestUpwindMonotone:
 
         v0, v1 = field(below), field(above)
         r0, r1, mid = (
-            scheme.fan(v, upwind=True)[0] for v in (v0, v1, (v0 + v1) / 2.0)
+            scheme.fan(v)[0] for v in (v0, v1, (v0 + v1) / 2.0)
         )
         h0, h1 = (scheme.hamiltonian(v, upwind=True)[0] for v in (v0, v1))
         scale = 1.0 + np.abs(r0) + np.abs(r1) + h0 + h1
@@ -1250,7 +1316,7 @@ class TestUpwindMonotone:
         v0, v1 = (np.append(rng.normal(scale=scale, size=n), 0.0) for _ in "01")
         rows = rng.choice(n, size=rng.integers(1, n), replace=False)
         jac0, jac1 = (
-            grid_module._assemble(n, *scheme.fan(v, upwind=True)[1]) for v in (v0, v1)
+            grid_module._assemble(n, *scheme.fan(v)[1]) for v in (v0, v1)
         )
         mixed = jac0.tolil()
         mixed[rows] = jac1[rows]
@@ -1282,7 +1348,7 @@ class TestUpwindMonotone:
         v = np.append(rng.normal(scale=0.03, size=disc_h8.n_nodes), 0.0)
         jac = {
             s: grid_module._assemble(
-                disc_h8.n_nodes, *scheme.fan(s * v, upwind=True)[1]
+                disc_h8.n_nodes, *scheme.fan(s * v)[1]
             ).toarray()
             for s in (1, 1.5, 2)
         }
@@ -1290,10 +1356,9 @@ class TestUpwindMonotone:
         scale = np.abs(mid).max()
         assert np.max(np.abs(jac[1.5] - mid)) <= 1e-12 * scale
 
-    @pytest.mark.parametrize("upwind", [True, False], ids=["upwind", "centered"])
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
     @pytest.mark.parametrize("aniso", [False, True], ids=["power", "aniso"])
-    def test_jacobian_rows_stay_in_the_node_stencil(self, disc_h8, upwind, p, aniso):
+    def test_jacobian_rows_stay_in_the_node_stencil(self, disc_h8, p, aniso):
         """Tilting an iterate moves fan choices, and with them the nonzero
         columns of some fan Jacobian rows; every row keeps its diagonal and
         reads no column outside the node and its 2K arm ends."""
@@ -1314,7 +1379,7 @@ class TestUpwindMonotone:
         v1 = v0 + np.append(tilt, 0.0)
         patterns = []
         for v in (v0, v1):
-            jac = grid_module._assemble(n, *scheme.fan(v, upwind)[1])
+            jac = grid_module._assemble(n, *scheme.fan(v)[1])
             jac.eliminate_zeros()
             rows = [
                 set(jac.indices[jac.indptr[i] : jac.indptr[i + 1]]) for i in range(n)
@@ -1803,11 +1868,11 @@ class TestSolve:
         # disc, 2.2e-5 on the lens at the closest node)
         scheme = _Scheme(prob, grid)
         assert np.all(grid_module._initial_values(prob, grid, scheme) >= u.values)
-        # residual_norm and sweep (the centered fan) take it too
+        # residual_norm and sweep (both F_A) take it too
         assert residual_norm(prob, u) == report.residual_norm
         assert np.array_equal(sweep(prob, grid, u.values, 0.0), u.values)
         with pytest.raises(UnsupportedDiscretizationError, match="anisotropy matrix"):
-            scheme.fan(u.extended(), upwind=True)
+            scheme.fan(u.extended())
 
 
 def _small_disc(eps):
@@ -2072,7 +2137,8 @@ class TestSublinearClosedForm:
 class TestInjectedOracleResidual:
     def test_center_residual_refines_quadratically(self, model_profile):
         # the angular error vanishes at the origin where both Hessian
-        # eigenvalues agree; measured 4.9e-4 / 1.3e-4 / 3.1e-5
+        # eigenvalues agree, and so does the gradient; measured 4.9e-4 /
+        # 1.2e-4 / 3.1e-5
         vals = []
         for h in (1 / 16, 1 / 32, 1 / 64):
             g = build_grid(DISC, h, 8)
@@ -2087,18 +2153,18 @@ class TestInjectedOracleResidual:
     def test_global_residual_bounded(self, disc_h16, model_profile):
         # the benchmark sits exactly at the threshold radius, so u'' is
         # unbounded at the rim and the worst-node residual of the monotone
-        # fan scheme does not vanish; it stays at the documented
-        # boundary-layer size (measured 0.24; F_A's is 0.84 there)
+        # fan scheme (upwind H_h) does not vanish; it stays at the documented
+        # boundary-layer size (measured 0.39; F_A's is 0.84 there)
         u = oracle_on(disc_h16, model_profile)
         resid = _Scheme(BENCH, disc_h16).fan(u.extended())[0]
         assert float(np.max(np.abs(resid))) <= 0.5
 
     def test_accurate_residual_inside_the_rim(self, model_profile):
         # more than 3h inside the rim F_A's residual on the oracle is a
-        # fraction of the fan's (measured 1.1e-2 / 1.7e-2 / 3.3e-2 against
-        # 3.9e-2 / 8.9e-2 / 1.7e-1; both grow as those nodes near the rim,
-        # where u'' is unbounded).  At the center X_h is a multiple of I,
-        # so there the two are equal
+        # fraction of the monotone fan's (measured 1.1e-2 / 1.7e-2 / 3.3e-2
+        # against 7.0e-2 / 1.2e-1 / 2.0e-1; both grow as those nodes near
+        # the rim, where u'' is unbounded).  At the center X_h is a multiple
+        # of I and the gradient vanishes, so there the two are equal
         for h in (1 / 16, 1 / 32, 1 / 64):
             g = build_grid(DISC, h, 8)
             u = oracle_on(g, model_profile)
@@ -2114,41 +2180,52 @@ class TestInjectedOracleResidual:
 
 class TestComparison:
     def test_scaled_subsolution_stays_below(self, disc_h8):
-        v, rep = solve(BENCH, disc_h8, SolveControls(tol=1e-6))
+        """The explicit step u <- u + tau (F_h + H_h - f) of the monotone
+        fan scheme is nondecreasing in every node value while tau times
+        every diagonal slope stays below 1 in size, so it keeps two ordered
+        fields ordered."""
+        v, _ = solve(BENCH, disc_h8, SolveControls(tol=1e-6))
         scheme = _Scheme(BENCH, disc_h8)
         shrunk = 0.9 * v.values
         res_v = scheme.fan(v.extended())[0]
         res_u = scheme.fan(np.append(shrunk, 0.0))[0]
-        # the scaled field is a strict discrete subsolution
+        # the scaled field is a strict discrete subsolution (measured 7.4e-2)
         assert float(np.min(res_u - res_v)) >= 5e-3
         # explicit step below 1 / (largest diagonal slope): per node the
-        # operator's weight times its largest c0, plus the gradient term's
-        # Lipschitz bound p b G^(p-1) on |g| <= G = _gradient_scale (twice
-        # c1_bound here, where the disc is at the threshold), times its
-        # centered weight on u_0
+        # operator's weight times its largest c0, plus the upwind H_h's sum
+        # over its slots of dH/dm_k / h_arm, with dH/dm_k = 2 b c_k m_k at
+        # p = 2, the shorter arm and every one-sided slope m_k at most G =
+        # _gradient_scale (twice c1_bound here, where the disc is at the
+        # threshold)
         ham = BENCH.hamiltonian
+        assert ham.p == 2.0
         bound = _gradient_scale(BENCH.params)
         c0 = scheme.fan_arms[2]
         d_node = sum(w * c0[slots].max(axis=0) for slots, w, _ in scheme.terms)
-        lip = ham.p * ham.b * bound ** (ham.p - 1.0)
-        d_node = d_node + lip * np.hypot(*scheme.g_zero)
+        up_c, up_idx, up_inv_h = scheme.upwind_arms
+        d_node = d_node + 2.0 * ham.b * bound * (up_c @ up_inv_h.max(axis=0))
         tau = 0.9 / float(np.max(d_node))
+
+        def step(w):
+            return w + tau * scheme.fan(np.append(w, 0.0))[0]
+
+        def largest_slope(w):  # the largest one-sided slope over the slots
+            return float(np.max((np.append(w, 0.0)[up_idx] - w) * up_inv_h))
+
         u_k, v_k = shrunk, v.values.copy()
-        for _ in range(20):
-            u_k = sweep(BENCH, disc_h8, u_k, tau, steps=10)
-            v_k = sweep(BENCH, disc_h8, v_k, tau, steps=10)
+        for _ in range(200):
+            u_k, v_k = step(u_k), step(v_k)
             assert float(np.max(u_k - v_k)) <= 1e-12
-            # the Lipschitz bound holds along both sequences
-            for w_k in (u_k, v_k):
-                g = scheme.gradient(np.append(w_k, 0.0))
-                assert float(np.max(np.hypot(*g))) <= bound
+            # the slope bound holds along both sequences, and so, each m_k
+            # being convex, on the segment between them
+            assert max(largest_slope(u_k), largest_slope(v_k)) <= bound
 
     def test_sweep_is_simultaneous(self, disc_h8):
         rng = np.random.default_rng(5)
         vals = rng.normal(scale=0.1, size=disc_h8.n_nodes)
         scheme = _Scheme(BENCH, disc_h8)
         tau = 1e-4
-        expect = vals + tau * scheme.fan(np.append(vals, 0.0))[0]
+        expect = vals + tau * scheme.accurate(np.append(vals, 0.0))[0]
         assert np.allclose(
             sweep(BENCH, disc_h8, vals, tau), expect, rtol=0, atol=1e-15
         )
@@ -2181,6 +2258,46 @@ class TestComparison:
     def test_sweep_zero_step_returns_the_values(self, disc_h8):
         vals = np.linspace(0.0, 1.0, disc_h8.n_nodes)
         assert np.array_equal(sweep(BENCH, disc_h8, vals, 0.0, steps=20), vals)
+
+    def test_sweep_steps_the_residual_that_solve_drives(self):
+        # one residual behind every public entry: sweep steps F_A + H_h - f,
+        # so it takes an A with no dominant lattice split, which the
+        # monotone fan refuses, and its output does not depend on K
+        prob = GridProblem(
+            operator=CoefficientLambdaN(ScalarField.constant(2.0)),
+            hamiltonian=AnisotropicPower(SymMatrix([[1.0, 0.6], [0.6, 0.5]]), p=2.0),
+            params=Params(beta=2.0, b=1.4, p=2.0, M=1.0),
+            domain=LENS,
+            f=-0.5,
+        )
+        tau, outputs = 1e-3, []
+        for K in (8, 16):
+            grid = build_grid(LENS, 1 / 16, K)
+            vals = np.random.default_rng(4).normal(scale=0.1, size=grid.n_nodes)
+            v_ext = np.append(vals, 0.0)
+            scheme = _Scheme(prob, grid)
+            outputs.append(sweep(prob, grid, vals, tau, 1))
+            expect = vals + tau * scheme.accurate(v_ext)[0]
+            assert np.array_equal(outputs[-1], expect)
+            with pytest.raises(UnsupportedDiscretizationError, match="anisotropy matrix"):
+                scheme.fan(v_ext)
+        assert np.array_equal(outputs[0], outputs[1])
+
+    @JACOBIAN_OPERATORS
+    @JACOBIAN_HAMILTONIANS
+    def test_sweep_is_accurate_steps(self, operator, ham):
+        # for every operator and gradient term, sweep's steps are explicit
+        # steps of ``accurate``'s residual, bit for bit, on a lens with cut
+        # cells
+        params = Params(beta=1.0, b=4.0, p=ham.p, M=1.0)
+        prob = GridProblem(operator, ham, params, LENS, -0.1)
+        grid = build_grid(LENS, 1 / 8, 8)
+        scheme = _Scheme(prob, grid)
+        vals = np.random.default_rng(9).normal(scale=0.03, size=grid.n_nodes)
+        tau, expect = 1e-4, vals.copy()
+        for steps in (1, 2, 3):
+            expect = expect + tau * scheme.accurate(np.append(expect, 0.0))[0]
+            assert np.array_equal(sweep(prob, grid, vals, tau, steps), expect)
 
 
 class TestGridConvergence:
