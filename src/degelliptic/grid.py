@@ -61,13 +61,20 @@ fallback: a non-finite residual, a Jacobian that factors as singular, or a
 stop residual not met within ``_step_budget`` steps ends the solve with
 ``NumericError`` (``_StepLog.failure``).
 
-Each Newton system is factored by SuperLU in symmetric mode: a minimum
-degree order of J + J^T, with the diagonal pivot kept wherever it is at
-least 0.1 of the largest entry in its column, and a row exchange where it
-is not.  Partial pivoting would exchange rows throughout and undo the
-symmetric fill-reducing order.  F_A's Jacobian is not an M-matrix (the
-u_xy slopes and the centered gradient slopes take either sign), so the
-threshold lets SuperLU pivot off the diagonal where a pivot is too small.
+Each Newton system is factored by SuperLU in symmetric mode, in one
+nested-dissection order of the lattice box built per solve
+(``_nested_dissection``, after George, SIAM J. Numer. Anal. 10, 1973).
+F_A's arms reach one lattice step, so one lattice line across a box
+separates its two halves: eliminating each half fills in only inside it
+and on the line, and no step computes an order of its own.  The Jacobian's
+pattern is the same at every step, so its CSC structure in that order is
+built once (``_assemble``) and each step gathers its entries into it.  The
+diagonal pivot is kept wherever it is at least 0.1 of the largest entry in
+its column, and a row exchanged where it is not.  Partial pivoting would
+exchange rows throughout and undo the symmetric fill-reducing order.  F_A's
+Jacobian is not an M-matrix (the u_xy slopes and the centered gradient
+slopes take either sign), so the threshold lets SuperLU pivot off the
+diagonal where a pivot is too small.
 """
 
 from __future__ import annotations
@@ -137,11 +144,20 @@ def _direction_fan(K: int) -> tuple[tuple[int, int], ...]:
     cands = [
         (a, b) for a in range(1, cap + 1) for b in range(a + 1) if math.gcd(a, b) == 1
     ]
+    angles = np.array([math.atan2(b, a) for a, b in cands])
+    by_angle = np.argsort(angles)
+    # primitive vectors point in distinct directions, at least 1/(2 cap^2)
+    # rad apart, so the nearest candidate, and any within 1e-12 of it, is
+    # one of the two that the target falls between
+    at = np.searchsorted(angles[by_angle], np.pi * np.arange(m + 1) / K)
     octant = []
-    for k in range(m + 1):
-        miss = {v: abs(math.atan2(v[1], v[0]) - math.pi * k / K) for v in cands}
+    for k, i in enumerate(at.tolist()):
+        miss = {
+            cands[j]: abs(angles[j] - math.pi * k / K)
+            for j in by_angle[max(i - 1, 0) : i + 1]
+        }
         best = min(miss.values())
-        ties = [v for v in cands if miss[v] <= best + 1e-12]
+        ties = [v for v, e in miss.items() if e <= best + 1e-12]
         octant.append(min(ties, key=lambda v: v[0] * v[0] + v[1] * v[1]))
     quarter = octant + [(b, a) for a, b in reversed(octant[1:-1])]
     return tuple(quarter + [(-b, a) for a, b in quarter])
@@ -235,7 +251,8 @@ def build_grid(domain: ConvexDomain, h: float, K: int) -> Grid2D:
     nx, ny = xs.size, ys.size
 
     # refuse a fan whose longest candidate, max(2, K // 4) steps, outreaches
-    # the box: its arms are cut at every node; ``_direction_fan`` is O(K^3)
+    # the box: its arms are cut at every node; ``_direction_fan`` sorts its
+    # O(K^2) candidates
     K = integer(K, "K", ge=4, le=4 * (max(nx, ny) - 1))
     if K % 4:
         raise ConfigError(f"need a multiple of 4 direction pairs K, got {K}")
@@ -439,6 +456,10 @@ def _field_on_nodes(f: ForcingLike, pts: np.ndarray, what: str) -> np.ndarray:
     return vals
 
 
+# the centered gradient's arms in the nine-point table: the axis arms, rows
+# 0, 1 (plus) and 4, 5 (minus)
+_CENTERED_ROWS = np.array([0, 1, 4, 5])
+
 # a term's rule: its value and its active slot over the second differences
 # along its slots (axis 1 of the gathered columns)
 _RULES = {"min": (np.min, np.argmin), "max": (np.max, np.argmax)}
@@ -491,27 +512,70 @@ def _operator_terms(spec: OperatorSpec, grid: Grid2D, xy: np.ndarray) -> list:
     return [term for term in terms if np.any(term[1] != 0.0)]
 
 
-def _assemble(n: int, cols, slopes, diag: np.ndarray):
-    """The sparse n x n matrix with ``slopes[k][i]`` at (i, ``cols[k][i]``)
-    and ``diag`` on the diagonal, entries at one position summed.  Arms that
-    end on the boundary slot (column n) carry no unknown and are dropped."""
-    from scipy.sparse import csr_matrix
+def _nested_dissection(grid: Grid2D) -> np.ndarray:
+    """The packed nodes in George's nested-dissection order of the lattice
+    box (SIAM J. Numer. Anal. 10, 1973): split the box across its longer
+    side at the middle lattice line, order the first half, then the
+    second, then the line.  A box of at most 16 lattice cells is taken
+    row-major.  F_A's nine-point arms reach one lattice step, so none joins
+    the two halves of a split, and eliminating each half leaves fill only
+    inside it and on its separator line."""
 
-    rows = np.arange(n)
-    r = np.tile(rows, len(cols) + 1)
-    c = np.concatenate([*cols, rows])
-    keep = c < n
-    return csr_matrix(
-        (np.concatenate([*slopes, diag])[keep], (r[keep], c[keep])), shape=(n, n)
-    )
+    def dissect(box: np.ndarray) -> list:
+        if box.size <= 16:
+            return [box.ravel()]
+        if box.shape[1] >= box.shape[0]:
+            a = box.shape[1] // 2
+            first, line, second = box[:, :a], box[:, a], box[:, a + 1 :]
+        else:
+            a = box.shape[0] // 2
+            first, line, second = box[:a], box[a], box[a + 1 :]
+        return [*dissect(first), *dissect(second), line]
+
+    order = np.concatenate(dissect(grid.idx_grid))
+    return order[order >= 0]
+
+
+def _assemble(cols: np.ndarray, order: np.ndarray) -> Callable:
+    """The assembly of a Jacobian whose pattern is fixed: ``slopes[k][i]``
+    at (i, ``cols[k][i]``) and ``diag`` on the diagonal, rows and columns
+    renumbered so that node ``order[j]`` is j.  Arms that end on the
+    boundary slot (column n) carry no unknown and are dropped.  No two
+    entries share a position: a node's arms end at distinct nodes, none at
+    the node itself.
+
+    The CSC structure is built here, once, in int32: ``indices``,
+    ``indptr`` and the gather from the entries to the data.  The returned
+    ``assemble(slopes, diag)`` is that one gather, so no call sorts or
+    converts."""
+    from scipy.sparse import csc_matrix
+
+    arms, n = cols.shape
+    rank = np.empty(n + 1, dtype=np.int32)
+    rank[order] = np.arange(n)
+    rank[n] = n
+    rows = np.tile(rank[:n], arms + 1)
+    at = rank[np.concatenate([cols.ravel(), np.arange(n)])]
+    keep = np.flatnonzero(at < n)
+    gather = keep[np.argsort(at[keep].astype(np.int64) * n + rows[keep])]
+    gather = gather.astype(np.int32)
+    indices = rows[gather]
+    indptr = np.searchsorted(at[gather], np.arange(n + 1)).astype(np.int32)
+
+    def assemble(slopes: np.ndarray, diag: np.ndarray):
+        data = np.concatenate([slopes.ravel(), diag])[gather]
+        return csc_matrix((data, indices, indptr), shape=(n, n))
+
+    return assemble
 
 
 class _Scheme:
     """Precomputed discretization on one grid of F_A + H_h - f, H_h centered
     (``accurate``), and of the monotone F_h + H_h - f, H_h upwind (``fan``):
     both read the ``terms`` table, H_h comes from (A, h_coef, h_p) alone, and
-    both return the residual with its Jacobian entries, as ``_assemble``
-    takes them.  The set-up builds only F_A's nine-point arm table."""
+    both return the residual with its Jacobian entries over one fixed arm
+    table, as ``_assemble`` takes them.  The set-up builds only F_A's
+    nine-point arm table."""
 
     def __init__(self, problem: GridProblem, grid: Grid2D):
         if problem.domain != grid.domain:
@@ -573,13 +637,13 @@ class _Scheme:
         self.h_p = ham.p
 
         # centered gradient, rows x and y: g = g_plus u+ + g_minus u- +
-        # g_zero u0 over the axis arms g_ip, g_im, nine-point rows 0, 1 and 4, 5
+        # g_zero u0 over the axis arms g_ip, g_im (``_CENTERED_ROWS``)
         lengths = self.grid.arm_lengths
         plus = _split_slots(self.grid)[:2]
         self.g_plus, self.g_minus, self.g_zero = _slope_weights(
             lengths[plus], lengths[plus + self.d]
         )
-        self.g_ip, self.g_im = self.arms[0][:2], self.arms[0][4:6]
+        self.g_ip, self.g_im = self.arms[0][_CENTERED_ROWS].reshape(2, 2, -1)
 
         beta = ellipticity_constant(self.problem.operator)
         if params.beta > beta * (1.0 + 1e-12):
@@ -600,13 +664,15 @@ class _Scheme:
     @cached_property
     def upwind_arms(self) -> tuple:
         """The weights c of A's dominant split (the upwind q = sum_k c_k
-        m_k^2), and the end nodes and inverse lengths of their slots' plus
-        (row 0) and minus (row 1) arms; refuses a non-dominant A."""
+        m_k^2), the rows in ``fan_arms`` of their slots' plus arms, then
+        minus arms, and the end nodes and inverse lengths of those arms,
+        plus (row 0) and minus (row 1); refuses a non-dominant A."""
         weights = _lattice_split(self.A, "anisotropy matrix")
         slots = _split_slots(self.grid)[weights > 0.0]
         arms = np.stack([slots, slots + self.d])
         return (
             weights[weights > 0.0],
+            arms.ravel(),
             self.grid.arm_nodes[arms].astype(np.intp),
             1.0 / self.grid.arm_lengths[arms],
         )
@@ -630,22 +696,25 @@ class _Scheme:
 
     def hamiltonian(self, v_ext: np.ndarray, upwind: bool = False):
         """H_h = h_coef q^(p/2) at ``v_ext`` and its Jacobian entries (arm
-        columns, their slopes, the diagonal slope); ``(0.0, ([], [], 0.0))``
-        without a gradient term; ``fan`` reads it upwind, ``accurate`` centered.
+        rows in the caller's arm table, their slopes, the diagonal slope);
+        ``(0.0, None)`` without a gradient term; ``fan`` reads it upwind,
+        ``accurate`` centered.
 
         Upwind: q = sum_k c_k m_k^2, per upwind slot (rows) m_k = max(d+_k,
         d-_k, 0) from the one-sided differences (u_arm - u_0) / h_arm on the
         cut-cell arms, nondecreasing in every u_arm - u_0, so H_h is
         degenerate elliptic.  Each slot's active arm has slope dH/dm_k /
-        h_arm; the diagonal is minus their sum.  Centered: q = <A g, g> on
-        the centered gradient g; with s = dH/dg the four axis arms have
-        slopes s g_plus and s g_minus, the diagonal sum s g_zero.
+        h_arm and its other arm slope zero, both rows of ``fan_arms``; the
+        diagonal is minus their sum.  Centered: q = <A g, g> on the
+        centered gradient g; with s = dH/dg the four axis arms, rows 0, 1
+        (plus) and 4, 5 (minus) of the nine-point table, have slopes s
+        g_plus and s g_minus, the diagonal sum s g_zero.
         """
         if not self.ham:
-            return 0.0, ([], [], 0.0)
+            return 0.0, None
         p = self.h_p
         if upwind:
-            up_c, up_idx, up_inv_h = self.upwind_arms
+            up_c, up_rows, up_idx, up_inv_h = self.upwind_arms
             diffs = np.take(v_ext, up_idx)
             diffs -= v_ext[: self.n]
             diffs *= up_inv_h
@@ -665,44 +734,55 @@ class _Scheme:
             # dH/dm_k times dm_k/du_arm = 1 / h_arm; dm_k/du_0 = -1 / h_arm
             arm_inv = np.where(on_minus, up_inv_h[1], up_inv_h[0])
             slope = coef * up_c[:, None] * m * arm_inv
-            cols = list(np.where(on_minus, up_idx[1], up_idx[0]))
-            return h_vals, (cols, list(slope), -slope.sum(axis=0))
+            on_arm = np.where(np.stack([~on_minus, on_minus]), slope, 0.0)
+            return h_vals, (up_rows, on_arm.reshape(-1, self.n), -slope.sum(axis=0))
         s = coef * ag
-        cols = [*self.g_ip, *self.g_im]
-        slopes = [*(s * self.g_plus), *(s * self.g_minus)]
-        return h_vals, (cols, slopes, (s * self.g_zero).sum(axis=0))
+        slopes = np.concatenate([s * self.g_plus, s * self.g_minus])
+        return h_vals, (_CENTERED_ROWS, slopes, (s * self.g_zero).sum(axis=0))
+
+    def _entries(self, weights: np.ndarray, arms: tuple, h_entries) -> tuple:
+        """Jacobian entries (the arm end nodes, their slopes, the diagonal
+        slope), as ``_assemble`` takes them, of a residual with slopes
+        ``weights`` on the second differences along the slots of ``arms``
+        (rows), H_h's entries added: its arms are rows of the same table,
+        so the pattern is the table's at every iterate."""
+        idx, cc, c0 = arms
+        slopes = np.concatenate([weights, weights]) * cc
+        diag = -(weights * c0).sum(axis=0)
+        if h_entries is not None:
+            h_rows, h_slopes, h_diag = h_entries
+            slopes[h_rows] += h_slopes
+            diag += h_diag
+        return idx, slopes, diag
 
     def fan(self, v_ext: np.ndarray) -> tuple[np.ndarray, tuple]:
         """F_h + H_h - f of the monotone fan scheme at ``v_ext``, H_h upwind,
-        and its Jacobian entries in the layout of ``accurate``; refuses an
-        A with no diagonally dominant split (``upwind_arms``).
+        and its Jacobian entries over the whole fan's arm table
+        (``fan_arms``); refuses an A with no diagonally dominant split
+        (``upwind_arms``).
 
         Each term keeps only its active slot, the argmin of a min term and
         the argmax of a max term, which makes the Jacobian an element of the
-        generalized derivative of the min/max scheme.
+        generalized derivative of the min/max scheme; every other arm has
+        slope zero.
         """
         # the H_h entries outlive the second differences; allocating them
         # first kept grid-lens peak RSS 4 MB lower than the other order
-        h_vals, (h_cols, h_slopes, h_diag) = self.hamiltonian(v_ext, upwind=True)
-        idx, cc, c0 = arms = self.fan_arms
+        h_vals, h_entries = self.hamiltonian(v_ext, upwind=True)
+        arms = self.fan_arms
         d2 = self.second_differences(v_ext, arms)
-        n, d, rows = self.n, self.d, np.arange(self.n)
-        f_h, diag, cols, slopes = np.zeros(n), np.zeros(n), [], []
+        nodes = np.arange(self.n)
+        f_h, weights = np.zeros(self.n), np.zeros((self.d, self.n))
         for slots, w, rule in self.terms:
             along = d2[slots]
             at = _RULES[rule][1](along, axis=0)
-            f_h += w * along[at, rows]
-            k = slots[at]
-            cols += [idx[k, rows], idx[k + d, rows]]
-            slopes += [w * cc[k, rows], w * cc[k + d, rows]]
-            diag -= w * c0[k, rows]
-        entries = (cols + h_cols, slopes + h_slopes, diag + h_diag)
-        return f_h + h_vals - self.fvals, entries
+            f_h += w * along[at, nodes]
+            weights[slots[at], nodes] += w
+        return f_h + h_vals - self.fvals, self._entries(weights, arms, h_entries)
 
     def accurate(self, v_ext: np.ndarray) -> tuple[np.ndarray, tuple]:
-        """F_A + H_h - f at ``v_ext``, H_h centered, and its Jacobian entries,
-        H_h's included, in the layout of ``_Scheme.hamiltonian`` (arm
-        columns, their slopes, the diagonal slope) that ``_assemble`` takes.
+        """F_A + H_h - f at ``v_ext``, H_h centered, and its Jacobian entries
+        over the nine-point arm table, H_h's included (``_entries``).
 
         X_h is built from D = (D_x, D_y, D_(1,1), D_(-1,1)), the second
         differences at the ``_split_slots``.  A fan term is w lambda_max (a
@@ -715,10 +795,9 @@ class _Scheme:
         is w times the second difference at its slot.
         """
         # the H_h entries outlive the second differences, as in ``fan``
-        h_vals, (_, h_slopes, h_diag) = self.hamiltonian(v_ext)
+        h_vals, h_entries = self.hamiltonian(v_ext)
         n, slots = self.n, _split_slots(self.grid)
-        idx, cc, c0 = arms = self.arms
-        dd = self.second_differences(v_ext, arms)  # D_x, D_y, D_(1,1), D_(-1,1)
+        dd = self.second_differences(v_ext, self.arms)  # D_x, D_y, D_(1,1), D_(-1,1)
         half = (dd[0] - dd[1]) / 2.0
         uxy = (dd[2] - dd[3]) / 2.0
         r = np.hypot(half, uxy)
@@ -737,13 +816,7 @@ class _Scheme:
             f_a += w * ((dd[0] + dd[1]) / 2.0 + sign * r)
             c, s = sign * cos2, sign * sin2
             weights += (w / 2.0) * np.stack([1.0 + c, 1.0 - c, s, -s])
-        slopes = np.concatenate([weights, weights]) * cc
-        if self.ham:
-            # the centered gradient's arms g_ip, g_im are the axis arms, rows
-            # 0, 1 (plus) and 4, 5 (minus) here: its slopes join theirs
-            slopes[[0, 1, 4, 5]] += h_slopes
-        diag = h_diag - (weights * c0).sum(axis=0)
-        return f_a + h_vals - self.fvals, (idx, slopes, diag)
+        return f_a + h_vals - self.fvals, self._entries(weights, self.arms, h_entries)
 
 
 _VECTORS = (tuple, list, np.ndarray)  # a node or direction given as a vector
@@ -846,15 +919,23 @@ class _StepLog:
 
 
 def _newton(
-    evaluate: Callable, v_ext: np.ndarray, stop: float, log: _StepLog, budget: int
+    evaluate: Callable,
+    v_ext: np.ndarray,
+    order: np.ndarray,
+    stop: float,
+    log: _StepLog,
+    budget: int,
 ) -> np.ndarray:
     """Full Newton steps on ``evaluate`` (``_Scheme.accurate`` or ``fan``)
     from ``v_ext``, updated in place, until the max residual is at most
     ``stop``.
 
-    ``log`` gets the start residual and one per step.  Each step factors its
-    Jacobian with symmetric-mode SuperLU (see the module docstring); the
-    Jacobian goes once it is factored and the factor once its step is
+    ``log`` gets the start residual and one per step.  The Jacobian's
+    pattern is the same at every step, so its structure in the numbering
+    ``order`` is built once (``_assemble``).  Each step gathers its entries
+    into it and factors it with symmetric-mode SuperLU in that order (see
+    the module docstring); the entries go once the Jacobian is assembled,
+    the Jacobian once it is factored and the factor once its step is
     solved, so one factor and one iterate are alive at a time.  A step may
     raise the residual: there is no line search.  A non-finite residual, a
     Jacobian that factors as exactly singular, or ``budget`` steps without
@@ -862,8 +943,8 @@ def _newton(
     """
     from scipy.sparse.linalg import splu
 
-    n = v_ext.size - 1
-    resid, entries = evaluate(v_ext)
+    resid, (cols, slopes, diag) = evaluate(v_ext)
+    assemble = _assemble(cols, order)
     log.history.append(float(np.max(np.abs(resid))))
     while not log.history[-1] <= stop:
         if not math.isfinite(log.history[-1]):
@@ -873,12 +954,12 @@ def _newton(
                 f"no convergence within {budget} iterations"
                 f" (residual {log.history[-1]:.3e}, target {stop:.3e})"
             )
-        jac = _assemble(n, *entries).tocsc()
-        del entries
+        jac = assemble(slopes, diag)
+        del slopes, diag
         try:
             lu = splu(
                 jac,
-                permc_spec="MMD_AT_PLUS_A",
+                permc_spec="NATURAL",
                 diag_pivot_thresh=0.1,
                 options=dict(SymmetricMode=True),
             )
@@ -887,10 +968,10 @@ def _newton(
                 f"singular Newton Jacobian at step {log.iterations + 1} ({exc})"
             ) from exc
         del jac
-        v_ext[:n] += lu.solve(-resid)
+        v_ext[order] += lu.solve(-resid[order])
         del lu
         with np.errstate(all="ignore"):
-            resid, entries = evaluate(v_ext)
+            resid, (_, slopes, diag) = evaluate(v_ext)
         log.history.append(float(np.max(np.abs(resid))))
     return v_ext
 
@@ -919,7 +1000,8 @@ def solve(
 
     start = time.perf_counter()
     log = _StepLog()
-    v_ext = _newton(scheme.accurate, v_ext, stop, log, _step_budget(grid))
+    order = _nested_dissection(grid)
+    v_ext = _newton(scheme.accurate, v_ext, order, stop, log, _step_budget(grid))
     report = SolveReport(
         iterations=log.iterations,
         residual_norm=log.history[-1],

@@ -149,6 +149,13 @@ def model_profile():
     return radial_profile("FirstZeroSuperlinear", 1.0, MODEL, node_count=4096)
 
 
+def _jacobian(entries):
+    """The Jacobian of a scheme's entries through the one assembly path
+    (``_assemble``), in the packed node numbering."""
+    cols, slopes, diag = entries
+    return grid_module._assemble(cols, np.arange(cols.shape[1]))(slopes, diag)
+
+
 def oracle_on(grid, profile):
     r = np.hypot(grid.nodes_xy[:, 0], grid.nodes_xy[:, 1])
     return GridFunction(grid=grid, values=profile.value(r))
@@ -177,6 +184,28 @@ class TestDirectionFan:
             (1, 0), (4, 1), (2, 1), (3, 2), (1, 1), (2, 3), (1, 2), (1, 4),
             (0, 1), (-1, 4), (-1, 2), (-2, 3), (-1, 1), (-3, 2), (-2, 1), (-4, 1),
         )
+
+    @staticmethod
+    def _scan_every_candidate(K):
+        """The fan as first chosen: every candidate's angle miss computed for
+        every slot of the first octant, in O(K^3)."""
+        m = K // 4
+        cap = max(2, m)
+        cands = [
+            (a, b) for a in range(1, cap + 1) for b in range(a + 1) if math.gcd(a, b) == 1
+        ]
+        octant = []
+        for k in range(m + 1):
+            miss = {v: abs(math.atan2(v[1], v[0]) - math.pi * k / K) for v in cands}
+            best = min(miss.values())
+            ties = [v for v in cands if miss[v] <= best + 1e-12]
+            octant.append(min(ties, key=lambda v: v[0] * v[0] + v[1] * v[1]))
+        quarter = octant + [(b, a) for a, b in reversed(octant[1:-1])]
+        return tuple(quarter + [(-b, a) for a, b in quarter])
+
+    def test_sorted_choice_matches_scanning_every_candidate(self):
+        for k in range(4, 65, 4):
+            assert _direction_fan(k) == self._scan_every_candidate(k), k
 
     def test_fan_size_and_primitivity(self):
         for k in range(4, 65, 4):
@@ -913,7 +942,7 @@ class TestNewtonJacobian:
         fd = (
             scheme.fan(v + self.EPS * w)[0] - scheme.fan(v - self.EPS * w)[0]
         ) / (2.0 * self.EPS)
-        jac = grid_module._assemble(grid.n_nodes, *scheme.fan(v)[1])
+        jac = _jacobian(scheme.fan(v)[1])
         return scheme, v, w, fd, jac @ w[:-1]
 
     @JACOBIAN_OPERATORS
@@ -929,7 +958,7 @@ class TestNewtonJacobian:
         fd = (
             scheme.accurate(v + self.EPS * w)[0] - scheme.accurate(v - self.EPS * w)[0]
         ) / (2.0 * self.EPS)
-        jac = grid_module._assemble(disc_h8.n_nodes, *scheme.accurate(v)[1])
+        jac = _jacobian(scheme.accurate(v)[1])
         assert float(np.max(np.abs(fd - jac @ w[:-1]))) <= 1e-5
 
     @JACOBIAN_OPERATORS
@@ -946,7 +975,7 @@ class TestNewtonJacobian:
             g = build_grid(LENS, 1 / 8, K)
             v = np.append(np.random.default_rng(8).normal(size=g.n_nodes), 0.0)
             resid, entries = _Scheme(problem, g).accurate(v)
-            jac = grid_module._assemble(g.n_nodes, *entries).toarray()
+            jac = _jacobian(entries).toarray()
             results.append((resid, jac))
         for resid, jac in results[1:]:
             assert np.array_equal(resid, results[0][0])
@@ -979,7 +1008,7 @@ class TestNewtonJacobian:
         v1 = v0 + np.append(tilt, 0.0)
         patterns = []
         for v in (v0, v1):
-            jac = grid_module._assemble(n, *scheme.accurate(v)[1])
+            jac = _jacobian(scheme.accurate(v)[1]).tocsr()
             jac.eliminate_zeros()
             rows = [
                 set(jac.indices[jac.indptr[i] : jac.indptr[i + 1]]) for i in range(n)
@@ -994,8 +1023,9 @@ class TestNewtonJacobian:
     def test_upwind_matches_central_differences(self, disc_h8, operator, ham):
         scheme, v, w, fd, jw = self._jacobian_and_differences(disc_h8, operator, ham)
 
-        def columns(x):  # each node's Jacobian columns, one row per entry
-            return np.array(scheme.fan(x)[1][0])
+        def columns(x):  # each node's nonzero Jacobian columns, -1 elsewhere
+            cols, slopes, _ = scheme.fan(x)[1]
+            return np.where(slopes != 0.0, cols, -1)
 
         # compare only away from kinks: where no fan slot and no upwind arm
         # switches between the ends of the difference stencil, so each
@@ -1068,7 +1098,12 @@ def _newton_from(problem, grid, v0, tol=1e-5):
     stop = tol * (1.0 + scheme.f_sup)
     log = grid_module._StepLog()
     v = grid_module._newton(
-        scheme.accurate, np.append(v0, 0.0), stop, log, grid_module._step_budget(grid)
+        scheme.accurate,
+        np.append(v0, 0.0),
+        grid_module._nested_dissection(grid),
+        stop,
+        log,
+        grid_module._step_budget(grid),
     )
     return v[:-1], log, stop
 
@@ -1087,7 +1122,9 @@ def _upwind_iterates(scheme, v_ext, stop):
         residuals.append(resid)
         return resid, entries
 
-    grid_module._newton(evaluate, v_ext.copy(), stop, grid_module._StepLog(), 60)
+    # separators as wide as the fan's longest arm
+    order, _ = _dissection(scheme.grid, int(np.abs(scheme.grid.directions).max()))
+    grid_module._newton(evaluate, v_ext.copy(), order, stop, grid_module._StepLog(), 60)
     return iterates, residuals
 
 
@@ -1141,7 +1178,7 @@ class TestUpwindMonotone:
         rng = np.random.default_rng(seed)
         v = np.append(rng.normal(scale=scale, size=grid.n_nodes), 0.0)
         entries = scheme.fan(v)[1]
-        jac = grid_module._assemble(grid.n_nodes, *entries).tocoo()
+        jac = _jacobian(entries).tocoo()
         off = jac.row != jac.col
         assert np.all(jac.data[off] >= 0.0)
         assert np.all(jac.diagonal() < 0.0)
@@ -1316,7 +1353,7 @@ class TestUpwindMonotone:
         v0, v1 = (np.append(rng.normal(scale=scale, size=n), 0.0) for _ in "01")
         rows = rng.choice(n, size=rng.integers(1, n), replace=False)
         jac0, jac1 = (
-            grid_module._assemble(n, *scheme.fan(v)[1]) for v in (v0, v1)
+            _jacobian(scheme.fan(v)[1]) for v in (v0, v1)
         )
         mixed = jac0.tolil()
         mixed[rows] = jac1[rows]
@@ -1347,9 +1384,7 @@ class TestUpwindMonotone:
         rng = np.random.default_rng(1)
         v = np.append(rng.normal(scale=0.03, size=disc_h8.n_nodes), 0.0)
         jac = {
-            s: grid_module._assemble(
-                disc_h8.n_nodes, *scheme.fan(s * v)[1]
-            ).toarray()
+            s: _jacobian(scheme.fan(s * v)[1]).toarray()
             for s in (1, 1.5, 2)
         }
         mid = (jac[1] + jac[2]) / 2
@@ -1379,7 +1414,7 @@ class TestUpwindMonotone:
         v1 = v0 + np.append(tilt, 0.0)
         patterns = []
         for v in (v0, v1):
-            jac = grid_module._assemble(n, *scheme.fan(v)[1])
+            jac = _jacobian(scheme.fan(v)[1]).tocsr()
             jac.eliminate_zeros()
             rows = [
                 set(jac.indices[jac.indptr[i] : jac.indptr[i + 1]]) for i in range(n)
@@ -1436,6 +1471,156 @@ class TestNewtonSteps:
             rel=1e-5,
         )
         assert log.history[-1] == report.residual_norm
+
+
+def _mmd_newton(problem, grid):
+    """`solve`'s full Newton steps on F_A, each Jacobian factored in the
+    packed numbering with SuperLU's minimum degree order of J + J^T.
+    Returns the values and the number of steps."""
+    from scipy.sparse.linalg import splu
+
+    scheme = _Scheme(problem, grid)
+    stop = 1e-5 * (1.0 + scheme.f_sup)
+    v = np.append(grid_module._initial_values(problem, grid, scheme), 0.0)
+    resid, entries = scheme.accurate(v)
+    steps = 0
+    while np.max(np.abs(resid)) > stop:
+        assert steps < 20
+        lu = splu(
+            _jacobian(entries),
+            permc_spec="MMD_AT_PLUS_A",
+            diag_pivot_thresh=0.1,
+            options=dict(SymmetricMode=True),
+        )
+        v[:-1] += lu.solve(-resid)
+        steps += 1
+        resid, entries = scheme.accurate(v)
+    return v[:-1], steps
+
+
+def _dissection(grid, reach=1):
+    """A reference nested dissection of the lattice box whose separators
+    are ``reach`` lattice lines wide: the order, and each split as (first
+    half, second half, separator), as packed node indices.  At ``reach`` 1
+    it is `_nested_dissection`; the upwind fan's arms, up to
+    max(2, K // 4) steps, need separators as wide as the longest."""
+    splits = []
+
+    def dissect(box):
+        if box.size <= 16:
+            return [box.ravel()]
+        axis = 1 if box.shape[1] >= box.shape[0] else 0
+        a = box.shape[axis] // 2
+        first, line, second = np.split(box, [a, a + reach], axis=axis)
+        parts = (first.ravel(), second.ravel(), line.ravel())
+        splits.append(tuple(part[part >= 0] for part in parts))
+        return [*dissect(first), *dissect(second), parts[2]]
+
+    order = np.concatenate(dissect(np.asarray(grid.idx_grid)))
+    return order[order >= 0], splits
+
+
+class TestNestedDissection:
+    """`solve` factors every Newton step in one nested-dissection order of
+    the lattice box, built once per solve, with no fill-reducing order of
+    SuperLU's own."""
+
+    @pytest.mark.parametrize("domain", [DISC, LENS], ids=["disc", "lens"])
+    @pytest.mark.parametrize("h", [1 / 4, 1 / 8, 1 / 16, 1 / 32, 1 / 64])
+    def test_is_a_permutation_of_the_nodes(self, domain, h):
+        grid = build_grid(domain, h, 4)
+        order = grid_module._nested_dissection(grid)
+        assert np.array_equal(np.sort(order), np.arange(grid.n_nodes))
+
+    @pytest.mark.parametrize("h", [1 / 16, 1 / 64])
+    @pytest.mark.parametrize("eps", [0.0, 1e-3, 1e-8, 1e-14])
+    def test_is_a_permutation_near_the_boundary(self, h, eps):
+        # the grids of TestNearBoundaryNodes
+        grid = build_grid(_small_disc(eps).domain, h, 8)
+        order = grid_module._nested_dissection(grid)
+        assert np.array_equal(np.sort(order), np.arange(grid.n_nodes))
+
+    @pytest.mark.parametrize("domain", [DISC, LENS], ids=["disc", "lens"])
+    def test_no_arm_crosses_a_separator(self, domain):
+        """No nine-point arm joins the two halves of a split, and the order
+        takes the first half, then the second, then the separator line."""
+        grid = build_grid(domain, 1 / 32, 8)
+        order, splits = _dissection(grid)
+        assert np.array_equal(order, grid_module._nested_dissection(grid))
+        position = np.empty(grid.n_nodes, dtype=int)
+        position[order] = np.arange(grid.n_nodes)
+        slots = grid_module._split_slots(grid)
+        nine = grid.arm_nodes[np.concatenate([slots, slots + grid.K])]
+        assert len(splits) > 50
+        for first, second, line in splits:
+            assert not np.isin(nine[:, first], second).any()
+            assert not np.isin(nine[:, second], first).any()
+            parts = [position[part] for part in (first, second, line) if part.size]
+            for before, after in zip(parts, parts[1:]):
+                assert before.max() < after.min()
+
+    def test_one_structure_per_solve_and_no_order_per_step(self, monkeypatch):
+        import scipy.sparse.linalg as sla
+
+        pattern, splu = grid_module._assemble, sla.splu
+        orders, specs = [], []
+
+        def build(cols, order):
+            orders.append(order)
+            return pattern(cols, order)
+
+        def factor(*args, **kwargs):
+            specs.append(kwargs["permc_spec"])
+            return splu(*args, **kwargs)
+
+        monkeypatch.setattr(grid_module, "_assemble", build)
+        monkeypatch.setattr(sla, "splu", factor)
+        problem, grid = _aniso_lens(1 / 32)
+        _, report = solve(problem, grid)
+        assert len(orders) == 1
+        assert np.array_equal(orders[0], grid_module._nested_dissection(grid))
+        assert specs == ["NATURAL"] * report.iterations == ["NATURAL"] * 7
+
+    @pytest.mark.parametrize("case", ["disc", "aniso-lens"])
+    def test_factor_fill_below_minimum_degree(self, case):
+        # the first Jacobian of the h = 1/32 solve, factored in the nested
+        # dissection order and in the packed numbering with SuperLU's
+        # minimum degree order of J + J^T
+        from scipy.sparse.linalg import splu
+
+        if case == "disc":
+            problem, grid = BENCH, build_grid(DISC, 1 / 32, 8)
+        else:
+            problem, grid = _aniso_lens(1 / 32)
+        scheme = _Scheme(problem, grid)
+        v = np.append(grid_module._initial_values(problem, grid, scheme), 0.0)
+        cols, slopes, diag = entries = scheme.accurate(v)[1]
+        order = grid_module._nested_dissection(grid)
+        fill = {}
+        for spec, jac in (
+            ("NATURAL", grid_module._assemble(cols, order)(slopes, diag)),
+            ("MMD_AT_PLUS_A", _jacobian(entries)),
+        ):
+            lu = splu(
+                jac, permc_spec=spec, diag_pivot_thresh=0.1,
+                options=dict(SymmetricMode=True),
+            )
+            fill[spec] = lu.L.nnz + lu.U.nnz
+        assert fill["NATURAL"] < fill["MMD_AT_PLUS_A"]
+
+    @pytest.mark.parametrize("case", ["disc", "power-lens", "aniso-lens"])
+    def test_solve_matches_minimum_degree_steps(self, case):
+        if case == "disc":
+            problem, grid = BENCH, build_grid(DISC, 1 / 32, 8)
+        elif case == "power-lens":
+            problem = _lens_problem(0.3, PowerNorm(b=1.0, p=2.0), -1.0)
+            grid = build_grid(problem.domain, 1 / 32, 8)
+        else:
+            problem, grid = _aniso_lens(1 / 32)
+        u, report = solve(problem, grid)
+        values, steps = _mmd_newton(problem, grid)
+        assert report.iterations == steps
+        assert float(np.max(np.abs(u.values - values))) <= 1e-12
 
 
 class TestSolve:
@@ -1634,17 +1819,22 @@ class TestSolve:
     def test_singular_jacobian_raises_numeric_error(self, disc_h8, monkeypatch, step):
         # an all-zero row makes the factor exactly singular; the solve must
         # name it instead of reporting a blow-up from NaN updates (the
-        # barrier start takes two steps)
-        assemble = grid_module._assemble
+        # barrier start takes two steps).  The structure is built once per
+        # solve; the row is zeroed in the Jacobian of the given step
+        pattern = grid_module._assemble
         calls = []
 
-        def singular(n, *entries):
-            jac = assemble(n, *entries)
-            calls.append(n)
-            if len(calls) == step:
-                jac = jac.tolil()
-                jac[0, :] = 0.0
-            return jac
+        def singular(cols, order):
+            assemble = pattern(cols, order)
+
+            def zero_row(slopes, diag):
+                jac = assemble(slopes, diag)
+                calls.append(1)
+                if len(calls) == step:
+                    jac.data[jac.indices == 0] = 0.0
+                return jac
+
+            return zero_row
 
         monkeypatch.setattr(grid_module, "_assemble", singular)
         with pytest.raises(NumericError, match=f"singular Newton Jacobian at step {step}") as err:
@@ -2202,7 +2392,7 @@ class TestComparison:
         bound = _gradient_scale(BENCH.params)
         c0 = scheme.fan_arms[2]
         d_node = sum(w * c0[slots].max(axis=0) for slots, w, _ in scheme.terms)
-        up_c, up_idx, up_inv_h = scheme.upwind_arms
+        up_c, _, up_idx, up_inv_h = scheme.upwind_arms
         d_node = d_node + 2.0 * ham.b * bound * (up_c @ up_inv_h.max(axis=0))
         tau = 0.9 / float(np.max(d_node))
 
