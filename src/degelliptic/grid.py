@@ -4,21 +4,21 @@ Discretizes F(x, D^2 u) + H(Du) = f with zero Dirichlet data on a 2D
 lattice.  Second derivatives are sampled along a fan of K lattice
 directions (one pair per angle k pi / K), K a multiple of 4; the fan is
 closed under the lattice's mirrors and quarter turns by construction
-(``_direction_fan``).  F_h is one table of (slots, weights,
-min|max) terms (``_operator_terms``), each a weighted minimum or maximum of
-the second differences along its slots.  ``LambdaK(1|2)``, ``MinMax``,
-two-weight ``WeightedEigenvalues`` and ``CoefficientLambdaN`` scan the fan;
-``LinearDegenerate`` has one single-slot term per lattice direction of the
-diagonally dominant split of Sigma^T Sigma.  Every other operator raises
-``UnsupportedDiscretizationError``.  The grid holds one arm table, in
-the direction-major layout the scheme reads (``Grid2D``).  Nodes next to
-the boundary use nonuniform three-point differences against the exact
-ray-circle cut points, weighted by ``_three_point_weights`` and
-``_slope_weights`` in the scheme and the pointwise functions alike.  The
-cut fractions are only clipped to [1e-14, 1] (``_cut_fractions``); there
-is no larger floor, so a node almost on the boundary gets an arm almost of
-length zero and the scale of its stencil row, about 1/(h+ h-), is
-unbounded.
+(``_direction_fan``).  Every operator discretized here is F = w .
+(lambda_min, lambda_max, D_x, D_y, D_(1,1), D_(-1,1)), six weights w >= 0
+per node (``_operator_weights``), D the second differences at the axis and
+diagonal slots: ``LambdaK(1|2)``, ``MinMax``, two-weight
+``WeightedEigenvalues`` and ``CoefficientLambdaN`` weigh the eigenvalues,
+``LinearDegenerate`` the slots by the dominant split of Sigma^T Sigma.
+Every other operator raises ``UnsupportedDiscretizationError``.  The grid
+holds one arm table, in the direction-major layout the scheme reads
+(``Grid2D``).  Nodes next to the boundary use nonuniform three-point
+differences against the exact ray-circle cut points, weighted by
+``_three_point_weights`` and ``_slope_weights`` in the scheme and the
+pointwise functions alike.  The cut fractions are only clipped to [1e-14,
+1] (``_cut_fractions``); there is no larger floor, so a node almost on the
+boundary gets an arm almost of length zero and the scale of its stencil
+row, about 1/(h+ h-), is unbounded.
 
 The first-order term is coef <A g, g>^(p/2): ``PowerNorm`` b |g|^p is
 A = I, coef = b, and ``AnisotropicPower`` its own A with coef = 1.  Both
@@ -34,16 +34,15 @@ Oberman's sense (SIAM J. Numer. Anal. 44, 2006) and its solutions obey the
 discrete comparison principle.  Each m_k is convex in u and nonnegative,
 so sqrt(sum_k c_k m_k^2) is convex, and t -> t^p is convex and
 nondecreasing on t >= 0 for p >= 1: the upwind H_h is convex in u, and
-with an F_h of max terms (or a linear one) so is the upwind residual.
+with an F_h of no lambda_min weight so is the upwind residual.
 
 The solver works on the accurate form F_A of Froese & Oberman (SIAM J.
 Numer. Anal. 49, 2011 and 51, 2013), not on the fan.  Its Hessian is the
 nine-point X_h = [[D_x, u_xy], [u_xy, D_y]], with D_x, D_y, D_(1,1) and
 D_(-1,1) the second differences at the axis and diagonal slots
 (``_split_slots``), cut-cell arms included, and u_xy = (D_(1,1) -
-D_(-1,1)) / 2.  A term over the whole fan reads lambda_max (a max term) or
-lambda_min (a min term) of X_h in place of its scan; a single-slot term
-(``LinearDegenerate``) is already linear on those slots and stays as it is.
+D_(-1,1)) / 2.  It reads lambda_min and lambda_max as the eigenvalues of
+X_h; the monotone fan scheme F_h reads them as the min and max over the fan.
 The first-order term is the centered H_h.  F_A + H_h - f has no policy and
 no fan, so its solution does not depend on K (``_Scheme.accurate``); it is
 second-order accurate but not monotone, so it has no discrete comparison
@@ -319,27 +318,32 @@ def _split_slots(grid: Grid2D) -> np.ndarray:
     return np.array([0, 2, 1, 3]) * (grid.K // 4)
 
 
-def _lattice_split(a: np.ndarray, what: str, where: str = "") -> np.ndarray:
-    """Nonnegative weights w on the ``_split_slots`` directions with
-    a = sum_k w_k e_k e_k^T over their unit vectors e_k.
+def _lattice_split(a: np.ndarray, what: str, xy: np.ndarray | None) -> np.ndarray:
+    """Nonnegative weights w (4, k) on the ``_split_slots`` directions with
+    a_i = sum_j w_ji e_j e_j^T over their unit vectors e_j, for a stack a
+    (k, 2, 2): the diagonal takes 2|a01| on (1, sign a01), and the axes the
+    rest of the diagonal entries, nonnegative exactly when a_i is diagonally
+    dominant.  Errors name a ``what``, at its first offending point of ``xy``
+    unless that is None."""
 
-    The diagonal takes 2|a01| on (1, sign a01); the axes keep the rest of
-    the diagonal entries, which is nonnegative exactly when ``a`` is
-    diagonally dominant.  ``what`` and ``where`` name the matrix in errors.
-    """
-    if a.shape != (2, 2):
-        raise ConfigError(f"{what} must be 2x2 on grids{where}")
-    off = float(a[0, 1])
-    wx, wy = float(a[0, 0]) - abs(off), float(a[1, 1]) - abs(off)
-    scale = max(1.0, abs(a).max())
-    if wx < -1e-12 * scale or wy < -1e-12 * scale:
+    def where(bad) -> str:  # the first offending point, if any are given
+        return "" if xy is None else f" at x = {tuple(xy[np.argmax(bad)].tolist())}"
+
+    if a.shape[1:] != (2, 2):
+        raise ConfigError(f"{what} must be 2x2 on grids{where(True)}")
+    finite = np.isfinite(a).all(axis=(1, 2))
+    if not finite.all():
+        raise ConfigError(f"{what} must be finite on the grid{where(~finite)}")
+    off = a[:, 0, 1]
+    wx, wy = a[:, 0, 0] - abs(off), a[:, 1, 1] - abs(off)
+    loose = np.minimum(wx, wy) < -1e-12 * np.maximum(1.0, abs(a).max(axis=(1, 2)))
+    if loose.any():
         raise UnsupportedDiscretizationError(
-            f"{what} is not diagonally dominant on the lattice{where}"
+            f"{what} is not diagonally dominant on the lattice{where(loose)}"
         )
     wd = 2.0 * abs(off)
-    return np.array(
-        [max(wx, 0.0), max(wy, 0.0), wd if off >= 0 else 0.0, 0.0 if off >= 0 else wd]
-    )
+    up = np.where(off >= 0, wd, 0.0)
+    return np.stack([np.maximum(wx, 0.0), np.maximum(wy, 0.0), up, wd - up])
 
 
 def _three_point_weights(lengths: np.ndarray) -> np.ndarray:
@@ -460,56 +464,90 @@ def _field_on_nodes(f: ForcingLike, pts: np.ndarray, what: str) -> np.ndarray:
 # 0, 1 (plus) and 4, 5 (minus)
 _CENTERED_ROWS = np.array([0, 1, 4, 5])
 
-# a term's rule: its value and its active slot over the second differences
-# along its slots (axis 1 of the gathered columns)
-_RULES = {"min": (np.min, np.argmin), "max": (np.max, np.argmax)}
 
+def _operator_weights(spec: OperatorSpec, xy: np.ndarray) -> np.ndarray:
+    """The weights w (6, k) >= 0 of F = w . (lambda_min, lambda_max, D_x,
+    D_y, D_(1,1), D_(-1,1)) at the points ``xy``, D at the ``_split_slots``.
 
-def _operator_terms(spec: OperatorSpec, grid: Grid2D, xy: np.ndarray) -> list:
-    """F_h = sum over the terms of weights * rule(d2 along slots), with rule
-    "min" or "max" and one nonnegative weight per point of ``xy``.
-
-    Each term is nondecreasing in the neighbour values, so F_h is
-    degenerate elliptic; with each term's active slot fixed it is linear,
-    the Bellman-Isaacs form that the Newton steps solve.  Terms whose
-    weight vanishes at every point are dropped.  This is the only place
-    that dispatches on the operator class.
+    F is nondecreasing in the neighbour values, so degenerate elliptic, and
+    linear with its active slots fixed: the Bellman-Isaacs form that the
+    Newton steps solve.  This is the only place that dispatches on the
+    operator class.
     """
-    fan = np.arange(grid.K)
-    ones = np.ones(xy.shape[0])
+    w = np.zeros((6, xy.shape[0]))
     if isinstance(spec, LambdaK):
         if spec.index not in (1, 2):
             raise UnsupportedDiscretizationError(
                 "only the extreme eigenvalues are discretized in 2D"
             )
-        terms = [(fan, ones, "min" if spec.index == 1 else "max")]
+        w[spec.index - 1] = 1.0
     elif isinstance(spec, MinMax):
-        terms = [(fan, ones, "min"), (fan, ones, "max")]
+        w[:2] = 1.0
     elif isinstance(spec, WeightedEigenvalues):
         if len(spec.alphas) != 2:
             raise UnsupportedDiscretizationError(
                 "eigenvalue weights must be two-dimensional here"
             )
-        a1, a2 = spec.alphas
-        terms = [(fan, a1 * ones, "min"), (fan, a2 * ones, "max")]
+        w[:2] = np.array(spec.alphas)[:, None]
     elif isinstance(spec, CoefficientLambdaN):
-        a = _field_on_nodes(spec.a, xy, "coefficient")
-        if np.any(a < spec.a.lower - 1e-12):
+        w[1] = _field_on_nodes(spec.a, xy, "coefficient")
+        if np.any(w[1] < spec.a.lower - 1e-12):
             raise ConfigError("coefficient drops below its declared infimum")
-        terms = [(fan, a, "max")]
     elif isinstance(spec, LinearDegenerate):
-        w = np.zeros((xy.shape[0], 4))
-        for i, x in enumerate(xy):
-            s = np.asarray(spec.sigma(x), dtype=float)
-            where = f" at x = {tuple(x.tolist())}"
-            w[i] = _lattice_split(s.T @ s, "diffusion matrix", where)
-        slots = _split_slots(grid)
-        terms = [(slots[k : k + 1], w[:, k], "max") for k in range(4)]
+        try:
+            s = _field_values(spec.sigma, xy, ndim=2)
+            sts = np.swapaxes(s, -1, -2) @ s
+        except ValueError:  # shapes differ: Sigma again point by point, so
+            # that its own errors propagate, and the first not 2x2 named
+            sts = [s.T @ s for s in (np.asarray(spec.sigma(x), float) for x in xy)]
+            odd = [a.shape != (2, 2) for a in sts]
+            if any(odd):
+                where = f" at x = {tuple(xy[odd.index(True)].tolist())}"
+                raise ConfigError(f"diffusion matrix must be 2x2 on grids{where}")
+        w[2:] = _lattice_split(np.asarray(sts), "diffusion matrix", xy)
     else:
         raise UnsupportedDiscretizationError(
             f"operator {type(spec).__name__} has no monotone stencil here"
         )
-    return [term for term in terms if np.any(term[1] != 0.0)]
+    return w
+
+
+def _fan_operator(w: np.ndarray, d2: np.ndarray, slots: np.ndarray) -> tuple:
+    """F_h = w . (min, max, the ``slots`` rows) of the second differences d2
+    (K, k) over the fan, and its slopes on d2: w_0 on the argmin slot, w_1
+    on the argmax slot and the last four weights on ``slots``."""
+    nodes = np.arange(d2.shape[1])
+    lo, hi = d2.argmin(axis=0), d2.argmax(axis=0)
+    f_h = w[0] * d2[lo, nodes] + w[1] * d2[hi, nodes] + (w[2:] * d2[slots]).sum(axis=0)
+    slopes = np.zeros(d2.shape)
+    slopes[slots] = w[2:]
+    slopes[lo, nodes] += w[0]
+    slopes[hi, nodes] += w[1]
+    return f_h, slopes
+
+
+def _nine_point_operator(w: np.ndarray, dd: np.ndarray) -> tuple:
+    """F_A = w . (lambda_min, lambda_max, dd) at the second differences dd =
+    (D_x, D_y, D_(1,1), D_(-1,1)), and its slopes on dd.
+
+    lambda = (D_x + D_y)/2 -+ r are the eigenvalues of X_h = [[D_x, u_xy],
+    [u_xy, D_y]], r = hypot((D_x - D_y)/2, u_xy).  The slopes of lambda_max
+    on dd are (c^2, s^2, c s, -c s) with (c, s) = (cos t, sin t), t =
+    atan2(2 u_xy, D_x - D_y) / 2, its unit eigenvector, and lambda_min's
+    those of that vector turned by 90 degrees; they are written through
+    cos 2t and sin 2t, with t = 0 where X_h is a multiple of I.  Rows of w
+    that are zero everywhere are evaluated too.
+    """
+    mean = (dd[0] + dd[1]) / 2.0
+    half = (dd[0] - dd[1]) / 2.0
+    uxy = (dd[2] - dd[3]) / 2.0
+    r = np.hypot(half, uxy)
+    live = r > 0.0
+    cos2 = np.divide(half, r, out=np.ones_like(r), where=live)
+    sin2 = np.divide(uxy, r, out=np.zeros_like(r), where=live)
+    f_a = w[0] * (mean - r) + w[1] * (mean + r) + (w[2:] * dd).sum(axis=0)
+    top = np.stack([1.0 + cos2, 1.0 - cos2, sin2, -sin2])  # 2 dlambda_max/dD
+    return f_a, (w[0] / 2.0) * top[[1, 0, 3, 2]] + (w[1] / 2.0) * top + w[2:]
 
 
 def _nested_dissection(grid: Grid2D) -> np.ndarray:
@@ -572,10 +610,10 @@ def _assemble(cols: np.ndarray, order: np.ndarray) -> Callable:
 class _Scheme:
     """Precomputed discretization on one grid of F_A + H_h - f, H_h centered
     (``accurate``), and of the monotone F_h + H_h - f, H_h upwind (``fan``):
-    both read the ``terms`` table, H_h comes from (A, h_coef, h_p) alone, and
-    both return the residual with its Jacobian entries over one fixed arm
-    table, as ``_assemble`` takes them.  The set-up builds only F_A's
-    nine-point arm table."""
+    both read the operator weights (``_operator_weights``), H_h comes from
+    (A, h_coef, h_p) alone, and both return the residual with its Jacobian
+    entries over one fixed arm table, as ``_assemble`` takes them.  The
+    set-up builds only F_A's nine-point arm table."""
 
     def __init__(self, problem: GridProblem, grid: Grid2D):
         if problem.domain != grid.domain:
@@ -584,7 +622,7 @@ class _Scheme:
         self.problem = problem
         self.n, self.d = grid.n_nodes, grid.K
         self.arms = _arm_rows(grid, _split_slots(grid))
-        self.terms = _operator_terms(problem.operator, grid, grid.nodes_xy)
+        self.weights = _operator_weights(problem.operator, grid.nodes_xy)
 
         self.fvals = _field_on_nodes(problem.f, grid.nodes_xy, "forcing")
         self.f_sup = float(np.max(np.abs(self.fvals)))
@@ -592,9 +630,9 @@ class _Scheme:
 
         self._setup_hamiltonian(problem.hamiltonian)
 
-        # refuse a node where no operator term and no centered gradient
+        # refuse a node where no operator weight and no centered gradient
         # weight reaches u_0 (every second difference weighs u_0 by c0 > 0)
-        d_node = sum((w for _, w, _ in self.terms), np.zeros(self.n))
+        d_node = self.weights.sum(axis=0)
         if self.ham:
             d_node += np.hypot(*self.g_zero)
         if np.any(d_node <= 0.0):
@@ -667,7 +705,7 @@ class _Scheme:
         m_k^2), the rows in ``fan_arms`` of their slots' plus arms, then
         minus arms, and the end nodes and inverse lengths of those arms,
         plus (row 0) and minus (row 1); refuses a non-dominant A."""
-        weights = _lattice_split(self.A, "anisotropy matrix")
+        weights = _lattice_split(self.A[None], "anisotropy matrix", None)[:, 0]
         slots = _split_slots(self.grid)[weights > 0.0]
         arms = np.stack([slots, slots + self.d])
         return (
@@ -761,61 +799,28 @@ class _Scheme:
         (``fan_arms``); refuses an A with no diagonally dominant split
         (``upwind_arms``).
 
-        Each term keeps only its active slot, the argmin of a min term and
-        the argmax of a max term, which makes the Jacobian an element of the
-        generalized derivative of the min/max scheme; every other arm has
-        slope zero.
+        F_h is ``_fan_operator``'s: the min and max weights sit on their
+        argmin and argmax slots, which makes the Jacobian an element of the
+        generalized derivative of the min/max scheme.
         """
         # the H_h entries outlive the second differences; allocating them
         # first kept grid-lens peak RSS 4 MB lower than the other order
         h_vals, h_entries = self.hamiltonian(v_ext, upwind=True)
         arms = self.fan_arms
         d2 = self.second_differences(v_ext, arms)
-        nodes = np.arange(self.n)
-        f_h, weights = np.zeros(self.n), np.zeros((self.d, self.n))
-        for slots, w, rule in self.terms:
-            along = d2[slots]
-            at = _RULES[rule][1](along, axis=0)
-            f_h += w * along[at, nodes]
-            weights[slots[at], nodes] += w
+        f_h, weights = _fan_operator(self.weights, d2, _split_slots(self.grid))
         return f_h + h_vals - self.fvals, self._entries(weights, arms, h_entries)
 
     def accurate(self, v_ext: np.ndarray) -> tuple[np.ndarray, tuple]:
         """F_A + H_h - f at ``v_ext``, H_h centered, and its Jacobian entries
-        over the nine-point arm table, H_h's included (``_entries``).
-
-        X_h is built from D = (D_x, D_y, D_(1,1), D_(-1,1)), the second
-        differences at the ``_split_slots``.  A fan term is w lambda_max (a
-        max term) or w lambda_min (a min term) of X_h, (D_x + D_y)/2 +- r
-        with r = hypot((D_x - D_y)/2, u_xy).  Its slopes on D are w (c^2,
-        s^2, c s, -c s) with (c, s) = (cos t, sin t), t = atan2(2 u_xy, D_x -
-        D_y) / 2, the unit eigenvector of lambda_max, and that vector turned
-        by 90 degrees for lambda_min; they are written through cos 2t and
-        sin 2t, with t = 0 where X_h is a multiple of I.  A single-slot term
-        is w times the second difference at its slot.
-        """
-        # the H_h entries outlive the second differences, as in ``fan``
+        over the nine-point arm table, H_h's included (``_entries``); F_A is
+        ``_nine_point_operator``'s at the ``_split_slots``."""
+        # H_h first, as in ``fan``; F_A's temporaries go before the entries
+        # are built (held, they made the heap trim and regrow at every call)
         h_vals, h_entries = self.hamiltonian(v_ext)
-        n, slots = self.n, _split_slots(self.grid)
-        dd = self.second_differences(v_ext, self.arms)  # D_x, D_y, D_(1,1), D_(-1,1)
-        half = (dd[0] - dd[1]) / 2.0
-        uxy = (dd[2] - dd[3]) / 2.0
-        r = np.hypot(half, uxy)
-        live = r > 0.0
-        cos2 = np.divide(half, r, out=np.ones(n), where=live)
-        sin2 = np.divide(uxy, r, out=np.zeros(n), where=live)
-        f_a = np.zeros(n)
-        weights = np.zeros((4, n))  # dF_A/dD, row by row
-        for term_slots, w, rule in self.terms:
-            if term_slots.size == 1:
-                j = slots.tolist().index(term_slots[0])
-                f_a += w * dd[j]
-                weights[j] += w
-                continue
-            sign = 1.0 if rule == "max" else -1.0
-            f_a += w * ((dd[0] + dd[1]) / 2.0 + sign * r)
-            c, s = sign * cos2, sign * sin2
-            weights += (w / 2.0) * np.stack([1.0 + c, 1.0 - c, s, -s])
+        f_a, weights = _nine_point_operator(
+            self.weights, self.second_differences(v_ext, self.arms)
+        )
         return f_a + h_vals - self.fvals, self._entries(weights, self.arms, h_entries)
 
 
@@ -872,14 +877,12 @@ def discrete_gradient(u: GridFunction, node) -> np.ndarray:
 
 
 def discrete_operator(spec: OperatorSpec, u: GridFunction, node) -> float:
-    """F_h at one node, from the terms of ``_operator_terms`` there."""
+    """F_h at one node, the fan scheme's value (``_fan_operator``) there."""
     grid = u.grid
     i = _resolve_node(grid, node)
-    d2 = np.array(
-        [discrete_second_difference(u, i, k) for k in range(grid.K)]
-    )
-    terms = _operator_terms(spec, grid, grid.nodes_xy[i : i + 1])
-    return float(sum(w[0] * _RULES[rule][0](d2[slots]) for slots, w, rule in terms))
+    d2 = np.array([[discrete_second_difference(u, i, k)] for k in range(grid.K)])
+    w = _operator_weights(spec, grid.nodes_xy[i : i + 1])
+    return float(_fan_operator(w, d2, _split_slots(grid))[0][0])
 
 
 def _initial_values(problem: GridProblem, grid: Grid2D, scheme):

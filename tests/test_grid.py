@@ -7,6 +7,7 @@ problem with manufactured forcing -|x|/2 is solved by (1 - |x|^3)/12.
 
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -627,6 +628,52 @@ class TestDiscreteOperator:
         with pytest.raises(ConfigError, match="forcing must be finite on the grid"):
             solve(GridProblem(LambdaK(1), None, MODEL, DISC, math.nan), disc_h4)
 
+    def test_non_finite_diffusion_matrix_is_named(self, disc_h8):
+        # Sigma(x) is NaN I for x_1 > 0.3: every entry point refuses it,
+        # naming the first such node, before any residual is evaluated
+        sigma = MatrixField(
+            fn=lambda x: np.where(x[..., 0] > 0.3, np.nan, 1.0)[..., None, None]
+            * np.eye(2),
+            lambda_min_sts=1.0,
+            lambda_max_sts=1.0,
+        )
+        problem = GridProblem(LinearDegenerate(sigma), None, MODEL, DISC, -1.0)
+        first = disc_h8.nodes_xy[np.flatnonzero(disc_h8.nodes_xy[:, 0] > 0.3)[0]]
+        match = "diffusion matrix must be finite on the grid at x = " + re.escape(
+            str(tuple(first.tolist()))
+        )
+        u = GridFunction(grid=disc_h8, values=np.zeros(disc_h8.n_nodes))
+        calls = (
+            lambda: solve(problem, disc_h8),
+            lambda: residual_norm(problem, u),
+            lambda: sweep(problem, disc_h8, u.values, 0.0),
+            lambda: discrete_operator(problem.operator, u, tuple(first)),
+        )
+        for call in calls:
+            with pytest.raises(ConfigError, match=match):
+                call()
+        # a node where Sigma is finite still gets its value
+        assert discrete_operator(problem.operator, u, (0.0, 0.0)) == 0.0
+
+    @pytest.mark.parametrize(
+        "ham", [None, PowerNorm(b=1.0, p=2.0)], ids=["none", "power"]
+    )
+    def test_node_with_no_diagonal_slope_refused(self, disc_h8, ham):
+        # Sigma(x) = x_1 I vanishes on the line x_1 = 0, and there the
+        # centered gradient weighs u_0 by zero too (its arms are equal)
+        sigma = MatrixField(
+            fn=lambda x: x[..., 0][..., None, None] * np.eye(2),
+            lambda_min_sts=0.0,
+            lambda_max_sts=1e-3,
+        )
+        params = Params(beta=1e-3, b=1.0, p=2.0, M=1.0)
+        problem = GridProblem(LinearDegenerate(sigma), ham, params, DISC, -1.0)
+        u = GridFunction(grid=disc_h8, values=np.zeros(disc_h8.n_nodes))
+        with pytest.raises(ConfigError, match="no diagonal slope at some node"):
+            solve(problem, disc_h8)
+        with pytest.raises(ConfigError, match="no diagonal slope at some node"):
+            residual_norm(problem, u)
+
     @pytest.mark.parametrize(
         "spec, reference",
         [
@@ -731,6 +778,15 @@ ACCEPTED_OPERATORS = {
         ScalarField(fn=lambda x: 2.0 + x[..., 0], lower=1.0, upper=3.0)
     ),
     "lindeg": LinearDegenerate(MatrixField.constant(LINDEG_SIGMA)),
+    # called point by point only; the off-diagonal 0.24 x_1 of Sigma^T Sigma
+    # changes sign at x_1 = 0, so the split's diagonal slot flips there
+    "lindeg-x": LinearDegenerate(
+        MatrixField(
+            fn=lambda x: [[1.0, 0.0], [0.3 * x[0], 0.8]],
+            lambda_min_sts=0.4,
+            lambda_max_sts=1.0,
+        )
+    ),
 }
 
 
@@ -2282,17 +2338,53 @@ class TestSolveExactQuadratics:
         assert float(np.max(np.abs(u.values - (1.0 - r2)))) <= 1e-8
 
     @pytest.mark.parametrize(
-        "sigma", [[[1.0, 0.0, 5.0], [0.0, 1.0, 0.0]], [[1.0], [0.0]]]
+        "sigma, offends",
+        [
+            (
+                MatrixField.constant([[1.0, 0.0, 5.0], [0.0, 1.0, 0.0]]),
+                lambda x: True,
+            ),
+            (MatrixField.constant([[1.0], [0.0]]), lambda x: True),
+            # 2x3 where x_1 <= 0: the nodes' matrices form no stack
+            (
+                MatrixField(
+                    fn=lambda x: np.eye(2) if x[0] > 0 else np.ones((2, 3)),
+                    lambda_min_sts=0.0,
+                    lambda_max_sts=1.0,
+                ),
+                lambda x: x[0] <= 0,
+            ),
+        ],
+        ids=["sigma0", "sigma1", "sigma2"],
     )
-    def test_linear_degenerate_refuses_non_2x2_diffusion(self, disc_h8, sigma):
+    def test_linear_degenerate_refuses_non_2x2_diffusion(
+        self, disc_h8, sigma, offends
+    ):
         prob = GridProblem(
-            operator=LinearDegenerate(MatrixField.constant(sigma)),
+            operator=LinearDegenerate(sigma),
             hamiltonian=None,
             params=MODEL,
             domain=DISC,
             f=-4.0,
         )
-        with pytest.raises(ConfigError, match="must be 2x2 on grids"):
+        # the refusal names the first node whose Sigma^T Sigma is not 2x2
+        first = next(x for x in disc_h8.nodes_xy if offends(x))
+        match = "must be 2x2 on grids at x = " + re.escape(str(tuple(first.tolist())))
+        with pytest.raises(ConfigError, match=match):
+            solve(prob, disc_h8, SolveControls(tol=1e-9))
+
+    def test_linear_degenerate_passes_on_the_diffusion_fields_own_error(
+        self, disc_h8
+    ):
+        # a Sigma that raises by itself is not taken for one of the wrong
+        # shape: its own error reaches the caller unchanged
+        sigma = MatrixField(
+            fn=lambda x: math.sqrt(x[0] + 0.5) * np.eye(2),
+            lambda_min_sts=0.0,
+            lambda_max_sts=1.5,
+        )
+        prob = GridProblem(LinearDegenerate(sigma), None, MODEL, DISC, -4.0)
+        with pytest.raises(ValueError, match="math domain error"):
             solve(prob, disc_h8, SolveControls(tol=1e-9))
 
 
@@ -2382,7 +2474,8 @@ class TestComparison:
         # the scaled field is a strict discrete subsolution (measured 7.4e-2)
         assert float(np.min(res_u - res_v)) >= 5e-3
         # explicit step below 1 / (largest diagonal slope): per node the
-        # operator's weight times its largest c0, plus the upwind H_h's sum
+        # eigenvalue weights times the fan's largest c0 and the split-slot
+        # weights times their c0, plus the upwind H_h's sum
         # over its slots of dH/dm_k / h_arm, with dH/dm_k = 2 b c_k m_k at
         # p = 2, the shorter arm and every one-sided slope m_k at most G =
         # _gradient_scale (twice c1_bound here, where the disc is at the
@@ -2390,8 +2483,9 @@ class TestComparison:
         ham = BENCH.hamiltonian
         assert ham.p == 2.0
         bound = _gradient_scale(BENCH.params)
-        c0 = scheme.fan_arms[2]
-        d_node = sum(w * c0[slots].max(axis=0) for slots, w, _ in scheme.terms)
+        c0, w = scheme.fan_arms[2], scheme.weights
+        slots = grid_module._split_slots(disc_h8)
+        d_node = (w[0] + w[1]) * c0.max(axis=0) + (w[2:] * c0[slots]).sum(axis=0)
         up_c, _, up_idx, up_inv_h = scheme.upwind_arms
         d_node = d_node + 2.0 * ham.b * bound * (up_c @ up_inv_h.max(axis=0))
         tau = 0.9 / float(np.max(d_node))
