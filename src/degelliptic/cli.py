@@ -26,6 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._args import integer
 from ._table import write_csv
 from .barriers import build_subsolution, build_supersolution
 from .errors import ConfigError, DegellipticError, VerificationError
@@ -379,7 +380,7 @@ def cmd_blowup(cfg: RunConfig):
 
 def cmd_explicit(cfg: RunConfig):
     form = explicit_sublinear_form(cfg.kind, cfg.p, cfg.R, cfg.dimension)
-    r = np.linspace(0.0, cfg.R, max(cfg.node_count, 2))
+    r = np.linspace(0.0, cfg.R, integer(cfg.node_count, "[radial] node_count", ge=2))
     u = form.value(r)
     du = form.du(r)  # exponent g > 2, so both derivatives vanish at r = 0
     ddu = form.ddu(r)

@@ -108,6 +108,7 @@ from .model import (
     ScalarField,
     WeightedEigenvalues,
     _field_values,
+    _sts_values,
     ellipticity_constant,
 )
 
@@ -323,23 +324,15 @@ def _lattice_split(a: np.ndarray, what: str, xy: np.ndarray | None) -> np.ndarra
     a_i = sum_j w_ji e_j e_j^T over their unit vectors e_j, for a stack a
     (k, 2, 2): the diagonal takes 2|a01| on (1, sign a01), and the axes the
     rest of the diagonal entries, nonnegative exactly when a_i is diagonally
-    dominant.  Errors name a ``what``, at its first offending point of ``xy``
-    unless that is None."""
-
-    def where(bad) -> str:  # the first offending point, if any are given
-        return "" if xy is None else f" at x = {tuple(xy[np.argmax(bad)].tolist())}"
-
-    if a.shape[1:] != (2, 2):
-        raise ConfigError(f"{what} must be 2x2 on grids{where(True)}")
-    finite = np.isfinite(a).all(axis=(1, 2))
-    if not finite.all():
-        raise ConfigError(f"{what} must be finite on the grid{where(~finite)}")
+    dominant; where it is not, the refusal names ``what`` at the first such
+    point of ``xy``, unless that is None."""
     off = a[:, 0, 1]
     wx, wy = a[:, 0, 0] - abs(off), a[:, 1, 1] - abs(off)
     loose = np.minimum(wx, wy) < -1e-12 * np.maximum(1.0, abs(a).max(axis=(1, 2)))
     if loose.any():
+        at = "" if xy is None else f" at x = {tuple(xy[np.argmax(loose)].tolist())}"
         raise UnsupportedDiscretizationError(
-            f"{what} is not diagonally dominant on the lattice{where(loose)}"
+            f"{what} is not diagonally dominant on the lattice{at}"
         )
     wd = 2.0 * abs(off)
     up = np.where(off >= 0, wd, 0.0)
@@ -452,14 +445,6 @@ class SolveReport:
     stop_residual: float
 
 
-def _field_on_nodes(f: ForcingLike, pts: np.ndarray, what: str) -> np.ndarray:
-    rule = f"{what} must be finite on the grid"
-    vals = _field_values(f, pts, what=rule)
-    if not np.all(np.isfinite(vals)):
-        raise ConfigError(rule)
-    return vals
-
-
 # the centered gradient's arms in the nine-point table: the axis arms, rows
 # 0, 1 (plus) and 4, 5 (minus)
 _CENTERED_ROWS = np.array([0, 1, 4, 5])
@@ -490,21 +475,11 @@ def _operator_weights(spec: OperatorSpec, xy: np.ndarray) -> np.ndarray:
             )
         w[:2] = np.array(spec.alphas)[:, None]
     elif isinstance(spec, CoefficientLambdaN):
-        w[1] = _field_on_nodes(spec.a, xy, "coefficient")
+        w[1] = _field_values(spec.a, xy, what="coefficient")
         if np.any(w[1] < spec.a.lower - 1e-12):
             raise ConfigError("coefficient drops below its declared infimum")
     elif isinstance(spec, LinearDegenerate):
-        try:
-            s = _field_values(spec.sigma, xy, ndim=2)
-            sts = np.swapaxes(s, -1, -2) @ s
-        except ValueError:  # shapes differ: Sigma again point by point, so
-            # that its own errors propagate, and the first not 2x2 named
-            sts = [s.T @ s for s in (np.asarray(spec.sigma(x), float) for x in xy)]
-            odd = [a.shape != (2, 2) for a in sts]
-            if any(odd):
-                where = f" at x = {tuple(xy[odd.index(True)].tolist())}"
-                raise ConfigError(f"diffusion matrix must be 2x2 on grids{where}")
-        w[2:] = _lattice_split(np.asarray(sts), "diffusion matrix", xy)
+        w[2:] = _lattice_split(_sts_values(spec.sigma, xy), "diffusion matrix", xy)
     else:
         raise UnsupportedDiscretizationError(
             f"operator {type(spec).__name__} has no monotone stencil here"
@@ -624,7 +599,7 @@ class _Scheme:
         self.arms = _arm_rows(grid, _split_slots(grid))
         self.weights = _operator_weights(problem.operator, grid.nodes_xy)
 
-        self.fvals = _field_on_nodes(problem.f, grid.nodes_xy, "forcing")
+        self.fvals = _field_values(problem.f, grid.nodes_xy, what="forcing")
         self.f_sup = float(np.max(np.abs(self.fvals)))
         self.m_eff = float(np.max(np.maximum(problem.params.c - self.fvals, 0.0)))
 

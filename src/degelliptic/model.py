@@ -276,14 +276,21 @@ class MatrixField:
         )
 
 
+def _at(pts: np.ndarray, i) -> str:
+    return f" at x = {tuple(np.atleast_1d(pts[i]).tolist())}"
+
+
 def _field_values(f, pts: np.ndarray, ndim: int = 0, what: str = "field") -> np.ndarray:
     """A field at each point of the stack ``pts`` (one point per row), as an
-    array (k, ...) of ``ndim``-dimensional values.
+    array (k, ...) of ``ndim``-dimensional values; the one admission of the
+    coefficient, diffusion and forcing values.
 
     ``f`` is a constant field, a callable that is tried once on the whole
     stack and otherwise called point by point, or else a number, admitted
-    by ``real`` (``what`` names it).  A square stack is tried with its last
-    row repeated, so a point-wise ``x[0]`` cannot pass for k values.
+    by ``real``.  A square stack is tried with its last row repeated, so a
+    point-wise ``x[0]`` cannot pass for k values.  A callable's values must
+    be finite and of one shape, or ``ConfigError`` names ``what`` and the
+    first offending point.
     """
     k = pts.shape[0]
     if not callable(f):
@@ -295,15 +302,34 @@ def _field_values(f, pts: np.ndarray, ndim: int = 0, what: str = "field") -> np.
     stack = pts
     if pts.ndim == 2 and k == pts.shape[1]:
         stack = np.concatenate([pts, pts[-1:]])
+    vals = None
     try:
-        vals = np.asarray(f(stack), dtype=float)
-        if vals.ndim == ndim + 1 and vals.shape[0] == stack.shape[0]:
-            return vals[:k]
+        tried = np.asarray(f(stack), dtype=float)
+        if tried.ndim == ndim + 1 and tried.shape[0] == stack.shape[0]:
+            vals = tried[:k]
     except (TypeError, ValueError, IndexError):
         pass  # not vectorised: the point-wise calls below raise real errors
-    if ndim == 0:
-        return np.array([float(f(p)) for p in pts])
-    return np.array([np.asarray(f(p), dtype=float) for p in pts])
+    if vals is None:
+        each = [np.asarray(f(p), dtype=float) for p in pts]
+        odd = [v.ndim != ndim or v.shape != each[0].shape for v in each]
+        if any(odd):
+            i = odd.index(True)
+            at = f"{each[0].shape} at the first point, {each[i].shape}{_at(pts, i)}"
+            raise ConfigError(f"{what} must have one {ndim}-axis shape, not {at}")
+        vals = np.array(each)
+    bad = np.argwhere(~np.isfinite(vals))
+    if bad.size:
+        raise ConfigError(f"{what} must be finite{_at(pts, bad[0, 0])}")
+    return vals
+
+
+def _sts_values(sigma: MatrixField, pts: np.ndarray) -> np.ndarray:
+    """The diffusion matrix Sigma(x)^T Sigma(x) at each point of the stack
+    ``pts`` (k, n); refused unless Sigma(x) has n columns, so it is n x n."""
+    s, n = _field_values(sigma, pts, ndim=2, what="diffusion matrix"), pts.shape[1]
+    if s.shape[-1] != n:
+        raise ConfigError(f"diffusion matrix must be {n}x{n}{_at(pts, 0)}")
+    return np.swapaxes(s, -1, -2) @ s
 
 
 # ---------------------------------------------------------------------------
@@ -461,10 +487,9 @@ def _operator_values(spec: OperatorSpec, x, X: np.ndarray) -> np.ndarray:
             raise ConfigError("eigenvalue index exceeds matrix dimension")
         return lam[:, spec.i - 1] - np.maximum(-lam[:, spec.j - 1], 0.0)
     if isinstance(spec, LinearDegenerate):
-        s = _field_values(spec.sigma, x, ndim=2)
-        return np.trace(np.swapaxes(s, -1, -2) @ s @ X, axis1=1, axis2=2)
+        return np.trace(_sts_values(spec.sigma, x) @ X, axis1=1, axis2=2)
     if isinstance(spec, CoefficientLambdaN):
-        return _field_values(spec.a, x) * lam[:, -1]
+        return _field_values(spec.a, x, what="coefficient") * lam[:, -1]
     if isinstance(spec, MongeAmpere):
         outside = np.flatnonzero(lam[:, 0] < -MA_CONE_TOL)
         if outside.size:
@@ -597,7 +622,7 @@ def _hamiltonian_values(spec: HamiltonianSpec, xi: np.ndarray) -> np.ndarray:
         r = np.sqrt(_dot(xi, xi))
         inside = r < spec.support_radius
         bump = np.zeros(r.shape)
-        bump[inside] = _field_values(spec.bump, xi[inside])
+        bump[inside] = _field_values(spec.bump, xi[inside], what="bump")
         return _pow(r, spec.p) + bump
     raise ConfigError(f"unknown Hamiltonian spec {spec!r}")
 

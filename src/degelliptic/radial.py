@@ -82,7 +82,7 @@ def phi(r, s, params: Params):
     """phi(r, s) = -beta s / r + b s^p + M."""
     r = _check_radius(r)
     s = np.asarray(s, dtype=float)
-    if np.any(s < 0.0):
+    if not np.all(s >= 0.0):  # a NaN fails it too
         raise DomainViolationError("profile argument s must be nonnegative")
     out = _phi_raw(r, s, params)
     return float(out) if out.ndim == 0 else out
@@ -97,7 +97,7 @@ def dphi_ds(r, s, params: Params):
     """d phi / ds = -beta / r + p b s^(p-1)."""
     r = _check_radius(r)
     s = np.asarray(s, dtype=float)
-    if np.any(s < 0.0):
+    if not np.all(s >= 0.0):  # a NaN fails it too
         raise DomainViolationError("profile argument s must be nonnegative")
     out = _dphi_raw(r, s, params)
     return float(out) if out.ndim == 0 else out
@@ -609,7 +609,7 @@ def _exact_u(r, R: float, params: Params, second: bool = False):
     (beta / b)^q log(R / r) at p = 2; u(0+) is finite where g > 0.
     """
     r = np.asarray(r, dtype=float)
-    inner = (r > 0.0) & (r < R)
+    inner = ~((r <= 0.0) | (r >= R))  # a NaN too: the root refuses it
     roots = _zero(np.append(r[inner], R), params, second)
     # radii at R take the one root computed there, so u(R) is exactly 0
     s = np.where(r >= R, roots[-1], 0.0)
@@ -801,7 +801,7 @@ def explicit_sublinear_solution(
     """Closed-form value at radius r of the chosen sublinear model problem."""
     form = explicit_sublinear_form(kind, p, R, N)
     r_arr = np.asarray(r, dtype=float)
-    if np.any(r_arr < 0.0) or np.any(r_arr > R * (1.0 + 1e-12)):
+    if not np.all((r_arr >= 0.0) & (r_arr <= R * (1.0 + 1e-12))):
         raise DomainViolationError("radius outside [0, R]")
     return form.value(r)
 

@@ -124,8 +124,6 @@ def _radial_residuals(
     gradient is (u', 0, ..., 0)."""
     n = problem.N
     fvals = _field_values(problem.f, r, what="forcing")
-    if not np.all(np.isfinite(fvals)):
-        raise ConfigError("forcing returned non-finite values")
     hess = np.zeros((r.size, n, n))
     hess[:, 0, 0] = ddu
     hess[:, range(1, n), range(1, n)] = (du / r)[:, None]

@@ -518,6 +518,17 @@ class TestExplicit:
         assert code == 2
         assert "p in (0, 1)" in err
 
+    @pytest.mark.parametrize("count", ["-3", "1"])
+    def test_node_count_below_two_exits_2(self, tmp_path, capsys, count):
+        # explicit.csv tabulates u from r = 0 to r = R: two rows at least
+        text = EXPLICIT_INI.replace("node_count = 65", f"node_count = {count}")
+        out_dir = tmp_path / "results"
+        path = write_config(tmp_path, text)
+        code, _, err = run_cli(capsys, "explicit", "--config", path, "--out", out_dir)
+        assert code == 2
+        assert err == f"error: need an integer [radial] node_count >= 2, got {count}\n"
+        assert not out_dir.exists()
+
 
 LENS_INI = MODEL_INI + """
 [domain]
@@ -592,7 +603,7 @@ class TestSolve:
         "rows, message",
         [
             ("1, 0; 0.4", "[problem] rows: rows differ in length"),
-            ("1, 0, 5; 0, 1, 0", "must be 2x2 on grids"),
+            ("1, 0, 5; 0, 1, 0", "diffusion matrix must be 2x2 at x = ("),
         ],
     )
     def test_bad_diffusion_rows_exit_2(self, tmp_path, capsys, rows, message):
@@ -695,6 +706,20 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify", "--config", path, "--out", out_dir)
         assert code == 0
         assert "epsilon_scaling: PASS" in out
+
+    def test_diffusion_rows_of_three_columns_exit_2(self, tmp_path, capsys):
+        # Sigma is 2x3, so Sigma^T Sigma is 3x3 against the 2x2 radial
+        # Hessians; the refusal names the first sample point x = (r, 0)
+        text = VERIFY_INI.replace(
+            "operator = CoefficientLambdaN",
+            "operator = LinearDegenerate\nrows = 1, 0, 5; 0, 1, 0",
+        ).replace("R = 0.9", "R = 0.45").replace("0.2, 0.5, 0.8", "0.1, 0.3")
+        path = write_config(tmp_path, text)
+        out_dir = tmp_path / "results"
+        code, _, err = run_cli(capsys, "verify", "--config", path, "--out", out_dir)
+        assert code == 2
+        assert err == "error: diffusion matrix must be 2x2 at x = (0.1, 0.0)\n"
+        assert not out_dir.exists()
 
     def test_wrong_coefficient_fails_with_report(self, tmp_path, capsys):
         bad = VERIFY_INI.replace("coefficient = 2.0", "coefficient = 3.0")

@@ -619,13 +619,17 @@ class TestDiscreteOperator:
 
     def test_non_finite_coefficient_is_named(self, disc_h4):
         # a(x) is NaN for x_1 > 0.3; the refusal names the coefficient, not
-        # the forcing
+        # the forcing, at its first such node
         a = ScalarField(
             fn=lambda x: np.where(x[..., 0] > 0.3, np.nan, 2.0), lower=1.0, upper=3.0
         )
-        with pytest.raises(ConfigError, match="coefficient must be finite on the grid"):
+        first = disc_h4.nodes_xy[np.flatnonzero(disc_h4.nodes_xy[:, 0] > 0.3)[0]]
+        match = "coefficient must be finite at x = " + re.escape(
+            str(tuple(first.tolist()))
+        )
+        with pytest.raises(ConfigError, match=match):
             _solve_on(CoefficientLambdaN(a), disc_h4)
-        with pytest.raises(ConfigError, match="forcing must be finite on the grid"):
+        with pytest.raises(ConfigError, match=r"\(forcing\), got nan"):
             solve(GridProblem(LambdaK(1), None, MODEL, DISC, math.nan), disc_h4)
 
     def test_non_finite_diffusion_matrix_is_named(self, disc_h8):
@@ -639,7 +643,7 @@ class TestDiscreteOperator:
         )
         problem = GridProblem(LinearDegenerate(sigma), None, MODEL, DISC, -1.0)
         first = disc_h8.nodes_xy[np.flatnonzero(disc_h8.nodes_xy[:, 0] > 0.3)[0]]
-        match = "diffusion matrix must be finite on the grid at x = " + re.escape(
+        match = "diffusion matrix must be finite at x = " + re.escape(
             str(tuple(first.tolist()))
         )
         u = GridFunction(grid=disc_h8, values=np.zeros(disc_h8.n_nodes))
@@ -2338,27 +2342,34 @@ class TestSolveExactQuadratics:
         assert float(np.max(np.abs(u.values - (1.0 - r2)))) <= 1e-8
 
     @pytest.mark.parametrize(
-        "sigma, offends",
+        "sigma, message, offends",
         [
             (
                 MatrixField.constant([[1.0, 0.0, 5.0], [0.0, 1.0, 0.0]]),
+                "diffusion matrix must be 2x2",
                 lambda x: True,
             ),
-            (MatrixField.constant([[1.0], [0.0]]), lambda x: True),
-            # 2x3 where x_1 <= 0: the nodes' matrices form no stack
+            (
+                MatrixField.constant([[1.0], [0.0]]),
+                "diffusion matrix must be 2x2",
+                lambda x: True,
+            ),
+            # 2x3 where x_1 <= 0, as at the first node: the shape changes
             (
                 MatrixField(
                     fn=lambda x: np.eye(2) if x[0] > 0 else np.ones((2, 3)),
                     lambda_min_sts=0.0,
                     lambda_max_sts=1.0,
                 ),
-                lambda x: x[0] <= 0,
+                "diffusion matrix must have one 2-axis shape, not (2, 3) at the"
+                " first point, (2, 2)",
+                lambda x: x[0] > 0,
             ),
         ],
         ids=["sigma0", "sigma1", "sigma2"],
     )
     def test_linear_degenerate_refuses_non_2x2_diffusion(
-        self, disc_h8, sigma, offends
+        self, disc_h8, sigma, message, offends
     ):
         prob = GridProblem(
             operator=LinearDegenerate(sigma),
@@ -2367,9 +2378,9 @@ class TestSolveExactQuadratics:
             domain=DISC,
             f=-4.0,
         )
-        # the refusal names the first node whose Sigma^T Sigma is not 2x2
+        # the refusal names the first offending node
         first = next(x for x in disc_h8.nodes_xy if offends(x))
-        match = "must be 2x2 on grids at x = " + re.escape(str(tuple(first.tolist())))
+        match = re.escape(f"{message} at x = {tuple(first.tolist())}")
         with pytest.raises(ConfigError, match=match):
             solve(prob, disc_h8, SolveControls(tol=1e-9))
 

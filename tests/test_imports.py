@@ -32,7 +32,9 @@ def test_private_names_stay_in_their_module():
     # crossings are the closed-form radial u that the barriers and the grid
     # oracle evaluate at arbitrary distances, the stacked operator and
     # Hamiltonian kernels that verify's radial residuals call, and the one
-    # way of evaluating a coefficient or forcing field at many points
+    # admission of coefficient, diffusion and forcing fields at many points,
+    # which returns finite values of one shape: `_field_values`, and
+    # `_sts_values` for the Sigma^T Sigma of a diffusion field
     package = Path(degelliptic.__file__).resolve().parent
     crossings = set()
     for path in sorted(package.glob("*.py")):
@@ -53,6 +55,7 @@ def test_private_names_stay_in_their_module():
         ("verify", "model", "_hamiltonian_values"),
         ("verify", "model", "_field_values"),
         ("grid", "model", "_field_values"),
+        ("grid", "model", "_sts_values"),
     }
 
 

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -39,6 +40,7 @@ from degelliptic.model import (
     evaluate_hamiltonian,
     evaluate_operator,
 )
+from degelliptic.verify import ClosedFormRadial, VerifyProblem, residual_check_radial
 
 
 class TestParams:
@@ -766,6 +768,165 @@ class TestKernels:
         assert list(_field_values(field, pts)) == [11.0, 13.0]
         vectorised = ScalarField(fn=lambda x: 10.0 + x[..., 0], lower=0.0, upper=20.0)
         assert list(_field_values(vectorised, pts)) == [11.0, 13.0]
+
+
+# ---------------------------------------------------------------------------
+# the one admission of field values: every catalog entry point refuses a
+# coefficient or diffusion field that is not finite, changes shape, or gives
+# a Sigma^T Sigma of the wrong size, naming the first offending point
+
+
+def _far(points):
+    return points[:, 0] > 0.3
+
+
+def _recorded(fn, calls):
+    # the field's first argument is the whole stack of points it is read at
+    def record(x):
+        calls.append(np.array(x))
+        return fn(x)
+
+    return record
+
+
+def _bad_fields(calls):
+    """(operator, message, the offending point of a stack of points): a
+    field that is NaN where x_1 > 0.3, a Sigma whose shape changes there
+    (3x2 against 2x2, so that Sigma^T Sigma is 2x2 at every point), and a
+    2x3 Sigma, whose Sigma^T Sigma is 3x3 at every point."""
+    nan_a = ScalarField(
+        fn=_recorded(lambda x: np.where(x[..., 0] > 0.3, np.nan, 2.0), calls),
+        lower=1.0,
+        upper=3.0,
+    )
+    nan_sigma = MatrixField(
+        fn=_recorded(
+            lambda x: np.where(x[..., 0] > 0.3, np.nan, 1.0)[..., None, None]
+            * np.eye(2),
+            calls,
+        ),
+        lambda_min_sts=1.0,
+        lambda_max_sts=1.0,
+    )
+    tall = np.vstack([np.eye(2), np.zeros((1, 2))])
+    reshaped = MatrixField(
+        fn=_recorded(lambda x: tall if x[0] > 0.3 else np.eye(2), calls),
+        lambda_min_sts=1.0,
+        lambda_max_sts=1.0,
+    )
+    wide = MatrixField(
+        fn=_recorded(lambda x: np.ones(x.shape[:-1] + (2, 3)), calls),
+        lambda_min_sts=0.0,
+        lambda_max_sts=2.0,
+    )
+
+    def changed(points):  # where the shape first differs from the first one
+        return points[np.argmax(_far(points) != _far(points)[0])]
+
+    return {
+        "nan-coefficient": (
+            CoefficientLambdaN(nan_a),
+            "coefficient must be finite",
+            lambda points: points[np.argmax(_far(points))],
+        ),
+        "nan-sigma": (
+            LinearDegenerate(nan_sigma),
+            "diffusion matrix must be finite",
+            lambda points: points[np.argmax(_far(points))],
+        ),
+        "sigma-changes-shape": (
+            LinearDegenerate(reshaped),
+            "diffusion matrix must have one 2-axis shape",
+            changed,
+        ),
+        "sigma-sts-not-NxN": (
+            LinearDegenerate(wide),
+            "diffusion matrix must be 2x2",
+            lambda points: points[0],
+        ),
+    }
+
+
+def _refused(case, call):
+    """Run ``call`` on the case's operator; it must raise ``ConfigError``
+    with the case's message, naming the offending point of the points that
+    the field was first read at."""
+    calls = []
+    spec, message, offending = _bad_fields(calls)[case]
+    with pytest.raises(ConfigError) as err:
+        call(spec)
+    point = tuple(offending(np.atleast_2d(calls[0])).tolist())
+    assert re.fullmatch(
+        re.escape(message) + r".* at x = " + re.escape(str(point)), str(err.value)
+    ), str(err.value)
+    return point
+
+
+_BAD_CASES = (
+    "nan-coefficient",
+    "nan-sigma",
+    "sigma-changes-shape",
+    "sigma-sts-not-NxN",
+)
+
+
+class TestFieldAdmission:
+    @pytest.mark.parametrize("case", _BAD_CASES)
+    def test_operator_kernel_refuses(self, case):
+        x = np.array([[0.0, 0.1], [0.5, -0.2], [0.7, 0.3], [-0.4, 0.9]])
+        X = np.array([np.eye(2)] * len(x))
+        point = _refused(case, lambda spec: _operator_values(spec, x, X))
+        assert point == ((0.0, 0.1) if case == "sigma-sts-not-NxN" else (0.5, -0.2))
+
+    # one point: a shape cannot change there, so that case has nothing to see
+    @pytest.mark.parametrize("case", [c for c in _BAD_CASES if "shape" not in c])
+    def test_evaluate_operator_refuses(self, case):
+        X = SymMatrix(np.eye(2))
+        point = _refused(case, lambda spec: evaluate_operator(spec, (0.5, 0.0), X))
+        assert point == (0.5, 0.0)
+
+    @pytest.mark.parametrize("case", _BAD_CASES)
+    def test_radial_residual_check_refuses(self, case):
+        # u = 1 - r^2 on the unit ball, read at x = (r, 0)
+        candidate = ClosedFormRadial(
+            value=lambda r: 1.0 - np.asarray(r) ** 2,
+            du=lambda r: -2.0 * np.asarray(r),
+            ddu=lambda r: np.full(np.shape(r), -2.0),
+            R=1.0,
+        )
+
+        def check(spec):
+            problem = VerifyProblem(operator=spec, hamiltonian=None, f=-4.0)
+            return residual_check_radial(candidate, problem, (0.2, 0.5, 0.8))
+
+        point = _refused(case, check)
+        assert point == ((0.2, 0.0) if case == "sigma-sts-not-NxN" else (0.5, 0.0))
+
+    @pytest.mark.parametrize("case", _BAD_CASES)
+    def test_structural_sampler_refuses(self, case):
+        params = Params(beta=1.0, b=1.0, p=2.0, M=1.0)
+        _refused(
+            case,
+            lambda spec: check_structural_conditions(
+                spec, PowerNorm(1.0, 2.0), params, sample_count=20, seed=3
+            ),
+        )
+
+    def test_empty_stack_and_finite_fields_pass(self):
+        # the bump read at no point (every gradient outside its support)
+        bump = ScalarField(
+            fn=lambda v: (1.0 - np.sum(v * v, axis=-1)) ** 2, lower=0.0, upper=1.0
+        )
+        assert _field_values(bump, np.zeros((0, 2))).shape == (0,)
+        # a Sigma of 3 rows and 2 columns at every point is admitted
+        tall = MatrixField(
+            fn=lambda x: np.ones(x.shape[:-1] + (3, 2)),
+            lambda_min_sts=0.0,
+            lambda_max_sts=6.0,
+        )
+        x = np.array([[0.0, 0.1], [0.5, -0.2]])
+        got = _operator_values(LinearDegenerate(tall), x, np.array([np.eye(2)] * 2))
+        assert list(got) == [6.0, 6.0]
 
 
 # ---------------------------------------------------------------------------

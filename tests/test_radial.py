@@ -68,6 +68,14 @@ class TestPhi:
                 with pytest.raises(DomainViolationError):
                     fn(r, s, MODEL)
 
+    def test_nan_argument_is_a_domain_error(self):
+        # a NaN compares false in every range check, so each check is
+        # written to fail on it
+        for fn in (phi, dphi_ds):
+            for s in (math.nan, [0.5, math.nan]):
+                with pytest.raises(DomainViolationError, match="nonnegative"):
+                    fn(1.0, s, MODEL)
+
     def test_vectorized(self):
         r = np.array([0.25, 0.5, 1.0])
         out = phi(r, 1.0, MODEL)
@@ -362,6 +370,12 @@ class TestProfileEvaluation:
         fd = (prof.du(r + h) - prof.du(r - h)) / (2.0 * h)
         ddu = prof.ddu(r)
         assert np.max(np.abs(ddu - fd)) <= 1e-7 * np.max(np.abs(ddu))
+
+    def test_nan_radius_is_a_domain_error(self, prof):
+        # clamping keeps a NaN; the root's radius check refuses it
+        for r in (math.nan, [0.5 * prof.R, math.nan]):
+            with pytest.raises(DomainViolationError, match="radius"):
+                prof.value(r)
 
     def test_value_clamps_to_the_table(self, prof):
         # first-zero branches extend to the center, where value is u(0+)
@@ -954,6 +968,11 @@ class TestExplicitSublinear:
             explicit_sublinear_solution("Lambda1", 1.5, 1.0, 2, 0.0)
         with pytest.raises(DomainViolationError):
             explicit_sublinear_solution("Lambda1", 0.5, 1.0, 2, 2.0)
+
+    def test_nan_radius_is_a_domain_error(self):
+        for r in (math.nan, [0.5, math.nan]):
+            with pytest.raises(DomainViolationError, match=r"outside \[0, R\]"):
+                explicit_sublinear_solution("Lambda1", 0.5, 1.0, 2, r)
 
 
 class TestCsvExport:
