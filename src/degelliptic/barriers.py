@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._args import integer, real
+from ._args import integer, real, reals
 from ._table import write_csv
 from .errors import ConfigError, DomainViolationError, NumericError
 from .model import ConvexDomain, Params
@@ -77,11 +77,9 @@ def build_subsolution(domain: ConvexDomain, params: Params, K: float) -> Barrier
 
 def evaluate_barrier(field: BarrierField, x):
     """Barrier value at x (or at a batch of points, last axis = coords)."""
-    x = np.asarray(x, dtype=float)
     dom = field.domain
-    dist = dom.max_center_distance(x)
-    inside = dist <= dom.radius * (1.0 + 1e-12) + 1e-12
-    if not np.all(inside):
+    dist = dom.max_center_distance(reals(x, "barrier point x"))
+    if not np.all(dom.closure_holds(dist)):
         raise DomainViolationError("point outside the domain closure")
     dist = np.minimum(dist, dom.radius)
     if field.kind == "Sub":
@@ -113,8 +111,7 @@ def sample_boundary(domain: ConvexDomain, count: int = 512) -> np.ndarray:
         theta = np.arange(per_ball) * (2.0 * math.pi / per_ball)
         ring = domain.radius * np.stack([np.cos(theta), np.sin(theta)], axis=1)
         pts = (centers[:, None, :] + ring[None, :, :]).reshape(-1, 2)
-        keep = domain.max_center_distance(pts) <= domain.radius * (1.0 + 1e-12)
-        pts = pts[keep]
+        pts = pts[domain.contains_closure(pts)]
         if pts.shape[0] >= count:
             return pts
         per_ball *= 2
@@ -140,8 +137,7 @@ def barrier_to_csv(field: BarrierField, path, resolution: int = 64) -> None:
     rows = []
     for yv in ys:
         row_pts = np.stack([xs, np.full_like(xs, yv)], axis=1)
-        dist = field.domain.max_center_distance(row_pts)
-        ok = dist <= R * (1.0 + 1e-12)
+        ok = field.domain.contains_closure(row_pts)
         if np.any(ok):
             vals = np.atleast_1d(evaluate_barrier(field, row_pts[ok]))
             rows.extend((xv, yv, v) for xv, v in zip(xs[ok], vals))

@@ -86,7 +86,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from ._args import integer, real
+from ._args import integer, real, reals
 from ._table import write_csv
 from .barriers import build_subsolution, build_supersolution, evaluate_barrier
 from .errors import (
@@ -369,13 +369,11 @@ class GridFunction:
     values: np.ndarray
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
+        vals = reals(self.values, "node value")
         if vals.shape != (self.grid.n_nodes,):
             raise ConfigError(
                 f"need {self.grid.n_nodes} node values, got shape {vals.shape}"
             )
-        if not np.all(np.isfinite(vals)):
-            raise ConfigError("grid function values must be finite")
         vals = vals.copy()
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)

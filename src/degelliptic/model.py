@@ -18,7 +18,7 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from ._args import integer, real
+from ._args import integer, real, reals
 from .errors import ConfigError, DomainViolationError, NumericError
 
 __all__ = [
@@ -124,14 +124,12 @@ class SymMatrix:
     __slots__ = ("n", "a")
 
     def __init__(self, entries):
-        a = np.asarray(entries, dtype=float)
+        a = reals(entries, "matrix entry")
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ConfigError("matrix must be square")
         n = a.shape[0]
         if not (2 <= n <= 8):
             raise ConfigError(f"matrix dimension {n} outside [2, 8]")
-        if not np.all(np.isfinite(a)):
-            raise ConfigError("matrix entries must be finite")
         full = _symmetric(a)
         full.flags.writeable = False
         object.__setattr__(self, "n", n)
@@ -142,7 +140,7 @@ class SymMatrix:
 
     @classmethod
     def diag(cls, values) -> "SymMatrix":
-        return cls(np.diag(np.asarray(values, dtype=float)))
+        return cls(np.diag(reals(values, "matrix entry")))
 
     @classmethod
     def identity(cls, n: int) -> "SymMatrix":
@@ -264,7 +262,9 @@ class MatrixField:
 
     @classmethod
     def constant(cls, sigma, name: str = "const") -> "MatrixField":
-        s = np.asarray(sigma, dtype=float)
+        s = reals(sigma, "diffusion matrix")
+        if s.ndim != 2 or s.size == 0:
+            raise ConfigError(f"diffusion matrix must be nonempty 2-D, not {s.shape}")
         sts = s.T @ s
         ev = np.linalg.eigvalsh(sts)
         s.flags.writeable = False
@@ -510,7 +510,7 @@ def _operator_values(spec: OperatorSpec, x, X: np.ndarray) -> np.ndarray:
 
 def evaluate_operator(spec: OperatorSpec, x, X: SymMatrix) -> float:
     """Pointwise value F(x, X). ``x`` may be None for x-independent specs."""
-    points = None if x is None else np.asarray(x, dtype=float)[None]
+    points = None if x is None else reals(x, "point x")[None]
     return float(_operator_values(spec, points, X.a[None])[0])
 
 
@@ -628,7 +628,7 @@ def _hamiltonian_values(spec: HamiltonianSpec, xi: np.ndarray) -> np.ndarray:
 
 
 def evaluate_hamiltonian(spec: HamiltonianSpec, xi) -> float:
-    return float(_hamiltonian_values(spec, np.asarray(xi, dtype=float)[None])[0])
+    return float(_hamiltonian_values(spec, reals(xi, "gradient xi")[None])[0])
 
 
 def compact_perturbation_constant(
@@ -701,8 +701,12 @@ class ConvexDomain:
     def contains(self, x) -> bool | np.ndarray:
         return self.max_center_distance(x) < self.radius
 
-    def contains_closure(self, x, slack: float = 1e-12) -> bool | np.ndarray:
-        return self.max_center_distance(x) <= self.radius * (1.0 + slack) + slack
+    def contains_closure(self, x) -> bool | np.ndarray:
+        return self.closure_holds(self.max_center_distance(x))
+
+    def closure_holds(self, dist) -> bool | np.ndarray:
+        """The closure rule on ``max_center_distance``: R up to 1e-12 (R + 1)."""
+        return dist <= self.radius * (1.0 + 1e-12) + 1e-12
 
 
 # ---------------------------------------------------------------------------

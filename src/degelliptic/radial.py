@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._args import integer, real
+from ._args import integer, real, reals
 from ._table import write_csv
 from .errors import (
     BranchError,
@@ -71,36 +71,26 @@ class ProfileBranch(enum.Enum):
 # the profile function and its threshold
 
 
-def _check_radius(r) -> np.ndarray:
-    r = np.asarray(r, dtype=float)
-    if not ((r > 0.0) & (r < np.inf)).all():
-        raise DomainViolationError("radius must be positive and finite")
-    return r
-
-
 def phi(r, s, params: Params):
     """phi(r, s) = -beta s / r + b s^p + M."""
-    r = _check_radius(r)
-    s = np.asarray(s, dtype=float)
-    if not np.all(s >= 0.0):  # a NaN fails it too
-        raise DomainViolationError("profile argument s must be nonnegative")
-    out = _phi_raw(r, s, params)
+    return _at_rs(_phi_raw, r, s, params)
+
+
+def dphi_ds(r, s, params: Params):
+    """d phi / ds = -beta / r + p b s^(p-1)."""
+    return _at_rs(_dphi_raw, r, s, params)
+
+
+def _at_rs(f, r, s, params):
+    r = reals(r, "radius r", gt=0, error=DomainViolationError)
+    s = reals(s, "profile argument s", ge=0, error=DomainViolationError)
+    out = f(r, s, params)
     return float(out) if out.ndim == 0 else out
 
 
 def _phi_raw(r, s, params):
     # no argument validation; r, s are arrays prepared by the caller
     return -params.beta * s / r + params.b * s**params.p + params.M
-
-
-def dphi_ds(r, s, params: Params):
-    """d phi / ds = -beta / r + p b s^(p-1)."""
-    r = _check_radius(r)
-    s = np.asarray(s, dtype=float)
-    if not np.all(s >= 0.0):  # a NaN fails it too
-        raise DomainViolationError("profile argument s must be nonnegative")
-    out = _dphi_raw(r, s, params)
-    return float(out) if out.ndim == 0 else out
 
 
 def _dphi_raw(r, s, params):
@@ -114,9 +104,13 @@ def critical_s1(r, params: Params):
     One formula covers both branches: (beta/(r p b))^(1/(p-1)) equals
     (b p r / beta)^(1/(1-p)) because the exponent flips sign with p - 1.
     """
-    r = _check_radius(r)
-    out = (params.beta / (r * params.p * params.b)) ** (1.0 / (params.p - 1.0))
+    out = _s1(reals(r, "radius r", gt=0, error=DomainViolationError), params)
     return float(out) if out.ndim == 0 else out
+
+
+def _s1(r, params):
+    # no argument validation, as in ``_phi_raw``
+    return (params.beta / (r * params.p * params.b)) ** (1.0 / (params.p - 1.0))
 
 
 def rbar(params: Params) -> float:
@@ -151,12 +145,20 @@ def check_threshold(params: Params, R):
     where the double root s1 is the root.  False for p < 1 and for M = 0,
     which have no threshold.
     """
-    r = _check_radius(R)
-    if not params.superlinear or params.M == 0.0:
-        return np.zeros(r.shape, dtype=bool) if r.ndim else False
-    with np.errstate(over="ignore", invalid="ignore"):
+    r = reals(R, "ball radius R", gt=0, error=DomainViolationError)
+    at_end = _at_threshold(params, r)[0]
+    return bool(at_end) if at_end.ndim == 0 else at_end
+
+
+def _at_threshold(params: Params, r):
+    """``check_threshold`` at admitted radii r, and s1 there."""
+    # s1 overflows for p near 1, and with it ``_zero``'s start and
+    # residuals: _validate_root's finiteness check is then the one report
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         # s1 as an array, so s1^p takes numpy's array power as in ``phi``
-        s1 = np.asarray(critical_s1(r, params))
+        s1 = np.asarray(_s1(r, params))
+        if not params.superlinear or params.M == 0.0:
+            return np.zeros(r.shape, dtype=bool), s1
         gap = np.asarray(_phi_raw(r, s1, params))
         finite = np.isfinite(gap)
         if not finite.all():
@@ -175,8 +177,7 @@ def check_threshold(params: Params, R):
             gap=float(gap.ravel()[k]),
             radius=radius,
         )
-    at_end = np.abs(gap) <= tol
-    return bool(at_end) if at_end.ndim == 0 else at_end
+    return np.abs(gap) <= tol, s1
 
 
 # ---------------------------------------------------------------------------
@@ -251,20 +252,15 @@ def _root_tolerance(r, s, params):
 
 def _zero(r, params: Params, second: bool):
     """The first zero of phi(r, .), or with ``second`` the second one, at
-    radii r; every root in this module comes from here.  For M > 0,
-    superlinear Newton starts at ``_model_start``, sublinear at a bracket's
-    upper end; for M = 0 the zeros have a closed form.
+    admitted radii r; every root in this module comes from here.  For
+    M > 0, superlinear Newton starts at ``_model_start``, sublinear at a
+    bracket's upper end; for M = 0 the zeros have a closed form.
     """
-    r_arr = _check_radius(np.atleast_1d(r))
-    scalar = np.asarray(r, dtype=float).ndim == 0
-
+    r_arr = np.atleast_1d(r)
     # at the threshold's double root s1 IS the root, and Newton would only
     # chase rounding noise there
-    at_end = check_threshold(params, r_arr)
-    # s1 overflows for p near 1, and with it the start and the residuals:
-    # _validate_root's finiteness check is then the one report
+    at_end, s1 = _at_threshold(params, r_arr)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        s1 = critical_s1(r_arr, params)
         if params.M == 0.0:
             # phi = s (b s^(p-1) - beta/r): the zeros are 0, the superlinear
             # first zero, and (beta / (b r))^(1/(p-1)), every other one
@@ -301,20 +297,20 @@ def _zero(r, params: Params, second: bool):
             s, f = _newton_root(r_arr, start, params, ~at_end, direction)
     s = np.where(at_end, s1, s)
     _validate_root(r_arr, s, f, at_end, params)
-    return float(s[0]) if scalar else s
+    return float(s[0]) if r.ndim == 0 else s
 
 
 def first_zero(r, params: Params):
     """Smallest zero of phi(r, .): in (0, s1] superlinearly, in (s1, inf)
     sublinearly.  Scalar in, scalar out; arrays pass through elementwise."""
-    return _zero(r, params, second=False)
+    return _zero(reals(r, "radius r", gt=0, error=DomainViolationError), params, False)
 
 
 def second_zero(r, params: Params):
     """Largest zero of phi(r, .), superlinear only; >= s1(r)."""
     if not params.superlinear:
         raise BranchError("second zero exists only for p > 1")
-    return _zero(r, params, second=True)
+    return _zero(reals(r, "radius r", gt=0, error=DomainViolationError), params, True)
 
 
 def _validate_root(r, s, f, at_end, params):
@@ -371,11 +367,13 @@ class RadialProfile:
         which extend to the center, and to [r_grid[0], R] on the second-zero
         ones, which diverge there."""
         second = _second_branch(self.branch, self.params)
+        r = reals(r, "radius r", error=DomainViolationError)
         rr = np.clip(r, self.r_grid[0] if second else 0.0, self.R)
         return _exact_u(rr, self.R, self.params, second)[1]
 
     def du(self, r):
         """Exact u' = -s at radii r, the branch's root recomputed there."""
+        r = reals(r, "radius r", gt=0, error=DomainViolationError)
         return -_zero(r, self.params, _second_branch(self.branch, self.params))
 
     def ddu(self, r) -> np.ndarray:
@@ -383,8 +381,8 @@ class RadialProfile:
             s' = phi_r / (-phi_s) = (beta s / r^2) / (beta/r - p b s^(p-1)),
         exact up to the root accuracy wherever phi_s != 0; M / beta at s = 0."""
         p = self.params
-        r = np.asarray(r, dtype=float)
-        s = -np.asarray(self.du(r))
+        r = reals(r, "radius r", gt=0, error=DomainViolationError)
+        s = np.asarray(_zero(r, p, _second_branch(self.branch, p)))
         denom = p.beta / r - p.p * p.b * np.where(s > 0.0, s, 1.0) ** (p.p - 1.0)
         with np.errstate(divide="ignore", invalid="ignore"):
             sprime = np.where(s > 0.0, (p.beta * s / r**2) / denom, p.M / p.beta)
@@ -421,15 +419,6 @@ def _graded_nodes_log(R: float, r_min: float, node_count: int) -> np.ndarray:
     return nodes
 
 
-def _merge_radii(nodes: np.ndarray, include_radii, R: float) -> np.ndarray:
-    if include_radii is None or len(include_radii) == 0:
-        return nodes
-    extra = np.asarray(sorted(include_radii), dtype=float)
-    if not np.all((extra > 0.0) & (extra <= R * (1.0 + 1e-12))):  # NaN too
-        raise ConfigError("include_radii must lie in (0, R]")
-    return np.union1d(nodes, np.minimum(extra, R))
-
-
 def radial_profile(
     branch: ProfileBranch,
     R: float,
@@ -450,6 +439,10 @@ def radial_profile(
     node_count = integer(node_count, "node_count", ge=64)
     R = real(R, "ball radius R", gt=0)
     r_min = real(r_min, "r_min", gt=0)
+    extra = reals(
+        () if include_radii is None else include_radii,
+        "include_radii", gt=0, le=R * (1.0 + 1e-12),
+    )
 
     if branch is ProfileBranch.ZERO_M:
         if params.M != 0.0:
@@ -464,11 +457,13 @@ def radial_profile(
     at_threshold = check_threshold(params, R)
     second = _second_branch(branch, params)
     if second:
-        if include_radii is not None and len(include_radii) > 0:
-            r_min = min(r_min, float(min(include_radii)))
-        grid = _merge_radii(_graded_nodes_log(R, r_min, node_count), include_radii, R)
+        if extra.size:
+            r_min = min(r_min, float(extra.min()))
+        grid = _graded_nodes_log(R, r_min, node_count)
     else:
-        grid = _merge_radii(_graded_nodes(R, node_count), include_radii, R)
+        grid = _graded_nodes(R, node_count)
+    if extra.size:
+        grid = np.union1d(grid, np.minimum(extra, R))
 
     s_vals, u_vals, u_zero = _exact_u(grid, R, params, second)
     residuals = _phi_raw(grid, s_vals, params)
@@ -609,7 +604,7 @@ def _exact_u(r, R: float, params: Params, second: bool = False):
     (beta / b)^q log(R / r) at p = 2; u(0+) is finite where g > 0.
     """
     r = np.asarray(r, dtype=float)
-    inner = ~((r <= 0.0) | (r >= R))  # a NaN too: the root refuses it
+    inner = (r > 0.0) & (r < R)
     roots = _zero(np.append(r[inner], R), params, second)
     # radii at R take the one root computed there, so u(R) is exactly 0
     s = np.where(r >= R, roots[-1], 0.0)
@@ -742,7 +737,7 @@ class ExplicitSublinearForm:
 
     ``sign`` is +1 for the decreasing families and -1 for the convex
     increasing Monge-Ampere one; du and ddu are analytic derivatives used
-    by residual checks.
+    by residual checks.  Each takes radii in [0, R].
     """
 
     kind: str
@@ -753,19 +748,24 @@ class ExplicitSublinearForm:
     g: float
     sign: float
 
+    def _radii(self, r) -> np.ndarray:
+        le = self.R * (1.0 + 1e-12)  # R up to its rounding
+        return reals(r, "radius r", ge=0, le=le, error=DomainViolationError)
+
     def value(self, r):
+        r = self._radii(r)
         # R^g and r^g from one array power, so u(R) is exactly 0
-        rg = np.append(np.asarray(r, dtype=float), self.R) ** self.g
-        out = (self.sign * self.K * (rg[-1] - rg[:-1])).reshape(np.shape(r))
+        rg = np.append(r, self.R) ** self.g
+        out = (self.sign * self.K * (rg[-1] - rg[:-1])).reshape(r.shape)
         return float(out) if out.ndim == 0 else out
 
     def du(self, r):
-        r = np.asarray(r, dtype=float)
+        r = self._radii(r)
         out = -self.sign * self.K * self.g * r ** (self.g - 1.0)
         return float(out) if out.ndim == 0 else out
 
     def ddu(self, r):
-        r = np.asarray(r, dtype=float)
+        r = self._radii(r)
         out = -self.sign * self.K * self.g * (self.g - 1.0) * r ** (self.g - 2.0)
         return float(out) if out.ndim == 0 else out
 
@@ -799,11 +799,7 @@ def explicit_sublinear_solution(
     kind: str, p: float, R: float, N: int, r
 ) -> float:
     """Closed-form value at radius r of the chosen sublinear model problem."""
-    form = explicit_sublinear_form(kind, p, R, N)
-    r_arr = np.asarray(r, dtype=float)
-    if not np.all((r_arr >= 0.0) & (r_arr <= R * (1.0 + 1e-12))):
-        raise DomainViolationError("radius outside [0, R]")
-    return form.value(r)
+    return explicit_sublinear_form(kind, p, R, N).value(r)
 
 
 # ---------------------------------------------------------------------------

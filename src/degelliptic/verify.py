@@ -22,7 +22,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from ._args import integer, real
+from ._args import integer, real, reals
 from ._table import write_csv
 from .errors import ConfigError, DomainViolationError, ThresholdError
 from .grid import GridProblem, SolveControls, build_grid, solve
@@ -116,6 +116,15 @@ class VerifyProblem:
         object.__setattr__(self, "R", real(self.R, "ball radius R", gt=0))
 
 
+def _same_ball(problem: VerifyProblem, *candidates: RadialCandidate) -> None:
+    for v in candidates:
+        if v.R != problem.R:
+            raise ConfigError(
+                f"candidate ball radius R = {v.R!r} differs from the problem's"
+                f" R = {problem.R!r}"
+            )
+
+
 def _radial_residuals(
     problem: VerifyProblem, r: np.ndarray, du: np.ndarray, ddu: np.ndarray
 ) -> np.ndarray:
@@ -173,15 +182,12 @@ def residual_check_radial(
     Radii must keep an absolute margin of 1e-3 from both the center and the
     ball radius (the singular endpoints of the tabulated branches).
     """
-    r = np.atleast_1d(np.asarray(radii, dtype=float))
-    if r.size == 0 or not np.all(np.isfinite(r)):
-        raise ConfigError("need at least one sample radius, each finite")
-    radius = candidate.R
-    if np.any(r < ENDPOINT_MARGIN) or np.any(r > radius - ENDPOINT_MARGIN):
-        raise DomainViolationError(
-            f"sample radii must lie in [{ENDPOINT_MARGIN},"
-            f" {radius - ENDPOINT_MARGIN}] (margin from singular endpoints)"
-        )
+    _same_ball(problem, candidate)
+    lo, hi = ENDPOINT_MARGIN, candidate.R - ENDPOINT_MARGIN
+    what = "sample radius r, at a margin from the singular endpoints,"
+    r = np.atleast_1d(reals(radii, what, ge=lo, le=hi, error=DomainViolationError))
+    if r.size == 0:
+        raise ConfigError("need at least one sample radius")
     tolerance = real(tolerance, "tolerance", gt=0)
     res = _radial_residuals(problem, r, candidate.du(r), candidate.ddu(r))
     max_abs = float(np.max(np.abs(res)))
@@ -262,6 +268,7 @@ def sigma_perturbation(
     """
     sigma = real(sigma, "sigma", gt=0, lt=1)
     epsilon = real(epsilon, "slack epsilon", gt=0)
+    _same_ball(problem, v, varphi)
 
     r = _sample_radii(v, sample_count)
     du = sigma * v.du(r) + (1.0 - sigma) * varphi.du(r)
@@ -355,6 +362,7 @@ def epsilon_scaling(
         raise ConfigError(
             "scaling certificate applies to sublinear power gradient terms"
         )
+    _same_ball(problem, v)
 
     r = _sample_radii(v, sample_count)
     scale = 1.0 + epsilon
@@ -416,9 +424,9 @@ def threshold_probe(params: Params, R_values) -> tuple[ThresholdVerdict, ...]:
     """Existence verdict per radius for the superlinear bounded branch."""
     if not params.superlinear:
         raise ConfigError("threshold probes require a superlinear exponent")
-    radii = np.atleast_1d(np.asarray(R_values, dtype=float))
-    if radii.size == 0 or np.any(~np.isfinite(radii)) or np.any(radii <= 0.0):
-        raise ConfigError("radii must be positive and finite")
+    radii = np.atleast_1d(reals(R_values, "ball radius R", gt=0))
+    if radii.size == 0:
+        raise ConfigError("need at least one ball radius")
 
     verdicts = []
     for R in radii:

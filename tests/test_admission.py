@@ -1,10 +1,17 @@
-"""Scalar admission at the public boundary.
+"""Scalar and array admission at the public boundary.
 
 Every scalar numeric argument of the constructors and entry points goes
 through ``_args.real`` or ``_args.integer``.  Fed bool, str, None, NaN,
 +-inf, numpy scalars or ``Fraction``, each one either raises
 ``ConfigError`` or gives the result of the same value as a Python float
 (a Python int for integer arguments), and stores Python numbers.
+
+Every array argument (radii, points, matrices, node values) goes through
+``_args.reals``.  Fed a bool array, a list holding a bool, str or None, a
+ragged nesting, NaN, +-inf, float32 and int64 arrays or a list of
+``Fraction``, each one either raises its entry point's class, naming the
+input and its first offending entry, or gives the result of the same
+float64 values.
 """
 
 import math
@@ -19,14 +26,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from degelliptic._args import integer, real
+from degelliptic._args import integer, real, reals
 from degelliptic.barriers import (
     barrier_to_csv,
     build_subsolution,
     build_supersolution,
+    evaluate_barrier,
     sample_boundary,
 )
-from degelliptic.errors import ConfigError
+from degelliptic.errors import ConfigError, DomainViolationError
 from degelliptic.grid import (
     GridFunction,
     GridProblem,
@@ -52,12 +60,21 @@ from degelliptic.model import (
     WeightedEigenvalues,
     check_structural_conditions,
     compact_perturbation_constant,
+    evaluate_hamiltonian,
+    evaluate_operator,
 )
 from degelliptic.radial import (
     c1_bound,
+    check_threshold,
+    critical_s1,
+    dphi_ds,
     explicit_sublinear_form,
+    explicit_sublinear_solution,
+    first_zero,
+    phi,
     radial_profile,
     rbar,
+    second_zero,
 )
 from degelliptic.verify import (
     ClosedFormRadial,
@@ -66,6 +83,7 @@ from degelliptic.verify import (
     epsilon_scaling,
     residual_check_radial,
     sigma_perturbation,
+    threshold_probe,
 )
 
 MODEL = Params(beta=2.0, b=1.0, p=2.0, M=1.0)
@@ -388,3 +406,215 @@ class TestHelpers:
         with pytest.raises(ConfigError, match=r"^need an integer N >= 2 and <= 8, got 9$"):
             integer(9, "N", ge=2, le=8)
         assert real(0, "M", ge=0) == 0.0 and integer(8, "N", ge=2, le=8) == 8
+
+
+# ---------------------------------------------------------------------------
+# arrays
+
+PROFILE = radial_profile("FirstZeroSuperlinear", 0.9, MODEL, node_count=64)
+FORM = explicit_sublinear_form("Lambda1", 0.5, 1.0)
+# an x-dependent coefficient, so the point is read
+VARYING = CoefficientLambdaN(
+    ScalarField(fn=lambda x: 1.0 + np.sum(x**2, axis=-1), lower=1.0, upper=3.0)
+)
+RADII = [0.5, 0.25]
+DV, CE = DomainViolationError, ConfigError
+
+
+def _bytes(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+def _profile_with(extra):
+    prof = radial_profile("FirstZeroSuperlinear", 0.9, MODEL, node_count=64,
+                          include_radii=extra)
+    return prof.r_grid.tobytes() + prof.u_values.tobytes()
+
+
+def _sweep_values(values):
+    return sweep(PROBLEM, GRID, values, 0.01, steps=1).tobytes()
+
+
+def _field(sigma):
+    field = MatrixField.constant(sigma)
+    return (field.lambda_min_sts, field.lambda_max_sts, field(np.zeros(2)).tobytes())
+
+
+# input -> (what the refusal names, its class, a valid value, call(value) -> key)
+ARRAYS = {
+    "phi r": ("radius r", DV, RADII, lambda v: _bytes(phi(v, 1.0, MODEL))),
+    "phi s": ("profile argument s", DV, [1.0, 0.5], lambda v: _bytes(phi(0.5, v, MODEL))),
+    "dphi_ds r": ("radius r", DV, RADII, lambda v: _bytes(dphi_ds(v, 1.0, MODEL))),
+    "dphi_ds s": (
+        "profile argument s", DV, [1.0, 0.5], lambda v: _bytes(dphi_ds(0.5, v, MODEL))
+    ),
+    "critical_s1": ("radius r", DV, RADII, lambda v: _bytes(critical_s1(v, MODEL))),
+    "check_threshold": (
+        "ball radius R", DV, [0.5, 1.0], lambda v: _bytes(check_threshold(MODEL, v))
+    ),
+    "first_zero": ("radius r", DV, RADII, lambda v: _bytes(first_zero(v, MODEL))),
+    "second_zero": ("radius r", DV, RADII, lambda v: _bytes(second_zero(v, MODEL))),
+    "radial_profile include_radii": ("include_radii", CE, RADII, _profile_with),
+    "RadialProfile.value": ("radius r", DV, RADII, lambda v: _bytes(PROFILE.value(v))),
+    "RadialProfile.du": ("radius r", DV, RADII, lambda v: _bytes(PROFILE.du(v))),
+    "RadialProfile.ddu": ("radius r", DV, RADII, lambda v: _bytes(PROFILE.ddu(v))),
+    "ExplicitSublinearForm.value": ("radius r", DV, RADII, lambda v: _bytes(FORM.value(v))),
+    "ExplicitSublinearForm.du": ("radius r", DV, RADII, lambda v: _bytes(FORM.du(v))),
+    "ExplicitSublinearForm.ddu": ("radius r", DV, RADII, lambda v: _bytes(FORM.ddu(v))),
+    "explicit_sublinear_solution": (
+        "radius r", DV, RADII,
+        lambda v: _bytes(explicit_sublinear_solution("Lambda1", 0.5, 1.0, 2, v)),
+    ),
+    "SymMatrix": (
+        "matrix entry", CE, [[1.0, 0.5], [0.5, 2.0]], lambda v: SymMatrix(v).a.tobytes()
+    ),
+    "SymMatrix.diag": (
+        "matrix entry", CE, [1.0, 0.5], lambda v: SymMatrix.diag(v).a.tobytes()
+    ),
+    "MatrixField.constant": ("diffusion matrix", CE, [[1.0, 0.2], [0.0, 0.8]], _field),
+    "evaluate_operator x": (
+        "point x", CE, RADII, lambda v: evaluate_operator(VARYING, v, A)
+    ),
+    "evaluate_hamiltonian xi": (
+        "gradient xi", CE, RADII, lambda v: evaluate_hamiltonian(PowerNorm(1.0, 2.0), v)
+    ),
+    "evaluate_barrier x": (
+        "barrier point x", CE, [[0.5, 0.25], [0.0, -0.75]],
+        lambda v: _bytes(evaluate_barrier(SUB_FIELD, v)),
+    ),
+    "residual_check_radial radii": (
+        "sample radius r", DV, RADII,
+        lambda v: residual_check_radial(BOWL, BOWL_PROBLEM, v).residuals.tobytes(),
+    ),
+    "threshold_probe radii": (
+        "ball radius R", CE, RADII, lambda v: threshold_probe(MODEL, v)
+    ),
+    "GridFunction values": (
+        "node value", CE, U.values.tolist(),
+        lambda v: GridFunction(grid=GRID, values=v).values.tobytes(),
+    ),
+    "sweep values": ("node value", CE, U.values.tolist(), _sweep_values),
+}
+
+
+def _with_last(valid, entry):
+    """``valid`` as nested lists with its last entry replaced by ``entry``."""
+    out = np.array(valid, dtype=object)
+    out.flat[-1] = entry
+    return out.tolist()
+
+
+def _ragged(valid):
+    """``valid`` with its first row one entry longer (a first row of its
+    own for a flat list)."""
+    if np.ndim(valid) == 1:
+        return [valid[:1], list(valid)]
+    return [valid[0] + valid[0][:1], *valid[1:]]
+
+
+def _last_index(valid):
+    shape = np.shape(valid)
+    return str(shape[0] - 1) if len(shape) == 1 else str(tuple(n - 1 for n in shape))
+
+
+def _first_index(valid):
+    return "0" if np.ndim(valid) == 1 else str((0,) * np.ndim(valid))
+
+
+# variant -> (input from a valid value, the entry refused and its index), or
+# for the numeric variants the float64 value the input must read as
+REFUSED_ARRAYS = {
+    "bool array": lambda v: (np.full(np.shape(v), True), True, _first_index(v)),
+    "bool entry": lambda v: (_with_last(v, True), True, _last_index(v)),
+    "str entry": lambda v: (_with_last(v, "0.5"), "0.5", _last_index(v)),
+    "None entry": lambda v: (_with_last(v, None), None, _last_index(v)),
+    "nan entry": lambda v: (_with_last(v, math.nan), math.nan, _last_index(v)),
+    "inf entry": lambda v: (_with_last(v, math.inf), math.inf, _last_index(v)),
+    "-inf entry": lambda v: (_with_last(v, -math.inf), -math.inf, _last_index(v)),
+    "ragged": lambda v: (_ragged(v), _ragged(v)[0], "0"),
+}
+READ_ARRAYS = {
+    "float32": lambda v: np.asarray(v, dtype=np.float32),
+    "int64": lambda v: np.round(v).astype(np.int64),
+    "Fraction": lambda v: np.vectorize(Fraction, otypes=[object])(v).tolist(),
+}
+
+
+def _outcome(call, value):
+    """(key, None) from ``call(value)``, or (None, its ConfigError)."""
+    try:
+        return call(value), None
+    except ConfigError as err:
+        return None, err
+
+
+@pytest.mark.parametrize("variant", sorted(REFUSED_ARRAYS))
+@pytest.mark.parametrize("name", sorted(ARRAYS))
+def test_array_arguments_are_refused(name, variant):
+    what, error, valid, call = ARRAYS[name]
+    value, entry, index = REFUSED_ARRAYS[variant](valid)
+    with pytest.raises(ConfigError) as info:
+        call(value)
+    assert type(info.value) is error, (name, variant, info.value)
+    assert f" {what}" in str(info.value), (name, variant, info.value)
+    assert str(info.value).endswith(f", got {entry!r} at index {index}"), (
+        name, variant, info.value,
+    )
+
+
+@pytest.mark.parametrize("variant", sorted(READ_ARRAYS))
+@pytest.mark.parametrize("name", sorted(ARRAYS))
+def test_array_arguments_are_read_as_float64(name, variant):
+    _, _, valid, call = ARRAYS[name]
+    value = READ_ARRAYS[variant](valid)
+    key, err = _outcome(call, value)
+    want, want_err = _outcome(call, np.asarray(value, dtype=float))
+    if want_err is None:
+        assert err is None and key == want, (name, variant, err)
+    else:  # refused alike, as the float64 values are
+        assert type(err) is type(want_err) and str(err) == str(want_err)
+
+
+class TestReals:
+    def test_float64_is_not_copied(self):
+        a = np.array([0.5, 1.0])
+        assert reals(a, "x") is a
+
+    @pytest.mark.parametrize(
+        "x, want",
+        [
+            (np.float32([0.5]), [0.5]),
+            (np.int64([[1, 2]]), [[1.0, 2.0]]),
+            ([Fraction(1, 4), 2], [0.25, 2.0]),
+            (0.5, 0.5),
+            ((), []),
+        ],
+    )
+    def test_reads_float64(self, x, want):
+        got = reals(x, "x")
+        assert got.dtype == np.float64 and np.array_equal(got, want)
+        assert got.shape == np.shape(want)
+
+    @pytest.mark.parametrize(
+        "x, message",
+        [
+            (np.array([True, False]), r"^need a finite real x, got True at index 0$"),
+            (np.array([0.5j]), r"^need a finite real x, got 0\.5j at index 0$"),
+            (np.array(["0.5"]), r"^need a finite real x, got '0\.5' at index 0$"),
+            ("abc", r"^need a finite real x, got 'abc'$"),
+            (
+                [np.zeros((2, 2)), np.zeros((2, 3))],
+                r"^need a finite real x, got a ragged nesting$",
+            ),
+        ],
+    )
+    def test_refuses(self, x, message):
+        with pytest.raises(ConfigError, match=message):
+            reals(x, "x")
+
+    def test_bounds_and_class_in_the_refusal(self):
+        want = r"^need a finite real r > 0 and <= 1, got 0\.0 at index \(1, 0\)$"
+        with pytest.raises(DomainViolationError, match=want):
+            reals([[0.5], [0.0]], "r", gt=0, le=1, error=DomainViolationError)
+        with pytest.raises(ConfigError, match=r"^need a finite real s >= 0, got -1$"):
+            reals(-1, "s", ge=0)

@@ -233,6 +233,48 @@ class TestBoundarySampling:
             sample_boundary(d3, 16)
 
 
+class TestClosureRule:
+    # ConvexDomain.contains_closure is the one closure rule: the lattice
+    # export and the boundary sampler filter through it, and evaluate_barrier
+    # accepts what it accepts.  On the 1e-9 disc at resolution 65 its
+    # absolute 1e-12 admits the 24 lattice points at 1.0005 R, the nodes
+    # (i, j) R / 32 with i^2 + j^2 = 1025.
+    DOMAINS = {
+        "lens": LENS,
+        "disc": DISC,
+        "wide lens": ConvexDomain(1.0, ((-0.5, 0.0), (0.5, 0.0))),
+        "three balls": ConvexDomain(0.7, ((0.0, 0.0), (0.2, 0.1), (-0.1, 0.2))),
+        "tiny disc": ConvexDomain(1e-9, ((0.0, 0.0),)),
+    }
+
+    @pytest.mark.parametrize("resolution", [16, 65])
+    @pytest.mark.parametrize("name", sorted(DOMAINS))
+    def test_lattice_export_keeps_the_closure(self, name, resolution, tmp_path):
+        domain = self.DOMAINS[name]
+        field = build_subsolution(domain, MODEL, 1.0)
+        barrier_to_csv(field, tmp_path / "barrier.csv", resolution)
+        rows = np.loadtxt(tmp_path / "barrier.csv", delimiter=",", skiprows=2, ndmin=2)
+        centers, R = domain.center_array(), domain.radius
+        xs, ys = (
+            np.linspace(centers[:, k].min() - R, centers[:, k].max() + R, resolution)
+            for k in (0, 1)
+        )
+        lattice = np.stack([g.ravel() for g in np.meshgrid(xs, ys)], axis=1)
+        want = lattice[domain.contains_closure(lattice)]
+        assert np.array_equal(rows[:, :2], want)
+        assert np.array_equal(rows[:, 2], evaluate_barrier(field, want))
+        if name == "tiny disc" and resolution == 65:
+            beyond = domain.max_center_distance(want) > R * (1.0 + 1e-12)
+            assert np.count_nonzero(beyond) == 24
+
+    @pytest.mark.parametrize("name", sorted(set(DOMAINS) - {"tiny disc"}))
+    def test_boundary_samples_lie_in_the_closure(self, name):
+        domain = self.DOMAINS[name]
+        pts = sample_boundary(domain, 600)
+        assert domain.contains_closure(pts).all()
+        evaluate_barrier(build_subsolution(domain, MODEL, 1.0), pts)
+
+
 class TestCsv:
     def test_lattice_export(self, lens_super, tmp_path):
         path = tmp_path / "barrier.csv"

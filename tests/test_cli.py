@@ -426,7 +426,7 @@ class TestRadial:
         code, out, err = run_cli(capsys, "radial", "--config", path, "--out", out_dir)
         assert code == 2
         assert out == ""
-        assert "include_radii must lie in (0, R]" in err
+        assert "include_radii > 0 and <= 1.000000000001, got nan at index 1" in err
         assert not out_dir.exists()
 
     def test_threshold_refusal_no_partial_output(self, tmp_path, capsys):
@@ -874,7 +874,8 @@ class TestOutputFiles:
             f=-1.0,
         )
         verify_problem = VerifyProblem(
-            operator=problem.operator, hamiltonian=problem.hamiltonian, f=-1.0, N=2
+            operator=problem.operator, hamiltonian=problem.hamiltonian, f=-1.0, N=2,
+            R=0.9,
         )
         profile = radial_profile("FirstZeroSuperlinear", 0.9, params, node_count=64)
         barrier_to_csv(

@@ -73,7 +73,7 @@ class TestPhi:
         # written to fail on it
         for fn in (phi, dphi_ds):
             for s in (math.nan, [0.5, math.nan]):
-                with pytest.raises(DomainViolationError, match="nonnegative"):
+                with pytest.raises(DomainViolationError, match="s >= 0, got nan"):
                     fn(1.0, s, MODEL)
 
     def test_vectorized(self):
@@ -466,8 +466,25 @@ class TestRadialProfileFirstZero:
     def test_nan_include_radius_is_a_config_error(self, branch):
         # a NaN compares false in the range check; it once reached the
         # profile and surfaced as an overflow (NumericError)
-        with pytest.raises(ConfigError, match=r"include_radii must lie in \(0, R\]"):
+        want = r"include_radii > 0 and <= 1\.000000000001, got nan at index 1$"
+        with pytest.raises(ConfigError, match=want):
             radial_profile(branch, 1.0, MODEL, include_radii=(0.5, math.nan))
+
+    @pytest.mark.parametrize("branch", ["FirstZeroSuperlinear", "SecondZeroSuperlinear"])
+    def test_no_include_radii(self, branch):
+        # None and an empty sequence alike add no radius
+        want = radial_profile(branch, 0.9, MODEL, node_count=64).r_grid
+        for extra in (None, (), [], np.array([])):
+            got = radial_profile(branch, 0.9, MODEL, node_count=64, include_radii=extra)
+            assert np.array_equal(got.r_grid, want)
+
+    @pytest.mark.parametrize("branch", ["FirstZeroSuperlinear", "SecondZeroSuperlinear"])
+    def test_negative_include_radius_is_named(self, branch):
+        # on the second-zero branch include_radii also lowers r_min; it is
+        # admitted first, so the refusal names it, not r_min
+        want = r"include_radii > 0 and <= 0\.9000000000009001, got -0\.1 at index 0$"
+        with pytest.raises(ConfigError, match=want):
+            radial_profile(branch, 0.9, MODEL, include_radii=(-0.1, 0.5))
 
     def test_branch_parse(self):
         assert ProfileBranch.parse("FirstZeroSuperlinear") is (
@@ -970,8 +987,9 @@ class TestExplicitSublinear:
             explicit_sublinear_solution("Lambda1", 0.5, 1.0, 2, 2.0)
 
     def test_nan_radius_is_a_domain_error(self):
+        want = r"radius r >= 0 and <= 1\.000000000001, got nan"
         for r in (math.nan, [0.5, math.nan]):
-            with pytest.raises(DomainViolationError, match=r"outside \[0, R\]"):
+            with pytest.raises(DomainViolationError, match=want):
                 explicit_sublinear_solution("Lambda1", 0.5, 1.0, 2, r)
 
 

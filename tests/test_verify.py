@@ -242,7 +242,7 @@ class TestResidualValidation:
 
     def test_nan_radius_is_a_config_error(self, model_form):
         # an input error, not a failed verification (passed=False)
-        with pytest.raises(ConfigError, match="each finite"):
+        with pytest.raises(ConfigError, match="got nan at index 1"):
             residual_check_radial(model_form, MODEL_PROBLEM, (0.5, math.nan))
 
     def test_bad_tolerance(self, model_form):
@@ -404,6 +404,29 @@ class TestSigmaPerturbation:
         text = cert.to_text()
         assert "certified_slack: 0.0099999999999999" in text
         assert "passed: True" in text
+
+
+class TestProblemBall:
+    # a candidate is checked on the problem's ball: one on another ball is
+    # refused, naming both radii, not checked on its own R
+    WANT = r"^candidate ball radius R = 1\.0 differs from the problem's R = 0\.9$"
+
+    def test_residual_check(self, model_form):
+        with pytest.raises(ConfigError, match=self.WANT):
+            residual_check_radial(model_form, replace(MODEL_PROBLEM, R=0.9), (0.5,))
+
+    def test_sigma_perturbation_checks_both_candidates(
+        self, sigma_v, sigma_varphi, model_profile
+    ):
+        problem = TestSigmaPerturbation.PROBLEM
+        for v, varphi in ((model_profile, sigma_varphi), (sigma_v, model_profile)):
+            with pytest.raises(ConfigError, match=self.WANT):
+                sigma_perturbation(v, varphi, 0.9, epsilon=0.1, problem=problem)
+
+    def test_epsilon_scaling(self, sub_profile):
+        problem = replace(TestEpsilonScaling.PROBLEM, R=0.9)
+        with pytest.raises(ConfigError, match=self.WANT):
+            epsilon_scaling(sub_profile, 0.1, -1.0, problem=problem)
 
 
 class TestEpsilonScaling:
@@ -643,10 +666,12 @@ class TestThresholdProbe:
             threshold_probe(SUB, [1.0])
 
     def test_bad_radii(self):
-        with pytest.raises(ConfigError, match="positive"):
+        with pytest.raises(ConfigError, match="R > 0, got -1.0 at index 1"):
             threshold_probe(MODEL, [0.5, -1.0])
-        with pytest.raises(ConfigError, match="positive and finite"):
+        with pytest.raises(ConfigError, match="R > 0, got nan at index 1"):
             threshold_probe(MODEL, [0.5, math.nan])
+        with pytest.raises(ConfigError, match="at least one"):
+            threshold_probe(MODEL, [])
 
     def test_text_rendering(self):
         exists, fails = threshold_probe(MODEL, [0.5, 2.0])
